@@ -6,18 +6,7 @@ construction and verification, grid/anchoring machinery, and Monte Carlo
 experiments.  Everything public in each layer is re-exported here.
 """
 
-from .exact import (
-    FLOAT_INTEGER_GUARD,
-    BoundaryAmbiguityError,
-    SqrtExt,
-    exact_div,
-    exact_floor,
-    format_scalar,
-    fractional_part,
-    guarded_floor,
-    is_exact,
-    parse_scalar,
-)
+from .exact import *  # noqa: F401,F403
 from .geometry import *  # noqa: F401,F403
 from .pointsets import *  # noqa: F401,F403
 from .larg import *  # noqa: F401,F403
@@ -30,20 +19,8 @@ from . import exact, geometry, pointsets, larg, stepiso, grids, anchoring, exper
 
 __version__ = "0.1.0"
 
-_exact_names = [
-    "FLOAT_INTEGER_GUARD",
-    "BoundaryAmbiguityError",
-    "SqrtExt",
-    "exact_div",
-    "exact_floor",
-    "format_scalar",
-    "fractional_part",
-    "guarded_floor",
-    "is_exact",
-    "parse_scalar",
-]
 __all__ = sorted(
-    set(_exact_names)
+    set(exact.__all__)
     | set(geometry.__all__)
     | set(pointsets.__all__)
     | set(larg.__all__)

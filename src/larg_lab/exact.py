@@ -11,6 +11,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+__all__ = [
+    "FLOAT_INTEGER_GUARD",
+    "BoundaryAmbiguityError",
+    "SqrtExt",
+    "exact_div",
+    "exact_floor",
+    "format_scalar",
+    "fractional_part",
+    "guarded_floor",
+    "is_exact",
+    "parse_scalar",
+]
+
 # floats closer than this to an integer are treated as sitting on the
 # integer boundary (truncation refuses to guess; see geometry.truncated_distance)
 FLOAT_INTEGER_GUARD = 1e-9

@@ -9,15 +9,15 @@ holds: after the linear change of coordinates that turns the box metric into
 L-infinity, back-and-forth extension respecting truncated coordinates finds
 explicit isomorphisms routinely.
 
-Trial streams are counter-based, so runs are reproducible row for row no
-matter how the worker pool schedules them.
+Edge coins are counter-based, keyed by trial seed and vertex pair, so each
+decay row is evaluated in one pass that draws, per trial, only the coins of
+the pairs inside V_n and of their candidate images; the rows are reproducible
+bit for bit.
 """
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -125,8 +125,8 @@ class ExperimentConfig:
             raise ExperimentError("window must be (x0, y0, x1, y1)")
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
-        if not self.n_values or list(self.n_values) != sorted(self.n_values):
-            raise ExperimentError("n_values must be non-empty and sorted ascending")
+        if not self.n_values or any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
+            raise ExperimentError("n_values must be non-empty and strictly ascending")
         if self.n_values[0] < 3:
             raise ExperimentError("prefix sizes start at the anchor, n >= 3")
         if not 0.0 < self.p < 1.0:
@@ -280,6 +280,13 @@ def _ext_cache(enum: GoodEnumeration) -> dict:
     return cache
 
 
+def _validate_once(enum: GoodEnumeration) -> None:
+    cache = _ext_cache(enum)
+    if not cache.get("validated"):
+        validate_good_enumeration(enum)
+        cache["validated"] = True
+
+
 def _point_lookup(enum: GoodEnumeration):
     cache = _ext_cache(enum)
     if "lookup" not in cache:
@@ -386,9 +393,7 @@ def _extension_candidates(enum: GoodEnumeration, n: int) -> tuple:
     key = ("cands", n)
     if key in cache:
         return cache[key]
-    if not cache.get("validated"):
-        validate_good_enumeration(enum)
-        cache["validated"] = True
+    _validate_once(enum)
 
     pts = enum.point_set.points
     vn = enum.order[:n]
@@ -480,40 +485,13 @@ def _trial_seed(base: int, n: int, t: int, side: int) -> int:
     return (z ^ (side * 0x94D049BB133111EB)) & _MASK64
 
 
-def _worker_count() -> int:
-    env = os.environ.get("LARG_LAB_THREADS", "").strip()
-    if env:
-        workers = int(env)
-        if workers < 1:
-            raise ExperimentError("LARG_LAB_THREADS must be a positive integer")
-        return workers
-    return min(8, os.cpu_count() or 1)
-
-
-def _in_range_pairs(points: PointSet, shape: NormShape, delta):
-    pts = points.points
-    us, vs = [], []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if distance(shape, pts[i], pts[j]) < delta:
-                us.append(i)
-                vs.append(j)
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-
-
-def _graph_from_pairs(points: PointSet, pairs, delta, p: float, edge_seed: int) -> GeoGraph:
-    iu, jv = pairs
-    edges = set()
-    if len(iu):
-        uni = pair_uniform_array(edge_seed, iu, jv)
-        edges = {(int(u), int(v)) for u, v in zip(iu[uni < p], jv[uni < p])}
-    return GeoGraph(
-        point_set_ref=points.fingerprint(),
-        n=len(points),
-        p=float(p),
-        delta=delta,
-        edge_seed=edge_seed,
-        edges=frozenset(edges),
+def _coin_rows(base: int, n: int, side: int, trials: int, us, vs, in_range, p: float):
+    """trials x len(us) adjacency matrix of one graph side over the given pairs."""
+    return np.array(
+        [
+            (pair_uniform_array(_trial_seed(base, n, t, side), us, vs) < p) & in_range
+            for t in range(trials)
+        ]
     )
 
 
@@ -521,9 +499,12 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
     """Measure how often independent samples stay partially isomorphic.
 
     One point set and one good enumeration serve every row; each trial draws
-    two independent edge sets and asks partial_isomorphism_exists on the first
-    n points. Box shapes are rejected: their samples are isomorphic almost
-    surely, which is the box demo's story, not a decay.
+    two independent edge sets and asks whether some extension candidate of
+    the first n points (only the identity under the "identity" policy)
+    matches adjacency on every pair, as partial_isomorphism_exists does. Only
+    the coins of those pairs are drawn. Box shapes are rejected: their
+    samples are isomorphic almost surely, which is the box demo's story, not
+    a decay.
     """
     shape = shape_from_spec(cfg.shape)
     if not isinstance(shape, PolygonShape):
@@ -544,44 +525,47 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
             f"enumeration places {len(enum.order)} points; "
             f"largest requested n is {cfg.n_values[-1]}"
         )
+    _validate_once(enum)
 
-    pairs = _in_range_pairs(points, shape, 1)
+    pts = points.points
+    in_range: dict = {}
+
+    def within(us, vs):
+        out = []
+        for u, v in zip(us.tolist(), vs.tolist()):
+            key = (u, v) if u < v else (v, u)
+            hit = in_range.get(key)
+            if hit is None:
+                hit = in_range[key] = distance(shape, pts[u], pts[v]) < 1
+            out.append(hit)
+        return np.array(out, dtype=bool)
+
     p_star = compatibility_probability(cfg.p, True)
     k = len(shape.generators)
-
-    def one_trial(args) -> bool:
-        n, t = args
-        G = _graph_from_pairs(points, pairs, 1, cfg.p, _trial_seed(cfg.base_seed, n, t, 0))
-        H = _graph_from_pairs(points, pairs, 1, cfg.p, _trial_seed(cfg.base_seed, n, t, 1))
-        if cfg.anchor_policy == "identity":
-            # only the identity assignment: do the two samples agree on V_n?
-            prefix = enum.order[:n]
-            for a in range(n):
-                for b in range(a + 1, n):
-                    e = (prefix[a], prefix[b]) if prefix[a] < prefix[b] else (prefix[b], prefix[a])
-                    if (e in G.edges) != (e in H.edges):
-                        return False
-            return True
-        return partial_isomorphism_exists(G, H, enum, n)
-
     rows = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for n in cfg.n_values:
-            _extension_candidates(enum, n)  # build tables once, not per worker
-            outcomes = list(pool.map(one_trial, ((n, t) for t in range(cfg.trials))))
-            successes = sum(outcomes)
-            lo, hi = wilson_interval(successes, cfg.trials)
-            rows.append(
-                DecayRow(
-                    n=n,
-                    trials=cfg.trials,
-                    successes=successes,
-                    fraction=successes / cfg.trials,
-                    ci_lo=lo,
-                    ci_hi=hi,
-                    paper_bound=paper_decay_bound(n, k, p_star),
-                )
+    for n in cfg.n_values:
+        prefix = enum.order[:n]
+        cands = (prefix,) if cfg.anchor_policy == "identity" else _extension_candidates(enum, n)
+        a, b = np.triu_indices(n, 1)
+        gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
+        images = np.asarray(cands, dtype=np.int64).reshape(len(cands), n)
+        hu, hv = images[:, a].ravel(), images[:, b].ravel()
+        e_g = _coin_rows(cfg.base_seed, n, 0, cfg.trials, gu, gv, within(gu, gv), cfg.p)
+        e_h = _coin_rows(cfg.base_seed, n, 1, cfg.trials, hu, hv, within(hu, hv), cfg.p)
+        e_h = e_h.reshape(cfg.trials, len(cands), len(a))
+        successes = int((e_g[:, None, :] == e_h).all(axis=2).any(axis=1).sum())
+        lo, hi = wilson_interval(successes, cfg.trials)
+        rows.append(
+            DecayRow(
+                n=n,
+                trials=cfg.trials,
+                successes=successes,
+                fraction=successes / cfg.trials,
+                ci_lo=lo,
+                ci_hi=hi,
+                paper_bound=paper_decay_bound(n, k, p_star),
             )
+        )
 
     if cfg.out_csv:
         rows_to_csv(rows, cfg.out_csv)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import format_scalar, parse_scalar
 from .geometry import LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
@@ -194,14 +195,15 @@ def pair_compatible(
 
 
 # ---------------------------------------------------------------------------
-# graph files: one JSON header line, then sorted "u v" edge lines
+# graph files: one JSON header line, then sorted "u v" edge lines; delta is
+# written as format_scalar writes it, so an exact delta comes back exact
 
 
 def graph_lines(G: GeoGraph):
     header = {
         "n": G.n,
         "p": G.p,
-        "delta": float(G.delta),
+        "delta": format_scalar(G.delta),
         "edge_seed": G.edge_seed,
         "point_set_ref": G.point_set_ref,
     }
@@ -230,7 +232,7 @@ def load_graph(path) -> GeoGraph:
         point_set_ref=header["point_set_ref"],
         n=int(header["n"]),
         p=float(header["p"]),
-        delta=header["delta"],
+        delta=parse_scalar(header["delta"]),
         edge_seed=int(header["edge_seed"]),
         edges=frozenset(edges),
     )

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from larg_lab.anchoring import good_enumeration
@@ -34,7 +35,7 @@ from larg_lab.geometry import (
     rational_hexagon,
     square_linf,
 )
-from larg_lab.larg import sample_larg
+from larg_lab.larg import GeoGraph, pair_uniform_array, sample_larg
 from larg_lab.pointsets import Window, rescale_to_idf, sample_poisson_window
 
 
@@ -53,6 +54,8 @@ class TestConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ExperimentError):
             ExperimentConfig(n_values=(10, 5))
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(n_values=(5, 5))
         with pytest.raises(ExperimentError):
             ExperimentConfig(n_values=(2, 5))
         with pytest.raises(ExperimentError):
@@ -215,6 +218,92 @@ class TestDecayExperiment:
         assert rows_from_csv(tmp_path / "rows.csv") == list(rows)
         payload = json.loads((tmp_path / "rows.json").read_text())
         assert payload[0]["n"] == 3
+
+
+def reference_successes(cfg: ExperimentConfig) -> dict:
+    """Per-policy success counts from whole sampled graphs, trial by trial."""
+    shape = shape_from_spec(cfg.shape)
+    points = sample_poisson_window(
+        Window(*cfg.window), cfg.intensity, seed=cfg.base_seed, mode=cfg.mode
+    )
+    enum = good_enumeration(points, shape)
+    pts, ref = points.points, points.fingerprint()
+    us, vs = np.array(
+        [
+            (u, v)
+            for u in range(len(pts))
+            for v in range(u + 1, len(pts))
+            if distance(shape, pts[u], pts[v]) < 1
+        ]
+    ).T
+
+    def graph(seed):
+        # sample_larg's graph without its exact pair loop on every call
+        keep = pair_uniform_array(seed, us, vs) < cfg.p
+        edges = frozenset(zip(us[keep].tolist(), vs[keep].tolist()))
+        return GeoGraph(ref, len(pts), cfg.p, 1, seed, edges)
+
+    for seed in (_trial_seed(cfg.base_seed, 3, 0, 0), _trial_seed(cfg.base_seed, 3, 0, 1)):
+        assert graph(seed) == sample_larg(points, shape, 1, cfg.p, edge_seed=seed)
+
+    out = {"identity": [], "exhaustive": []}
+    for n in cfg.n_values:
+        prefix = enum.order[:n]
+        same = iso = 0
+        for t in range(cfg.trials):
+            G, H = (graph(_trial_seed(cfg.base_seed, n, t, side)) for side in (0, 1))
+            same += all(
+                G.has_edge(u, v) == H.has_edge(u, v)
+                for i, u in enumerate(prefix)
+                for v in prefix[i + 1 :]
+            )
+            iso += partial_isomorphism_exists(G, H, enum, n)
+        out["identity"].append(same)
+        out["exhaustive"].append(iso)
+    return out
+
+
+class TestDecayEquivalence:
+    """The per-row coin matrices count what whole-graph trials count."""
+
+    CFG = ExperimentConfig(n_values=(3, 4, 5, 8), trials=40, intensity=60.0, base_seed=9)
+
+    def check_against_reference(self, cfg):
+        want = reference_successes(cfg)
+        for policy in ("identity", "exhaustive"):
+            got = [
+                r.successes
+                for r in run_decay_experiment(dataclasses.replace(cfg, anchor_policy=policy))
+            ]
+            assert got == want[policy], policy
+
+    def test_both_policies_match_graph_reference(self):
+        self.check_against_reference(self.CFG)
+
+    def test_out_of_range_pairs_match_graph_reference(self):
+        # every pair of V_n is in range in the unit window; here V_4 on has
+        # pairs out of range, and at p = 0.9 their missing edge rarely agrees
+        # with a coin drawn without the range test
+        self.check_against_reference(
+            dataclasses.replace(self.CFG, window=(0, 0, 3, 3), intensity=8.0, p=0.9, trials=100)
+        )
+
+    def test_recorded_rows(self):
+        # successes recorded from the graph-per-trial implementation
+        cfg = ExperimentConfig(
+            shape="hexagon",
+            window=(0, 0, 1, 1),
+            intensity=120.0,
+            mode="rational",
+            n_values=(3, 4, 5, 6, 10),
+            p=0.5,
+            trials=200,
+            base_seed=1127523868,
+        )
+        recorded = {"identity": [32, 5, 0, 0, 0], "exhaustive": [70, 5, 0, 0, 0]}
+        for policy, successes in recorded.items():
+            rows = run_decay_experiment(dataclasses.replace(cfg, anchor_policy=policy))
+            assert [r.successes for r in rows] == successes, policy
 
 
 class TestCsv:

@@ -247,6 +247,20 @@ def test_graph_file_round_trip(tmp_path):
     assert back.edges == g.edges
     assert back.n == g.n and back.edge_seed == g.edge_seed
     assert back.point_set_ref == g.point_set_ref
+    assert back == g
+
+    # an exact delta comes back exact, not as its float approximation
+    g = sample_larg(ps, square_linf(), Fraction(1, 3), 0.5, edge_seed=44)
+    assert g.edges
+    save_graph(path, g)
+    back = load_graph(path)
+    assert back == g
+    assert type(back.delta) is Fraction
+    # a plain JSON number still reads, as a float
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace('"1/3"', "0.25")
+    path.write_text("\n".join(lines) + "\n")
+    assert load_graph(path).delta == 0.25
 
 
 def test_geograph_validation():
