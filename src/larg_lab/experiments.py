@@ -456,16 +456,13 @@ def partial_isomorphism_exists(
         raise ExperimentError("graphs disagree on size or delta")
 
     prefix = order.order[:n]
-    ge, he = G.edges, H.edges
+    adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
     for images in _extension_candidates(order, n):
         ok = True
         for a in range(n):
-            va, wa = prefix[a], images[a]
+            row_g, row_h = adj_g[prefix[a]], adj_h[images[a]]
             for b in range(a + 1, n):
-                vb, wb = prefix[b], images[b]
-                e_g = ((va, vb) if va < vb else (vb, va)) in ge
-                e_h = ((wa, wb) if wa < wb else (wb, wa)) in he
-                if e_g != e_h:
+                if row_g[prefix[b]] != row_h[images[b]]:
                     ok = False
                     break
             if not ok:
@@ -687,10 +684,11 @@ def back_and_forth_isomorphism(
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
     meter = _Budget(budget)
+    adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
 
     def consistent(u: int, w: int) -> bool:
         for u2, w2 in fwd.items():
-            if G.has_edge(u, u2) != H.has_edge(w, w2):
+            if adj_g[u][u2] != adj_h[w][w2]:
                 return False
             for tab in floors:
                 if tab[u][u2] != tab[w][w2]:

@@ -6,11 +6,17 @@ come from a counter-based stream keyed by (edge_seed, min(u,v), max(u,v)), so
 the coin of a pair is independent of sampling order and of the window size:
 growing the point set keeps every previously drawn coin, which is what makes
 nested-window experiments consistent.
+
+In-range pairs come from one kernel for float and exact point sets alike: a
+float sweep, with the scalar distance deciding the pairs whose float distance
+lies within a guard of delta.  Edges are held as sorted int64 arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +26,14 @@ from .geometry import LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
 __all__ = [
+    "EdgeSet",
     "GeoGraph",
     "LargError",
     "pair_uniform",
     "pair_uniform_array",
+    "in_range_pairs",
     "sample_larg",
     "compatibility_probability",
-    "pair_compatible",
     "graph_lines",
     "save_graph",
     "load_graph",
@@ -81,21 +88,96 @@ def pair_uniform_array(edge_seed: int, us: np.ndarray, vs: np.ndarray) -> np.nda
     return h / 2.0**64
 
 
+class EdgeSet(Set):
+    """Read-only set view of a graph's edges.
+
+    Holds the pairs (u, v), u < v, as two int64 arrays in lexicographic
+    order; iteration yields int tuples in that order.  Equal to, and hashes
+    like, the frozenset of the same pairs; set operations such as ``^``
+    return frozensets.
+    """
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u, v):
+        u, v = np.asarray(u), np.asarray(v)
+        if u.ndim != 1 or u.shape != v.shape or u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+            raise LargError("edge arrays must be two integer vectors of one length")
+        u, v = u.astype(np.int64), v.astype(np.int64)
+        du, dv = np.diff(u), np.diff(v)
+        if not ((u < v).all() and ((du > 0) | ((du == 0) & (dv > 0))).all()):
+            raise LargError("edges must be pairs u < v in strictly increasing order")
+        u.flags.writeable = v.flags.writeable = False
+        self.u, self.v = u, v
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "EdgeSet":
+        """The set of an iterable of (u, v) pairs, in any order, repeats allowed."""
+        arr = np.array([tuple(e) for e in pairs])
+        if arr.size == 0:
+            arr = np.zeros((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+            raise LargError("edges must be (u, v) pairs of integers")
+        arr = np.unique(arr, axis=0)
+        return cls(arr[:, 0], arr[:, 1])
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __iter__(self):
+        return zip(self.u.tolist(), self.v.tolist())
+
+    def __contains__(self, pair) -> bool:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            return False
+        lo = int(np.searchsorted(self.u, a, side="left"))
+        hi = int(np.searchsorted(self.u, a, side="right"))
+        k = lo + int(np.searchsorted(self.v[lo:hi], b))
+        return k < hi and bool(self.v[k] == b)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeSet):
+            return np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v)
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __reduce__(self):
+        return (EdgeSet, (self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class GeoGraph:
-    """Sampled graph; vertices are indices into the originating PointSet."""
+    """Sampled graph; vertices are indices into the originating PointSet.
+
+    `edges` may be given as any iterable of (u, v) pairs with u < v; it is
+    stored as an EdgeSet.
+    """
 
     point_set_ref: str
     n: int
     p: float
     delta: object
     edge_seed: int
-    edges: frozenset
+    edges: EdgeSet
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise LargError(f"edge ({u}, {v}) out of vertex range")
+        edges = self.edges
+        if not isinstance(edges, EdgeSet):
+            edges = EdgeSet.from_pairs(edges)
+            object.__setattr__(self, "edges", edges)
+        if len(edges) and (edges.u[0] < 0 or edges.v.max() >= self.n):
+            raise LargError(f"an edge lies outside the vertex range [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -103,32 +185,106 @@ class GeoGraph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
+        e = self.edges
+        lo, hi = np.searchsorted(e.u, [u, u + 1])
+        return int(hi - lo) + int(np.count_nonzero(e.v == u))
 
     def adjacency_matrix(self) -> np.ndarray:
+        e = self.edges
         m = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges:
-            m[u, v] = m[v, u] = True
+        m[e.u, e.v] = True
+        m[e.v, e.u] = True
         return m
 
 
-def _in_range_pairs_float(points: PointSet, shape: NormShape, delta: float):
-    """Index pairs at distance < delta, vectorized over generator projections."""
+# cells (rows x candidate columns) per block of the in-range sweep, so each
+# float temporary of a block takes about 128 KB
+_BLOCK_CELLS = 1 << 14
+
+# float distances this close to delta, relative to delta plus the coordinate
+# scale, are decided by the scalar distance; float error is ~1e-16 relative
+_BOUNDARY_GUARD = 1e-9
+
+
+def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs u < v with distance(shape, points[u], points[v]) < delta.
+
+    Returns two int64 arrays in lexicographic order.  Distances are filtered
+    in float; a pair whose float distance lies within a guard of delta is
+    decided by the scalar ``distance(...) < delta``, which is exact for
+    exact point sets.  The sweep sorts the points by a coordinate that never
+    exceeds the distance (the first generator's projection for polygons, x
+    for L^p), so each point is compared only with the points that follow it
+    by less than delta along that coordinate.
+    """
+    n = len(points)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     arr = points.as_array()
-    n = len(arr)
     if isinstance(shape, PolygonShape):
-        gens = np.array([g.to_floats() for g in shape.generators])
-        proj = arr @ gens.T  # n x k
-        iu, jv = np.triu_indices(n, k=1)
-        dist = np.abs(proj[iu] - proj[jv]).max(axis=1)
+        gens = [g.to_floats() for g in shape.generators]
+        cols = np.array([arr[:, 0] * gx + arr[:, 1] * gy for gx, gy in gens])
+        reach = max(abs(gx) + abs(gy) for gx, gy in gens)
+        q = None
     elif isinstance(shape, LpShape):
-        iu, jv = np.triu_indices(n, k=1)
-        diff = np.abs(arr[iu] - arr[jv])
-        dist = (diff**shape.p).sum(axis=1) ** (1.0 / shape.p)
+        cols = arr.T
+        reach = 1.0
+        q = shape.p
     else:
         raise LargError(f"unsupported shape {shape!r}")
-    keep = dist < delta
-    return iu[keep], jv[keep]
+    fdelta = float(delta)
+    guard = _BOUNDARY_GUARD * (fdelta + reach * np.abs(arr).max())
+    # a block holds the largest projection gap (polygons) or the p-sum
+    # |dx|^p + |dy|^p (L^p); below inner is in range, above outer is not
+    inner, outer = fdelta - guard, fdelta + guard
+    if q is not None:
+        inner, outer = max(inner, 0.0) ** q, outer ** q
+
+    order = np.argsort(cols[0])
+    cols = cols[:, order]
+    ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
+    max_rows = math.isqrt(_BLOCK_CELLS)
+
+    found_r, found_c, found_sure = [], [], []
+    i0 = 0
+    while i0 < n:
+        # rows i0..i1 against columns i0..ends[i1 - 1]: the largest such
+        # block within _BLOCK_CELLS cells, or one row
+        rows = np.arange(i0, min(n, i0 + max_rows))
+        cells = (rows - i0 + 1) * (ends[rows] - i0)
+        i1 = i0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        j1 = int(ends[i1 - 1])
+        acc = None
+        for col in cols:
+            d = col[i0:i1, None] - col[None, i0:j1]
+            np.abs(d, out=d)
+            if q is None:
+                acc = d if acc is None else np.maximum(acc, d, out=acc)
+            else:
+                d **= q
+                acc = d if acc is None else np.add(acc, d, out=acc)
+        upper = np.arange(i0, j1) > np.arange(i0, i1)[:, None]
+        r, c = np.nonzero((acc <= outer) & upper)
+        found_r.append(r + i0)
+        found_c.append(c + i0)
+        found_sure.append(acc[r, c] < inner)
+        i0 = i1
+
+    a = order[np.concatenate(found_r)]
+    b = order[np.concatenate(found_c)]
+    u = np.minimum(a, b).astype(np.int64, copy=False)
+    v = np.maximum(a, b).astype(np.int64, copy=False)
+    keep = np.concatenate(found_sure)
+    near = np.flatnonzero(~keep)
+    if len(near):
+        pts = points.points
+        keep[near] = [
+            distance(shape, pts[x], pts[y]) < delta
+            for x, y in zip(u[near].tolist(), v[near].tolist())
+        ]
+    key = np.sort(u[keep] * n + v[keep])
+    u = key // n
+    return u, key - u * n
 
 
 def sample_larg(
@@ -142,28 +298,15 @@ def sample_larg(
         raise LargError(f"p must be in (0, 1), got {p}")
     if not (delta > 0):
         raise LargError("delta must be positive")
-    n = len(points)
-    edges = set()
-    if points.mode == "float" and n > 64:
-        iu, jv = _in_range_pairs_float(points, shape, float(delta))
-        if len(iu):
-            uni = pair_uniform_array(edge_seed, iu, jv)
-            for u, v in zip(iu[uni < p], jv[uni < p]):
-                edges.add((int(u), int(v)))
-    else:
-        pts = points.points
-        for u in range(n):
-            for v in range(u + 1, n):
-                if distance(shape, pts[u], pts[v]) < delta:
-                    if pair_uniform(edge_seed, u, v) < p:
-                        edges.add((u, v))
+    u, v = in_range_pairs(points, shape, delta)
+    coin = pair_uniform_array(edge_seed, u, v) < p
     return GeoGraph(
         point_set_ref=points.fingerprint(),
-        n=n,
+        n=len(points),
         p=float(p),
         delta=delta,
         edge_seed=edge_seed,
-        edges=frozenset(edges),
+        edges=EdgeSet(u[coin], v[coin]),
     )
 
 
@@ -180,20 +323,6 @@ def compatibility_probability(p: float, within_range: bool) -> float:
     return p * p + (1.0 - p) * (1.0 - p)
 
 
-def pair_compatible(
-    G: GeoGraph, H: GeoGraph, pair: tuple[int, int], image_pair: tuple[int, int]
-) -> bool:
-    """Adjacency agreement of `pair` in G with `image_pair` in H."""
-    u, v = pair
-    x, y = image_pair
-    for w, g in ((u, G), (v, G), (x, H), (y, H)):
-        if not (0 <= w < g.n):
-            raise LargError(f"vertex {w} out of range")
-    if u == v or x == y:
-        raise LargError("pairs need distinct endpoints")
-    return G.has_edge(u, v) == H.has_edge(x, y)
-
-
 # ---------------------------------------------------------------------------
 # graph files: one JSON header line, then sorted "u v" edge lines; delta is
 # written as format_scalar writes it, so an exact delta comes back exact
@@ -208,7 +337,7 @@ def graph_lines(G: GeoGraph):
         "point_set_ref": G.point_set_ref,
     }
     yield json.dumps(header)
-    for u, v in sorted(G.edges):
+    for u, v in G.edges:
         yield f"{u} {v}"
 
 
@@ -221,18 +350,18 @@ def save_graph(path, G: GeoGraph) -> None:
 def load_graph(path) -> GeoGraph:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        edges = set()
+        edges = []
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             u, v = line.split()
-            edges.add((int(u), int(v)))
+            edges.append((int(u), int(v)))
     return GeoGraph(
         point_set_ref=header["point_set_ref"],
         n=int(header["n"]),
         p=float(header["p"]),
         delta=parse_scalar(header["delta"]),
         edge_seed=int(header["edge_seed"]),
-        edges=frozenset(edges),
+        edges=edges,
     )

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,23 +109,23 @@ class PointSet:
 
     def as_array(self) -> np.ndarray:
         """n x 2 float array (cached)."""
-        arr = getattr(self, "_arr", None)
-        if arr is None:
-            arr = np.array([p.to_floats() for p in self.points], dtype=float)
-            object.__setattr__(self, "_arr", arr)
-        return arr
+        return self._array
 
     def fingerprint(self) -> str:
         """Content hash used as the point_set_ref of graphs sampled over this set."""
-        fp = getattr(self, "_fp", None)
-        if fp is None:
-            h = hashlib.sha256()
-            h.update(self.mode.encode())
-            for v in self.points:
-                h.update(repr((v.x, v.y)).encode())
-            fp = h.hexdigest()[:16]
-            object.__setattr__(self, "_fp", fp)
-        return fp
+        return self._fingerprint
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return np.array([p.to_floats() for p in self.points], dtype=float)
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        h = hashlib.sha256()
+        h.update(self.mode.encode())
+        for v in self.points:
+            h.update(repr((v.x, v.y)).encode())
+        return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """LARG sampling: edge coins, thresholds, compatibility, graph files."""
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from larg_lab import larg
 from larg_lab.geometry import (
     LpShape,
     Vec2,
@@ -15,11 +21,12 @@ from larg_lab.geometry import (
     square_linf,
 )
 from larg_lab.larg import (
+    EdgeSet,
     GeoGraph,
     LargError,
     compatibility_probability,
+    in_range_pairs,
     load_graph,
-    pair_compatible,
     pair_uniform,
     pair_uniform_array,
     sample_larg,
@@ -38,6 +45,16 @@ def tiny_cluster(n: int, spread: float = 0.4, seed: int = 0) -> PointSet:
             seen.add((x, y))
             pts.append(Vec2(float(x), float(y)))
     return PointSet(tuple(pts), Window(0.0, 0.0, 1.0, 1.0), seed=seed)
+
+
+def brute_force_pairs(points, shape, delta):
+    pts = points.points
+    return [
+        (u, v)
+        for u in range(len(pts))
+        for v in range(u + 1, len(pts))
+        if distance(shape, pts[u], pts[v]) < delta
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +128,22 @@ def test_strict_threshold_excludes_exact_delta():
         g = sample_larg(pts, square_linf(), Fraction(1), 0.9, edge_seed=seed)
         assert not g.has_edge(0, 1)
 
+    # a lattice at spacing delta / 3: the pairs at exactly delta reach the
+    # kernel's scalar boundary check and are left out
+    step = Fraction(1, 9)
+    pts = tuple(Vec2(i * step, j * step) for i in range(7) for j in range(7))
+    ps = PointSet(pts, Window(Fraction(0), Fraction(0), Fraction(1), Fraction(1)), 0, "rational")
+    u, v = in_range_pairs(ps, square_linf(), Fraction(1, 3))
+    got = set(zip(u.tolist(), v.tolist()))
+    assert got == set(brute_force_pairs(ps, square_linf(), Fraction(1, 3)))
+    at_delta = {
+        (a, b)
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+        if distance(square_linf(), pts[a], pts[b]) == Fraction(1, 3)
+    }
+    assert at_delta and not got & at_delta
+
 
 def test_determinism_and_seed_sensitivity():
     ps = tiny_cluster(40, seed=1)
@@ -123,13 +156,62 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_vectorized_path_matches_scalar_path():
-    # same point set through the n > 64 vectorized branch and the loop branch
-    ps_big = tiny_cluster(80, seed=11)
-    ps_small = PointSet(ps_big.points[:60], ps_big.window, seed=11)
-    g_big = sample_larg(ps_big, regular_hexagon(), 1, 0.4, edge_seed=5)
-    g_small = sample_larg(ps_small, regular_hexagon(), 1, 0.4, edge_seed=5)
-    expected = {(u, v) for u, v in g_big.edges if u < 60 and v < 60}
-    assert g_small.edges == expected
+    # the sweep kernel against a scalar distance scan, with the real block
+    # size and with blocks small enough that the sweep takes many of them
+    ps = tiny_cluster(80, spread=2.5, seed=11)
+    for shape in (regular_hexagon(), LpShape(3)):
+        want = brute_force_pairs(ps, shape, 1)
+        assert 0 < len(want) < 80 * 79 // 2
+        for cells in (larg._BLOCK_CELLS, 50):
+            with mock.patch.object(larg, "_BLOCK_CELLS", cells):
+                u, v = in_range_pairs(ps, shape, 1)
+            assert list(zip(u.tolist(), v.tolist())) == want
+
+
+_SHAPES = {
+    "square": square_linf(),
+    "rational_hexagon": rational_hexagon(),
+    "regular_hexagon": regular_hexagon(),
+    "lp2": LpShape(2),
+    "lp3": LpShape(3),
+}
+
+
+@st.composite
+def pair_problems(draw):
+    """A point set, a shape and a delta: fine random coordinates, or a coarse
+    lattice whose spacing divides delta, so some pairs sit at exactly delta."""
+    shape = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+    delta = draw(st.sampled_from([1, 0.3, Fraction(1, 3)]))
+    mode = draw(st.sampled_from(["float", "rational"]))
+    if draw(st.booleans()):
+        grid, step = 12, Fraction(delta) / draw(st.integers(1, 4))
+    else:
+        grid, step = 1 << 20, Fraction(draw(st.sampled_from([1, 4, 16]))) / (1 << 20)
+    n = draw(st.integers(2, 144))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.choice(grid * grid, n, replace=False) if grid == 12 else rng.integers(0, grid * grid, n)
+    cells = [divmod(int(k), grid) for k in np.unique(flat)]
+    shift = draw(st.integers(-3, 3))
+    coords = [(shift + i * step, j * step) for i, j in cells]
+    if mode == "float":
+        pts = tuple(Vec2(float(x), float(y)) for x, y in coords)
+    else:
+        pts = tuple(Vec2(x, y) for x, y in coords)
+    window = Window(Fraction(-4), Fraction(0), Fraction(20), Fraction(20))
+    ps = PointSet(pts, window, seed=0, mode=mode)
+    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
+    return ps, shape, delta, block
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_problems())
+def test_in_range_pairs_matches_brute_force(problem):
+    ps, shape, delta, block = problem
+    with mock.patch.object(larg, "_BLOCK_CELLS", block):
+        u, v = in_range_pairs(ps, shape, delta)
+    assert u.dtype == v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == brute_force_pairs(ps, shape, delta)
 
 
 def test_gnp_reduction():
@@ -202,15 +284,17 @@ def test_compatibility_probability_values():
 
 
 def test_pair_compatible_and_validation():
+    # pair agreement is read with has_edge, which is symmetric in the pair
+    # and never joins a vertex to itself
     ps = tiny_cluster(10, seed=9)
     g = sample_larg(ps, square_linf(), 1, 0.5, edge_seed=1)
     h = sample_larg(ps, square_linf(), 1, 0.5, edge_seed=2)
-    got = pair_compatible(g, h, (0, 1), (0, 1))
-    assert got == (g.has_edge(0, 1) == h.has_edge(0, 1))
-    with pytest.raises(LargError):
-        pair_compatible(g, h, (0, 10), (0, 1))
-    with pytest.raises(LargError):
-        pair_compatible(g, h, (2, 2), (0, 1))
+    for u in range(10):
+        assert not g.has_edge(u, u)
+        for v in range(10):
+            assert g.has_edge(u, v) == g.has_edge(v, u)
+            assert h.has_edge(u, v) == h.has_edge(v, u)
+    assert g.edges != h.edges
 
 
 def test_compatible_fraction_converges_to_pstar():
@@ -224,7 +308,7 @@ def test_compatible_fraction_converges_to_pstar():
         for t in range(trials):
             g = sample_larg(pts, square_linf(), 1, p, edge_seed=2 * t)
             h = sample_larg(pts, square_linf(), 1, p, edge_seed=2 * t + 1)
-            agree += pair_compatible(g, h, (0, 1), (0, 1))
+            agree += g.has_edge(0, 1) == h.has_edge(0, 1)
         want = compatibility_probability(p, True)
         sigma = math.sqrt(want * (1 - want) / trials)
         assert abs(agree / trials - want) <= 3 * sigma
@@ -272,3 +356,76 @@ def test_geograph_validation():
     assert g.has_edge(2, 0) and not g.has_edge(0, 1)
     assert g.degree(0) == 1
     assert g.adjacency_matrix()[0, 2]
+
+
+# ---------------------------------------------------------------------------
+# edge sets
+
+
+def test_edge_set_behaves_as_frozenset():
+    pairs = frozenset({(0, 2), (1, 3), (0, 1), (2, 3)})
+    e = GeoGraph("x", 4, 0.5, 1, 0, [(2, 3), (0, 1), (1, 3), (0, 2), (0, 1)]).edges
+    assert isinstance(e, EdgeSet) and len(e) == 4
+    assert e == pairs and pairs == e and not e != pairs
+    assert hash(e) == hash(pairs) and {pairs: "x"}[e] == "x"
+    assert e != pairs - {(0, 1)} and pairs | {(1, 2)} != e
+    assert e == EdgeSet.from_pairs(pairs) and e != EdgeSet([0], [1])
+    assert list(e) == sorted(pairs)
+    assert all(type(w) is int for pair in e for w in pair)
+    assert (1, 3) in e and (3, 1) not in e and (0, 3) not in e and (9, 9) not in e
+    assert (0,) not in e and None not in e
+    flipped = e ^ {(0, 1), (1, 2)}
+    assert type(flipped) is frozenset and flipped == {(0, 2), (1, 2), (1, 3), (2, 3)}
+    assert {(0, 1), (1, 2)} ^ e == flipped
+    assert e <= pairs and e - {(0, 1)} == pairs - {(0, 1)}
+    assert not GeoGraph("x", 4, 0.5, 1, 0, frozenset()).edges
+    with pytest.raises(ValueError):
+        e.u[0] = 3
+
+
+def test_edge_set_validation():
+    for bad in ([(0, 1.5)], [(0, 1, 2)], [(-1, 2)], [(1, 1)]):
+        with pytest.raises(LargError):
+            GeoGraph("x", 3, 0.5, 1, 0, bad)
+    with pytest.raises(LargError):
+        EdgeSet([1, 0], [2, 1])  # not in lexicographic order
+    with pytest.raises(LargError):
+        EdgeSet([0, 0], [1, 1])  # repeated pair
+    with pytest.raises(LargError):
+        EdgeSet([0.0], [1.0])
+
+
+def test_replace_revalidates_edges():
+    ps = tiny_cluster(12, seed=3)
+    G = sample_larg(ps, square_linf(), 1, 0.5, edge_seed=6)
+    flip = min(G.edges)
+    H = dataclasses.replace(G, edges=frozenset(G.edges ^ {flip}))
+    assert isinstance(H.edges, EdgeSet)
+    assert not H.has_edge(*flip) and len(H.edges) == len(G.edges) - 1
+    with pytest.raises(LargError):
+        dataclasses.replace(G, edges=frozenset({(0, 12)}))
+
+
+def test_degree_and_adjacency_match_brute_force():
+    ps = sample_poisson_window(Window(0.0, 0.0, 3.0, 3.0), 30.0, seed=8)
+    G = sample_larg(ps, regular_hexagon(), 1, 0.5, edge_seed=4)
+    pairs = set(G.edges)
+    adj = G.adjacency_matrix()
+    for u in range(G.n):
+        assert G.degree(u) == sum(1 for e in pairs if u in e) == adj[u].sum()
+        for v in range(G.n):
+            assert adj[u, v] == ((min(u, v), max(u, v)) in pairs)
+    assert pairs and G.degree(G.n) == 0
+
+
+def test_geograph_pickle_and_file_round_trip(tmp_path):
+    ps = tiny_cluster(25, seed=14)
+    G = sample_larg(ps, rational_hexagon(), Fraction(1, 3), 0.5, edge_seed=9)
+    empty = GeoGraph(ps.fingerprint(), 25, 0.5, Fraction(1, 3), 9, ())
+    assert G.edges and not empty.edges
+    for g in (G, empty):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert isinstance(back.edges, EdgeSet) and not back.edges.u.flags.writeable
+        save_graph(tmp_path / "g.txt", g)
+        assert load_graph(tmp_path / "g.txt") == g
