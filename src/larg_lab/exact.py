@@ -212,7 +212,14 @@ class SqrtExt:
     # -- conversions ----------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        x = float(self.a)
+        y = float(self.b) * math.sqrt(self.d)
+        if abs(x) + abs(y) > 1024 * abs(x + y):
+            # the parts cancel; a - b*sqrt(d) does not, and its product with
+            # this value is the rational a^2 - b^2 d, so the quotient keeps
+            # float accuracy relative to the value, not to its parts
+            return float(self.a * self.a - self.b * self.b * self.d) / (x - y)
+        return x + y
 
     def __floor__(self) -> int:
         n = math.floor(float(self))
@@ -263,7 +270,6 @@ def guarded_floor(x, *, what: str = "value"):
                 f"{what} = {x!r} is within {FLOAT_INTEGER_GUARD} of integer {nearest}; "
                 "use rational mode or perturb the input"
             )
-        return math.floor(x)
     return math.floor(x)
 
 
@@ -273,8 +279,6 @@ class BoundaryAmbiguityError(ValueError):
 
 def fractional_part(x):
     """x - floor(x), preserving the scalar type (exact stays exact)."""
-    if isinstance(x, float):
-        return x - math.floor(x)
     return x - math.floor(x)
 
 

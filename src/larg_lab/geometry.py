@@ -34,7 +34,6 @@ __all__ = [
     "Line",
     "PolygonShape",
     "LpShape",
-    "MetricConfig",
     "BoundaryAmbiguityError",
     "norm",
     "distance",
@@ -280,18 +279,6 @@ class LpShape:
 
 
 NormShape = PolygonShape | LpShape
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """A metric: unit shape plus adjacency threshold delta (default 1)."""
-
-    shape: NormShape
-    delta: object = 1
-
-    def __post_init__(self):
-        if not (self.delta > 0):
-            raise GeometryError("delta must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,56 @@ _BLOCK_CELLS = 1 << 14
 _BOUNDARY_GUARD = 1e-9
 
 
+def _columns(arr: np.ndarray, shape: NormShape):
+    """Float columns whose pairwise gaps make up the distance, their reach
+    (the largest |column| per unit of coordinate) and the L^p exponent.
+
+    Polygons take the generator projections x*gx + y*gy (no matmul: BLAS
+    pages cost resident memory) and the exponent None; L^p takes x and y.
+    """
+    if isinstance(shape, PolygonShape):
+        gens = [g.to_floats() for g in shape.generators]
+        cols = np.array([arr[:, 0] * gx + arr[:, 1] * gy for gx, gy in gens])
+        return cols, max(abs(gx) + abs(gy) for gx, gy in gens), None
+    if isinstance(shape, LpShape):
+        return arr.T, 1.0, shape.p
+    raise LargError(f"unsupported shape {shape!r}")
+
+
+def _row_blocks(ends: np.ndarray):
+    """Row blocks (i0, i1, j1, upper) over n rows with nondecreasing ends.
+
+    Each block is rows i0..i1 against columns i0..j1 = ends[i1 - 1]: the
+    largest such block within _BLOCK_CELLS cells, or one row.  upper masks
+    its cells with column > row.
+    """
+    n = len(ends)
+    max_rows = math.isqrt(_BLOCK_CELLS)
+    i0 = 0
+    while i0 < n:
+        rows = np.arange(i0, min(n, i0 + max_rows))
+        cells = (rows - i0 + 1) * (ends[rows] - i0)
+        i1 = i0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        j1 = int(ends[i1 - 1])
+        yield i0, i1, j1, np.arange(i0, j1) > np.arange(i0, i1)[:, None]
+        i0 = i1
+
+
+def _block_gaps(cols: np.ndarray, q, i0: int, i1: int, j1: int) -> np.ndarray:
+    """Rows i0..i1 against columns i0..j1: the largest column gap
+    (polygons, q None) or the sum of the gaps to the power q (L^p)."""
+    acc = None
+    for col in cols:
+        d = col[i0:i1, None] - col[None, i0:j1]
+        np.abs(d, out=d)
+        if q is None:
+            acc = d if acc is None else np.maximum(acc, d, out=acc)
+        else:
+            d **= q
+            acc = d if acc is None else np.add(acc, d, out=acc)
+    return acc
+
+
 def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs u < v with distance(shape, points[u], points[v]) < delta.
 
@@ -221,17 +271,7 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     if n < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     arr = points.as_array()
-    if isinstance(shape, PolygonShape):
-        gens = [g.to_floats() for g in shape.generators]
-        cols = np.array([arr[:, 0] * gx + arr[:, 1] * gy for gx, gy in gens])
-        reach = max(abs(gx) + abs(gy) for gx, gy in gens)
-        q = None
-    elif isinstance(shape, LpShape):
-        cols = arr.T
-        reach = 1.0
-        q = shape.p
-    else:
-        raise LargError(f"unsupported shape {shape!r}")
+    cols, reach, q = _columns(arr, shape)
     fdelta = float(delta)
     guard = _BOUNDARY_GUARD * (fdelta + reach * np.abs(arr).max())
     # a block holds the largest projection gap (polygons) or the p-sum
@@ -243,32 +283,14 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     order = np.argsort(cols[0])
     cols = cols[:, order]
     ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
-    max_rows = math.isqrt(_BLOCK_CELLS)
 
     found_r, found_c, found_sure = [], [], []
-    i0 = 0
-    while i0 < n:
-        # rows i0..i1 against columns i0..ends[i1 - 1]: the largest such
-        # block within _BLOCK_CELLS cells, or one row
-        rows = np.arange(i0, min(n, i0 + max_rows))
-        cells = (rows - i0 + 1) * (ends[rows] - i0)
-        i1 = i0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-        j1 = int(ends[i1 - 1])
-        acc = None
-        for col in cols:
-            d = col[i0:i1, None] - col[None, i0:j1]
-            np.abs(d, out=d)
-            if q is None:
-                acc = d if acc is None else np.maximum(acc, d, out=acc)
-            else:
-                d **= q
-                acc = d if acc is None else np.add(acc, d, out=acc)
-        upper = np.arange(i0, j1) > np.arange(i0, i1)[:, None]
+    for i0, i1, j1, upper in _row_blocks(ends):
+        acc = _block_gaps(cols, q, i0, i1, j1)
         r, c = np.nonzero((acc <= outer) & upper)
         found_r.append(r + i0)
         found_c.append(c + i0)
         found_sure.append(acc[r, c] < inner)
-        i0 = i1
 
     a = order[np.concatenate(found_r)]
     b = order[np.concatenate(found_c)]

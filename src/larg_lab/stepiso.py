@@ -7,10 +7,12 @@ both dual coordinates of a box (parallelogram) metric this stays a
 step-isometry; under any other shape it breaks, and the verifier here finds
 the breaking pair.
 
-Verification runs in one of three lanes: an integer fast path (all-rational
-polygon data, floors are exact floordivs over a common denominator), a
-generic exact loop, and a vectorized float lane that refuses to guess when a
-distance sits within 1e-9 of an integer.
+Both checks run one pair scan: a float filter computes the distances of
+both sides in row blocks and flags the pairs that may fail (floors that
+differ or a distance near an integer; distances that differ by about tol or
+more), and the scalar distance decides each flagged pair in lexicographic
+order.  That decision is exact for exact data; for float data the scalar
+truncation refuses to guess when a distance sits within 1e-9 of an integer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,19 +30,19 @@ from .exact import (
     FLOAT_INTEGER_GUARD,
     exact_div,
     format_scalar,
+    guarded_floor,
     is_exact,
     parse_scalar,
 )
 from .geometry import (
     Line,
-    LpShape,
     NormShape,
     PolygonShape,
     Vec2,
     distance,
     truncated_distance,
 )
-from .larg import GeoGraph
+from .larg import GeoGraph, _block_gaps, _columns, _row_blocks
 from .pointsets import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = [
@@ -256,7 +258,11 @@ def pointmap_from_json(text: str) -> PointMap:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a pairwise check; witness is the first failing pair in
-    lexicographic index order, with the two compared values."""
+    lexicographic index order, with the two compared values.
+
+    checked is the witness's 1-based position in that order, or n(n-1)/2 for
+    a map that passes.
+    """
 
     ok: bool
     witness: tuple[int, int] | None = None
@@ -265,181 +271,79 @@ class Verdict:
     checked: int = 0
 
 
-def _all_rational(vectors: Sequence[Vec2]) -> bool:
-    return all(
-        isinstance(v.x, (int, Fraction)) and isinstance(v.y, (int, Fraction))
-        for v in vectors
-    )
+# is_isometry confirms the pairs whose float |d - e| exceeds tol less this
+# much times 1 plus the coordinate scale: float distances are off by ~1e-15
+# times that, and the default float tol, FLOAT_INTEGER_GUARD, is far above it
+_ISO_GUARD = 1e-12
 
 
-def _int_projection_table(points: Sequence[Vec2], gens: Sequence[Vec2]):
-    """Per generator: (integer projections, common denominator).
+def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdict:
+    """The first pair i < j, in lexicographic order, that fails a check.
 
-    floor(|p_i - p_j| projected) is then abs(n_i - n_j) // den, an exact
-    integer operation."""
-    table = []
-    for a in gens:
-        vals = [a.dot(p) for p in points]
-        den = 1
-        for v in vals:
-            if isinstance(v, Fraction):
-                den = math.lcm(den, v.denominator)
-        table.append(([int(v * den) for v in vals], den))
-    return table
-
-
-def _float_pair_scan(dom_rows, img_rows, n) -> Verdict:
-    """Row-vectorized floor comparison over pairs i < j.
-
-    dom_rows(i) / img_rows(i) return distance vectors from i to i+1..n-1.
-    Distances within the float guard of an integer abort the scan.
+    The float filter takes both sides' distances over row blocks of pairs;
+    marks(dd, di, scale) flags the pairs that may fail, scale being 1 plus
+    the coordinate scale.  Each flagged pair is then decided in order by
+    fails(left, right) on the scalar values scalar(shape, x, y) of both
+    sides, exact for exact data.
     """
-    checked = 0
-    for i in range(n - 1):
-        dd = dom_rows(i)
-        di = img_rows(i)
-        checked += dd.size
-        for vals in (dd, di):
-            off = np.abs(vals - np.rint(vals))
-            bad = np.nonzero(off < FLOAT_INTEGER_GUARD)[0]
-            if bad.size:
-                j = i + 1 + int(bad[0])
-                raise BoundaryAmbiguityError(
-                    f"distance of pair ({i}, {j}) is {vals[bad[0]]!r}, within "
-                    f"{FLOAT_INTEGER_GUARD} of an integer; use rational mode"
-                )
-        left, right = np.floor(dd), np.floor(di)
-        mism = np.nonzero(left != right)[0]
-        if mism.size:
-            k = int(mism[0])
-            return Verdict(False, (i, i + 1 + k), int(left[k]), int(right[k]), checked)
-    return Verdict(True, checked=checked)
-
-
-def _polygon_row_fn(points: Sequence[Vec2], shape: PolygonShape):
-    arr = np.array([p.to_floats() for p in points], dtype=float)
-    gens = np.array([g.to_floats() for g in shape.generators], dtype=float)
-    proj = arr @ gens.T  # n x k
-
-    def rows(i):
-        return np.abs(proj[i] - proj[i + 1 :]).max(axis=1)
-
-    return rows
-
-
-def _lp_row_fn(points: Sequence[Vec2], shape: LpShape):
-    arr = np.array([p.to_floats() for p in points], dtype=float)
-    p = shape.p
-
-    def rows(i):
-        d = np.abs(arr[i] - arr[i + 1 :])
-        return (d[:, 0] ** p + d[:, 1] ** p) ** (1.0 / p)
-
-    return rows
+    pts, ims = pmap.domain.points, pmap.images
+    n = len(pts)
+    if n < 2:
+        return Verdict(True, checked=0)
+    dom = pmap.domain.as_array()
+    img = np.array([w.to_floats() for w in ims], dtype=float)
+    dom_cols, reach, q = _columns(dom, shape)
+    img_cols = _columns(img, shape)[0]
+    scale = 1.0 + reach * max(np.abs(dom).max(), np.abs(img).max())
+    for i0, i1, j1, upper in _row_blocks(np.full(n, n)):
+        dd = _block_gaps(dom_cols, q, i0, i1, j1)
+        di = _block_gaps(img_cols, q, i0, i1, j1)
+        if q is not None:
+            dd **= 1.0 / q
+            di **= 1.0 / q
+        rows, cols = np.nonzero(marks(dd, di, scale) & upper)
+        for i, j in zip((rows + i0).tolist(), (cols + i0).tolist()):
+            try:
+                left = scalar(shape, pts[i], pts[j])
+                right = scalar(shape, ims[i], ims[j])
+            except BoundaryAmbiguityError as err:
+                raise BoundaryAmbiguityError(f"pair ({i}, {j}): {err}") from None
+            if fails(left, right):
+                return Verdict(False, (i, j), left, right, i * n - i * (i + 1) // 2 + j - i)
+    return Verdict(True, checked=n * (n - 1) // 2)
 
 
 def is_step_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
     """Do all pairs keep their truncated distance under the map?
 
     Exact data is decided exactly; float data raises BoundaryAmbiguityError
-    (naming the pair) whenever a distance is too close to an integer to
-    truncate safely.  The witness returned carries both floors.
+    (naming the pair) when a distance is too close to an integer to truncate
+    safely and no earlier pair fails.  The witness carries both floors.
     """
-    pts = pmap.domain.points
-    ims = pmap.images
-    n = len(pts)
-    if n < 2:
-        return Verdict(True, checked=0)
-    exact = all(p.is_exact() for p in pts) and all(w.is_exact() for w in ims)
 
-    if (
-        exact
-        and isinstance(shape, PolygonShape)
-        and _all_rational(shape.generators)
-        and _all_rational(pts)
-        and _all_rational(ims)
-    ):
-        dom = _int_projection_table(pts, shape.generators)
-        img = _int_projection_table(ims, shape.generators)
-        checked = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                td_d = 0
-                for ints, den in dom:
-                    v = ints[i] - ints[j]
-                    if v < 0:
-                        v = -v
-                    q = v // den
-                    if q > td_d:
-                        td_d = q
-                td_i = 0
-                for ints, den in img:
-                    v = ints[i] - ints[j]
-                    if v < 0:
-                        v = -v
-                    q = v // den
-                    if q > td_i:
-                        td_i = q
-                checked += 1
-                if td_d != td_i:
-                    return Verdict(False, (i, j), td_d, td_i, checked)
-        return Verdict(True, checked=checked)
+    def marks(dd, di, scale):
+        # floors that differ, or a distance near an integer on either side
+        guard = FLOAT_INTEGER_GUARD * scale
+        near = (np.abs(dd - np.rint(dd)) < guard) | (np.abs(di - np.rint(di)) < guard)
+        return near | (np.floor(dd) != np.floor(di))
 
-    if exact and isinstance(shape, PolygonShape):
-        checked = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                td_d = truncated_distance(shape, pts[i], pts[j])
-                td_i = truncated_distance(shape, ims[i], ims[j])
-                checked += 1
-                if td_d != td_i:
-                    return Verdict(False, (i, j), td_d, td_i, checked)
-        return Verdict(True, checked=checked)
-
-    row_fn = _polygon_row_fn if isinstance(shape, PolygonShape) else _lp_row_fn
-    return _float_pair_scan(row_fn(pts, shape), row_fn(ims, shape), n)
+    return _pair_scan(pmap, shape, marks, truncated_distance, lambda td, ti: td != ti)
 
 
 def is_isometry(pmap: PointMap, shape: NormShape, tol=None) -> Verdict:
     """Do all pairs keep their exact distance (within tol for floats)?
 
-    Exact data defaults to tol 0.  The witness carries both distances.
+    Exact data on a polygon defaults to tol 0, other data to
+    FLOAT_INTEGER_GUARD.  The witness carries both distances.
     """
-    pts = pmap.domain.points
-    ims = pmap.images
-    n = len(pts)
-    if n < 2:
-        return Verdict(True, checked=0)
-    exact = all(p.is_exact() for p in pts) and all(w.is_exact() for w in ims)
-
-    if exact and isinstance(shape, PolygonShape):
-        if tol is None:
-            tol = 0
-        checked = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = distance(shape, pts[i], pts[j])
-                e = distance(shape, ims[i], ims[j])
-                checked += 1
-                if abs(d - e) > tol:
-                    return Verdict(False, (i, j), d, e, checked)
-        return Verdict(True, checked=checked)
-
     if tol is None:
-        tol = FLOAT_INTEGER_GUARD
-    row_fn = _polygon_row_fn if isinstance(shape, PolygonShape) else _lp_row_fn
-    dom_rows = row_fn(pts, shape)
-    img_rows = row_fn(ims, shape)
-    checked = 0
-    for i in range(n - 1):
-        dd = dom_rows(i)
-        di = img_rows(i)
-        checked += dd.size
-        mism = np.nonzero(np.abs(dd - di) > tol)[0]
-        if mism.size:
-            k = int(mism[0])
-            return Verdict(False, (i, i + 1 + k), float(dd[k]), float(di[k]), checked)
-    return Verdict(True, checked=checked)
+        exact = all(v.is_exact() for v in pmap.domain.points + pmap.images)
+        tol = 0 if exact and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
+
+    def marks(dd, di, scale):
+        return np.abs(dd - di) > float(tol) - _ISO_GUARD * scale
+
+    return _pair_scan(pmap, shape, marks, distance, lambda d, e: abs(d - e) > tol)
 
 
 def respects_line(pmap: PointMap, ell: Line, ell_image: Line) -> bool:
@@ -538,11 +442,4 @@ def stepiso_statistical_check(
 
 def _delta_floor(d, delta, pair):
     scaled = exact_div(d, delta) if is_exact(d) and is_exact(delta) else d / delta
-    if isinstance(scaled, float):
-        if abs(scaled - round(scaled)) < FLOAT_INTEGER_GUARD:
-            raise BoundaryAmbiguityError(
-                f"distance of pair {pair} over delta is {scaled!r}, too close to "
-                "an integer to truncate; use rational mode"
-            )
-        return math.floor(scaled)
-    return math.floor(scaled)
+    return guarded_floor(scaled, what=f"distance of pair {pair} over delta")

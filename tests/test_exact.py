@@ -97,6 +97,18 @@ def test_abs_and_fractional_part():
     assert abs(fractional_part(2.75) - 0.75) < 1e-15
 
 
+def test_float_of_cancelling_parts():
+    # the parts of (sqrt2 - 1)^k grow like (1 + sqrt2)^k / 2 and cancel down
+    # to (1 + sqrt2)^-k; its product with (sqrt2 + 1)^k, whose parts share a
+    # sign, is exactly 1, and 1 - (sqrt2 - 1)^k lies below 1
+    down = up = Fraction(1)
+    for _ in range(60):
+        down = down * (SQRT2 - 1)
+        up = up * (SQRT2 + 1)
+        assert float(down) * float(up) == pytest.approx(1.0, rel=1e-14)
+        assert float(1 - down) <= 1.0 and math.floor(1 - down) == 0
+
+
 def test_guarded_floor_refuses_near_integers():
     assert guarded_floor(2.5) == 2
     assert guarded_floor(Fraction(2)) == 2  # exact integers are fine

@@ -17,7 +17,6 @@ from larg_lab.geometry import (
     GeometryError,
     Line,
     LpShape,
-    MetricConfig,
     PolygonShape,
     Vec2,
     diamond_l1,
@@ -225,13 +224,6 @@ def test_lp_shape_validation():
             LpShape(p)
     with pytest.raises(GeometryError):
         LpShape(2, generator_budget=2)
-
-
-def test_metric_config():
-    with pytest.raises(GeometryError):
-        MetricConfig(square_linf(), 0)
-    cfg = MetricConfig(square_linf())
-    assert cfg.delta == 1
 
 
 def test_is_box():

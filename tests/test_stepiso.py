@@ -1,12 +1,17 @@
 """Fractional-part maps, step-isometry verdicts, line respect, stat checks."""
 
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from larg_lab.exact import BoundaryAmbiguityError
+from larg_lab import larg
+from larg_lab.exact import BoundaryAmbiguityError, SqrtExt
 from larg_lab.geometry import (
     Line,
     LpShape,
@@ -15,6 +20,7 @@ from larg_lab.geometry import (
     diamond_l1,
     distance,
     rational_hexagon,
+    regular_hexagon,
     square_linf,
 )
 from larg_lab.larg import GeoGraph, sample_larg
@@ -48,21 +54,52 @@ F = Fraction
 # oracles
 
 
+def oracle_distance(shape, x: Vec2, y: Vec2):
+    """Independent distance: max |a.(x - y)| over the generators, exact for
+    exact data, or the L^p sum of |dx|^p and |dy|^p in float."""
+    if isinstance(shape, LpShape):
+        dx, dy = abs(float(x.x - y.x)), abs(float(x.y - y.y))
+        return (dx**shape.p + dy**shape.p) ** (1.0 / shape.p)
+    return max(abs(a.dot(x - y)) for a in shape.generators)
+
+
 def oracle_floor_distance(shape, x: Vec2, y: Vec2) -> int:
-    """Independent truncation: exact max-projection distance, then floor."""
-    d = max(abs(a.dot(x - y)) for a in shape.generators)
+    """Independent truncation; floats within 1e-9 of an integer are refused."""
+    d = oracle_distance(shape, x, y)
+    if isinstance(d, float) and abs(d - round(d)) < 1e-9:
+        raise BoundaryAmbiguityError(f"{d!r} is too close to an integer")
     return math.floor(d)
 
 
-def oracle_step_iso(shape, pts, ims):
-    """Brute-force pair scan; returns first violating pair or None."""
+def oracle_scan(pts, ims, value, fails):
+    """Brute-force scan of pairs i < j in lexicographic order: the first pair
+    whose values fail, as (pair, left, right, 1-based position), or None.
+    A refused value raises BoundaryAmbiguityError naming its pair."""
+    pos = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if oracle_floor_distance(shape, pts[i], pts[j]) != oracle_floor_distance(
-                shape, ims[i], ims[j]
-            ):
-                return (i, j)
+            pos += 1
+            try:
+                left, right = value(pts[i], pts[j]), value(ims[i], ims[j])
+            except BoundaryAmbiguityError:
+                raise BoundaryAmbiguityError(f"pair ({i}, {j})") from None
+            if fails(left, right):
+                return (i, j), left, right, pos
     return None
+
+
+def oracle_step_iso(shape, pts, ims):
+    """First pair whose truncated distance changes (see oracle_scan)."""
+    return oracle_scan(
+        pts, ims, lambda x, y: oracle_floor_distance(shape, x, y), lambda a, b: a != b
+    )
+
+
+def oracle_isometry(shape, pts, ims, tol):
+    """First pair whose distances differ by more than tol (see oracle_scan)."""
+    return oracle_scan(
+        pts, ims, lambda x, y: oracle_distance(shape, x, y), lambda d, e: abs(d - e) > tol
+    )
 
 
 def line_set(values, mode="rational") -> PointSet:
@@ -282,7 +319,8 @@ def test_hexagon_breaks_box_construction():
     assert is_step_isometry(pm, box).ok
     verdict = is_step_isometry(pm, hexa)
     assert not verdict.ok
-    assert verdict.witness == oracle_step_iso(hexa, ps.points, pm.images)
+    want = oracle_step_iso(hexa, ps.points, pm.images)
+    assert (verdict.witness, verdict.left, verdict.right, verdict.checked) == want
     i, j = verdict.witness
     assert oracle_floor_distance(hexa, ps[i], ps[j]) == verdict.left
     assert oracle_floor_distance(hexa, pm.images[i], pm.images[j]) == verdict.right
@@ -309,6 +347,35 @@ def test_float_boundary_refused():
     ps = PointSet((Vec2(0.0, 0.0), Vec2(1.0, 0.0)), Window(-1.0, -1.0, 2.0, 2.0), 0)
     with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 1\)"):
         is_step_isometry(identity_point_map(ps), square_linf())
+    # 200 points on a line with no distance near an integer, plus one at
+    # distance 1 from point `near`: rows 0..80 fill the first block, so the
+    # refusal of row 150 comes from a later one
+    xs = [0.00731 * k for k in range(200)]
+    for near in (150, 0):
+        line = line_set(xs + [xs[near] + 1.0], mode="float")
+        with pytest.raises(BoundaryAmbiguityError, match=rf"\({near}, 200\)"):
+            is_step_isometry(identity_point_map(line), square_linf())
+    # an image distance on an integer is refused like a domain one
+    pair = line_set([0.0, 1.5], mode="float")
+    with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 1\)"):
+        is_step_isometry(PointMap(pair, (Vec2(0.0, 0.0), Vec2(1.0, 0.0))), square_linf())
+    # a clear failure before the near pair (0, 200) is returned, not refused
+    moved = list(line.points)
+    moved[5] = Vec2(moved[5].x + 5.0, 0.0)
+    v = is_step_isometry(PointMap(line, tuple(moved)), square_linf())
+    assert (v.ok, v.witness, v.left, v.right, v.checked) == (False, (0, 5), 0, 5, 5)
+
+
+def test_cancelling_sqrt_parts_decided_exactly():
+    # 1 - (sqrt2 - 1)^36 lies just below 1, but its parts are about 3e13 and
+    # cancel, so the float filter sees it near 1 only if float() keeps that
+    s = F(1)
+    for _ in range(36):
+        s = s * SqrtExt(-1, 1, 2)
+    ps = line_set([F(0), 1 - s])
+    pm = PointMap(ps, (Vec2(F(0), F(0)), Vec2(F(3, 2), F(0))))
+    v = is_step_isometry(pm, square_linf())
+    assert (v.ok, v.witness, v.left, v.right) == (False, (0, 1), 0, 1)
 
 
 def test_lp_shape_lane():
@@ -319,6 +386,113 @@ def test_lp_shape_lane():
     pm = PointMap(ps, images_clean)
     assert is_step_isometry(pm, LpShape(2)).ok
     assert not is_isometry(pm, LpShape(2)).ok
+    # 1.95 -> 2.02 crosses 2, though 1.95^2.5 and 2.02^2.5 share the floor 5
+    pair = line_set([0.0, 1.95], mode="float")
+    v = is_step_isometry(PointMap(pair, (Vec2(0.0, 0.0), Vec2(2.02, 0.0))), LpShape(2.5))
+    assert (v.ok, v.witness, v.left, v.right) == (False, (0, 1), 1, 2)
+
+
+_SHAPES = {
+    "square": square_linf(),
+    "rational_hexagon": rational_hexagon(),
+    "regular_hexagon": regular_hexagon(),
+    "box": box_shape(Vec2(F(1), F(0)), Vec2(F(1), F(2))),
+    "diamond": diamond_l1(),
+    "lp2": LpShape(2),
+    "lp2.5": LpShape(2.5),
+    "lp3": LpShape(3),
+}
+
+
+@st.composite
+def map_problems(draw):
+    """A map, a shape and a block size.  Points are float, Fraction or
+    a + b*sqrt(2); fine random coordinates, or a half-integer lattice whose
+    integer distances send every pair through the exact confirmation.
+    Images are a translation, a translation with a few points nudged, or
+    with some points reflected through point 0 (which keeps every distance
+    from point 0, so no pair of row 0 fails), the canonical box-product map,
+    or a slight scaling."""
+    kind = draw(st.sampled_from(["float", "fraction", "sqrt"]))
+    names = sorted(_SHAPES)
+    if kind == "sqrt":
+        names.remove("regular_hexagon")  # float generators times SqrtExt
+    shape = _SHAPES[draw(st.sampled_from(names))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    lattice = draw(st.booleans())
+    den = 2 if lattice else int(rng.choice([97, 1 << 10]))
+    cells = rng.choice((8 * den) ** 2, n, replace=False)
+    coords = [(F(int(k) // (8 * den), den), F(int(k) % (8 * den), den)) for k in cells]
+    # one irrational part for the whole lattice keeps its distances rational
+    shared = F(int(rng.integers(1, 4)), 4)
+
+    def scalar(x):
+        if kind == "float":
+            return float(x)
+        if kind == "fraction":
+            return x
+        b = shared if lattice else F(int(rng.integers(-3, 4)), 8)
+        return SqrtExt.make(x, b, 2)
+
+    pts = tuple(Vec2(scalar(x), scalar(y)) for x, y in coords)
+    ps = PointSet(pts, Window(F(-1), F(-1), F(9), F(9)), 0, "float" if kind == "float" else "rational")
+    t = Vec2(*(scalar(F(int(rng.integers(-20, 20)), 7)) for _ in range(2)))
+    how = draw(st.sampled_from(["translate", "nudge", "reflect", "box", "scale"]))
+    if how == "box":
+        pm = box_product_point_map(ps, square_linf(), canonical_interleaving(), canonical_interleaving())
+    elif how == "scale":
+        pm = PointMap.from_function(ps, lambda p: p * scalar(F(65, 64)))
+    else:
+        ims = [p + t for p in pts]
+        for k in rng.choice(n, min(n, 3), replace=False):
+            if how == "nudge":
+                ims[k] = ims[k] + Vec2(scalar(F(int(rng.integers(1, 16)), 64)), scalar(F(0)))
+            elif how == "reflect" and k:
+                ims[k] = pts[0] * 2 - pts[k] + t
+        if len(set((w.x, w.y) for w in ims)) < n:
+            ims = [p + t for p in pts]
+        pm = PointMap(ps, tuple(ims))
+    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
+    return pm, shape, block
+
+
+def assert_verdict_matches(check, oracle):
+    """The check's verdict (or refusal) equals the oracle's scan."""
+    try:
+        want = oracle()
+    except BoundaryAmbiguityError as err:
+        pair = str(err)
+        with pytest.raises(BoundaryAmbiguityError, match=re.escape(pair)):
+            check()
+        return
+    v = check()
+    if want is None:
+        assert v.ok and v.witness is None
+        return
+    pair, left, right, pos = want
+    assert (v.ok, v.witness, v.checked) == (False, pair, pos)
+    for got, exp in ((v.left, left), (v.right, right)):
+        if isinstance(exp, float):
+            assert got == pytest.approx(exp, rel=1e-12, abs=1e-300)
+        else:
+            assert got == exp and type(got) is type(exp)
+
+
+@settings(max_examples=120, deadline=None)
+@given(map_problems())
+def test_checks_match_brute_force(problem):
+    pm, shape, block = problem
+    pts, ims = pm.domain.points, pm.images
+    exact = all(p.is_exact() for p in pts + ims)
+    tol = 0 if exact and not isinstance(shape, LpShape) else 1e-9
+    with mock.patch.object(larg, "_BLOCK_CELLS", block):
+        assert_verdict_matches(
+            lambda: is_step_isometry(pm, shape), lambda: oracle_step_iso(shape, pts, ims)
+        )
+        assert_verdict_matches(
+            lambda: is_isometry(pm, shape), lambda: oracle_isometry(shape, pts, ims, tol)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +508,11 @@ def test_translation_is_isometry():
     for shape in (square_linf(), diamond_l1(), rational_hexagon()):
         assert is_isometry(pm, shape).ok
         assert is_step_isometry(pm, shape).ok
+    # a move far below float resolution still breaks exact data at tol 0
+    line = line_set([F(0), F(1, 4), F(2)])
+    eps = F(1, 10**30)
+    v = is_isometry(PointMap(line, line.points[:2] + (Vec2(2 + eps, F(0)),)), square_linf())
+    assert (v.ok, v.witness, v.left, v.right, v.checked) == (False, (0, 2), 2, 2 + eps, 2)
 
 
 def test_isometry_tolerance_float():
