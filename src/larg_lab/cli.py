@@ -23,7 +23,7 @@ from .experiments import (
     run_decay_experiment,
     shape_from_spec,
 )
-from .geometry import Line, Vec2, shape_from_json, shape_to_json
+from .geometry import Line, PolygonShape, Vec2, shape_from_json, shape_to_json
 from .grids import generate_grid
 from .larg import graph_lines, sample_larg
 from .pointsets import (
@@ -159,6 +159,8 @@ def _cmd_stepiso(args) -> int:
 def _cmd_grid(args) -> int:
     base = pointset_from_json(_read(args.base))
     shape = _load_shape(args.shape)
+    if not isinstance(shape, PolygonShape):
+        raise ExperimentError("grid needs a polygonal shape")
     window = parse_scalar(args.window)
     family = generate_grid(base.points, shape.generators, args.depth, window)
     keep = None
@@ -206,6 +208,8 @@ def _cmd_experiment(args) -> int:
     if not isinstance(cfg, dict):
         raise ExperimentError("box-demo config must be a JSON object")
     shape = shape_from_spec(cfg.get("shape", "square"))
+    if not isinstance(shape, PolygonShape):
+        raise ExperimentError("box-demo needs a box shape")
     window = [parse_scalar(c) for c in cfg.get("window", ["0", "0", "3/2", "3/2"])]
     points = sample_poisson_window(
         Window(*window),

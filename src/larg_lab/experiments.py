@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import exact_div, exact_floor, guarded_floor
+from .exact import FLOAT_INTEGER_GUARD, exact_div, exact_floor, guarded_floor
 from .geometry import (
     GeometryError,
     LpShape,
@@ -629,21 +629,30 @@ def box_to_linf_transform(shape: NormShape):
 
 
 def _floor_table(points: PointSet, shape: PolygonShape):
-    """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats."""
+    """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats.
+
+    A float filter floors the difference matrix; cells within a guard of an
+    integer are decided in row-major order by the scalar rule (exact floor
+    for exact data, guarded_floor for floats). The diagonal is exactly 0.
+    """
     pts = points.points
-    n = len(pts)
     tables = []
     for a in shape.generators:
         proj = [a.dot(v) for v in pts]
         exact = all(not isinstance(t, float) for t in proj)
-        tab = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                diff = proj[u] - proj[v]
-                tab[u][v] = exact_floor(diff) if exact else guarded_floor(
-                    diff, what=f"projection difference ({u}, {v})"
-                )
-        tables.append(tab)
+        col = np.array([float(t) for t in proj])
+        diff = col[:, None] - col[None, :]
+        tab = np.floor(diff)
+        guard = FLOAT_INTEGER_GUARD * (1.0 + np.abs(col).max(initial=0.0))
+        near = np.abs(diff - np.rint(diff)) < guard
+        np.fill_diagonal(near, False)
+        np.fill_diagonal(tab, 0.0)
+        for u, v in zip(*np.nonzero(near)):
+            diff_uv = proj[u] - proj[v]
+            tab[u, v] = exact_floor(diff_uv) if exact else guarded_floor(
+                diff_uv, what=f"projection difference ({u}, {v})"
+            )
+        tables.append(tab.astype(np.int64).tolist())
     return tables
 
 

@@ -4,7 +4,7 @@ A metric here always comes from a unit shape: a convex, point-symmetric body
 P with the origin in its interior, and d(x, y) = ||x - y||_P.  Two shape kinds
 are supported: polygons given by generator normals (the norm is a max of
 absolute dot products) and smooth L^p curves for finite p > 1 (closed-form
-norm plus a tangent-normal approximation scheme).
+norm and support function).
 
 Scalars are either all-exact (int/Fraction/SqrtExt) or floats; every operation
 here is generic over that choice except where noted (L^p norms evaluate in
@@ -38,12 +38,8 @@ __all__ = [
     "norm",
     "distance",
     "truncated_distance",
-    "smooth_generators",
-    "face_of",
     "is_triangular_set",
     "support",
-    "parallel_line_distance",
-    "integer_parallel",
     "shape_to_json",
     "shape_from_json",
     "square_linf",
@@ -261,13 +257,6 @@ class LpShape:
         m = x if x >= y else y
         return m * ((x / m) ** self.p + (y / m) ** self.p) ** (1.0 / self.p)
 
-    def generators(self, count: int | None = None) -> tuple[Vec2, ...]:
-        return smooth_generators(self.p, count or self.generator_budget)
-
-    def approx_norm(self, v: Vec2, count: int | None = None) -> float:
-        """Lower approximation max |a.v| over the generator set."""
-        return max(abs(a.dot(Vec2(*v.to_floats()))) for a in self.generators(count))
-
     def support(self, direction: Vec2) -> float:
         # support function of the L^p ball is the dual norm, 1/p + 1/q = 1
         q = self.p / (self.p - 1.0)
@@ -299,71 +288,6 @@ def truncated_distance(shape: NormShape, x: Vec2, y: Vec2) -> int:
     return guarded_floor(d, what=f"distance of {x} and {y}")
 
 
-def _vdc(k: int) -> float:
-    """Base-2 van der Corput value in [0, 1)."""
-    x, f = 0.0, 0.5
-    while k:
-        if k & 1:
-            x += f
-        f *= 0.5
-        k >>= 1
-    return x
-
-
-def smooth_generators(p: float, count: int) -> tuple[Vec2, ...]:
-    """Tangent normals of the L^p circle, one per direction class.
-
-    Touch points are parametrized by the first `count` angles of the van der
-    Corput sequence over [0, pi), so sets are nested as count grows and the
-    approximation max |a.x| is monotone nondecreasing in count.  Each normal
-    is scaled so a.b = 1 at its touch point b, hence max_a |a.x| <= ||x||_p
-    with equality in the limit.
-    """
-    p = float(p)
-    if not (p > 1) or math.isinf(p):
-        raise GeometryError(f"p must be finite and > 1, got {p}")
-    if count < 2:
-        raise GeometryError("count must be >= 2")
-    gens = []
-    for k in range(count):
-        th = math.pi * _vdc(k)
-        c, s = math.cos(th), math.sin(th)
-        # boundary point of |x|^p + |y|^p = 1 at parameter th
-        bx = math.copysign(abs(c) ** (2.0 / p), c)
-        by = math.copysign(abs(s) ** (2.0 / p), s)
-        # normal scaled to a.b = 1: a = (sgn(bx)|bx|^(p-1), sgn(by)|by|^(p-1))
-        ax = math.copysign(abs(bx) ** (p - 1.0), bx)
-        ay = math.copysign(abs(by) ** (p - 1.0), by)
-        gens.append(Vec2(ax, ay))
-    return tuple(gens)
-
-
-def face_of(shape: PolygonShape, a: Vec2) -> tuple[Vec2, Vec2]:
-    """Endpoints of the boundary face supported by a.x = 1.
-
-    `a` must be a stored generator or the negation of one (exact match).
-    """
-    if not isinstance(shape, PolygonShape):
-        raise GeometryError("faces exist only for polygonal shapes")
-    match = None
-    for g in shape.generators:
-        if g == a or -g == a:
-            match = a
-            break
-    if match is None:
-        raise GeometryError(f"{a} is not a stored generator or its negation")
-    verts = shape.vertices()
-    exactly = all(v.is_exact() for v in verts) and a.is_exact()
-    on_face = []
-    for v in verts:
-        val = a.dot(v)
-        if (val == 1) if exactly else (abs(val - 1.0) <= 1e-9):
-            on_face.append(v)
-    if len(on_face) != 2 or on_face[0] == on_face[1]:
-        raise GeometryError(f"face of {a} is degenerate: {on_face}")
-    return (on_face[0], on_face[1])
-
-
 def is_triangular_set(shape: NormShape, x: Vec2, y: Vec2, z: Vec2) -> bool:
     """True iff the three sorted pairwise distances satisfy a strict triangle
     inequality: d_small + d_mid > d_large.  Points must be distinct."""
@@ -375,29 +299,6 @@ def is_triangular_set(shape: NormShape, x: Vec2, y: Vec2, z: Vec2) -> bool:
 
 def support(shape: NormShape, direction: Vec2):
     return shape.support(direction)
-
-
-def parallel_line_distance(shape: NormShape, l1: Line, l2: Line):
-    """Metric distance between parallel lines.
-
-    Normalizing the shared normal a so sup_{unit shape} a.x = 1 makes the
-    distance |r1 - r2|; for stored generators that scale is already 1.
-    """
-    if not l1.is_parallel(l2):
-        raise GeometryError("lines are not parallel")
-    a = l1.normal
-    # express l2 in l1's normal: l2.normal = lam * a
-    if a.x != 0:
-        lam = exact_div(l2.normal.x, a.x)
-    else:
-        lam = exact_div(l2.normal.y, a.y)
-    gap = abs(l1.offset - exact_div(l2.offset, lam))
-    return exact_div(gap, shape.support(a))
-
-
-def integer_parallel(shape: NormShape, line: Line, z: int) -> Line:
-    """The parallel of `line` at metric distance |z| on the +normal side."""
-    return Line(line.normal, line.offset + z * shape.support(line.normal))
 
 
 # ---------------------------------------------------------------------------

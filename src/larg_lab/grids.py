@@ -8,16 +8,21 @@ direction classes the offsets along one normal accumulate values z1*r + z2
 and, for irrational r, become dense mod 1. With only two classes nothing
 new ever appears.
 
-All offsets live in whatever scalar field the inputs use: Fraction, sqrt
-extensions, or floats. Levels store only the lines first seen at that
-level; `all_lines` flattens.
+Input is exact: int, Fraction, or sqrt extensions over one radicand d;
+floats and mixed radicands are refused. Internally every offset is a pair
+of ints (A, B) over one common denominator D, read as c = (A + B*sqrt(d))/D,
+so growth is integer arithmetic and deduplication is on int tuples.
+floor(c) = (A + f) // D with f = floor(B*sqrt(d)): f = isqrt(B*B*d) for
+B > 0 and -isqrt(B*B*d) - 1 for B < 0, because B*sqrt(d) is irrational.
+Levels store only the lines first seen at that level, decoded to Fraction
+or SqrtExt; `all_lines` flattens.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import exact_div, exact_floor, fractional_part, is_exact
+from .exact import SqrtExt, exact_div, fractional_part
 from .geometry import Line, Vec2
 
 __all__ = [
@@ -28,30 +33,9 @@ __all__ = [
     "offset_gaps",
 ]
 
-# float offsets are deduplicated on a fixed binary rounding
-_FLOAT_KEY_SCALE = float(1 << 33)
-
 
 class GridError(ValueError):
     pass
-
-
-def _offset_key(c):
-    if is_exact(c):
-        return c
-    return round(c * _FLOAT_KEY_SCALE)
-
-
-def _ceil_scalar(x) -> int:
-    if is_exact(x):
-        return -exact_floor(-x)
-    return math.ceil(x)
-
-
-def _floor_scalar(x) -> int:
-    if is_exact(x):
-        return exact_floor(x)
-    return math.floor(x)
 
 
 @dataclass(frozen=True)
@@ -85,17 +69,39 @@ def _dedup_direction_classes(generators) -> tuple[Vec2, ...]:
     return tuple(reps)
 
 
+def _radicand(values):
+    """The single radicand of exact input values, or None if all rational."""
+    radicands = set()
+    for x in values:
+        if isinstance(x, float):
+            raise GridError(f"grids need exact input, got float {x!r}")
+        if isinstance(x, SqrtExt):
+            radicands.add(x.d)
+    if len(radicands) > 1:
+        raise GridError(f"input mixes radicands {sorted(radicands)}")
+    return radicands.pop() if radicands else None
+
+
+def _parts(x) -> tuple[Fraction, Fraction]:
+    """Rational and irrational parts (a, b) of x = a + b*sqrt(d)."""
+    if isinstance(x, SqrtExt):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
 def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
     """Grow the intersection-closed line family to the given depth.
 
     Every line is windowed: its offset must lie within `window` of the
     offset of some base point along the same normal. Integer parallels of
     each discovered line are added as far as the window allows, at every
-    level.
+    level. Input must be exact over at most one radicand.
     """
     base = tuple(base_points)
     if not base:
         raise GridError("need at least one base point")
+    generators = tuple(generators)
+    d = _radicand([window] + [c for v in base + generators for c in (v.x, v.y)])
     gens = _dedup_direction_classes(generators)
     if len(gens) < 2:
         raise GridError("generators span fewer than two direction classes")
@@ -105,93 +111,112 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
         raise GridError("window must be positive")
 
     nclasses = len(gens)
-    base_proj = [tuple(g.dot(b) for b in base) for g in gens]
-
-    def windowed_parallels(k: int, c):
-        # all integer shifts of c within `window` of some base projection
-        out = {}
-        for pb in base_proj[k]:
-            lo = _ceil_scalar(pb - window - c)
-            hi = _floor_scalar(pb + window - c)
-            for z in range(lo, hi + 1):
-                val = c + z
-                out.setdefault(_offset_key(val), val)
-        return out
+    base_proj = [[_parts(g.dot(b)) for b in base] for g in gens]
+    wa, wb = _parts(window)
 
     # combination coefficients: gens[k3] = alpha * gens[k1] + beta * gens[k2]
     combo = {}
     for k1 in range(nclasses):
         for k2 in range(nclasses):
-            if gens[k1].cross(gens[k2]) == 0:
-                continue
             den = gens[k1].cross(gens[k2])
+            if den == 0:
+                continue
             for k3 in range(nclasses):
                 if k3 == k1 or k3 == k2:
                     continue
-                alpha = exact_div(gens[k3].cross(gens[k2]), den)
-                beta = exact_div(gens[k1].cross(gens[k3]), den)
-                combo[(k1, k2, k3)] = (alpha, beta)
+                alpha = _parts(exact_div(gens[k3].cross(gens[k2]), den))
+                beta = _parts(exact_div(gens[k1].cross(gens[k3]), den))
+                combo.setdefault((k1, k2), []).append((k3, alpha + beta))
 
-    seen: list[dict] = [{} for _ in range(nclasses)]
-    levels: list[tuple[tuple[int, object], ...]] = []
+    # a level-k value has denominator dividing D0 * L^k, so one D serves all
+    L = math.lcm(*(q.denominator for cs in combo.values() for _, co in cs for q in co))
+    D0 = math.lcm(
+        wa.denominator, wb.denominator,
+        *(q.denominator for row in base_proj for pb in row for q in pb),
+    )
+    D = D0 * L**depth
+    coef = {
+        key: [(k3, tuple(int(q * L) for q in co)) for k3, co in cs]
+        for key, cs in combo.items()
+    }
+    Aw, Bw = int(wa * D), int(wb * D)
+    base_int = [[(int(a * D), int(b * D)) for a, b in row] for row in base_proj]
 
-    def commit(new_by_class) -> tuple:
+    def floor(A: int, B: int) -> int:
+        # floor((A + B*sqrt(d)) / D); B*sqrt(d) is irrational when B != 0
+        if B == 0:
+            return A // D
+        s = math.isqrt(B * B * d)
+        return (A + (s if B > 0 else -s - 1)) // D
+
+    def windowed_parallels(k: int, values) -> set:
+        # all integer shifts of each value within `window` of a base projection
+        out = set()
+        for A, B in values:
+            for Ap, Bp in base_int[k]:
+                lo = -floor(A + Aw - Ap, B + Bw - Bp)
+                hi = floor(Ap + Aw - A, Bp + Bw - B)
+                out.update((A + z * D, B) for z in range(lo, hi + 1))
+        return out
+
+    def decode(A: int, B: int):
+        if B == 0:
+            return Fraction(A, D)
+        return SqrtExt(Fraction(A, D), Fraction(B, D), d)
+
+    seen: list[set] = [set() for _ in range(nclasses)]
+    older: list[list] = [[] for _ in range(nclasses)]
+    levels: list[tuple[Line, ...]] = []
+
+    def commit(new_by_class) -> list[list]:
         fresh = []
         for k in range(nclasses):
-            for key, val in new_by_class[k].items():
-                if key not in seen[k]:
-                    seen[k][key] = val
-                    fresh.append((k, val))
-        fresh.sort(key=lambda kv: (kv[0], float(kv[1])))
-        return tuple(fresh)
+            new = new_by_class[k] - seen[k]
+            seen[k] |= new
+            fresh.extend((k, decode(A, B), A, B) for A, B in new)
+        # exact value breaks float ties, so the order never depends on hashing
+        fresh.sort(key=lambda e: (e[0], float(e[1]), e[1]))
+        levels.append(tuple(Line(gens[k], c) for k, c, _, _ in fresh))
+        frontier = [[] for _ in range(nclasses)]
+        for k, _, A, B in fresh:
+            frontier[k].append((A, B))
+        return frontier
 
-    level0 = [{} for _ in range(nclasses)]
-    for k in range(nclasses):
-        for pb in base_proj[k]:
-            level0[k].update(windowed_parallels(k, pb))
-    frontier = commit(level0)
-    levels.append(frontier)
-
+    frontier = commit([windowed_parallels(k, base_int[k]) for k in range(nclasses)])
     for _ in range(depth):
-        if not frontier:
-            levels.append(())
-            continue
-        older = [kc for lv in levels[:-1] for kc in lv]
-        hits: list[dict] = [{} for _ in range(nclasses)]
-        for i, (k1, c1) in enumerate(frontier):
-            for k2, c2 in older + list(frontier[i + 1 :]):
-                if k1 == k2:
-                    continue
-                for k3 in range(nclasses):
-                    if k3 == k1 or k3 == k2:
-                        continue
-                    alpha, beta = combo[(k1, k2, k3)]
-                    # unit coefficients are the common case; skip the multiply
-                    t1 = c1 if alpha == 1 else (-c1 if alpha == -1 else alpha * c1)
-                    t2 = c2 if beta == 1 else (-c2 if beta == -1 else beta * c2)
-                    c3 = t1 + t2
-                    hits[k3].setdefault(_offset_key(c3), c3)
-        new_by_class = [{} for _ in range(nclasses)]
-        for k3 in range(nclasses):
-            for c3 in hits[k3].values():
-                new_by_class[k3].update(windowed_parallels(k3, c3))
-        frontier = commit(new_by_class)
-        levels.append(frontier)
+        hits: list[set] = [set() for _ in range(nclasses)]
+        for (k1, k2), cs in coef.items():
+            # frontier x older in both orders; frontier x frontier once
+            pool = older[k2] + frontier[k2] if k1 < k2 else older[k2]
+            for k3, (p1, q1, p2, q2) in cs:
+                if q1 == 0 and q2 == 0:
+                    hits[k3].update(
+                        (p1 * A1 + p2 * A2, p1 * B1 + p2 * B2)
+                        for A1, B1 in frontier[k1]
+                        for A2, B2 in pool
+                    )
+                else:
+                    hits[k3].update(
+                        (
+                            p1 * A1 + p2 * A2 + (q1 * B1 + q2 * B2) * d,
+                            p1 * B1 + p2 * B2 + q1 * A1 + q2 * A2,
+                        )
+                        for A1, B1 in frontier[k1]
+                        for A2, B2 in pool
+                    )
+        for k in range(nclasses):
+            older[k].extend(frontier[k])
+        if L != 1:
+            hits = [{(A // L, B // L) for A, B in h} for h in hits]
+        frontier = commit([windowed_parallels(k, hits[k]) for k in range(nclasses)])
 
-    line_levels = tuple(
-        tuple(Line(gens[k], c) for k, c in lv) for lv in levels
-    )
-    return LineFamily(base, gens, window, line_levels)
+    return LineFamily(base, gens, window, tuple(levels))
 
 
 def grid_offsets(family: LineFamily, a: Vec2) -> list:
     """Offsets of all family lines with normal a, reduced mod 1, sorted."""
-    lines = family.lines_with_normal(a)
-    out = {}
-    for ell in lines:
-        frac = fractional_part(ell.offset)
-        out.setdefault(_offset_key(frac), frac)
-    return sorted(out.values(), key=float)
+    fracs = dict.fromkeys(fractional_part(ell.offset) for ell in family.lines_with_normal(a))
+    return sorted(fracs, key=float)
 
 
 def offset_gaps(offsets) -> list:

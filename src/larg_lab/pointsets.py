@@ -1,10 +1,10 @@
 """Finite windowed stand-ins for countable dense sets.
 
-Infinite models (Poisson processes, unions of per-interval uniform draws) are
-approximated by their restriction to an axis-aligned window.  A PointSet
-remembers how it was produced (seed, scaling alpha, numeric mode) plus
-verified structural flags: integer-distance-freeness of generator projections
-and pairwise non-integer metric distances.
+Infinite models (Poisson processes) are approximated by their restriction to
+an axis-aligned window.  A PointSet remembers how it was produced (seed,
+scaling alpha, numeric mode) plus structural flags: integer-distance-freeness
+of generator projections, verified by `rescale_to_idf`, and a pairwise
+non-integer distance flag carried through JSON.
 
 Rational mode draws dyadic rationals so every downstream floor/idf question
 has an exact answer; float mode is for Monte Carlo throughput.
@@ -22,20 +22,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import exact_div, format_scalar, is_exact, parse_scalar
-from .geometry import GeometryError, NormShape, Vec2, distance
+from .exact import format_scalar, is_exact, parse_scalar
+from .geometry import Vec2
 
 __all__ = [
     "Window",
     "PointSet",
     "PointSetError",
     "sample_poisson_window",
-    "sample_interval_union_window",
     "is_idf",
     "projections",
     "rescale_to_idf",
-    "check_pairwise_noninteger",
-    "probe_density",
     "pointset_to_json",
     "pointset_from_json",
 ]
@@ -183,45 +180,6 @@ def sample_poisson_window(
     return PointSet(tuple(pts), window, seed, mode=mode)
 
 
-def sample_interval_union_window(
-    window: Window, per_interval: int, seed: int, mode: str = "float"
-) -> PointSet:
-    """Product-of-unions dense-set model, windowed.
-
-    Per axis: for every integer interval (z, z+1) meeting the window's range,
-    draw `per_interval` uniform values and keep those inside the range.  The
-    2D set is the Cartesian product of the two axis sets, so it carries the
-    grid structure the box-metric results exploit.
-    """
-    if per_interval <= 0:
-        raise PointSetError("per_interval must be positive")
-    if mode == "rational":
-        _window_exact(window)
-    rng = np.random.default_rng(seed)
-
-    def axis_values(lo, hi) -> list:
-        vals = []
-        z0 = math.floor(float(lo))
-        z1 = math.ceil(float(hi))
-        for z in range(z0, z1):
-            if mode == "float":
-                draws = [z + float(u) for u in rng.random(per_interval)]
-            else:
-                draws = [
-                    z + Fraction(int(k), _RATIONAL_DEN)
-                    for k in rng.integers(0, _RATIONAL_DEN, per_interval)
-                ]
-            vals.extend(d for d in draws if lo <= d <= hi)
-        return sorted(set(vals))
-
-    xs = axis_values(window.x0, window.x1)
-    ys = axis_values(window.y0, window.y1)
-    pts = tuple(Vec2(x, y) for x in xs for y in ys)
-    if not pts:
-        raise PointSetError("window too small: no points drawn")
-    return PointSet(pts, window, seed, mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # idf structure
 
@@ -310,47 +268,6 @@ def rescale_to_idf(
         f"no idf rescaling found in {trials} candidates; "
         f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
     )
-
-
-def check_pairwise_noninteger(points: PointSet, shape: NormShape) -> PointSet:
-    """Verify no two points sit at integer metric distance; record the flag."""
-    pts = points.points
-    ok = True
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(shape, pts[i], pts[j])
-            if is_exact(d):
-                if d == math.floor(d):
-                    ok = False
-            elif abs(d - round(d)) < _IDF_GUARD:
-                ok = False
-            if not ok:
-                break
-        if not ok:
-            break
-    return replace(points, pairwise_noninteger=ok)
-
-
-def probe_density(
-    points: PointSet, shape: NormShape, radius, grid: int = 24
-) -> tuple[bool, float]:
-    """Grid-probe the window: is every probe within `radius` of some point?
-
-    Returns (covered, worst probe distance).  A finite stand-in for density:
-    no empty radius-ball around any probe of a grid x grid lattice spanning
-    the window interior.
-    """
-    if not points.points:
-        return (False, math.inf)
-    xs = np.linspace(float(points.window.x0), float(points.window.x1), grid + 2)[1:-1]
-    ys = np.linspace(float(points.window.y0), float(points.window.y1), grid + 2)[1:-1]
-    worst = 0.0
-    for x in xs:
-        for y in ys:
-            probe = Vec2(float(x), float(y))
-            d = min(float(distance(shape, probe, p)) for p in points.points)
-            worst = max(worst, d)
-    return (worst <= float(radius), worst)
 
 
 # ---------------------------------------------------------------------------

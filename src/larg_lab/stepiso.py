@@ -30,8 +30,6 @@ from .exact import (
     FLOAT_INTEGER_GUARD,
     exact_div,
     format_scalar,
-    guarded_floor,
-    is_exact,
     parse_scalar,
 )
 from .geometry import (
@@ -42,7 +40,7 @@ from .geometry import (
     distance,
     truncated_distance,
 )
-from .larg import GeoGraph, _block_gaps, _columns, _row_blocks
+from .larg import _block_gaps, _columns, _row_blocks
 from .pointsets import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "apply_fractional_map",
     "box_product_map",
     "PointMap",
-    "identity_point_map",
     "explicit_1d_point_map",
     "box_product_point_map",
     "pointmap_to_json",
@@ -62,8 +59,6 @@ __all__ = [
     "is_step_isometry",
     "is_isometry",
     "respects_line",
-    "StatCheckReport",
-    "stepiso_statistical_check",
 ]
 
 
@@ -206,10 +201,6 @@ class PointMap:
         components: tuple = (),
     ) -> "PointMap":
         return cls(domain, tuple(fn(p) for p in domain.points), kind, components)
-
-
-def identity_point_map(domain: PointSet) -> PointMap:
-    return PointMap(domain, domain.points, "arbitrary")
 
 
 def explicit_1d_point_map(domain: PointSet) -> PointMap:
@@ -362,84 +353,3 @@ def respects_line(pmap: PointMap, ell: Line, ell_image: Line) -> bool:
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# statistical check against graph pairs
-
-
-@dataclass(frozen=True)
-class StatCheckReport:
-    """Truncation violations of a verified graph isomorphism.
-
-    crossings counts pairs where exactly one of the two distances is below
-    delta: each such pair is only consistent with independent samples if the
-    short side drew a non-edge, so the chance honest samples admit this
-    candidate is at most survival_bound = (1-p)^crossings.
-    """
-
-    n: int
-    pairs: int
-    violations: tuple[tuple[int, int], ...]
-    crossings: int
-    survival_bound: float
-
-    @property
-    def is_step_isometry(self) -> bool:
-        return not self.violations
-
-
-def stepiso_statistical_check(
-    G: GeoGraph, H: GeoGraph, candidate: PointMap, shape: NormShape
-) -> StatCheckReport:
-    """Check a candidate graph isomorphism for truncated-distance violations.
-
-    The candidate must map the shared point set of G and H onto itself and
-    must be a graph isomorphism (checked first; error if not).  Violations
-    of floor(d/delta) preservation are then collected exhaustively.
-    """
-    ps = candidate.domain
-    if G.point_set_ref != ps.fingerprint() or H.point_set_ref != ps.fingerprint():
-        raise StepIsoError("graphs and candidate must share one point set")
-    if G.delta != H.delta or G.n != H.n or G.n != len(ps):
-        raise StepIsoError("graphs disagree on size or delta")
-    index = {(p.x, p.y): i for i, p in enumerate(ps.points)}
-    perm = []
-    for w in candidate.images:
-        i = index.get((w.x, w.y))
-        if i is None:
-            raise StepIsoError(f"image {w} is not a point of the shared set")
-        perm.append(i)
-    adj_g = G.adjacency_matrix()
-    perm_arr = np.array(perm)
-    adj_h = H.adjacency_matrix()[np.ix_(perm_arr, perm_arr)]
-    if not np.array_equal(adj_g, adj_h):
-        bad = np.nonzero(adj_g != adj_h)
-        i, j = int(bad[0][0]), int(bad[1][0])
-        raise StepIsoError(
-            f"candidate is not a graph isomorphism: pair ({i}, {j}) maps to "
-            f"({perm[i]}, {perm[j]}) with mismatched adjacency"
-        )
-
-    delta = G.delta
-    n = len(ps)
-    violations = []
-    crossings = 0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(shape, ps[i], ps[j])
-            e = distance(shape, ps[perm[i]], ps[perm[j]])
-            pairs += 1
-            if (d < delta) != (e < delta):
-                crossings += 1
-            fd = _delta_floor(d, delta, (i, j))
-            fe = _delta_floor(e, delta, (perm[i], perm[j]))
-            if fd != fe:
-                violations.append((i, j))
-    bound = float((1.0 - G.p) ** crossings)
-    return StatCheckReport(n, pairs, tuple(violations), crossings, bound)
-
-
-def _delta_floor(d, delta, pair):
-    scaled = exact_div(d, delta) if is_exact(d) and is_exact(delta) else d / delta
-    return guarded_floor(scaled, what=f"distance of pair {pair} over delta")

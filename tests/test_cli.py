@@ -175,6 +175,19 @@ class TestGrid:
         rows = [row.split(",") for row in out.strip().splitlines()[1:]]
         assert rows and all(r[1:3] == ["1/1", "1/1"] for r in rows)
 
+    def test_float_base_and_smooth_shape_refused(self, workdir, capsys):
+        floats = PointSet((Vec2(0.0, 0.0), Vec2(0.4, 0.3)), Window(0.0, 0.0, 1.0, 1.0), seed=0)
+        (workdir / "fbase.json").write_text(pointset_to_json(floats))
+        for base, shape, msg in (
+            ("fbase.json", str(workdir / "hex.json"), "exact input"),
+            ("base.json", "lp:2", "polygonal shape"),
+        ):
+            code, out, err = run(
+                capsys,
+                "grid", "--base", str(workdir / base), "--shape", shape, "--depth", "1", "--window", "2",
+            )
+            assert code == 1 and out == "" and msg in err
+
 
 class TestExperiment:
     def test_decay_writes_fixed_columns(self, workdir, capsys):
@@ -213,6 +226,12 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "decay", "--config", str(cfg))
         assert code == 1
         assert "error:" in err
+
+    def test_box_demo_refuses_smooth_shape(self, workdir, capsys):
+        cfg = workdir / "box-lp.json"
+        cfg.write_text(json.dumps({"shape": "lp:2", "trials": 1}))
+        code, out, err = run(capsys, "experiment", "box-demo", "--config", str(cfg))
+        assert code == 1 and out == "" and "needs a box shape" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

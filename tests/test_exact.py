@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from larg_lab.exact import (
     BoundaryAmbiguityError,
@@ -129,3 +131,98 @@ def test_scalar_json_round_trip():
     assert parse_scalar("-3/7") == Fraction(-3, 7)
     assert parse_scalar(0.25) == 0.25
     assert isinstance(parse_scalar(2), float)
+
+
+# ---------------------------------------------------------------------------
+# properties of Q(sqrt d) against an integer oracle
+
+
+def integer_form(x, d):
+    """x = a + b*sqrt(d) as ints (P, R, Q), Q > 0: x = (P + R*sqrt(d)) / Q."""
+    a, b = (x.a, x.b) if isinstance(x, SqrtExt) else (Fraction(x), Fraction(0))
+    q = math.lcm(a.denominator, b.denominator)
+    return int(a * q), int(b * q), q
+
+
+def oracle_floor(x, d, scale=1):
+    """floor(scale * x) for a power-of-two scale, by the integer floor rule:
+    floor((P + R*sqrt(d)) / Q) = (P + f) // Q with f = floor(R*sqrt(d))."""
+    p, r, q = integer_form(x, d)
+    p, r = p * scale, r * scale
+    if r == 0:
+        return p // q
+    f = math.isqrt(r * r * d)
+    return (p + (f if r > 0 else -f - 1)) // q
+
+
+def oracle_sign(x, d) -> int:
+    p, r, _ = integer_form(x, d)
+    if r == 0:
+        return (p > 0) - (p < 0)
+    # irrational: x >= floor(x) >= 0 means x > 0, floor(x) <= -1 means x < 0
+    return 1 if oracle_floor(x, d) >= 0 else -1
+
+
+RADICANDS = st.sampled_from([2, 3, 5, 7, 13])
+PARTS = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@st.composite
+def field_elements(draw, count):
+    d = draw(RADICANDS)
+    vals = []
+    for _ in range(count):
+        a = draw(PARTS)
+        b = draw(st.one_of(st.just(Fraction(0)), PARTS))
+        vals.append(SqrtExt.make(a, b, d))
+    return d, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(3))
+def test_sqrt_ext_field_axioms(problem):
+    _, (x, y, z) = problem
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == 0 and x - y == x + (-y)
+    assert x * 1 == x and x + 0 == x
+    if y != 0:
+        assert (x / y) * y == x
+        assert y * (1 / y) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(3))
+def test_sqrt_ext_order_axioms(problem):
+    d, (x, y, z) = problem
+    # total: exactly one of <, ==, >, and it agrees with the oracle's sign
+    assert [x < y, x == y, x > y].count(True) == 1
+    s = oracle_sign(x - y, d)
+    assert (x < y, x == y, x > y) == (s < 0, s == 0, s > 0)
+    assert (x <= y) == (s <= 0) and (x >= y) == (s >= 0)
+    if x < y and y < z:
+        assert x < z
+    if x < y:
+        assert x + z < y + z
+        if z > 0:
+            assert x * z < y * z
+        if z < 0:
+            assert x * z > y * z
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_elements(1), st.integers(-40, 40))
+def test_sqrt_ext_floor_and_float_match_integer_oracle(problem, shift):
+    d, (x,) = problem
+    # cancelling parts: x + shift*(sqrt(d) - c) for a rational c near sqrt(d)
+    c = Fraction(math.isqrt(d * 10**24), 10**12)
+    x = x + shift * (SqrtExt(0, 1, d) - c)
+    assert math.floor(x) == oracle_floor(x, d)
+    if x != 0:
+        want = Fraction(oracle_floor(x, d, 1 << 200), 1 << 200)
+        assert math.isclose(float(x), float(want), rel_tol=1e-12)

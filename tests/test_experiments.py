@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from larg_lab.anchoring import good_enumeration
+from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor
 from larg_lab.experiments import (
     BoxDemoReport,
     DecayRow,
     ExperimentConfig,
     ExperimentError,
     _extension_candidates,
+    _floor_table,
     _trial_seed,
     back_and_forth_isomorphism,
     box_isomorphism_demo,
@@ -36,7 +38,7 @@ from larg_lab.geometry import (
     square_linf,
 )
 from larg_lab.larg import GeoGraph, pair_uniform_array, sample_larg
-from larg_lab.pointsets import Window, rescale_to_idf, sample_poisson_window
+from larg_lab.pointsets import PointSet, Window, rescale_to_idf, sample_poisson_window
 
 
 def hex_enumeration(intensity=10.0, seed=5, size=Fraction(3, 2)):
@@ -396,6 +398,59 @@ class TestBackAndForth:
         H = dataclasses.replace(H, edges=frozenset(H.edges ^ {flip}))
         status, mapping = back_and_forth_isomorphism(G, H, pts, shape)
         assert (status, mapping) == ("none", None)
+
+    @staticmethod
+    def scalar_floor_table(points, shape):
+        """The scalar rule cell by cell, row-major; the diagonal is 0."""
+        pts, tables = points.points, []
+        for a in shape.generators:
+            proj = [a.dot(v) for v in pts]
+            exact = all(not isinstance(t, float) for t in proj)
+            tab = [[0] * len(pts) for _ in pts]
+            for u in range(len(pts)):
+                for v in range(len(pts)):
+                    if u != v:
+                        diff = proj[u] - proj[v]
+                        tab[u][v] = exact_floor(diff) if exact else guarded_floor(
+                            diff, what=f"projection difference ({u}, {v})"
+                        )
+            tables.append(tab)
+        return tables
+
+    def test_floor_table_matches_scalar_rule(self):
+        # rational samples, and a lattice whose differences are exact integers
+        # and sit on the float filter's boundary
+        lattice = PointSet(
+            tuple(Vec2(Fraction(i, 3), Fraction(j, 2)) for i in range(8) for j in range(5)),
+            Window(Fraction(0), Fraction(0), Fraction(3), Fraction(3)), 0, "rational",
+        )
+        for shape in (square_linf(), box_shape(Vec2(1, 0), Vec2(1, 2)), rational_hexagon()):
+            for pts in (self.idf_points(shape, intensity=20.0), lattice):
+                assert _floor_table(pts, shape) == self.scalar_floor_table(pts, shape)
+        # float points far from integer differences pass the filter alone
+        floats = PointSet(
+            tuple(Vec2(0.1 + 0.3819 * k, 0.05 + (0.6180339887 * k * k) % 1.9) for k in range(12)),
+            Window(0.0, 0.0, 5.0, 2.0), 0,
+        )
+        assert _floor_table(floats, square_linf()) == self.scalar_floor_table(floats, square_linf())
+        # a float pair at integer difference is refused, naming the first one
+        near = PointSet(
+            (Vec2(0.25, 0.5), Vec2(0.75, 0.1), Vec2(1.25, 0.9), Vec2(1.75, 0.3)),
+            Window(0.0, 0.0, 2.0, 1.0), 0,
+        )
+        for fn in (_floor_table, self.scalar_floor_table):
+            with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 2\)"):
+                fn(near, square_linf())
+
+    def test_float_points_searched(self):
+        # the diagonal is 0 for every point set, so floats are not refused there
+        shape = square_linf()
+        pts = PointSet(
+            tuple(Vec2(0.1 + 0.3819 * k, 0.05 + (0.6180339887 * k * k) % 1.9) for k in range(6)),
+            Window(0.0, 0.0, 5.0, 2.0), 0,
+        )
+        G, H = box_pair(7, 7, pts, shape)
+        assert back_and_forth_isomorphism(G, H, pts, shape) == ("isomorphic", tuple(range(6)))
 
     def test_non_polygon_rejected(self):
         from larg_lab.geometry import LpShape

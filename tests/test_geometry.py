@@ -21,16 +21,12 @@ from larg_lab.geometry import (
     Vec2,
     diamond_l1,
     distance,
-    face_of,
-    integer_parallel,
     is_triangular_set,
     norm,
-    parallel_line_distance,
     rational_hexagon,
     regular_hexagon,
     shape_from_json,
     shape_to_json,
-    smooth_generators,
     square_linf,
     support,
     truncated_distance,
@@ -259,58 +255,83 @@ def test_truncated_distance_exact_mode():
 
 
 # ---------------------------------------------------------------------------
-# smooth generators
+# L^p norm and support
+
+
+def lp_touch_normal(p, th):
+    """Boundary point b of the L^p circle at parameter th and the outer
+    normal a scaled so a.b = 1."""
+    c, s = math.cos(th), math.sin(th)
+    bx, by = (math.copysign(abs(t) ** (2.0 / p), t) for t in (c, s))
+    ax, ay = (math.copysign(abs(t) ** (p - 1.0), t) for t in (bx, by))
+    return Vec2(bx, by), Vec2(ax, ay)
 
 
 def test_smooth_generators_touch_scaling():
-    # every generator satisfies a.b = 1 at its touch point; check via support
+    # the support function is the dual norm: it is 1 at a touch normal
     for p in (1.5, 2.0, 4.0):
         sh = LpShape(p)
-        for a in smooth_generators(p, 16):
+        for k in range(16):
+            b, a = lp_touch_normal(p, math.pi * k / 16)
+            assert sh.norm(b) == pytest.approx(1.0, abs=1e-12)
+            assert a.dot(b) == pytest.approx(1.0, abs=1e-12)
             assert sh.support(a) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smooth_generators_p2_count4_example():
-    val = LpShape(2).approx_norm(Vec2(1.0, 0.0), count=4)
-    assert 0.7 < val <= 1.0 + 1e-12
+    sh = LpShape(2)
+    assert sh.norm(Vec2(1.0, 0.0)) == 1.0
+    assert sh.norm(Vec2(3.0, -4.0)) == pytest.approx(5.0, abs=1e-12)
+    assert sh.support(Vec2(0.0, -2.0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_smooth_generators_p4_count64_example():
-    true = 2.0 ** 0.25
-    val = LpShape(4).approx_norm(Vec2(1.0, 1.0), count=64)
-    assert true * (1 - 1e-2) <= val <= true + 1e-12
+    sh = LpShape(4)
+    assert sh.norm(Vec2(1.0, 1.0)) == pytest.approx(2.0 ** 0.25, abs=1e-12)
+    # dual exponent q = 4/3
+    assert sh.support(Vec2(1.0, 1.0)) == pytest.approx(2.0 ** 0.75, abs=1e-12)
 
 
 def test_smooth_approximation_monotone_and_below():
+    # Hoelder: |a.x| <= support(a) * ||x||, with equality at touch points;
+    # ||x||_p is nonincreasing in p
     rng = np.random.default_rng(3)
     sh = LpShape(3.0)
     for _ in range(50):
         x = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        closed = sh.norm(x)
-        prev = 0.0
-        for count in (4, 5, 8, 13, 32, 64):
-            val = sh.approx_norm(x, count=count)
-            assert val >= prev - 1e-12
-            assert val <= closed + 1e-9
+        a = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        assert abs(a.dot(x)) <= sh.support(a) * sh.norm(x) + 1e-9
+        b, a = lp_touch_normal(3.0, float(rng.uniform(0, math.pi)))
+        assert a.dot(b) == pytest.approx(sh.support(a) * sh.norm(b), abs=1e-9)
+        prev = math.inf
+        for p in (1.5, 2.0, 3.0, 8.0):
+            val = LpShape(p).norm(x)
+            assert val <= prev + 1e-12
             prev = val
 
 
 def test_smooth_generators_validation():
     with pytest.raises(GeometryError):
-        smooth_generators(1.0, 8)
+        LpShape(1.0)
     with pytest.raises(GeometryError):
-        smooth_generators(2.0, 1)
+        LpShape(math.inf)
+    with pytest.raises(GeometryError):
+        LpShape(2.0, generator_budget=2)
 
 
 # ---------------------------------------------------------------------------
 # faces
 
 
+def face_vertices(shape, a):
+    """Vertices on the face line a.x = 1, as float pairs."""
+    return sorted(v.to_floats() for v in shape.vertices() if a.dot(v) == 1)
+
+
 def test_face_of_diamond_matches_vertex_oracle():
     verts = oracle_vertices([(1, 1), (1, -1)])
     assert len(verts) == 4
-    lo, hi = face_of(diamond_l1(), Vec2(1, 1))
-    got = sorted([lo.to_floats(), hi.to_floats()])
+    got = face_vertices(diamond_l1(), Vec2(1, 1))
     assert got == [(0.0, 1.0), (1.0, 0.0)]
     # both endpoints appear in the oracle's vertex list
     for pt in got:
@@ -318,20 +339,19 @@ def test_face_of_diamond_matches_vertex_oracle():
 
 
 def test_face_of_accepts_negation_and_rejects_strangers():
-    lo, hi = face_of(diamond_l1(), Vec2(-1, -1))
-    assert sorted([lo.to_floats(), hi.to_floats()]) == [(-1.0, 0.0), (0.0, -1.0)]
-    with pytest.raises(GeometryError):
-        face_of(diamond_l1(), Vec2(2, 2))  # right direction, wrong scale
-    with pytest.raises(GeometryError):
-        face_of(LpShape(2), Vec2(1, 0))
+    assert face_vertices(diamond_l1(), Vec2(-1, -1)) == [(-1.0, 0.0), (0.0, -1.0)]
+    # right direction, wrong scale: the line 2x + 2y = 1 misses every vertex
+    assert face_vertices(diamond_l1(), Vec2(2, 2)) == []
+    assert diamond_l1().support(Vec2(2, 2)) == 2
 
 
 def test_hexagon_faces_cover_boundary():
     sh = rational_hexagon()
     assert len(sh.vertices()) == 6
     for g in sh.generators:
-        lo, hi = face_of(sh, g)
-        assert g.dot(lo) == 1 and g.dot(hi) == 1
+        for a in (g, -g):
+            assert len(face_vertices(sh, a)) == 2
+            assert sh.support(a) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -398,31 +418,32 @@ def test_triangular_invariance_float_away_from_ties():
 
 
 def test_parallel_line_distance_generator_scale():
+    # lines a.x = r1, a.x = r2 lie |r1 - r2| / support(a) apart
     sh = square_linf()
-    l1 = Line(Vec2(1, 0), Fraction(1, 2))
-    l2 = Line(Vec2(1, 0), Fraction(5, 2))
-    assert parallel_line_distance(sh, l1, l2) == 2
-    # rescaled normal describes the same line; distance is unchanged
-    l2_scaled = Line(Vec2(-4, 0), -10)
-    assert parallel_line_distance(sh, l1, l2_scaled) == 2
-    with pytest.raises(GeometryError):
-        parallel_line_distance(sh, l1, Line(Vec2(0, 1), 0))
+    assert support(sh, Vec2(1, 0)) == 1
+    assert support(sh, Vec2(-4, 0)) == 4
+    # x = 1/2 and -4x = -10 (x = 5/2): feet on the x-axis are 2 apart
+    assert abs(Fraction(1, 2) - Fraction(5, 2)) / support(sh, Vec2(1, 0)) == 2
+    assert abs(-2 - (-10)) / support(sh, Vec2(-4, 0)) == 2
+    assert distance(sh, Vec2(Fraction(1, 2), 0), Vec2(Fraction(5, 2), 0)) == 2
 
 
 def test_parallel_line_distance_non_generator_normal():
     # diagonal lines under the sup metric: support((1,1)) = 2
     sh = square_linf()
-    l1 = Line(Vec2(1, 1), 0)
-    l2 = Line(Vec2(1, 1), 4)
-    assert parallel_line_distance(sh, l1, l2) == pytest.approx(2.0)
+    assert support(sh, Vec2(1, 1)) == 2
+    # x + y = 0 and x + y = 4 are 4 / 2 apart; (0,0) and (2,2) realise it
+    assert distance(sh, Vec2(0, 0), Vec2(2, 2)) == 4 / support(sh, Vec2(1, 1))
 
 
 def test_integer_parallel():
+    # the parallel at metric distance z moves the offset by z * support(a)
     sh = diamond_l1()
     ell = Line(Vec2(1, 1), Fraction(1, 3))
-    up = integer_parallel(sh, ell, 2)
+    up = Line(ell.normal, ell.offset + 2 * support(sh, ell.normal))
     assert up.offset == Fraction(7, 3)
-    assert parallel_line_distance(sh, ell, up) == 2
+    assert up.side_of(Vec2(Fraction(7, 6), Fraction(7, 6))) == 0
+    assert distance(sh, Vec2(Fraction(1, 6), Fraction(1, 6)), Vec2(Fraction(7, 6), Fraction(7, 6))) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Line-family growth, windowing, and mod-1 offset density."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from larg_lab.exact import SqrtExt, fractional_part
+from larg_lab.exact import SqrtExt, exact_div, fractional_part
 from larg_lab.geometry import Vec2, rational_hexagon, square_linf
 from larg_lab.grids import GridError, LineFamily, generate_grid, grid_offsets, offset_gaps
 
@@ -167,13 +170,114 @@ def test_rational_r_offsets_never_dense():
     assert min(offset_gaps(fracs)) >= 1 / 3 - 1e-12
 
 
-def test_float_mode_agrees_with_exact_on_dyadic():
+def test_float_input_refused():
     base_q = two_point_base(F(5, 8))
     base_f = tuple(Vec2(float(b.x), float(b.y)) for b in base_q)
     gens_f = tuple(Vec2(float(g.x), float(g.y)) for g in HEX_GENS)
-    fam_q = generate_grid(base_q, HEX_GENS, 3, 2)
-    fam_f = generate_grid(base_f, gens_f, 3, 2)
-    for lv_q, lv_f in zip(fam_q.levels, fam_f.levels):
-        assert len(lv_q) == len(lv_f)
-        for eq, ef in zip(lv_q, lv_f):
-            assert float(eq.offset) == pytest.approx(ef.offset, abs=1e-12)
+    with pytest.raises(GridError, match="float"):
+        generate_grid(base_f, HEX_GENS, 1, 2)
+    with pytest.raises(GridError, match="float"):
+        generate_grid(base_q, gens_f, 1, 2)
+    with pytest.raises(GridError, match="float"):
+        generate_grid(base_q, HEX_GENS, 1, 2.0)
+
+
+def test_mixed_radicands_refused():
+    base = (Vec2(SqrtExt(0, 1, 2), F(0)), Vec2(F(0), SqrtExt(0, 1, 3)))
+    with pytest.raises(GridError, match="radicands"):
+        generate_grid(base, HEX_GENS, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# integer offsets against a direct exact reference
+
+
+def reference_levels(base, gens, depth, window):
+    """Line sets per level by direct exact arithmetic: intersect every new
+    line with every line seen so far and project the point on the other
+    normals, then add the windowed integer parallels."""
+
+    def windowed(a, c):
+        out = set()
+        for b in base:
+            pb = a.dot(b)
+            lo, hi = -math.floor(c + window - pb), math.floor(pb + window - c)
+            out.update((a, c + z) for z in range(lo, hi + 1))
+        return out
+
+    seen, levels = set(), []
+    level = set().union(*(windowed(a, a.dot(b)) for a in gens for b in base))
+    while True:
+        level -= seen
+        seen |= level
+        levels.append(level)
+        if len(levels) > depth:
+            return levels
+        hits = set()
+        for a1, c1 in level:
+            for a2, c2 in seen:
+                det = a1.cross(a2)
+                if det == 0:
+                    continue
+                x = Vec2(
+                    exact_div(c1 * a2.y - c2 * a1.y, det),
+                    exact_div(a1.x * c2 - a2.x * c1, det),
+                )
+                hits.update((a3, a3.dot(x)) for a3 in gens if a3 not in (a1, a2))
+        level = set().union(*(windowed(a, c) for a, c in hits))
+
+
+GEN_FAMILIES = {
+    "hexagon": HEX_GENS,
+    "diagonal": (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), F(-1))),
+    "non-unit": (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), F(2))),
+    "sqrt2-normal": (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), SqrtExt(0, 1, 2))),
+}
+
+
+@st.composite
+def grid_problems(draw):
+    """Base points over Q or one Q(sqrt d), a generator family, depth, window."""
+    family = draw(st.sampled_from(sorted(GEN_FAMILIES)))
+    d = 2 if family == "sqrt2-normal" else draw(st.sampled_from([None, 2, 3, 5]))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+
+    def scalar():
+        a = draw(small)
+        if d is None or draw(st.booleans()):
+            return a
+        return SqrtExt.make(a, draw(small), d)
+
+    base = tuple(Vec2(scalar(), scalar()) for _ in range(draw(st.integers(1, 2))))
+    depth = draw(st.integers(0, 2))
+    window = draw(st.sampled_from([F(1, 2), 1]))
+    return base, GEN_FAMILIES[family], depth, window
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_problems())
+def test_generate_grid_matches_reference(problem):
+    base, gens, depth, window = problem
+    fam = generate_grid(base, gens, depth, window)
+    # the reference is quadratic in exact arithmetic; keep each example small
+    assume(len(fam) <= 250)
+    want = reference_levels(base, fam.generators, depth, window)
+    assert len(fam.levels) == depth + 1
+    for lv, ref in zip(fam.levels, want):
+        assert {(ell.normal, ell.offset) for ell in lv} == ref
+        assert len(lv) == len(ref)
+        order = [(fam.generators.index(ell.normal), float(ell.offset)) for ell in lv]
+        assert order == sorted(order)
+        assert all(isinstance(ell.offset, (F, SqrtExt)) for ell in lv)
+
+
+def test_four_classes_match_reference_at_depth_three():
+    # with four direction classes the offsets' denominators keep growing
+    # (c1 = (c3 + c4) / 2 halves them again at every level), which only the
+    # common denominator D0 * L^depth covers
+    gens = (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), F(1)), Vec2(F(1), F(-1)))
+    base = (Vec2(F(0), F(0)), Vec2(F(1, 3), F(1, 2)))
+    fam = generate_grid(base, gens, 3, F(1, 2))
+    want = reference_levels(base, fam.generators, 3, F(1, 2))
+    assert [{(ell.normal, ell.offset) for ell in lv} for lv in fam.levels] == want
+    assert max(ell.offset.denominator for ell in fam.levels[3]) >= 24  # D0 = 6

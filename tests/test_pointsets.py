@@ -1,24 +1,22 @@
 """Windowed samplers, idf structure, rescaling, and PointSet round trips."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from larg_lab.geometry import Vec2, rational_hexagon, square_linf
+from larg_lab.geometry import Vec2, distance, rational_hexagon, square_linf
 from larg_lab.pointsets import (
     PointSet,
     PointSetError,
     Window,
-    check_pairwise_noninteger,
     is_idf,
     pointset_from_json,
     pointset_to_json,
-    probe_density,
     projections,
     rescale_to_idf,
-    sample_interval_union_window,
     sample_poisson_window,
 )
 
@@ -97,36 +95,48 @@ def test_poisson_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# interval-union sampler
+# product sets (unions of per-interval draws on each axis)
+
+
+def interval_union_product(window, per_interval, seed, exact=False):
+    """Per axis, `per_interval` draws in each integer interval meeting the
+    window, kept inside it; the point set is the product of the two axes."""
+    rng = np.random.default_rng(seed)
+
+    def axis(lo, hi):
+        vals = set()
+        for z in range(math.floor(lo), math.ceil(hi)):
+            for k in rng.integers(0, 1 << 20, per_interval):
+                v = z + Fraction(int(k), 1 << 20)
+                if lo <= v <= hi:
+                    vals.add(v if exact else float(v))
+        return sorted(vals)
+
+    xs, ys = axis(window.x0, window.x1), axis(window.y0, window.y1)
+    pts = tuple(Vec2(x, y) for x in xs for y in ys)
+    return PointSet(pts, window, seed, mode="rational" if exact else "float")
 
 
 def test_interval_union_is_a_product_set():
     w = Window(0.0, 0.0, 2.5, 1.5)
-    ps = sample_interval_union_window(w, per_interval=3, seed=11)
-    xs = sorted({p.x for p in ps.points})
-    ys = sorted({p.y for p in ps.points})
+    ps = interval_union_product(w, per_interval=3, seed=11)
+    xs = sorted(set(projections(ps.points, Vec2(1, 0))))
+    ys = sorted(set(projections(ps.points, Vec2(0, 1))))
     assert len(ps) == len(xs) * len(ys)
     # every integer interval intersecting the range contributed
     for z in range(0, 3):
-        assert any(z < x < z + 1 for x in xs if z < 2.5)
+        assert any(z < x < z + 1 for x in xs)
     assert all(w.contains(p) for p in ps.points)
 
 
 def test_interval_union_same_contract_as_poisson():
-    ps = sample_interval_union_window(
-        Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2)),
-        per_interval=2,
-        seed=5,
-        mode="rational",
-    )
-    assert isinstance(ps, PointSet)
+    w = Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2))
+    ps = interval_union_product(w, per_interval=2, seed=5, exact=True)
     assert ps.mode == "rational" and all(p.is_exact() for p in ps.points)
-    assert ps.points == sample_interval_union_window(
-        Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2)),
-        per_interval=2,
-        seed=5,
-        mode="rational",
-    ).points
+    again = interval_union_product(w, per_interval=2, seed=5, exact=True)
+    assert again.points == ps.points and again.fingerprint() == ps.fingerprint()
+    back = pointset_from_json(pointset_to_json(ps))
+    assert back.points == ps.points and back.fingerprint() == ps.fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +232,29 @@ def test_rescale_impossible_names_obstruction():
 
 
 def test_check_pairwise_noninteger():
+    # on a horizontal line the sup distance is |dx|, so no pair sits at an
+    # integer distance iff the x projections are integer-difference-free
     sh = square_linf()
-    good = _flat_set([Fraction(0), Fraction(1, 2), Fraction(9, 4)])
-    assert check_pairwise_noninteger(good, sh).pairwise_noninteger is True
-    bad = _flat_set([Fraction(0), Fraction(2)])
-    assert check_pairwise_noninteger(bad, sh).pairwise_noninteger is False
+    for xs, want in (([Fraction(0), Fraction(1, 2), Fraction(9, 4)], True), ([Fraction(0), Fraction(2)], False)):
+        ps = _flat_set(xs)
+        dists = [distance(sh, u, v) for i, u in enumerate(ps.points) for v in ps.points[i + 1 :]]
+        assert all(d != math.floor(d) for d in dists) is want
+        assert is_idf(projections(ps.points, Vec2(1, 0))) is want
 
 
 def test_probe_density():
+    # every probe of a 24 x 24 grid inside the window is within 0.25 of the
+    # dense sample, and the single-point set leaves probes uncovered
+    sh = square_linf()
+    probes = [Vec2((i + 0.5) / 24, (j + 0.5) / 24) for i in range(24) for j in range(24)]
+
+    def worst(ps):
+        return max(min(distance(sh, q, p) for p in ps.points) for q in probes)
+
     dense = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 400.0, seed=9)
-    covered, worst = probe_density(dense, square_linf(), radius=0.25)
-    assert covered and worst <= 0.25
-    sparse = PointSet(
-        (Vec2(0.05, 0.05),), Window(0.0, 0.0, 1.0, 1.0), seed=0, mode="float"
-    )
-    covered, worst = probe_density(sparse, square_linf(), radius=0.25)
-    assert not covered and worst > 0.25
+    assert worst(dense) <= 0.25
+    sparse = PointSet((Vec2(0.05, 0.05),), Window(0.0, 0.0, 1.0, 1.0), seed=0, mode="float")
+    assert worst(sparse) > 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +287,7 @@ def test_pointset_json_round_trip_rational():
 
 def test_pointset_json_round_trip_float():
     ps = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 50.0, seed=21)
-    ps = check_pairwise_noninteger(ps, square_linf())
+    ps = dataclasses.replace(ps, pairwise_noninteger=True)
     back = pointset_from_json(pointset_to_json(ps))
     assert back.points == ps.points  # float repr round-trips exactly via json
     assert back.pairwise_noninteger == ps.pairwise_noninteger

@@ -1,4 +1,4 @@
-"""Fractional-part maps, step-isometry verdicts, line respect, stat checks."""
+"""Fractional-part maps, step-isometry verdicts, line respect, graph pairs."""
 
 import math
 import re
@@ -23,6 +23,7 @@ from larg_lab.geometry import (
     regular_hexagon,
     square_linf,
 )
+from larg_lab.experiments import ExperimentError, back_and_forth_isomorphism
 from larg_lab.larg import GeoGraph, sample_larg
 from larg_lab.pointsets import (
     PointSet,
@@ -40,14 +41,16 @@ from larg_lab.stepiso import (
     canonical_interleaving,
     explicit_1d_point_map,
     explicit_step_isometry_1d,
-    identity_point_map,
     is_isometry,
     is_step_isometry,
     respects_line,
-    stepiso_statistical_check,
 )
 
 F = Fraction
+
+
+def identity_map(ps):
+    return PointMap(ps, ps.points)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ def test_point_map_validation():
         PointMap(ps, (Vec2(F(0), F(0)),))
     with pytest.raises(StepIsoError):
         PointMap(ps, (Vec2(F(0), F(0)), Vec2(F(0), F(0))))
-    pm = identity_point_map(ps)
+    pm = identity_map(ps)
     assert len(pm) == 2 and pm.kind == "arbitrary"
 
 
@@ -252,7 +255,7 @@ def test_identity_is_step_isometry():
     ps = sample_poisson_window(
         Window(F(0), F(0), F(3), F(3)), 10.0, seed=2, mode="rational"
     )
-    v = is_step_isometry(identity_point_map(ps), rational_hexagon())
+    v = is_step_isometry(identity_map(ps), rational_hexagon())
     assert v.ok and v.witness is None
 
 
@@ -346,7 +349,7 @@ def test_float_lane_matches_exact_lane():
 def test_float_boundary_refused():
     ps = PointSet((Vec2(0.0, 0.0), Vec2(1.0, 0.0)), Window(-1.0, -1.0, 2.0, 2.0), 0)
     with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 1\)"):
-        is_step_isometry(identity_point_map(ps), square_linf())
+        is_step_isometry(identity_map(ps), square_linf())
     # 200 points on a line with no distance near an integer, plus one at
     # distance 1 from point `near`: rows 0..80 fill the first block, so the
     # refusal of row 150 comes from a later one
@@ -354,7 +357,7 @@ def test_float_boundary_refused():
     for near in (150, 0):
         line = line_set(xs + [xs[near] + 1.0], mode="float")
         with pytest.raises(BoundaryAmbiguityError, match=rf"\({near}, 200\)"):
-            is_step_isometry(identity_point_map(line), square_linf())
+            is_step_isometry(identity_map(line), square_linf())
     # an image distance on an integer is refused like a domain one
     pair = line_set([0.0, 1.5], mode="float")
     with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 1\)"):
@@ -543,7 +546,7 @@ def test_respects_line_explicit_map():
 def test_respects_line_identity_and_swap():
     ps = line_set([F(0), F(1)])
     ell = Line(Vec2(1, 0), F(1, 2))
-    assert respects_line(identity_point_map(ps), ell, ell)
+    assert respects_line(identity_map(ps), ell, ell)
     swap = PointMap(ps, (ps[1], ps[0]))
     assert not respects_line(swap, ell, ell)
 
@@ -552,11 +555,18 @@ def test_respects_line_point_on_line_rejected():
     ps = line_set([F(1, 2), F(2)])
     ell = Line(Vec2(1, 0), F(1, 2))
     with pytest.raises(StepIsoError):
-        respects_line(identity_point_map(ps), ell, ell)
+        respects_line(identity_map(ps), ell, ell)
 
 
 # ---------------------------------------------------------------------------
-# statistical check
+# candidate maps between graph pairs
+
+
+def is_graph_isomorphism(g, h, pmap):
+    """Does pmap's point permutation carry g's adjacency onto h's?"""
+    index = {p: k for k, p in enumerate(pmap.domain.points)}
+    perm = np.array([index[w] for w in pmap.images])
+    return np.array_equal(g.adjacency_matrix(), h.adjacency_matrix()[np.ix_(perm, perm)])
 
 
 def test_stat_check_same_seed_identity():
@@ -564,10 +574,9 @@ def test_stat_check_same_seed_identity():
     sh = square_linf()
     g = sample_larg(ps, sh, 1, 0.5, edge_seed=3)
     h = sample_larg(ps, sh, 1, 0.5, edge_seed=3)
-    report = stepiso_statistical_check(g, h, identity_point_map(ps), sh)
-    assert report.is_step_isometry
-    assert report.violations == () and report.crossings == 0
-    assert report.survival_bound == 1.0
+    assert is_graph_isomorphism(g, h, identity_map(ps))
+    v = is_step_isometry(identity_map(ps), sh)
+    assert v.ok and v.witness is None and v.checked == len(ps) * (len(ps) - 1) // 2
 
 
 def test_stat_check_rejects_non_isomorphism():
@@ -575,8 +584,9 @@ def test_stat_check_rejects_non_isomorphism():
     ref = pts.fingerprint()
     g = GeoGraph(ref, 2, 0.5, 1, 0, frozenset({(0, 1)}))
     h = GeoGraph(ref, 2, 0.5, 1, 1, frozenset())
-    with pytest.raises(StepIsoError, match="not a graph isomorphism"):
-        stepiso_statistical_check(g, h, identity_point_map(pts), square_linf())
+    assert not is_graph_isomorphism(g, h, identity_map(pts))
+    # neither bijection of two points carries one edge onto none
+    assert back_and_forth_isomorphism(g, h, pts, square_linf()) == ("none", None)
 
 
 def test_stat_check_planted_point_reflection():
@@ -598,9 +608,9 @@ def test_stat_check_planted_point_reflection():
                     edges.add((i, j))
     g = GeoGraph(ps.fingerprint(), len(pts), 0.5, 1, 0, frozenset(edges))
     reflection = PointMap.from_function(ps, lambda p: -p)
-    report = stepiso_statistical_check(g, g, reflection, sh)
-    assert report.violations == ()
-    assert report.crossings == 0
+    assert is_graph_isomorphism(g, g, reflection)
+    assert is_step_isometry(reflection, sh).ok
+    assert is_isometry(reflection, sh).ok
 
 
 def test_stat_check_counts_crossings_and_bound():
@@ -611,15 +621,21 @@ def test_stat_check_counts_crossings_and_bound():
         Vec2(F(10), F(3, 2)),
     )
     ps = PointSet(pts, Window(F(-1), F(-1), F(11), F(2)), 0, "rational")
-    ref = ps.fingerprint()
-    g = GeoGraph(ref, 4, 0.5, 1, 0, frozenset())
-    h = GeoGraph(ref, 4, 0.5, 1, 1, frozenset())
+    sh = square_linf()
     swap = PointMap(ps, (pts[2], pts[3], pts[0], pts[1]))
-    report = stepiso_statistical_check(g, h, swap, square_linf())
-    assert report.crossings == 2
-    assert report.survival_bound == pytest.approx(0.25)
-    assert set(report.violations) == {(0, 1), (0, 3), (1, 2), (2, 3)}
-    assert not report.is_step_isometry
+    # pairs (0,1) and (2,3) swap in-range and out-of-range sides: each needs
+    # the in-range side's coin to be a non-edge, chance (1-p) apiece
+    crossings = [
+        (i, j)
+        for i in range(4)
+        for j in range(i + 1, 4)
+        if (distance(sh, pts[i], pts[j]) < 1) != (distance(sh, swap.images[i], swap.images[j]) < 1)
+    ]
+    assert crossings == [(0, 1), (2, 3)]
+    assert (1 - 0.5) ** len(crossings) == 0.25
+    v = is_step_isometry(swap, sh)
+    assert not v.ok and v.witness == (0, 1) and v.checked == 1
+    assert (v.left, v.right) == (0, 1)
 
 
 def test_stat_check_requires_shared_point_set():
@@ -628,5 +644,5 @@ def test_stat_check_requires_shared_point_set():
     sh = square_linf()
     g = sample_larg(ps, sh, 1, 0.5, edge_seed=0)
     h = sample_larg(other, sh, 1, 0.5, edge_seed=0)
-    with pytest.raises(StepIsoError, match="share"):
-        stepiso_statistical_check(g, h, identity_point_map(ps), sh)
+    with pytest.raises(ExperimentError, match="not sampled over this point set"):
+        back_and_forth_isomorphism(g, h, ps, sh)
