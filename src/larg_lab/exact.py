@@ -37,6 +37,18 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+def _floor_surd(A: int, B: int, d: int, D: int) -> int:
+    """floor((A + B*sqrt(d)) / D) for ints A, B, D > 0 and non-square d.
+
+    B*sqrt(d) is irrational when B != 0, so its floor is isqrt(B*B*d) for
+    B > 0 and -isqrt(B*B*d) - 1 for B < 0.
+    """
+    if B == 0:
+        return A // D
+    f = math.isqrt(B * B * d)
+    return (A + (f if B > 0 else -f - 1)) // D
+
+
 class SqrtExt:
     """a + b*sqrt(d) with a, b rational, b != 0, d a positive non-square int.
 
@@ -222,13 +234,8 @@ class SqrtExt:
         return x + y
 
     def __floor__(self) -> int:
-        n = math.floor(float(self))
-        # float approximation is within 1 ulp of tiny; fix up exactly
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        D = math.lcm(self.a.denominator, self.b.denominator)
+        return _floor_surd(int(self.a * D), int(self.b * D), self.d, D)
 
     def __repr__(self):
         return f"SqrtExt({self.a}, {self.b}, {self.d})"

@@ -2,12 +2,15 @@
 
 Two stories are measured here. For non-box shapes, independent samples over
 the same point set stop admitting partial isomorphisms as the compared prefix
-grows: each additional certified point multiplies the survival chance by the
-pair-compatibility probability, so the empirical fraction decays toward zero
-under the reference curve n^(2k+2) (p*)^(n-1). For box shapes the opposite
-holds: after the linear change of coordinates that turns the box metric into
-L-infinity, back-and-forth extension respecting truncated coordinates finds
-explicit isomorphisms routinely.
+grows. Under a truncating norm such a partial isomorphism is a plane
+isometry, fixed by the images of the anchor triangle, so the candidates for
+V_n are the isometries that map the anchor into V_n, and a candidate
+survives only if every in-range pair of V_n draws matching coins on both
+sides. Each row also reports the reference curve n^(2k+2) (p*)^(n-1), which
+is above 1 at every default n. For box shapes the opposite holds: after the
+linear change of coordinates that turns the box metric into L-infinity,
+back-and-forth extension respecting truncated coordinates finds explicit
+isomorphisms routinely.
 
 Edge coins are counter-based, keyed by trial seed and vertex pair, so each
 decay row is evaluated in one pass that draws, per trial, only the coins of
@@ -20,11 +23,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT_INTEGER_GUARD, exact_div, exact_floor, guarded_floor
+from .exact import FLOAT_INTEGER_GUARD, exact_div, exact_floor, guarded_floor, is_exact
 from .geometry import (
     GeometryError,
     LpShape,
@@ -34,11 +38,18 @@ from .geometry import (
     box_shape,
     diamond_l1,
     distance,
+    is_triangular_set,
     rational_hexagon,
     regular_hexagon,
     square_linf,
 )
-from .larg import GeoGraph, compatibility_probability, pair_uniform_array, sample_larg
+from .larg import (
+    GeoGraph,
+    compatibility_probability,
+    in_range_pairs,
+    pair_uniform_array,
+    sample_larg,
+)
 from .pointsets import PointSet, Window, is_idf, sample_poisson_window
 
 __all__ = [
@@ -192,16 +203,6 @@ class DecayRow:
 # partial isomorphism search
 
 
-def _solve_projections(a1: Vec2, c1, a2: Vec2, c2) -> Vec2 | None:
-    # point with a1.y = c1 and a2.y = c2; None when the normals are parallel
-    det = a1.cross(a2)
-    if det == 0:
-        return None
-    return Vec2(
-        exact_div(c1 * a2.y - c2 * a1.y, det), exact_div(c2 * a1.x - c1 * a2.x, det)
-    )
-
-
 def _linear_part(m: tuple, w: tuple):
     """Row-major L with L(m1-m0) = w1-w0 and L(m2-m0) = w2-w0, or None."""
     d1, d2 = m[1] - m[0], m[2] - m[0]
@@ -235,21 +236,18 @@ def _apply(L, v: Vec2) -> Vec2:
     return Vec2(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
-def _vec_close(u: Vec2, v: Vec2, exact: bool) -> bool:
-    if exact:
+def _vec_close(u: Vec2, v: Vec2) -> bool:
+    if u.is_exact() and v.is_exact():
         return u.x == v.x and u.y == v.y
     return abs(float(u.x) - float(v.x)) <= _REL_TOL and abs(float(u.y) - float(v.y)) <= _REL_TOL
 
 
-def _is_shape_symmetry(shape: NormShape, Lit, exact: bool) -> bool:
+def _is_shape_symmetry(shape: NormShape, Lit) -> bool:
     """Does y -> L y preserve the norm? Checked through the dual action Lit."""
     if isinstance(shape, PolygonShape):
         for g in shape.generators:
             img = _apply(Lit, g)
-            if not any(
-                _vec_close(img, h, exact) or _vec_close(img, -h, exact)
-                for h in shape.generators
-            ):
+            if not any(_vec_close(img, h) or _vec_close(img, -h) for h in shape.generators):
                 return False
         return True
     if isinstance(shape, LpShape):
@@ -266,182 +264,102 @@ def _is_shape_symmetry(shape: NormShape, Lit, exact: bool) -> bool:
                 a * c,
                 b * d,
             )
-        if exact:
-            return all(v == 0 for v in checks)
-        return all(abs(float(v)) <= _REL_TOL for v in checks)
+        return all(v == 0 if is_exact(v) else abs(float(v)) <= _REL_TOL for v in checks)
     raise ExperimentError(f"unsupported shape {shape!r}")
 
 
-def _ext_cache(enum: GoodEnumeration) -> dict:
-    cache = getattr(enum, "_ext_state", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(enum, "_ext_state", cache)
-    return cache
-
-
-def _validate_once(enum: GoodEnumeration) -> None:
-    cache = _ext_cache(enum)
-    if not cache.get("validated"):
-        validate_good_enumeration(enum)
-        cache["validated"] = True
-
-
-def _point_lookup(enum: GoodEnumeration):
-    cache = _ext_cache(enum)
-    if "lookup" not in cache:
-        pts = enum.point_set.points
+def _point_lookup(points: PointSet):
+    """y -> index of the point equal to y (exact data) or within _REL_TOL of it."""
+    pts = points.points
+    if all(v.is_exact() for v in pts):
         exact_index = {(v.x, v.y): i for i, v in enumerate(pts)}
-        if enum.point_set.mode == "rational":
+        return lambda y: exact_index.get((y.x, y.y))
 
-            def lookup(y: Vec2):
-                return exact_index.get((y.x, y.y))
+    scale = 1.0 / _REL_TOL
+    grid: dict = {}
+    for i, v in enumerate(pts):
+        grid.setdefault((round(float(v.x) * scale), round(float(v.y) * scale)), []).append(i)
 
-        else:
-            scale = 1.0 / _REL_TOL
-            grid: dict = {}
-            for i, v in enumerate(pts):
-                grid.setdefault(
-                    (round(float(v.x) * scale), round(float(v.y) * scale)), []
-                ).append(i)
+    def lookup(y: Vec2):
+        fx, fy = float(y.x), float(y.y)
+        kx, ky = round(fx * scale), round(fy * scale)
+        hits = [
+            i
+            for dx in (0, -1, 1)
+            for dy in (0, -1, 1)
+            for i in grid.get((kx + dx, ky + dy), ())
+            if abs(float(pts[i].x) - fx) <= _REL_TOL and abs(float(pts[i].y) - fy) <= _REL_TOL
+        ]
+        return hits[0] if len(hits) == 1 else None
 
-            def lookup(y: Vec2):
-                fx, fy = float(y.x), float(y.y)
-                kx, ky = round(fx * scale), round(fy * scale)
-                hits = [
-                    i
-                    for dx in (0, -1, 1)
-                    for dy in (0, -1, 1)
-                    for i in grid.get((kx + dx, ky + dy), ())
-                    if abs(float(pts[i].x) - fx) <= _REL_TOL
-                    and abs(float(pts[i].y) - fy) <= _REL_TOL
-                ]
-                return hits[0] if len(hits) == 1 else None
-
-        cache["lookup"] = lookup
-    return cache["lookup"]
-
-
-def _extend_candidate(enum: GoodEnumeration, n: int, triple: tuple) -> tuple | None:
-    """Deterministic geometric extension of one anchor assignment, or None."""
-    pts = enum.point_set.points
-    shape = enum.shape
-    exact = enum.point_set.mode == "rational"
-    lookup = _point_lookup(enum)
-    order = enum.order
-
-    m = tuple(pts[order[i]] for i in range(3))
-    w = tuple(pts[u] for u in triple)
-    L = _linear_part(m, w)
-    if L is None:
-        return None
-    Lit = _inverse_transpose(L)
-    if Lit is None or not _is_shape_symmetry(shape, Lit, exact):
-        return None
-
-    cache = _ext_cache(enum)
-    if "certdists" not in cache:
-        cache["certdists"] = {}
-    certdists = cache["certdists"]
-
-    images = list(triple)
-    used = set(triple)
-    for pos in range(3, n):
-        cert = enum.certificates[pos]
-        if pos not in certdists:
-            target = pts[order[pos]]
-            certdists[pos] = tuple(
-                distance(shape, target, pts[order[r]]) for r in cert.refs
-            )
-        dists = certdists[pos]
-        refs_w = tuple(pts[images[r]] for r in cert.refs)
-        sg = tuple(_apply(Lit, g) for g in cert.generators)
-        y = _solve_projections(
-            sg[0],
-            sg[0].dot(refs_w[0]) + dists[0],
-            sg[1],
-            sg[1].dot(refs_w[1]) + dists[1],
-        )
-        if y is None:
-            return None
-        resid = sg[2].dot(y) - sg[2].dot(refs_w[2]) - dists[2]
-        if exact:
-            if resid != 0:
-                return None
-        elif abs(float(resid)) > _REL_TOL * max(1.0, abs(float(dists[2]))):
-            return None
-        idx = lookup(y)
-        if idx is None or idx in used:
-            return None
-        # the projection solve fixes y; the true distances confirm the
-        # mapped generators really are the determining faces at y
-        for w_r, s_r in zip(refs_w, dists):
-            d = distance(shape, pts[idx], w_r)
-            if exact:
-                if d != s_r:
-                    return None
-            elif abs(float(d) - float(s_r)) > _REL_TOL * max(1.0, abs(float(s_r))):
-                return None
-        images.append(idx)
-        used.add(idx)
-    return tuple(images)
+    return lookup
 
 
 def _extension_candidates(enum: GoodEnumeration, n: int) -> tuple:
-    """All anchor assignments into V_n that extend geometrically, cached."""
-    cache = _ext_cache(enum)
-    key = ("cands", n)
-    if key in cache:
-        return cache[key]
-    _validate_once(enum)
+    """Images of V_n under the plane isometries that map the anchor into V_n.
+
+    At n = 3 every ordered triple of distinct vertices counts. From n = 4 on,
+    anchor images w fix the affine map f(x) = w0 + L(x - m0); f is kept when
+    L preserves the norm and f sends every later point of V_n to a distinct
+    point of the sample. A norm-preserving f keeps every distance, so the
+    anchor distances must match first.
+    """
+    vn = enum.order[:n]
+    if n == 3:
+        return tuple(permutations(vn, 3))
 
     pts = enum.point_set.points
-    vn = enum.order[:n]
+    shape = enum.shape
+    lookup = _point_lookup(enum.point_set)
+    m = tuple(pts[i] for i in vn[:3])
+    rest = tuple(pts[i] - m[0] for i in vn[3:])
+    d01 = distance(shape, m[0], m[1])
+    d02 = distance(shape, m[0], m[2])
+    d12 = distance(shape, m[1], m[2])
+    pair_d = {}
+    for i, u in enumerate(vn):
+        for v in vn[i + 1 :]:
+            d = pair_d[(u, v)] = distance(shape, pts[u], pts[v])
+            pair_d[(v, u)] = d
     out = []
-    if n == 3:
-        # nothing to reconstruct: every adjacency-compatible triple counts
-        for u1 in vn:
-            for u2 in vn:
-                for u3 in vn:
-                    if u1 != u2 and u1 != u3 and u2 != u3:
-                        out.append((u1, u2, u3))
-    else:
-        shape = enum.shape
-        m = tuple(pts[enum.order[i]] for i in range(3))
-        d01 = distance(shape, m[0], m[1])
-        d02 = distance(shape, m[0], m[2])
-        d12 = distance(shape, m[1], m[2])
-        pair_d = {}
-        for i, u in enumerate(vn):
-            for v in vn[i + 1 :]:
-                d = pair_d[(u, v)] = distance(shape, pts[u], pts[v])
-                pair_d[(v, u)] = d
-        # an extension forces an isometry, so anchor distances must match
-        for u1 in vn:
-            for u2 in vn:
-                if u2 == u1 or pair_d[(u1, u2)] != d01:
+    for u1 in vn:
+        for u2 in vn:
+            if u2 == u1 or pair_d[(u1, u2)] != d01:
+                continue
+            for u3 in vn:
+                if u3 == u1 or u3 == u2:
                     continue
-                for u3 in vn:
-                    if u3 == u1 or u3 == u2:
-                        continue
-                    if pair_d[(u1, u3)] != d02 or pair_d[(u2, u3)] != d12:
-                        continue
-                    images = _extend_candidate(enum, n, (u1, u2, u3))
-                    if images is not None:
-                        out.append(images)
-    cache[key] = tuple(out)
-    return cache[key]
+                if pair_d[(u1, u3)] != d02 or pair_d[(u2, u3)] != d12:
+                    continue
+                w = (pts[u1], pts[u2], pts[u3])
+                L = _linear_part(m, w)
+                if L is None:
+                    continue
+                Lit = _inverse_transpose(L)
+                if Lit is None or not _is_shape_symmetry(shape, Lit):
+                    continue
+                images = [u1, u2, u3]
+                for x in rest:
+                    idx = lookup(w[0] + _apply(L, x))
+                    if idx is None or idx in images:
+                        break
+                    images.append(idx)
+                else:
+                    out.append(tuple(images))
+    return tuple(out)
 
 
 def partial_isomorphism_exists(
     G: GeoGraph, H: GeoGraph, order: GoodEnumeration, n: int
 ) -> bool:
-    """Does some anchor assignment into V_n extend to a partial isomorphism?
+    """Does some plane isometry carry G's V_n onto H with adjacency intact?
 
-    V_n is the first n points of the enumeration. The anchor triple may land
-    on any ordered triple of distinct vertices of V_n; every later vertex's
-    image is then forced by its certificate, and the resulting map must match
-    adjacency exactly. The search is exhaustive over anchor assignments.
+    V_n is the first n points of the enumeration. The search runs over the
+    plane isometries that map the anchor (the first three points) into V_n;
+    such a map fixes the image of every later vertex, and the resulting map
+    must match adjacency exactly. At n = 3 every ordered triple of distinct
+    vertices of V_n is tried. The anchor must be a triangular set, which the
+    construction needs; the rest of the enumeration is not read.
     """
     if n < 3:
         raise ExperimentError("n must be at least 3")
@@ -454,6 +372,9 @@ def partial_isomorphism_exists(
         raise ExperimentError("graphs were not sampled over the enumeration's point set")
     if G.n != H.n or G.delta != H.delta:
         raise ExperimentError("graphs disagree on size or delta")
+    m = tuple(order.point_set.points[i] for i in order.order[:3])
+    if len(set(m)) < 3 or not is_triangular_set(order.shape, *m):
+        raise ExperimentError("the enumeration's first three points are not a triangular set")
 
     prefix = order.order[:n]
     adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
@@ -522,20 +443,14 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
             f"enumeration places {len(enum.order)} points; "
             f"largest requested n is {cfg.n_values[-1]}"
         )
-    _validate_once(enum)
+    validate_good_enumeration(enum)
 
-    pts = points.points
-    in_range: dict = {}
+    npts = len(points)
+    eu, ev = in_range_pairs(points, shape, 1)
+    in_range_keys = eu * npts + ev
 
     def within(us, vs):
-        out = []
-        for u, v in zip(us.tolist(), vs.tolist()):
-            key = (u, v) if u < v else (v, u)
-            hit = in_range.get(key)
-            if hit is None:
-                hit = in_range[key] = distance(shape, pts[u], pts[v]) < 1
-            out.append(hit)
-        return np.array(out, dtype=bool)
+        return np.isin(np.minimum(us, vs) * npts + np.maximum(us, vs), in_range_keys)
 
     p_star = compatibility_probability(cfg.p, True)
     k = len(shape.generators)

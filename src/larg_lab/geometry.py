@@ -234,17 +234,14 @@ class LpShape:
 
     kind = "lp"
 
-    def __init__(self, p: float, generator_budget: int = 64):
+    def __init__(self, p: float):
         p = float(p)
         if not (p > 1) or math.isinf(p):
             raise GeometryError(f"p must be finite and > 1, got {p}")
-        if generator_budget < 3:
-            raise GeometryError("generator budget must be >= 3")
         self.p = p
-        self.generator_budget = int(generator_budget)
 
     def __repr__(self):
-        return f"LpShape(p={self.p}, generator_budget={self.generator_budget})"
+        return f"LpShape(p={self.p})"
 
     def is_box(self) -> bool:
         return False
@@ -343,9 +340,7 @@ def shape_to_json(shape: NormShape) -> str:
         gens = [[format_scalar(g.x), format_scalar(g.y)] for g in shape.generators]
         return json.dumps({"kind": "polygonal", "generators": gens})
     if isinstance(shape, LpShape):
-        return json.dumps(
-            {"kind": "lp", "p": shape.p, "generator_budget": shape.generator_budget}
-        )
+        return json.dumps({"kind": "lp", "p": shape.p})
     raise GeometryError(f"cannot serialize {shape!r}")
 
 
@@ -356,5 +351,5 @@ def shape_from_json(text: str) -> NormShape:
         gens = [Vec2(parse_scalar(gx), parse_scalar(gy)) for gx, gy in obj["generators"]]
         return PolygonShape(gens)
     if kind == "lp":
-        return LpShape(obj["p"], obj.get("generator_budget", 64))
+        return LpShape(obj["p"])  # files from older versions also carry "generator_budget"
     raise GeometryError(f"unknown shape kind {kind!r}")

@@ -12,8 +12,7 @@ Input is exact: int, Fraction, or sqrt extensions over one radicand d;
 floats and mixed radicands are refused. Internally every offset is a pair
 of ints (A, B) over one common denominator D, read as c = (A + B*sqrt(d))/D,
 so growth is integer arithmetic and deduplication is on int tuples.
-floor(c) = (A + f) // D with f = floor(B*sqrt(d)): f = isqrt(B*B*d) for
-B > 0 and -isqrt(B*B*d) - 1 for B < 0, because B*sqrt(d) is irrational.
+floor(c) is computed from the ints alone (`exact._floor_surd`).
 Levels store only the lines first seen at that level, decoded to Fraction
 or SqrtExt; `all_lines` flattens.
 """
@@ -22,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SqrtExt, exact_div, fractional_part
+from .exact import SqrtExt, _floor_surd, exact_div, fractional_part
 from .geometry import Line, Vec2
 
 __all__ = [
@@ -142,20 +141,13 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
     Aw, Bw = int(wa * D), int(wb * D)
     base_int = [[(int(a * D), int(b * D)) for a, b in row] for row in base_proj]
 
-    def floor(A: int, B: int) -> int:
-        # floor((A + B*sqrt(d)) / D); B*sqrt(d) is irrational when B != 0
-        if B == 0:
-            return A // D
-        s = math.isqrt(B * B * d)
-        return (A + (s if B > 0 else -s - 1)) // D
-
     def windowed_parallels(k: int, values) -> set:
         # all integer shifts of each value within `window` of a base projection
         out = set()
         for A, B in values:
             for Ap, Bp in base_int[k]:
-                lo = -floor(A + Aw - Ap, B + Bw - Bp)
-                hi = floor(Ap + Aw - A, Bp + Bw - B)
+                lo = -_floor_surd(A + Aw - Ap, B + Bw - Bp, d, D)
+                hi = _floor_surd(Ap + Aw - A, Bp + Bw - B, d, D)
                 out.update((A + z * D, B) for z in range(lo, hi + 1))
         return out
 

@@ -73,18 +73,27 @@ def pair_uniform_array(edge_seed: int, us: np.ndarray, vs: np.ndarray) -> np.nda
     vs = np.asarray(vs, dtype=np.uint64)
     a = np.minimum(us, vs)
     b = np.maximum(us, vs)
+    del us, vs
     if np.any(a == b):
         raise LargError("pair needs two distinct vertices")
 
     def mix(z):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        # in place on arrays (a and b are private copies), so one pair array
+        # of temporaries at a time; rebinds a scalar z
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     with np.errstate(over="ignore"):
         h = mix(np.uint64(edge_seed & _MASK))
-        h = mix(h ^ ((a + np.uint64(1)) * np.uint64(_GOLD)))
-        h = mix(h ^ ((b + np.uint64(1)) * np.uint64(_GOLD)))
+        for w in (a, b):
+            w += np.uint64(1)
+            w *= np.uint64(_GOLD)
+            w ^= h
+            h = mix(w)
     return h / 2.0**64
 
 
@@ -280,31 +289,29 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     if q is not None:
         inner, outer = max(inner, 0.0) ** q, outer ** q
 
-    order = np.argsort(cols[0])
+    order = np.argsort(cols[0]).astype(np.int64, copy=False)
     cols = cols[:, order]
     ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
 
-    found_r, found_c, found_sure = [], [], []
+    # each pair is kept as one key u*n + v, which halves the pair arrays
+    found_key, found_sure = [], []
     for i0, i1, j1, upper in _row_blocks(ends):
         acc = _block_gaps(cols, q, i0, i1, j1)
         r, c = np.nonzero((acc <= outer) & upper)
-        found_r.append(r + i0)
-        found_c.append(c + i0)
+        a, b = order[r + i0], order[c + i0]
+        found_key.append(np.minimum(a, b) * n + np.maximum(a, b))
         found_sure.append(acc[r, c] < inner)
 
-    a = order[np.concatenate(found_r)]
-    b = order[np.concatenate(found_c)]
-    u = np.minimum(a, b).astype(np.int64, copy=False)
-    v = np.maximum(a, b).astype(np.int64, copy=False)
+    key = np.concatenate(found_key)
+    del found_key
     keep = np.concatenate(found_sure)
     near = np.flatnonzero(~keep)
     if len(near):
         pts = points.points
         keep[near] = [
-            distance(shape, pts[x], pts[y]) < delta
-            for x, y in zip(u[near].tolist(), v[near].tolist())
+            distance(shape, pts[k // n], pts[k % n]) < delta for k in key[near].tolist()
         ]
-    key = np.sort(u[keep] * n + v[keep])
+    key = np.sort(key[keep])
     u = key // n
     return u, key - u * n
 

@@ -83,7 +83,6 @@ class PointSet:
     mode: str = "float"
     alpha: object = 1
     idf_per_generator: dict = field(default_factory=dict)
-    pairwise_noninteger: bool | None = None
 
     def __post_init__(self):
         if self.mode not in ("float", "rational"):
@@ -293,7 +292,6 @@ def pointset_to_json(ps: PointSet) -> str:
                     ps.idf_per_generator.items(), key=lambda kv: repr(kv[0])
                 )
             ],
-            "pairwise_noninteger": ps.pairwise_noninteger,
         },
     }
     return json.dumps(obj)
@@ -303,6 +301,7 @@ def pointset_from_json(text: str) -> PointSet:
     obj = json.loads(text)
     window = Window(*(parse_scalar(c) for c in obj["window"]))
     pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
+    # files from older versions also carry flags["pairwise_noninteger"]
     flags = obj.get("flags", {})
     idf_flags = {
         (parse_scalar(gx), parse_scalar(gy)): bool(v)
@@ -315,5 +314,4 @@ def pointset_from_json(text: str) -> PointSet:
         mode=obj["mode"],
         alpha=parse_scalar(obj.get("alpha", 1.0)),
         idf_per_generator=idf_flags,
-        pairwise_noninteger=flags.get("pairwise_noninteger"),
     )

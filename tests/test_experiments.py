@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from larg_lab.anchoring import good_enumeration
-from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor
+from larg_lab.anchoring import AnchoringError, good_enumeration
+from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor, is_exact
 from larg_lab.experiments import (
     BoxDemoReport,
     DecayRow,
@@ -30,22 +32,24 @@ from larg_lab.experiments import (
     wilson_interval,
 )
 from larg_lab.geometry import (
+    LpShape,
     Vec2,
     box_shape,
     diamond_l1,
     distance,
     rational_hexagon,
+    regular_hexagon,
     square_linf,
 )
 from larg_lab.larg import GeoGraph, pair_uniform_array, sample_larg
 from larg_lab.pointsets import PointSet, Window, rescale_to_idf, sample_poisson_window
 
 
-def hex_enumeration(intensity=10.0, seed=5, size=Fraction(3, 2)):
+def hex_enumeration(intensity=10.0, seed=5, size=Fraction(3, 2), shape=None):
     pts = sample_poisson_window(
         Window(Fraction(0), Fraction(0), size, size), intensity, seed=seed, mode="rational"
     )
-    return good_enumeration(pts, rational_hexagon())
+    return good_enumeration(pts, shape or rational_hexagon())
 
 
 class TestConfig:
@@ -132,14 +136,59 @@ class TestDecayBound:
 
 class TestPartialIsomorphism:
     def test_graph_agrees_with_itself(self):
-        enum = hex_enumeration()
-        G = sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=11)
-        for n in (3, 4, 6):
-            assert partial_isomorphism_exists(G, G, enum, n)
+        # exact points under a float-valued metric included: the identity
+        # is a candidate whatever the type of the distances
+        for shape in (rational_hexagon(), regular_hexagon(), LpShape(2)):
+            enum = hex_enumeration(shape=shape)
+            G = sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=11)
+            for n in (3, 4, 6):
+                assert partial_isomorphism_exists(G, G, enum, n), shape
 
     def test_candidates_reduce_to_identity_prefix(self):
         enum = hex_enumeration()
         assert _extension_candidates(enum, 6) == (tuple(enum.order[:6]),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["hexagon", "regular-hexagon", "lp:2", "lp:3"]),
+        st.sampled_from(["rational", "float"]),
+        st.integers(0, 10**6),
+    )
+    def test_candidates_are_isometries_containing_identity(self, spec, mode, seed):
+        size = Fraction(3, 2) if mode == "rational" else 1.5
+        pts = sample_poisson_window(Window(0 * size, 0 * size, size, size), 12.0, seed=seed, mode=mode)
+        try:
+            enum = good_enumeration(pts, shape_from_spec(spec))
+        except AnchoringError:
+            assume(False)
+        shape, p = enum.shape, pts.points
+        for n in range(3, min(10, len(enum.order)) + 1):
+            prefix = enum.order[:n]
+            cands = _extension_candidates(enum, n)
+            assert tuple(prefix) in cands
+            for images in cands if n >= 4 else ():
+                assert len(set(images)) == n
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        want = distance(shape, p[prefix[a]], p[prefix[b]])
+                        got = distance(shape, p[images[a]], p[images[b]])
+                        if is_exact(want) and is_exact(got):
+                            assert got == want
+                        else:
+                            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_collinear_anchor_rejected(self):
+        sample = hex_enumeration().point_set
+        line = tuple(Vec2(Fraction(i, 7), Fraction(1, 11)) for i in (1, 2, 3))
+        pts = dataclasses.replace(sample, points=sample.points + line)
+        enum = good_enumeration(pts, rational_hexagon())
+        first = tuple(range(len(sample), len(pts)))
+        rest = [i for i in enum.order if i not in first]
+        enum = dataclasses.replace(enum, order=first + tuple(rest[: len(enum.order) - 3]))
+        G = sample_larg(pts, enum.shape, 1, 0.5, edge_seed=11)
+        for n in (3, 4):
+            with pytest.raises(ExperimentError, match="triangular"):
+                partial_isomorphism_exists(G, G, enum, n)
 
     def test_flipped_edge_breaks_agreement(self):
         enum = hex_enumeration()
@@ -199,6 +248,23 @@ class TestDecayExperiment:
         loose = ExperimentConfig(n_values=(3,), trials=40, intensity=60.0, base_seed=9)
         strict = dataclasses.replace(loose, anchor_policy="identity")
         assert run_decay_experiment(strict)[0].successes <= run_decay_experiment(loose)[0].successes
+
+    def test_exact_points_under_float_metric(self):
+        # the regular hexagon measures rational points in float; the rows
+        # must not depend on the sampling mode, and the identity's successes
+        # are a subset of the exhaustive policy's
+        rows = {}
+        for mode, window in (("rational", (0, 0, 1, 1)), ("float", (0.0, 0.0, 1.0, 1.0))):
+            for policy in ("identity", "exhaustive"):
+                cfg = ExperimentConfig(
+                    shape="regular-hexagon", window=window, mode=mode, n_values=(3, 4, 5, 8),
+                    intensity=60.0, p=0.7, trials=100, base_seed=9, anchor_policy=policy,
+                )
+                rows[mode, policy] = [r.successes for r in run_decay_experiment(cfg)]
+        for ident, exh in zip(rows["rational", "identity"], rows["rational", "exhaustive"]):
+            assert exh >= ident
+        assert rows["rational", "exhaustive"] == rows["float", "exhaustive"]
+        assert rows["rational", "identity"] == rows["float", "identity"]
 
     def test_box_shape_is_rejected(self):
         cfg = ExperimentConfig(shape="square", n_values=(3,), trials=1)

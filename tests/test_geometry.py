@@ -218,8 +218,6 @@ def test_lp_shape_validation():
     for p in (1, 0.5, float("inf")):
         with pytest.raises(GeometryError):
             LpShape(p)
-    with pytest.raises(GeometryError):
-        LpShape(2, generator_budget=2)
 
 
 def test_is_box():
@@ -315,8 +313,6 @@ def test_smooth_generators_validation():
         LpShape(1.0)
     with pytest.raises(GeometryError):
         LpShape(math.inf)
-    with pytest.raises(GeometryError):
-        LpShape(2.0, generator_budget=2)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +460,14 @@ def test_shape_json_round_trip_float_and_lp():
     back = shape_from_json(shape_to_json(sh))
     for g, h in zip(sh.generators, back.generators):
         assert g.to_floats() == h.to_floats()
-    lp = shape_from_json(shape_to_json(LpShape(2.5, generator_budget=32)))
-    assert isinstance(lp, LpShape) and lp.p == 2.5 and lp.generator_budget == 32
+    lp = shape_from_json(shape_to_json(LpShape(2.5)))
+    assert isinstance(lp, LpShape) and lp.p == 2.5
+
+
+def test_shape_json_reads_older_lp_files():
+    # older files carry a generator budget that no longer exists
+    lp = shape_from_json('{"kind": "lp", "p": 3.0, "generator_budget": 32}')
+    assert isinstance(lp, LpShape) and lp.p == 3.0
 
 
 def test_shape_json_rejects_unknown_kind():

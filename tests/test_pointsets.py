@@ -1,6 +1,5 @@
 """Windowed samplers, idf structure, rescaling, and PointSet round trips."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -287,7 +286,18 @@ def test_pointset_json_round_trip_rational():
 
 def test_pointset_json_round_trip_float():
     ps = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 50.0, seed=21)
-    ps = dataclasses.replace(ps, pairwise_noninteger=True)
     back = pointset_from_json(pointset_to_json(ps))
     assert back.points == ps.points  # float repr round-trips exactly via json
-    assert back.pairwise_noninteger == ps.pairwise_noninteger
+
+
+def test_pointset_json_reads_older_files():
+    # older files carry a pairwise_noninteger flag that no longer exists
+    text = (
+        '{"seed": 4, "alpha": "1/1", "window": ["0/1", "0/1", "1/1", "1/1"], '
+        '"mode": "rational", "points": [["1/2", "1/3"], ["1/4", "2/3"]], '
+        '"flags": {"idf_per_generator": [["1/1", "0/1", true]], "pairwise_noninteger": true}}'
+    )
+    ps = pointset_from_json(text)
+    assert ps.points == (Vec2(Fraction(1, 2), Fraction(1, 3)), Vec2(Fraction(1, 4), Fraction(2, 3)))
+    assert ps.idf_per_generator == {(Fraction(1), Fraction(0)): True}
+    assert pointset_from_json(pointset_to_json(ps)) == ps
