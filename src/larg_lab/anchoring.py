@@ -8,6 +8,13 @@ derives such certificates, reconstructs points from anchor data, and
 builds enumerations of finite samples in which every point past the
 anchor carries a certificate.
 
+good_enumeration follows the numeric policy of ``larg.in_range_pairs``: a
+float filter decides what it can, and the scalar rule (``distance``,
+``determining_generator``) decides the cases within a guard of a boundary,
+so its output equals what the scalar definitions alone give.
+validate_good_enumeration stays scalar throughout: it is the independent
+check of an enumeration.
+
 Box shapes are excluded throughout: with only two face directions no
 triple of pairwise non-parallel normals exists.
 """
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT_INTEGER_GUARD, exact_div, is_exact
+from .exact import exact_div, is_exact
 from .geometry import (
     LpShape,
     NormShape,
@@ -28,6 +35,7 @@ from .geometry import (
     distance,
     is_triangular_set,
 )
+from .larg import _BOUNDARY_GUARD, _columns, in_range_pairs
 from .pointsets import PointSet
 
 __all__ = [
@@ -193,21 +201,63 @@ class GoodEnumeration:
         return tuple(self.order[:3])
 
 
-def _try_certificate(shape, pts, order, target_idx):
-    """Three placed references with pairwise non-parallel face normals."""
-    refs = []
-    gens = []
-    for pos, ref_idx in enumerate(order):
+def _try_certificate(shape, pts, cols, guard, order, target):
+    """Three placed references with pairwise non-parallel face normals.
+
+    These are the first three positions of `order` whose distances to the
+    target lie on three distinct face classes, skipping the references
+    determining_generator refuses.  For polygons the class of every placed
+    point comes from one pass over the float projection table `cols`: the
+    largest |projection| of the difference, when it beats the runner-up by
+    more than _REL_TOL of itself plus `guard`.  determining_generator decides
+    the other rows, and only those that can still change the answer.  L^p
+    (cols None) scans with determining_generator, which finds three
+    non-parallel gradients within a few references.
+    """
+    if cols is None:
+        refs, gens = [], []
+        for pos, ref_idx in enumerate(order):
+            try:
+                g = determining_generator(shape, pts[target] - pts[ref_idx])
+            except AnchoringError:
+                continue
+            if any(g.cross(h) == 0 for h in gens):
+                continue
+            refs.append(pos)
+            gens.append(g)
+            if len(gens) == 3:
+                return Certificate(tuple(refs), tuple(gens))
+        return None
+
+    vals = cols[:, target, None] - cols[:, order]
+    mag = np.abs(vals)
+    face = mag.argmax(axis=0)
+    second, best = np.sort(mag, axis=0)[-2:]
+    sure = best - second > _REL_TOL * best + guard
+    # first sure position of each face class; the third of them bounds the
+    # positions an unsure row can still claim
+    classes, firsts = np.unique(np.where(sure, face, len(cols)), return_index=True)
+    firsts = firsts[classes < len(cols)]
+    limit = int(np.sort(firsts)[2]) if len(firsts) >= 3 else len(order)
+
+    # (position, class, signed generator); sure rows take the sign of their
+    # float projection
+    rows = [(int(pos), int(face[pos]), None) for pos in firsts]
+    for pos in np.flatnonzero(~sure[:limit]).tolist():
         try:
-            g = determining_generator(shape, pts[target_idx] - pts[ref_idx])
+            g = determining_generator(shape, pts[target] - pts[order[pos]])
         except AnchoringError:
             continue
-        if any(g.cross(h) == 0 for h in gens):
+        rows.append((pos, next(c for c, a in enumerate(shape.generators) if a.cross(g) == 0), g))
+    refs, gens = [], {}
+    for pos, c, g in sorted(rows):
+        if c in gens:
             continue
+        a = shape.generators[c]
+        gens[c] = g if g is not None else a if vals[c, pos] > 0 else -a
         refs.append(pos)
-        gens.append(g)
-        if len(gens) == 3:
-            return Certificate(tuple(refs), tuple(gens))
+        if len(refs) == 3:
+            return Certificate(tuple(refs), tuple(gens.values()))
     return None
 
 
@@ -219,6 +269,16 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     reached by a hop path through still-unplaced points, and every point
     placed must admit a certificate against the points placed so far.
     Points that cannot be reached or certified are reported unplaced.
+
+    Numeric policy: float filters with the scalar rule deciding the cases
+    near a boundary, so the result is the one the scalar definitions give.
+    The in-range graph is ``larg.in_range_pairs``.  The walk's next target
+    is the eligible point nearest its end by ``(float(distance), index)``;
+    float distances pick the candidates within a guard of the minimum, and
+    the scalar key decides among them.  Certificates read face classes off
+    a float table of generator projections (see ``_try_certificate``).
+    ``validate_good_enumeration`` re-checks everything with the scalar
+    definitions alone.
     """
     _require_non_box(shape)
     pts = points.points
@@ -227,15 +287,26 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
         raise AnchoringError("need at least three points")
 
     near = [[] for _ in range(n)]
-    dist_to = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(shape, pts[i], pts[j])
-            dist_to[i, j] = dist_to[j, i] = float(d)
-            if d < 1:
-                near[i].append(j)
-                near[j].append(i)
+    # lexicographic pairs u < v keep every list ascending
+    for u, v in zip(*(a.tolist() for a in in_range_pairs(points, shape, 1))):
+        near[u].append(v)
+        near[v].append(u)
     near_sets = [set(adj) for adj in near]
+
+    arr = points.as_array()
+    cols, reach, q = _columns(arr, shape)
+    guard = _BOUNDARY_GUARD * (1.0 + reach * float(np.abs(arr).max()))
+    face_cols = None if q is not None else cols
+
+    def nearest(end, eligible):
+        # this float distance and float(distance(...)) both lie within
+        # guard / 2 of the true one, so the scalar minimum is among the ties
+        gaps = np.abs(cols[:, eligible] - cols[:, end, None])
+        fd = gaps.max(axis=0) if q is None else (gaps**q).sum(axis=0) ** (1.0 / q)
+        ties = eligible[fd <= fd.min() + guard].tolist()
+        if len(ties) == 1:
+            return ties[0]
+        return min(ties, key=lambda i: (float(distance(shape, pts[end], pts[i])), i))
 
     # anchor centrally: growth radiates outward, so later points keep placed
     # references on several sides, which certificates need
@@ -262,6 +333,9 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
                 else:
                     continue
                 break
+
+    def certify(order, idx):
+        return _try_certificate(shape, pts, face_cols, guard, order, idx)
 
     def run(anchor):
         order = list(anchor)
@@ -291,7 +365,7 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
             return None
 
         def place(idx) -> bool:
-            cert = _try_certificate(shape, pts, order, idx)
+            cert = certify(order, idx)
             if cert is None:
                 return False
             order.append(idx)
@@ -303,26 +377,27 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
         # region before moving on; a failed point stays pending and becomes
         # eligible again after any placement, since placements only ever add
         # reference directions
-        pending = {i for i in range(n) if i not in placed}
-        last_try = dict.fromkeys(pending, -1)
-        while pending:
+        pending = np.ones(n, dtype=bool)
+        pending[list(anchor)] = False
+        last_try = np.full(n, -1)
+        while pending.any():
             end = order[-1]
             epoch = len(order)
-            eligible = [i for i in pending if last_try[i] < epoch]
-            if not eligible:
+            eligible = np.flatnonzero(pending & (last_try < epoch))
+            if not len(eligible):
                 break
-            u = min(eligible, key=lambda i: (dist_to[end, i], i))
+            u = nearest(end, eligible)
             path = hop_path(end, u)
             advanced = False
             for step in path or ():
                 if not place(step):
                     last_try[step] = len(order)
                     break
-                pending.discard(step)
+                pending[step] = False
                 advanced = True
             if not advanced:
                 last_try[u] = epoch
-        return order, certificates, pending
+        return order, certificates, set(np.flatnonzero(pending).tolist())
 
     best = None
     for anchor in itertools.islice(anchor_candidates(), 6):
@@ -343,7 +418,7 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     while changed and pending:
         changed = False
         for u in sorted(pending):
-            cert = _try_certificate(shape, pts, order, u)
+            cert = certify(order, u)
             if cert is None:
                 continue
             for i in range(max(cert.refs) + 1, len(order) + 1):

@@ -27,6 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
 from .exact import FLOAT_INTEGER_GUARD, exact_div, exact_floor, guarded_floor, is_exact
 from .geometry import (
@@ -404,13 +405,19 @@ def _trial_seed(base: int, n: int, t: int, side: int) -> int:
 
 
 def _coin_rows(base: int, n: int, side: int, trials: int, us, vs, in_range, p: float):
-    """trials x len(us) adjacency matrix of one graph side over the given pairs."""
-    return np.array(
-        [
-            (pair_uniform_array(_trial_seed(base, n, t, side), us, vs) < p) & in_range
-            for t in range(trials)
-        ]
-    )
+    """trials x len(us) adjacency matrix of one graph side over the given pairs.
+
+    Coins are drawn for a block of trials per call, at most
+    larg._BLOCK_CELLS cells (one trial at least) per block.
+    """
+    rows = np.empty((trials, len(us)), dtype=bool)
+    step = max(1, larg._BLOCK_CELLS // max(1, len(us)))
+    for t0 in range(0, trials, step):
+        seeds = [_trial_seed(base, n, t, side) for t in range(t0, min(trials, t0 + step))]
+        block = rows[t0 : t0 + len(seeds)]
+        np.less(pair_uniform_array(seeds, us, vs), p, out=block)
+        block &= in_range
+    return rows
 
 
 def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:

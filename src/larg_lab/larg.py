@@ -67,8 +67,13 @@ def pair_uniform(edge_seed: int, u: int, v: int) -> float:
     return h / 2.0**64
 
 
-def pair_uniform_array(edge_seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorized pair_uniform; bit-identical to the scalar version."""
+def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Vectorized pair_uniform; bit-identical to the scalar version.
+
+    edge_seed is one seed, giving one value per pair, or a 1-D sequence of
+    T seeds, giving a T x len(us) array whose row t equals
+    ``pair_uniform_array(edge_seed[t], us, vs)``.
+    """
     us = np.asarray(us, dtype=np.uint64)
     vs = np.asarray(vs, dtype=np.uint64)
     a = np.minimum(us, vs)
@@ -78,8 +83,8 @@ def pair_uniform_array(edge_seed: int, us: np.ndarray, vs: np.ndarray) -> np.nda
         raise LargError("pair needs two distinct vertices")
 
     def mix(z):
-        # in place on arrays (a and b are private copies), so one pair array
-        # of temporaries at a time; rebinds a scalar z
+        # in place on arrays (a, b and a seed column are private copies), so
+        # one pair array of temporaries at a time; rebinds a scalar z
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)
         z ^= z >> np.uint64(27)
@@ -88,7 +93,14 @@ def pair_uniform_array(edge_seed: int, us: np.ndarray, vs: np.ndarray) -> np.nda
         return z
 
     with np.errstate(over="ignore"):
-        h = mix(np.uint64(edge_seed & _MASK))
+        if np.ndim(edge_seed) == 0:
+            h = mix(np.uint64(edge_seed & _MASK))
+        else:
+            if np.ndim(edge_seed) != 1:
+                raise LargError("edge_seed must be one seed or a 1-D sequence of seeds")
+            h = mix(np.array([int(s) & _MASK for s in edge_seed], dtype=np.uint64)[:, None])
+            a = np.repeat(a[None, :], len(h), axis=0)
+            b = np.repeat(b[None, :], len(h), axis=0)
         for w in (a, b):
             w += np.uint64(1)
             w *= np.uint64(_GOLD)

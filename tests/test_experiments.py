@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from larg_lab import larg
 from larg_lab.anchoring import AnchoringError, good_enumeration
 from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor, is_exact
 from larg_lab.experiments import (
@@ -17,6 +19,7 @@ from larg_lab.experiments import (
     DecayRow,
     ExperimentConfig,
     ExperimentError,
+    _coin_rows,
     _extension_candidates,
     _floor_table,
     _trial_seed,
@@ -589,3 +592,21 @@ class TestTrialSeeds:
 
     def test_fits_in_64_bits(self):
         assert 0 <= _trial_seed(2**63, 40, 10**6, 1) < 2**64
+
+
+class TestCoinRows:
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 14])
+    def test_blocks_match_per_trial_rows(self, cells):
+        rng = np.random.default_rng(3)
+        us = rng.integers(0, 60, 25)
+        vs = us + rng.integers(1, 9, 25)
+        in_range = rng.random(25) < 0.8
+        want = np.array(
+            [
+                (pair_uniform_array(_trial_seed(11, 6, t, 1), us, vs) < 0.4) & in_range
+                for t in range(13)
+            ]
+        )
+        with mock.patch.object(larg, "_BLOCK_CELLS", cells):
+            got = _coin_rows(11, 6, 1, 13, us, vs, in_range, 0.4)
+        assert got.dtype == bool and np.array_equal(got, want)

@@ -77,6 +77,29 @@ def test_pair_uniform_array_matches_scalar():
         assert arr[k] == pair_uniform(123456789, int(us[k]), int(vs[k]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(2**63), 2**64 - 1), max_size=6),
+    st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20),
+)
+def test_pair_uniform_array_seed_vector_matches_per_seed_calls(seeds, pairs):
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    if any(u == v for u, v in pairs):
+        with pytest.raises(LargError, match="distinct"):
+            pair_uniform_array(seeds, us, vs)
+        for s in seeds:
+            with pytest.raises(LargError, match="distinct"):
+                pair_uniform_array(s, us, vs)
+        return
+    got = pair_uniform_array(seeds, us, vs)
+    assert got.shape == (len(seeds), len(pairs))
+    want = np.array([pair_uniform_array(s, us, vs) for s in seeds]).reshape(got.shape)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(LargError, match="1-D"):
+        pair_uniform_array([seeds], us, vs)
+
+
 def test_pair_streams_nearly_uncorrelated():
     # adjacent pairs share a vertex; their coins must still look independent
     n = 10_000
