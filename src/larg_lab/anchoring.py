@@ -279,8 +279,14 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     a float table of generator projections (see ``_try_certificate``).
     ``validate_good_enumeration`` re-checks everything with the scalar
     definitions alone.
+
+    Redundant generators (`PolygonShape.vertices`) and SqrtExt points under
+    float generators (`larg.in_range_pairs`) raise GeometryError before any
+    point is read.
     """
     _require_non_box(shape)
+    if isinstance(shape, PolygonShape):
+        shape.vertices()  # refuses redundant generators, whose faces only tie
     pts = points.points
     n = len(pts)
     if n < 3:

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .exact import (
     BoundaryAmbiguityError,
+    SqrtExt,
     exact_div,
     format_scalar,
     guarded_floor,
@@ -171,6 +172,7 @@ class PolygonShape:
                         f"generators {i} and {j} are parallel; store one per direction"
                     )
         self.generators = gens
+        self.has_float_generator = any(isinstance(c, float) for g in gens for c in (g.x, g.y))
         self._vertices: tuple[Vec2, ...] | None = None
 
     def __repr__(self):
@@ -199,7 +201,10 @@ class PolygonShape:
         """Polygon vertices in counterclockwise order (computed once).
 
         Valid only for properly scaled generator sets (every face line
-        a.x = 1 touches the shape); redundant constraints are rejected.
+        a.x = 1 touches the shape); redundant constraints are rejected: a
+        face line that misses the shape leaves a vertex outside it, and one
+        that only touches a corner makes two consecutive vertices coincide
+        (within 1e-9 for float vertices).
         """
         if self._vertices is None:
             signed = self.signed_generators()
@@ -214,6 +219,13 @@ class PolygonShape:
                 verts.append(Vec2(x, y))
             exact = all(v.is_exact() for v in verts)
             slack = 0 if exact else 1e-9
+            for i, v in enumerate(verts):
+                u = verts[i - 1]
+                if abs(v.x - u.x) <= slack and abs(v.y - u.y) <= slack:
+                    raise GeometryError(
+                        f"redundant generator: the faces of {signed[i - 1]}, {signed[i]} "
+                        f"and {signed[(i + 1) % k]} meet at the vertex {v}"
+                    )
             for v in verts:
                 for a in signed:
                     if a.dot(v) > 1 + slack:
@@ -233,6 +245,8 @@ class LpShape:
     """Smooth L^p unit circle, finite p > 1.  Norms evaluate in float."""
 
     kind = "lp"
+    # the norm reads any scalar as a float, SqrtExt included
+    has_float_generator = False
 
     def __init__(self, p: float):
         p = float(p)
@@ -275,7 +289,24 @@ def norm(shape: NormShape, x: Vec2):
     return shape.norm(x)
 
 
+def _refuse_mixed_fields(shape: NormShape, points: Iterable[Vec2]) -> None:
+    """Refuse SqrtExt coordinates under a polygon with a float generator.
+
+    A float times a SqrtExt has no common field.  Refusing the whole input
+    up front, before any arithmetic, keeps the outcome from depending on
+    which pairs a float filter sends to exact arithmetic.
+    """
+    if shape.has_float_generator:
+        for v in points:
+            if isinstance(v.x, SqrtExt) or isinstance(v.y, SqrtExt):
+                raise GeometryError(
+                    f"SqrtExt coordinates such as {v} need exact generators, "
+                    f"not the float ones of {shape!r}"
+                )
+
+
 def distance(shape: NormShape, x: Vec2, y: Vec2):
+    _refuse_mixed_fields(shape, (x, y))
     return shape.norm(x - y)
 
 

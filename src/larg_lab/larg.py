@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import format_scalar, parse_scalar
-from .geometry import LpShape, NormShape, PolygonShape, distance
+from .geometry import LpShape, NormShape, PolygonShape, _refuse_mixed_fields, distance
 from .pointsets import PointSet
 
 __all__ = [
@@ -286,8 +286,10 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     exact point sets.  The sweep sorts the points by a coordinate that never
     exceeds the distance (the first generator's projection for polygons, x
     for L^p), so each point is compared only with the points that follow it
-    by less than delta along that coordinate.
+    by less than delta along that coordinate.  SqrtExt points under float
+    generators are refused up front (GeometryError).
     """
+    _refuse_mixed_fields(shape, points.points)
     n = len(points)
     if n < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)

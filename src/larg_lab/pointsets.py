@@ -108,7 +108,10 @@ class PointSet:
         return self._array
 
     def fingerprint(self) -> str:
-        """Content hash used as the point_set_ref of graphs sampled over this set."""
+        """Content hash used as the point_set_ref of graphs sampled over this set.
+
+        A JSON round trip keeps it: int coordinates hash as the equal Fraction.
+        """
         return self._fingerprint
 
     @cached_property
@@ -117,10 +120,13 @@ class PointSet:
 
     @cached_property
     def _fingerprint(self) -> str:
+        # an int is hashed as the equal Fraction, which JSON reads it back as
         h = hashlib.sha256()
         h.update(self.mode.encode())
         for v in self.points:
-            h.update(repr((v.x, v.y)).encode())
+            x = Fraction(v.x) if isinstance(v.x, int) else v.x
+            y = Fraction(v.y) if isinstance(v.y, int) else v.y
+            h.update(repr((x, y)).encode())
         return h.hexdigest()[:16]
 
 

@@ -13,6 +13,16 @@ differ or a distance near an integer; distances that differ by about tol or
 more), and the scalar distance decides each flagged pair in lexicographic
 order.  That decision is exact for exact data; for float data the scalar
 truncation refuses to guess when a distance sits within 1e-9 of an integer.
+
+Box product maps are computed for a whole domain at once, in two lanes that
+both give exactly the images of the scalar formula `box_product_map` states.
+Exact points under exact generators and knots take an integer lane: each
+dual coordinate is an int pair (A, B) over one denominator D, read as
+(A + B*sqrt(d))/D, so floors and knot comparisons are integer sign tests and
+each image coordinate is built once, as the same Fraction or SqrtExt.  Float
+points take one numpy pass that performs the scalar formula's float
+operations in its order, so the images are bit-identical and its refusals
+are raised for the same first point.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import numpy as np
 from .exact import (
     BoundaryAmbiguityError,
     FLOAT_INTEGER_GUARD,
+    SqrtExt,
+    _floor_surd,
     exact_div,
     format_scalar,
     parse_scalar,
@@ -37,6 +49,7 @@ from .geometry import (
     NormShape,
     PolygonShape,
     Vec2,
+    _refuse_mixed_fields,
     distance,
     truncated_distance,
 )
@@ -146,18 +159,205 @@ def box_product_map(shape: NormShape, g1: Interleaving1D, g2: Interleaving1D, v:
     """Apply g1, g2 to the two dual coordinates of a box shape.
 
     With generators a1, a2 the dual coordinates are u_i = a_i.v; the image w
-    is the unique point with a_i.w = floor(u_i) + g_i(frac(u_i)).
+    is the unique point with a_i.w = floor(u_i) + g_i(frac(u_i)), that is
+    w = ((w1*a2.y - w2*a1.y) / den, (a1.x*w2 - a2.x*w1) / den) with
+    w_i = apply_fractional_map(g_i, u_i) and den = a1.cross(a2).  This is
+    the one-point call of `box_product_point_map`.
     """
+    return _box_images(shape, g1, g2, (v,), lambda: np.array([v.to_floats()]))[0]
+
+
+def _surd_ints(values) -> tuple[int, list[tuple[int, int]]]:
+    """One denominator D and int pairs (A, B) with value = (A + B*sqrt(d))/D.
+
+    The values are int, Fraction or SqrtExt over one radicand d.
+    """
+    parts = [(c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), Fraction(0)) for c in values]
+    D = math.lcm(*(q.denominator for ab in parts for q in ab))
+    return D, [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)) for a, b in parts]
+
+
+def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
+    """(t0, u0, slope) of each linear piece of g, the last one ending at (1, 1)."""
+    ends = g.knots[1:] + ((1, 1),)
+    return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
+
+
+def _surd_nonneg(a: int, b: int, d: int) -> bool:
+    """a + b*sqrt(d) >= 0 for ints a, b and a non-square d (any d if b == 0)."""
+    if b == 0:
+        return a >= 0
+    if a >= 0 and b > 0:
+        return True
+    if a <= 0 and b < 0:
+        return False
+    # opposite signs; a*a == b*b*d cannot hold for a non-square d
+    return (a * a > b * b * d) == (a > 0)
+
+
+def _exact_images(a1: Vec2, a2: Vec2, g1, g2, todo, images) -> None:
+    """The integer lane: images[j] for each (j, v, d) in todo, v exact over
+    the radicand d (0 for rational points).
+
+    The generators are (p_x + q_x*sqrt(d), ...)/G, each interleaving piece is
+    s -> m*s + c with m, c over one denominator E, the knots are over T and
+    the image coefficients over K.  A dual coordinate u = a.v is an int pair
+    over Du = G*P, P the point's denominator; its floor, the piece it falls
+    in (an integer sign test against each knot) and the image numerators are
+    all int arithmetic, and each image coordinate becomes one Fraction or
+    SqrtExt at the end.
+    """
+    G, gen = _surd_ints((a1.x, a1.y, a2.x, a2.y))
+    den = a1.cross(a2)
+    K, coef = _surd_ints(
+        (exact_div(a2.y, den), exact_div(-a1.y, den), exact_div(-a2.x, den), exact_div(a1.x, den))
+    )
+    segs = [_segments(g) for g in (g1, g2)]
+    T, starts = _surd_ints([t0 for sg in segs for t0, _, _ in sg])
+    E, lines = _surd_ints([c for sg in segs for t0, u0, m in sg for c in (m, u0 - t0 * m)])
+    duals = []
+    next_start, next_line = iter(starts).__next__, iter(lines).__next__
+    for i, sg in enumerate(segs):
+        knots = [next_start() for _ in sg][1:]  # every piece but the first starts at a knot
+        pieces = [next_line() + next_line() for _ in sg]  # (mA, mB, cA, cB)
+        duals.append((gen[2 * i], gen[2 * i + 1], knots, pieces))
+    (k11a, k11b), (k12a, k12b), (k21a, k21b), (k22a, k22b) = coef
+    KE = K * E
+    for j, v, d in todo:
+        xa, xb, xD = _point_ints(v.x)
+        ya, yb, yD = _point_ints(v.y)
+        P = math.lcm(xD, yD)
+        Xa, Xb = xa * (P // xD), xb * (P // xD)
+        Ya, Yb = ya * (P // yD), yb * (P // yD)
+        Du = G * P
+        W = []
+        for (px, qx), (py, qy), knots, pieces in duals:
+            UA = px * Xa + py * Ya + (qx * Xb + qy * Yb) * d
+            UB = px * Xb + qx * Xa + py * Yb + qy * Ya
+            fl = _floor_surd(UA, UB, d, Du)
+            SA = UA - fl * Du
+            k = 0
+            for tA, tB in knots:
+                if not _surd_nonneg(SA * T - tA * Du, UB * T - tB * Du, d):
+                    break
+                k += 1
+            mA, mB, cA, cB = pieces[k]
+            W.append(((fl * E + cA) * Du + mA * SA + mB * UB * d, mA * UB + mB * SA + cB * Du))
+        (w1a, w1b), (w2a, w2b) = W
+        Dn = KE * Du
+        images[j] = Vec2(
+            _decode(k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
+                    k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a, Dn, d),
+            _decode(k21a * w1a + k22a * w2a + (k21b * w1b + k22b * w2b) * d,
+                    k21a * w1b + k21b * w1a + k22a * w2b + k22b * w2a, Dn, d),
+        )
+
+
+def _point_ints(c) -> tuple[int, int, int]:
+    """(A, B, D) with c = (A + B*sqrt(d))/D for an int, Fraction or SqrtExt c."""
+    if isinstance(c, SqrtExt):
+        a, b = c.a, c.b
+        D = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+    return c.numerator, 0, c.denominator
+
+
+def _decode(A: int, B: int, D: int, d: int):
+    """(A + B*sqrt(d))/D as a Fraction, or as a SqrtExt when B != 0."""
+    if B == 0:
+        return Fraction(A, D)
+    return SqrtExt(Fraction(A, D), Fraction(B, D), d)
+
+
+def _first_double_at_least(t) -> float:
+    """The smallest double >= t: s >= it exactly when t <= s for a double s."""
+    f = float(t)
+    return math.nextafter(f, math.inf) if f < t else f
+
+
+def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
+    """The float lane: images[j] for each j in todo, xy holding their rows.
+
+    Every step is the float operation the scalar formula performs on float
+    data, in the same order (an exact constant c enters as float(c), as
+    Python's mixed arithmetic does), so the images are bit-identical.  Only
+    the knot comparison t <= s is exact in the scalar formula; it becomes
+    s >= the smallest double >= t.  The first point whose floor or
+    fractional part the scalar formula refuses (s rounded up to 1.0, a
+    non-finite dual coordinate) raises that refusal, after the images
+    before it are built.
+    """
+    X, Y = xy[:, 0], xy[:, 1]
+    bad = np.zeros(len(todo), dtype=bool)
+    ws = []
+    with np.errstate(all="ignore"):
+        for a, g in ((a1, g1), (a2, g2)):
+            u = float(a.x) * X + float(a.y) * Y
+            fl = np.floor(u) + 0.0  # float(math.floor(u)): no -0.0
+            s = u - fl
+            bad |= ~((s >= 0.0) & (s < 1.0))
+            segs = _segments(g)
+            k = np.searchsorted([_first_double_at_least(t0) for t0, _, _ in segs], s, side="right") - 1
+            t0, u0, m = (np.array([float(c) for c in col])[k] for col in zip(*segs))
+            ws.append(fl + (u0 + (s - t0) * m))
+        w1, w2 = ws
+        den = float(a1.cross(a2))
+        x = (w1 * float(a2.y) - w2 * float(a1.y)) / den
+        y = (float(a1.x) * w2 - float(a2.x) * w1) / den
+    stop = int(np.argmax(bad)) if bad.any() else len(todo)
+    for j, wx, wy in zip(todo[:stop], x[:stop].tolist(), y[:stop].tolist()):
+        images[j] = Vec2(wx, wy)
+    if stop < len(todo):
+        for a, g in ((a1, g1), (a2, g2)):
+            u = float(a.x) * float(xy[stop, 0]) + float(a.y) * float(xy[stop, 1])
+            apply_fractional_map(g, u)  # raises as the scalar formula does
+
+
+def _box_images(shape: NormShape, g1, g2, points, floats) -> list[Vec2]:
+    """Images of points under the box product map; floats() is their n x 2
+    float array, read only if some point takes the float lane."""
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise StepIsoError("box product maps need a box (two-generator) shape")
     a1, a2 = shape.generators
-    w1 = apply_fractional_map(g1, a1.dot(v))
-    w2 = apply_fractional_map(g2, a2.dot(v))
-    den = a1.cross(a2)
-    return Vec2(
-        exact_div(w1 * a2.y - w2 * a1.y, den),
-        exact_div(a1.x * w2 - a2.x * w1, den),
-    )
+    setup = [a1.x, a1.y, a2.x, a2.y] + [c for g in (g1, g2) for knot in g.knots for c in knot]
+    float_setup = any(isinstance(c, float) for c in setup)
+    radicands = {c.d for c in setup if isinstance(c, SqrtExt)}
+    if len(radicands) > 1:
+        raise TypeError(f"box product map mixes radicands {sorted(radicands)}")
+    setup_d = radicands.pop() if radicands else 0
+
+    exact_todo, float_todo = [], []
+    refusal = None
+    for j, v in enumerate(points):
+        x, y = v.x, v.y
+        if float_setup or isinstance(x, float) or isinstance(y, float):
+            if setup_d or isinstance(x, SqrtExt) or isinstance(y, SqrtExt):
+                refusal = TypeError(f"point {j}: a float and a SqrtExt have no common field")
+                break
+            float_todo.append(j)
+            continue
+        d = setup_d
+        for c in (x, y):
+            if isinstance(c, SqrtExt):
+                if d and c.d != d:
+                    refusal = TypeError(f"point {j}: radicands {d} and {c.d} have no common field")
+                    break
+                d = c.d
+        if refusal is not None:
+            break
+        exact_todo.append((j, v, d))
+
+    images = [None] * len(points)
+    if exact_todo:
+        _exact_images(a1, a2, g1, g2, exact_todo, images)
+    if float_todo:
+        xy = floats()
+        if len(float_todo) < len(xy):
+            xy = xy[float_todo]
+        _float_images(a1, a2, g1, g2, float_todo, xy, images)
+    if refusal is not None:
+        raise refusal
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +384,12 @@ class PointMap:
                 f"{len(self.images)} images for {len(self.domain)} domain points"
             )
         seen = set()
-        for w in self.images:
+        for k, w in enumerate(self.images):
             if not isinstance(w, Vec2):
                 raise StepIsoError("images must be Vec2")
-            key = (w.x, w.y)
-            if key in seen:
+            seen.add((w.x, w.y))  # one hash per image; a repeat leaves the size at k
+            if len(seen) == k:
                 raise StepIsoError(f"map is not injective: image {w} repeats")
-            seen.add(key)
 
     def __len__(self):
         return len(self.images)
@@ -220,9 +419,26 @@ def explicit_1d_point_map(domain: PointSet) -> PointMap:
 def box_product_point_map(
     domain: PointSet, shape: NormShape, g1: Interleaving1D, g2: Interleaving1D
 ) -> PointMap:
-    return PointMap.from_function(
-        domain, lambda p: box_product_map(shape, g1, g2, p), "box-product", (g1, g2)
-    )
+    """`box_product_map` over the whole domain, in one pass per lane.
+
+    Exact points (int, Fraction, SqrtExt) under exact generators and knots
+    take the integer lane: each dual coordinate is an int pair over one
+    denominator, read as (A + B*sqrt(d))/D, and each image coordinate is
+    built once, as the Fraction or SqrtExt the scalar formula gives.  Every
+    other point takes the float lane, one numpy pass over
+    ``domain.as_array()`` that repeats the scalar formula's float operations
+    in its order, so float images are bit-identical to it and the scalar
+    formula's refusals (a fractional part rounded up to 1.0) are raised for
+    the same first point.  Floats and SqrtExt values never meet: a point
+    that would combine them, or two radicands, raises TypeError.
+
+    Exact points under float generators or knots, and points with one
+    exact and one float coordinate, also take the float lane, on their
+    coordinates rounded to floats; where the scalar formula rounds an exact
+    product or fractional part instead, an image may differ in the last bit.
+    """
+    images = _box_images(shape, g1, g2, domain.points, domain.as_array)
+    return PointMap(domain, images, "box-product", (g1, g2))
 
 
 def pointmap_to_json(pmap: PointMap) -> str:
@@ -275,9 +491,11 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdic
     marks(dd, di, scale) flags the pairs that may fail, scale being 1 plus
     the coordinate scale.  Each flagged pair is then decided in order by
     fails(left, right) on the scalar values scalar(shape, x, y) of both
-    sides, exact for exact data.
+    sides, exact for exact data.  SqrtExt data under float generators is
+    refused up front (GeometryError).
     """
     pts, ims = pmap.domain.points, pmap.images
+    _refuse_mixed_fields(shape, pts + ims)
     n = len(pts)
     if n < 2:
         return Verdict(True, checked=0)

@@ -23,6 +23,7 @@ from larg_lab.anchoring import (
     validate_good_enumeration,
 )
 from larg_lab.geometry import (
+    GeometryError,
     LpShape,
     PolygonShape,
     Vec2,
@@ -267,6 +268,14 @@ def test_box_shape_rejected():
     enum = good_enumeration(ps, HEX)
     with pytest.raises(AnchoringError, match="box"):
         validate_good_enumeration(dataclasses.replace(enum, shape=square_linf()))
+
+
+def test_redundant_generators_rejected():
+    # the unit square written with four generators: the diagonal faces only
+    # touch its corners, where they tie, so no point could ever be placed
+    square4 = PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(F(1, 2), F(1, 2)), Vec2(F(1, 2), F(-1, 2))])
+    with pytest.raises(GeometryError, match="redundant generator"):
+        good_enumeration(rational_sample(1), square4)
 
 
 def test_float_and_smooth_enumerations():

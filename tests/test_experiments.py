@@ -45,7 +45,14 @@ from larg_lab.geometry import (
     square_linf,
 )
 from larg_lab.larg import GeoGraph, pair_uniform_array, sample_larg
-from larg_lab.pointsets import PointSet, Window, rescale_to_idf, sample_poisson_window
+from larg_lab.pointsets import (
+    PointSet,
+    Window,
+    pointset_from_json,
+    pointset_to_json,
+    rescale_to_idf,
+    sample_poisson_window,
+)
 
 
 def hex_enumeration(intensity=10.0, seed=5, size=Fraction(3, 2), shape=None):
@@ -610,3 +617,20 @@ class TestCoinRows:
         with mock.patch.object(larg, "_BLOCK_CELLS", cells):
             got = _coin_rows(11, 6, 1, 13, us, vs, in_range, 0.4)
         assert got.dtype == bool and np.array_equal(got, want)
+
+
+def test_graph_searches_accept_a_reloaded_point_set():
+    # graphs name their set by fingerprint; a set with int coordinates keeps
+    # it through JSON, where the ints come back as Fractions
+    sample = sample_poisson_window(
+        Window(Fraction(0), Fraction(0), Fraction(3, 2), Fraction(3, 2)), 10.0, seed=5, mode="rational"
+    )
+    ps = PointSet(sample.points + (Vec2(1, 1), Vec2(0, 1)), sample.window, 5, mode="rational")
+    back = pointset_from_json(pointset_to_json(ps))
+    assert any(isinstance(c, int) for v in ps.points for c in (v.x, v.y))
+    shape = rational_hexagon()
+    G = sample_larg(ps, shape, 1, 0.5, edge_seed=1)
+    H = sample_larg(ps, shape, 1, 0.5, edge_seed=2)
+    outcome, _ = back_and_forth_isomorphism(G, H, back, shape, budget=50)
+    assert outcome in ("isomorphic", "none", "undetermined")
+    assert partial_isomorphism_exists(G, H, good_enumeration(back, shape), 3) in (True, False)

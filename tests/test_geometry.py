@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from larg_lab.exact import BoundaryAmbiguityError
+from larg_lab.anchoring import good_enumeration
+from larg_lab.exact import BoundaryAmbiguityError, SqrtExt
 from larg_lab.geometry import (
     GeometryError,
     Line,
@@ -31,6 +32,11 @@ from larg_lab.geometry import (
     support,
     truncated_distance,
 )
+from larg_lab.larg import in_range_pairs, sample_larg
+from larg_lab.pointsets import PointSet, Window
+from larg_lab.stepiso import PointMap, is_isometry, is_step_isometry
+
+F = Fraction
 
 # ---------------------------------------------------------------------------
 # oracle: polygon boundary via brute-force vertex enumeration + ray crossing
@@ -212,6 +218,40 @@ def test_polygon_shape_validation():
     bad = PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(Fraction(1, 4), Fraction(1, 4))])
     with pytest.raises(GeometryError):
         bad.vertices()
+
+
+def test_redundant_generator_rejected():
+    # a face line that only touches a corner of the shape repeats that vertex
+    for diag in ((F(1, 2), F(1, 2)), (0.5, 0.5)):
+        square4 = PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(*diag), Vec2(diag[0], -diag[1])])
+        with pytest.raises(GeometryError, match="redundant generator"):
+            square4.vertices()
+        with pytest.raises(GeometryError, match="redundant generator"):
+            support(square4, Vec2(1, 0))
+    assert len(PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(F(2, 3), F(2, 3))]).vertices()) == 6
+
+
+def test_sqrt_points_refused_under_float_generators():
+    # every pair here is decided by the float filters alone (no distance is
+    # near 1 or an integer), so only the up-front check can refuse them
+    hexa = regular_hexagon()
+    pts = (Vec2(SqrtExt(0, 1, 2), 0), Vec2(SqrtExt(5, 3, 2), F(1, 3)), Vec2(F(1, 2), SqrtExt(9, 1, 2)))
+    ps = PointSet(pts, Window(F(-20), F(-20), F(20), F(20)), 0, mode="rational")
+    calls = {
+        "distance": lambda: distance(hexa, pts[0], pts[1]),
+        "in_range_pairs": lambda: in_range_pairs(ps, hexa, 1),
+        "sample_larg": lambda: sample_larg(ps, hexa, 1, 0.5, edge_seed=1),
+        "good_enumeration": lambda: good_enumeration(ps, hexa),
+        "is_step_isometry": lambda: is_step_isometry(PointMap(ps, pts), hexa),
+        "is_isometry": lambda: is_isometry(PointMap(ps, pts), hexa),
+    }
+    for name, call in calls.items():
+        with pytest.raises(GeometryError, match="SqrtExt"):
+            call()
+    # exact generators take the same points
+    rhex = rational_hexagon()
+    assert distance(rhex, pts[0], pts[1]) == max(abs(a.dot(pts[0] - pts[1])) for a in rhex.generators)
+    assert is_step_isometry(PointMap(ps, pts), rational_hexagon()).ok
 
 
 def test_lp_shape_validation():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from larg_lab.exact import SqrtExt
 from larg_lab.geometry import Vec2, distance, rational_hexagon, square_linf
 from larg_lab.pointsets import (
     PointSet,
@@ -288,6 +289,30 @@ def test_pointset_json_round_trip_float():
     ps = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 50.0, seed=21)
     back = pointset_from_json(pointset_to_json(ps))
     assert back.points == ps.points  # float repr round-trips exactly via json
+
+
+def test_fingerprint_survives_json_round_trip():
+    # an int coordinate reads back as the equal Fraction, and hashes as one
+    F = Fraction
+    ps = PointSet((Vec2(1, 2), Vec2(F(1, 2), 0)), Window(F(0), F(0), F(3), F(3)), 0, mode="rational")
+    back = pointset_from_json(pointset_to_json(ps))
+    assert back.points == ps.points
+    assert ps.fingerprint() == back.fingerprint() == "ca01d87e4c13fe53"
+    # Fraction, float and SqrtExt sets keep the fingerprints they had before
+    kept = {
+        "d574d10fced32154": PointSet(
+            (Vec2(F(1, 3), F(-2, 5)), Vec2(F(7, 2), F(0))), Window(F(0), F(0), F(4), F(4)), 0, mode="rational"
+        ),
+        "9e2f9f2bf8801f34": PointSet((Vec2(0.25, 1.5), Vec2(-3.0, 2.0)), Window(-4.0, -4.0, 4.0, 4.0), 0),
+        "0c0998ea59ef06fc": PointSet(
+            (Vec2(SqrtExt(1, 1, 2), F(1, 2)), Vec2(F(0), SqrtExt(F(1, 3), -1, 3))),
+            Window(F(-4), F(-4), F(4), F(4)),
+            0,
+            mode="rational",
+        ),
+    }
+    for fp, kept_set in kept.items():
+        assert kept_set.fingerprint() == fp
 
 
 def test_pointset_json_reads_older_files():

@@ -7,11 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import larg
-from larg_lab.exact import BoundaryAmbiguityError, SqrtExt
+from larg_lab.exact import BoundaryAmbiguityError, SqrtExt, exact_div
 from larg_lab.geometry import (
     Line,
     LpShape,
@@ -231,6 +231,124 @@ def test_box_product_slanted_shape_round_trip():
         w = box_product_map(sh, g1, g2, v)
         assert a1.dot(w) == apply_fractional_map(g1, a1.dot(v))
         assert a2.dot(w) == apply_fractional_map(g2, a2.dot(v))
+
+
+def reference_box_product_map(shape, g1, g2, v):
+    """The per-point formula the lanes replace: both dual coordinates through
+    apply_fractional_map, then the 2 x 2 solve, in scalar arithmetic."""
+    a1, a2 = shape.generators
+    w1 = apply_fractional_map(g1, a1.dot(v))
+    w2 = apply_fractional_map(g2, a2.dot(v))
+    den = a1.cross(a2)
+    return Vec2(exact_div(w1 * a2.y - w2 * a1.y, den), exact_div(a1.x * w2 - a2.x * w1, den))
+
+
+def outcome(fn):
+    """("ok", value) or ("raised", exception type, message)."""
+    try:
+        return ("ok", fn())
+    except Exception as err:  # the refusal itself is compared
+        return ("raised", type(err), str(err))
+
+
+def assert_same_images(got, want):
+    """Equal outcomes: the same error, or images equal in value and type,
+    floats bit for bit (sign of zero included), SqrtExt over the same d."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1:] == want[1:]
+        return
+    assert len(got[1]) == len(want[1])
+    for w, r in zip(got[1], want[1]):
+        for c, e in ((w.x, r.x), (w.y, r.y)):
+            assert type(c) is type(e), (w, r)
+            if isinstance(e, float):
+                assert c.hex() == e.hex(), (w, r)
+            else:
+                assert c == e, (w, r)
+            if isinstance(e, SqrtExt):
+                assert c.d == e.d
+
+
+BOXES = (
+    box_shape(Vec2(1, 0), Vec2(0, 1)),
+    box_shape(Vec2(1, 1), Vec2(1, -1)),
+    box_shape(Vec2(1, 0), Vec2(1, 2)),
+)
+KNOT_POOL = (F(1, 10), F(2, 7), F(1, 3), F(1, 2), F(5, 8))
+
+
+@st.composite
+def interleavings(draw):
+    """Maps with 1-3 knots taken from KNOT_POOL, which has 1/3 and 2/7."""
+    k = draw(st.integers(1, 3))
+    pick = st.lists(st.sampled_from(KNOT_POOL), min_size=k - 1, max_size=k - 1, unique=True)
+    return Interleaving1D(((0, 0),) + tuple(zip(sorted(draw(pick)), sorted(draw(pick)))))
+
+
+def _float_coords():
+    """Floats of every kind the float lane must repeat bit for bit: plain,
+    integers (s = 0), just below an integer, tiny negatives (s rounds up to
+    1.0, which the scalar formula refuses) and the doubles next to a knot."""
+    near_knots = [
+        c for t in KNOT_POOL for f in (float(t),) for c in (f, math.nextafter(f, 2), math.nextafter(f, -1))
+    ]
+    return st.one_of(
+        st.floats(-20, 20),
+        st.integers(-6, 6).map(float),
+        st.integers(-6, 6).map(lambda k: math.nextafter(k, -math.inf)),
+        st.sampled_from([-1e-20, -1e-300, -0.0]),
+        st.sampled_from(near_knots),
+    )
+
+
+_fractions = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+_EXACT_COORDS = {
+    "int": st.integers(-6, 6),
+    "fraction": st.one_of(
+        _fractions, st.builds(lambda k, t: k + t, st.integers(-3, 3), st.sampled_from(KNOT_POOL))
+    ),
+    "sqrt2": st.builds(lambda a, b: SqrtExt.make(a, b, 2), _fractions, _fractions),
+    "sqrt3": st.builds(lambda a, b: SqrtExt.make(a, b, 3), _fractions, _fractions),
+}
+
+
+@st.composite
+def box_domains(draw):
+    """Distinct points of one kind (int, Fraction, SqrtExt over d = 2 or 3,
+    float) or a mix of Fraction points and float points."""
+    kind = draw(st.sampled_from(sorted(_EXACT_COORDS) + ["float", "mixed"]))
+    if kind == "mixed":
+        points = st.one_of(*(st.tuples(c, c) for c in (_EXACT_COORDS["fraction"], _float_coords())))
+    else:
+        coords = _float_coords() if kind == "float" else _EXACT_COORDS[kind]
+        points = st.tuples(coords, coords)
+    pairs = draw(st.lists(points, min_size=1, max_size=25, unique_by=lambda xy: (xy[0] + 0, xy[1] + 0)))
+    return [Vec2(x, y) for x, y in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BOXES), interleavings(), interleavings(), box_domains())
+# float(1/3) < 1/3 and float(2/7) < 2/7 lie on the first piece, where the
+# image differs in the last bit from the second piece's
+@example(BOXES[0], Interleaving1D(((0, 0), (F(1, 3), F(1, 10)))), Interleaving1D(((0, 0), (F(2, 7), F(1, 10)))),
+         [Vec2(float(F(1, 3)), float(F(2, 7))), Vec2(math.nextafter(float(F(1, 3)), 1), 0.5)])
+@example(BOXES[2], canonical_interleaving(), canonical_interleaving(),
+         [Vec2(2.5, 0.25), Vec2(-1e-20, 0.5), Vec2(3.0, 1.0)])
+@example(BOXES[1], Interleaving1D(((0, 0), (F(2, 7), F(1, 10)), (F(1, 3), F(1, 2)))), canonical_interleaving(),
+         [Vec2(F(-7, 3), F(2, 7)), Vec2(F(5, 4), F(1, 12)), Vec2(0, 3)])
+def test_box_product_point_map_matches_scalar_reference(shape, g1, g2, pts):
+    exact = all(v.is_exact() for v in pts)
+    ps = PointSet(tuple(pts), Window(-100, -100, 100, 100), 0, "rational" if exact else "float")
+    want = outcome(
+        lambda: PointMap.from_function(ps, lambda v: reference_box_product_map(shape, g1, g2, v)).images
+    )
+    assert_same_images(outcome(lambda: box_product_point_map(ps, shape, g1, g2).images), want)
+    for v in pts:
+        assert_same_images(
+            outcome(lambda: (box_product_map(shape, g1, g2, v),)),
+            outcome(lambda: (reference_box_product_map(shape, g1, g2, v),)),
+        )
 
 
 # ---------------------------------------------------------------------------
