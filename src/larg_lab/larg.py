@@ -8,8 +8,12 @@ growing the point set keeps every previously drawn coin, which is what makes
 nested-window experiments consistent.
 
 In-range pairs come from one kernel for float and exact point sets alike: a
-float sweep, with the scalar distance deciding the pairs whose float distance
-lies within a guard of delta.  Edges are held as sorted int64 arrays.
+float sweep in cache-sized row blocks, with the scalar distance deciding the
+pairs whose float distance lies within a guard of delta.  sample_larg draws
+the coins of each block as the sweep yields it, from a per-vertex table of the
+hash's seed and first-vertex stages, and sends only pairs whose coin is below
+p to the scalar distance; a block keeps only its edges, so memory follows the
+edges, not the in-range pairs.  Edges are held as sorted int64 arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ class LargError(ValueError):
     pass
 
 
-# splitmix64 finalizer; wraparound arithmetic mod 2^64
+# splitmix64 finalizer; wraparound arithmetic mod 2^64.  A pair's coin mixes
+# the seed, then absorbs min(u, v) + 1, then max(u, v) + 1.
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
@@ -67,6 +72,25 @@ def pair_uniform(edge_seed: int, u: int, v: int) -> float:
     return h / 2.0**64
 
 
+def _seed_stage(edge_seed) -> np.uint64:
+    # in Python ints: numpy warns on scalar uint64 overflow
+    return np.uint64(_mix(int(edge_seed) & _MASK))
+
+
+def _absorb(h, w: np.ndarray) -> np.ndarray:
+    """One vertex stage, mix(h ^ ((w + 1) * GOLD)), in place on the private
+    uint64 array w (array arithmetic wraps without a warning)."""
+    w += np.uint64(1)
+    w *= np.uint64(_GOLD)
+    w ^= h
+    w ^= w >> np.uint64(30)
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    w ^= w >> np.uint64(27)
+    w *= np.uint64(0x94D049BB133111EB)
+    w ^= w >> np.uint64(31)
+    return w
+
+
 def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Vectorized pair_uniform; bit-identical to the scalar version.
 
@@ -81,39 +105,35 @@ def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     del us, vs
     if np.any(a == b):
         raise LargError("pair needs two distinct vertices")
+    if np.ndim(edge_seed) == 0:
+        h = _seed_stage(edge_seed)
+    else:
+        if np.ndim(edge_seed) != 1:
+            raise LargError("edge_seed must be one seed or a 1-D sequence of seeds")
+        h = np.array([_seed_stage(s) for s in edge_seed], dtype=np.uint64)[:, None]
+        a = np.repeat(a[None, :], len(h), axis=0)
+        b = np.repeat(b[None, :], len(h), axis=0)
+    return _absorb(_absorb(h, a), b) / 2.0**64
 
-    def mix(z):
-        # in place on arrays (a, b and a seed column are private copies), so
-        # one pair array of temporaries at a time; rebinds a scalar z
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
 
-    with np.errstate(over="ignore"):
-        if np.ndim(edge_seed) == 0:
-            h = mix(np.uint64(edge_seed & _MASK))
-        else:
-            if np.ndim(edge_seed) != 1:
-                raise LargError("edge_seed must be one seed or a 1-D sequence of seeds")
-            h = mix(np.array([int(s) & _MASK for s in edge_seed], dtype=np.uint64)[:, None])
-            a = np.repeat(a[None, :], len(h), axis=0)
-            b = np.repeat(b[None, :], len(h), axis=0)
-        for w in (a, b):
-            w += np.uint64(1)
-            w *= np.uint64(_GOLD)
-            w ^= h
-            h = mix(w)
-    return h / 2.0**64
+def _vertex_table(edge_seed, n: int) -> np.ndarray:
+    """The coin hash of edge_seed after its first vertex, for each vertex
+    0..n-1: the coin of u < v is ``_table_coins(table, u, v)``."""
+    return _absorb(_seed_stage(edge_seed), np.arange(n, dtype=np.uint64))
+
+
+def _table_coins(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """pair_uniform_array(edge_seed, lo, hi) for pairs lo < hi, from the
+    _vertex_table of edge_seed."""
+    return _absorb(table[lo], hi.astype(np.uint64)) / 2.0**64
 
 
 class EdgeSet(Set):
     """Read-only set view of a graph's edges.
 
     Holds the pairs (u, v), u < v, as two int64 arrays in lexicographic
-    order; iteration yields int tuples in that order.  Equal to, and hashes
+    order; iteration yields int tuples in that order.  Contiguous int64
+    arrays are kept without a copy and made read-only.  Equal to, and hashes
     like, the frozenset of the same pairs; set operations such as ``^``
     return frozensets.
     """
@@ -124,7 +144,7 @@ class EdgeSet(Set):
         u, v = np.asarray(u), np.asarray(v)
         if u.ndim != 1 or u.shape != v.shape or u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
             raise LargError("edge arrays must be two integer vectors of one length")
-        u, v = u.astype(np.int64), v.astype(np.int64)
+        u, v = np.ascontiguousarray(u, dtype=np.int64), np.ascontiguousarray(v, dtype=np.int64)
         du, dv = np.diff(u), np.diff(v)
         if not ((u < v).all() and ((du > 0) | ((du == 0) & (dv > 0))).all()):
             raise LargError("edges must be pairs u < v in strictly increasing order")
@@ -277,22 +297,17 @@ def _block_gaps(cols: np.ndarray, q, i0: int, i1: int, j1: int) -> np.ndarray:
     return acc
 
 
-def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs u < v with distance(shape, points[u], points[v]) < delta.
+def _in_range_blocks(points: PointSet, shape: NormShape, delta):
+    """The float sweep behind in_range_pairs and sample_larg, block by block.
 
-    Returns two int64 arrays in lexicographic order.  Distances are filtered
-    in float; a pair whose float distance lies within a guard of delta is
-    decided by the scalar ``distance(...) < delta``, which is exact for
-    exact point sets.  The sweep sorts the points by a coordinate that never
-    exceeds the distance (the first generator's projection for polygons, x
-    for L^p), so each point is compared only with the points that follow it
-    by less than delta along that coordinate.  SqrtExt points under float
-    generators are refused up front (GeometryError).
+    Yields, per row block, int64 original indices lo < hi of the pairs whose
+    float distance is at most delta plus a guard, and a flag `sure` that
+    their float distance is below delta minus the guard.  A pair not sure
+    is in range iff the scalar ``distance(...) < delta`` says so.
     """
     _refuse_mixed_fields(shape, points.points)
-    n = len(points)
-    if n < 2:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if len(points) < 2:
+        return
     arr = points.as_array()
     cols, reach, q = _columns(arr, shape)
     fdelta = float(delta)
@@ -306,28 +321,54 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     order = np.argsort(cols[0]).astype(np.int64, copy=False)
     cols = cols[:, order]
     ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
-
-    # each pair is kept as one key u*n + v, which halves the pair arrays
-    found_key, found_sure = [], []
     for i0, i1, j1, upper in _row_blocks(ends):
         acc = _block_gaps(cols, q, i0, i1, j1)
         r, c = np.nonzero((acc <= outer) & upper)
         a, b = order[r + i0], order[c + i0]
-        found_key.append(np.minimum(a, b) * n + np.maximum(a, b))
-        found_sure.append(acc[r, c] < inner)
+        yield np.minimum(a, b), np.maximum(a, b), acc[r, c] < inner
 
-    key = np.concatenate(found_key)
-    del found_key
-    keep = np.concatenate(found_sure)
-    near = np.flatnonzero(~keep)
+
+def _kept_keys(points: PointSet, shape: NormShape, delta, lo, hi, sure) -> np.ndarray:
+    """Keys lo*n + hi of the pairs that are sure or that the scalar
+    distance puts in range; `sure` is updated in place."""
+    near = np.flatnonzero(~sure)
     if len(near):
         pts = points.points
-        keep[near] = [
-            distance(shape, pts[k // n], pts[k % n]) < delta for k in key[near].tolist()
+        sure[near] = [
+            distance(shape, pts[a], pts[b]) < delta
+            for a, b in zip(lo[near].tolist(), hi[near].tolist())
         ]
-    key = np.sort(key[keep])
+    return lo[sure] * len(points) + hi[sure]
+
+
+def _decode_keys(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (u, v) in lexicographic order from a list of key arrays u*n + v,
+    which is emptied; the sort and the decoding reuse the joined array."""
+    key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    keys.clear()
+    key.sort()
     u = key // n
-    return u, key - u * n
+    np.remainder(key, n, out=key)
+    return u, key
+
+
+def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs u < v with distance(shape, points[u], points[v]) < delta.
+
+    Returns two int64 arrays in lexicographic order.  Distances are filtered
+    in float; a pair whose float distance lies within a guard of delta is
+    decided by the scalar ``distance(...) < delta``, which is exact for
+    exact point sets.  The sweep sorts the points by a coordinate that never
+    exceeds the distance (the first generator's projection for polygons, x
+    for L^p), so each point is compared only with the points that follow it
+    by less than delta along that coordinate.  SqrtExt points under float
+    generators are refused up front (GeometryError).
+    """
+    keys = [
+        _kept_keys(points, shape, delta, lo, hi, sure)
+        for lo, hi, sure in _in_range_blocks(points, shape, delta)
+    ]
+    return _decode_keys(keys, len(points))
 
 
 def sample_larg(
@@ -336,20 +377,27 @@ def sample_larg(
     """Draw the local area random graph over `points`.
 
     Strict threshold: pairs at distance exactly delta are never adjacent.
+    The edges are the pairs of ``in_range_pairs`` whose
+    ``pair_uniform(edge_seed, u, v) < p``.  Each block of the sweep draws
+    its coins first, so only pairs whose coin is below p reach the scalar
+    distance, and only edges are kept past the block.
     """
     if not (0.0 < p < 1.0):
         raise LargError(f"p must be in (0, 1), got {p}")
     if not (delta > 0):
         raise LargError("delta must be positive")
-    u, v = in_range_pairs(points, shape, delta)
-    coin = pair_uniform_array(edge_seed, u, v) < p
+    table = _vertex_table(edge_seed, len(points))
+    keys = []
+    for lo, hi, sure in _in_range_blocks(points, shape, delta):
+        coin = _table_coins(table, lo, hi) < p
+        keys.append(_kept_keys(points, shape, delta, lo[coin], hi[coin], sure[coin]))
     return GeoGraph(
         point_set_ref=points.fingerprint(),
         n=len(points),
         p=float(p),
         delta=delta,
         edge_seed=edge_seed,
-        edges=EdgeSet(u[coin], v[coin]),
+        edges=EdgeSet(*_decode_keys(keys, len(points))),
     )
 
 

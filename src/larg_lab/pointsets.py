@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import format_scalar, is_exact, parse_scalar
+from .exact import SqrtExt, format_scalar, is_exact, parse_scalar
 from .geometry import Vec2
 
 __all__ = [
@@ -75,7 +75,10 @@ class Window:
 
 @dataclass
 class PointSet:
-    """Distinct plane points plus sampling provenance; treat as immutable."""
+    """Distinct plane points plus sampling provenance; treat as immutable.
+
+    SqrtExt coordinates must share one radicand (PointSetError otherwise).
+    """
 
     points: tuple[Vec2, ...]
     window: Window
@@ -96,6 +99,14 @@ class PointSet:
             seen.add(key)
             if self.mode == "rational" and not v.is_exact():
                 raise PointSetError(f"float coordinate {v} in rational mode")
+        # SqrtExt values over different radicands do not compare, so no
+        # distance between such points could be decided
+        radicands = sorted(
+            {v.x.d for v in self.points if isinstance(v.x, SqrtExt)}
+            | {v.y.d for v in self.points if isinstance(v.y, SqrtExt)}
+        )
+        if len(radicands) > 1:
+            raise PointSetError(f"points mix the radicands {radicands}")
 
     def __len__(self):
         return len(self.points)

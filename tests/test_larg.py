@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -235,6 +236,52 @@ def test_in_range_pairs_matches_brute_force(problem):
         u, v = in_range_pairs(ps, shape, delta)
     assert u.dtype == v.dtype == np.int64
     assert list(zip(u.tolist(), v.tolist())) == brute_force_pairs(ps, shape, delta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_problems(), st.sampled_from([0.1, 0.5, 0.9]), st.integers(-(2**63), 2**64 - 1))
+def test_sample_larg_matches_brute_force(problem, p, seed):
+    # coins are drawn block by block and only coin-passing pairs near delta
+    # reach the scalar distance; the edges are still exactly the in-range
+    # pairs whose coin is below p
+    ps, shape, delta, block = problem
+    with mock.patch.object(larg, "_BLOCK_CELLS", block):
+        G = sample_larg(ps, shape, delta, p, edge_seed=seed)
+    want = [(u, v) for u, v in brute_force_pairs(ps, shape, delta) if pair_uniform(seed, u, v) < p]
+    assert list(G.edges) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 97])
+def test_vertex_table_coins_match_pair_uniform_array(n):
+    lo, hi = np.triu_indices(n, 1)
+    assert lo[0] == 0 and hi[-1] == n - 1
+    for seed in (0, 7, -1, 2**63, 2**64 - 1):
+        got = larg._table_coins(larg._vertex_table(seed, n), lo, hi)
+        want = pair_uniform_array(seed, lo, hi)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[n - 2] == pair_uniform(seed, 0, n - 1)
+
+
+def test_sample_larg_memory_follows_edges():
+    # 2000 float points in [0, 1.5]^2 under the rational hexagon: about a
+    # third of the pairs are in range and half of those become edges.  The
+    # traced peak stays within 3x the 16 bytes per edge of the result, plus
+    # the temporaries of one block of the sweep.
+    rng = np.random.default_rng(5)
+    ps = PointSet(
+        tuple(Vec2(float(x), float(y)) for x, y in rng.random((2000, 2)) * 1.5),
+        Window(0.0, 0.0, 1.5, 1.5),
+        seed=5,
+    )
+    sample_larg(ps, rational_hexagon(), 1, 0.5, edge_seed=3)  # fills the set's caches
+    tracemalloc.start()
+    try:
+        G = sample_larg(ps, rational_hexagon(), 1, 0.5, edge_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(G.edges) > 500_000
+    assert peak <= 3 * 16 * len(G.edges) + 128 * larg._BLOCK_CELLS
 
 
 def test_gnp_reduction():

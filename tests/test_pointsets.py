@@ -1,6 +1,7 @@
 """Windowed samplers, idf structure, rescaling, and PointSet round trips."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,23 @@ def test_pointset_rejects_duplicates_and_mode_mismatch():
         PointSet((Vec2(0.5, 0.5),), w, seed=0, mode="rational")
 
 
+def test_pointset_refuses_mixed_radicands():
+    # SqrtExt values over different radicands do not compare, so no distance
+    # between such points has an answer; the set is refused when it is made
+    F = Fraction
+    a, b = Vec2(SqrtExt(0, 1, 2), 0), Vec2(F(1, 2), SqrtExt(9, 1, 3))
+    with pytest.raises(TypeError):
+        distance(rational_hexagon(), a, b)
+    w = Window(F(-1), F(-1), F(20), F(20))
+    with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
+        PointSet((a, b), w, seed=0, mode="rational")
+    # one radicand is fine; a replace that mixes them is refused too
+    ps = PointSet((a, Vec2(F(1, 2), SqrtExt(9, 1, 2))), w, seed=0, mode="rational")
+    assert distance(rational_hexagon(), *ps.points) > 0
+    with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
+        replace(ps, points=(a, b))
+
+
 def test_pointset_json_round_trip_rational():
     ps = sample_poisson_window(
         Window(Fraction(0), Fraction(0), Fraction(2), Fraction(1)),
@@ -304,8 +322,8 @@ def test_fingerprint_survives_json_round_trip():
             (Vec2(F(1, 3), F(-2, 5)), Vec2(F(7, 2), F(0))), Window(F(0), F(0), F(4), F(4)), 0, mode="rational"
         ),
         "9e2f9f2bf8801f34": PointSet((Vec2(0.25, 1.5), Vec2(-3.0, 2.0)), Window(-4.0, -4.0, 4.0, 4.0), 0),
-        "0c0998ea59ef06fc": PointSet(
-            (Vec2(SqrtExt(1, 1, 2), F(1, 2)), Vec2(F(0), SqrtExt(F(1, 3), -1, 3))),
+        "5c5f8f171802a50b": PointSet(
+            (Vec2(SqrtExt(1, 1, 2), F(1, 2)), Vec2(F(0), SqrtExt(F(1, 3), -1, 2))),
             Window(F(-4), F(-4), F(4), F(4)),
             0,
             mode="rational",
