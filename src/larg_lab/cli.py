@@ -208,7 +208,7 @@ def _cmd_experiment(args) -> int:
     if not isinstance(cfg, dict):
         raise ExperimentError("box-demo config must be a JSON object")
     shape = shape_from_spec(cfg.get("shape", "square"))
-    if not isinstance(shape, PolygonShape):
+    if not shape.is_box():
         raise ExperimentError("box-demo needs a box shape")
     window = [parse_scalar(c) for c in cfg.get("window", ["0", "0", "3/2", "3/2"])]
     points = sample_poisson_window(

@@ -12,10 +12,14 @@ linear change of coordinates that turns the box metric into L-infinity,
 back-and-forth extension respecting truncated coordinates finds explicit
 isomorphisms routinely.
 
-Edge coins are counter-based, keyed by trial seed and vertex pair, so each
-decay row is evaluated in one pass that draws, per trial, only the coins of
-the pairs inside V_n and of their candidate images; the rows are reproducible
-bit for bit.
+A decay row's candidates follow the one numeric policy: a float table of
+the distances of V_n marks the pairs within a guard of an anchor distance,
+and only those are confirmed by the scalar distance. Edge coins are
+counter-based, keyed by trial seed and vertex pair, so each decay row is
+evaluated in one pass that draws, per trial, only the coins of the pairs
+inside V_n and of their candidate images. The trial seeds of a row are one
+uint64 array, and a block of trials draws its coins from per-trial vertex
+tables, one hash stage per coin; the rows are reproducible bit for bit.
 """
 
 import csv
@@ -48,7 +52,6 @@ from .larg import (
     GeoGraph,
     compatibility_probability,
     in_range_pairs,
-    pair_uniform_array,
     sample_larg,
 )
 from .pointsets import PointSet, Window, is_idf, sample_poisson_window
@@ -296,14 +299,19 @@ def _point_lookup(points: PointSet):
     return lookup
 
 
-def _extension_candidates(enum: GoodEnumeration, n: int) -> tuple:
+def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
     """Images of V_n under the plane isometries that map the anchor into V_n.
 
     At n = 3 every ordered triple of distinct vertices counts. From n = 4 on,
     anchor images w fix the affine map f(x) = w0 + L(x - m0); f is kept when
     L preserves the norm and f sends every later point of V_n to a distinct
     point of the sample. A norm-preserving f keeps every distance, so the
-    anchor distances must match first.
+    anchor distances must match first. They are filtered in float: one
+    table of float distances over V_n (larg's columns) marks the pairs
+    within the larg._BOUNDARY_GUARD rule of an anchor distance, and only
+    those pairs are confirmed by the scalar distance, each pair once. The
+    result is the scalar definition's own, in its order. `lookup` is the
+    _point_lookup of the enumeration's point set, built here when not given.
     """
     vn = enum.order[:n]
     if n == 3:
@@ -311,42 +319,52 @@ def _extension_candidates(enum: GoodEnumeration, n: int) -> tuple:
 
     pts = enum.point_set.points
     shape = enum.shape
-    lookup = _point_lookup(enum.point_set)
+    lookup = lookup or _point_lookup(enum.point_set)
+    arr = enum.point_set.as_array()[list(vn)]
+    cols, reach, q = larg._columns(arr, shape)
+    gaps = np.abs(cols[:, :, None] - cols[:, None, :])
+    fd = gaps.max(axis=0) if q is None else (gaps**q).sum(axis=0) ** (1.0 / q)
+    anchor = ((0, 1), (0, 2), (1, 2))
+    guard = larg._BOUNDARY_GUARD * (max(fd[a] for a in anchor) + reach * np.abs(arr).max())
+    near01, near02, near12 = (np.abs(fd - fd[a]) <= guard for a in anchor)
+
+    memo = {}
+
+    def dist(i: int, j: int):
+        # scalar distance of the V_n positions i, j; the earlier point first
+        key = (i, j) if i < j else (j, i)
+        if key not in memo:
+            memo[key] = distance(shape, pts[vn[key[0]]], pts[vn[key[1]]])
+        return memo[key]
+
+    d01, d02, d12 = (dist(*a) for a in anchor)
     m = tuple(pts[i] for i in vn[:3])
     rest = tuple(pts[i] - m[0] for i in vn[3:])
-    d01 = distance(shape, m[0], m[1])
-    d02 = distance(shape, m[0], m[2])
-    d12 = distance(shape, m[1], m[2])
-    pair_d = {}
-    for i, u in enumerate(vn):
-        for v in vn[i + 1 :]:
-            d = pair_d[(u, v)] = distance(shape, pts[u], pts[v])
-            pair_d[(v, u)] = d
     out = []
-    for u1 in vn:
-        for u2 in vn:
-            if u2 == u1 or pair_d[(u1, u2)] != d01:
+    # the scalar check drops a repeated vertex: its distance 0 is no anchor
+    # distance
+    for i1, i2 in zip(*(a.tolist() for a in np.nonzero(near01))):
+        if dist(i1, i2) != d01:
+            continue
+        for i3 in np.flatnonzero(near02[i1] & near12[i2]).tolist():
+            if dist(i1, i3) != d02 or dist(i2, i3) != d12:
                 continue
-            for u3 in vn:
-                if u3 == u1 or u3 == u2:
-                    continue
-                if pair_d[(u1, u3)] != d02 or pair_d[(u2, u3)] != d12:
-                    continue
-                w = (pts[u1], pts[u2], pts[u3])
-                L = _linear_part(m, w)
-                if L is None:
-                    continue
-                Lit = _inverse_transpose(L)
-                if Lit is None or not _is_shape_symmetry(shape, Lit):
-                    continue
-                images = [u1, u2, u3]
-                for x in rest:
-                    idx = lookup(w[0] + _apply(L, x))
-                    if idx is None or idx in images:
-                        break
-                    images.append(idx)
-                else:
-                    out.append(tuple(images))
+            u1, u2, u3 = vn[i1], vn[i2], vn[i3]
+            w = (pts[u1], pts[u2], pts[u3])
+            L = _linear_part(m, w)
+            if L is None:
+                continue
+            Lit = _inverse_transpose(L)
+            if Lit is None or not _is_shape_symmetry(shape, Lit):
+                continue
+            images = [u1, u2, u3]
+            for x in rest:
+                idx = lookup(w[0] + _apply(L, x))
+                if idx is None or idx in images:
+                    break
+                images.append(idx)
+            else:
+                out.append(tuple(images))
     return tuple(out)
 
 
@@ -398,24 +416,45 @@ def partial_isomorphism_exists(
 # decay experiment
 
 
+_TRIAL_MUL = 0xBF58476D1CE4E5B9
+
+
 def _trial_seed(base: int, n: int, t: int, side: int) -> int:
     # disjoint deterministic streams per (row, trial, graph side)
-    z = (base & _MASK64) ^ (n * 0x9E3779B97F4A7C15) ^ (t * 0xBF58476D1CE4E5B9)
+    z = (base & _MASK64) ^ (n * 0x9E3779B97F4A7C15) ^ (t * _TRIAL_MUL)
     return (z ^ (side * 0x94D049BB133111EB)) & _MASK64
+
+
+def _trial_seeds(base: int, n: int, trials: int, side: int) -> np.ndarray:
+    """_trial_seed(base, n, t, side) for t in range(trials), as one uint64
+    array: _trial_seed is XORs of products taken mod 2^64, and the array's
+    products wrap mod 2^64, so every bit agrees."""
+    seeds = np.arange(trials, dtype=np.uint64)
+    seeds *= np.uint64(_TRIAL_MUL)
+    seeds ^= np.uint64(_trial_seed(base, n, 0, side))
+    return seeds
 
 
 def _coin_rows(base: int, n: int, side: int, trials: int, us, vs, in_range, p: float):
     """trials x len(us) adjacency matrix of one graph side over the given pairs.
 
-    Coins are drawn for a block of trials per call, at most
-    larg._BLOCK_CELLS cells (one trial at least) per block.
+    The coin of pair (u, v) in trial t is pair_uniform(_trial_seed(base, n,
+    t, side), u, v). A block of trials, at most larg._BLOCK_CELLS coins or
+    table cells (one trial at least), builds a trials x vertices table of
+    the seed and first-vertex hash stages (larg._vertex_table over the
+    pairs' lower vertices), so each coin costs the one stage of its upper
+    vertex.
     """
+    seeds = _trial_seeds(base, n, trials, side)
+    us, vs = np.asarray(us), np.asarray(vs)
+    verts, k = np.unique(np.minimum(us, vs), return_inverse=True)
+    hi = np.maximum(us, vs)
     rows = np.empty((trials, len(us)), dtype=bool)
-    step = max(1, larg._BLOCK_CELLS // max(1, len(us)))
+    step = max(1, larg._BLOCK_CELLS // max(1, len(us), len(verts)))
     for t0 in range(0, trials, step):
-        seeds = [_trial_seed(base, n, t, side) for t in range(t0, min(trials, t0 + step))]
-        block = rows[t0 : t0 + len(seeds)]
-        np.less(pair_uniform_array(seeds, us, vs), p, out=block)
+        block = rows[t0 : t0 + step]
+        table = larg._vertex_table(seeds[t0 : t0 + step], verts)
+        np.less(larg._table_coins(table, k, hi), p, out=block)
         block &= in_range
     return rows
 
@@ -461,10 +500,14 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
 
     p_star = compatibility_probability(cfg.p, True)
     k = len(shape.generators)
+    lookup = _point_lookup(points)
     rows = []
     for n in cfg.n_values:
         prefix = enum.order[:n]
-        cands = (prefix,) if cfg.anchor_policy == "identity" else _extension_candidates(enum, n)
+        if cfg.anchor_policy == "identity":
+            cands = (prefix,)
+        else:
+            cands = _extension_candidates(enum, n, lookup)
         a, b = np.triu_indices(n, 1)
         gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
         images = np.asarray(cands, dtype=np.int64).reshape(len(cands), n)

@@ -61,6 +61,17 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """_mix in place on the private uint64 array z (array arithmetic wraps
+    without a warning)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def pair_uniform(edge_seed: int, u: int, v: int) -> float:
     """Deterministic uniform in [0, 1) for the unordered pair {u, v}."""
     if u == v:
@@ -72,32 +83,36 @@ def pair_uniform(edge_seed: int, u: int, v: int) -> float:
     return h / 2.0**64
 
 
-def _seed_stage(edge_seed) -> np.uint64:
-    # in Python ints: numpy warns on scalar uint64 overflow
-    return np.uint64(_mix(int(edge_seed) & _MASK))
+def _seed_stage(edge_seed) -> np.ndarray:
+    """The hash after mixing the seed: for one seed (any int, taken mod
+    2^64) a uint64 scalar, for a 1-D uint64 array of seeds an array."""
+    if np.ndim(edge_seed) == 0:
+        # in Python ints: numpy warns on scalar uint64 overflow
+        return np.uint64(_mix(int(edge_seed) & _MASK))
+    return _mix_array(np.array(edge_seed, dtype=np.uint64))
 
 
-def _absorb(h, w: np.ndarray) -> np.ndarray:
-    """One vertex stage, mix(h ^ ((w + 1) * GOLD)), in place on the private
-    uint64 array w (array arithmetic wraps without a warning)."""
+def _vertex_words(v) -> np.ndarray:
+    """(v + 1) * GOLD for vertex indices v, as a new uint64 array."""
+    w = np.array(v, dtype=np.uint64)
     w += np.uint64(1)
     w *= np.uint64(_GOLD)
-    w ^= h
-    w ^= w >> np.uint64(30)
-    w *= np.uint64(0xBF58476D1CE4E5B9)
-    w ^= w >> np.uint64(27)
-    w *= np.uint64(0x94D049BB133111EB)
-    w ^= w >> np.uint64(31)
     return w
 
 
-def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorized pair_uniform; bit-identical to the scalar version.
+def _absorb(h: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """One vertex stage, mix(h ^ words), in place on the private uint64
+    array h, which has the result's shape; words come from _vertex_words."""
+    h ^= words
+    return _mix_array(h)
 
-    edge_seed is one seed, giving one value per pair, or a 1-D sequence of
-    T seeds, giving a T x len(us) array whose row t equals
-    ``pair_uniform_array(edge_seed[t], us, vs)``.
-    """
+
+def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Vectorized pair_uniform for one seed; bit-identical to the scalar
+    version.  Blocks of trials draw their coins from per-trial vertex tables
+    (_vertex_table) instead."""
+    if np.ndim(edge_seed) != 0:
+        raise LargError("edge_seed must be one seed")
     us = np.asarray(us, dtype=np.uint64)
     vs = np.asarray(vs, dtype=np.uint64)
     a = np.minimum(us, vs)
@@ -105,27 +120,40 @@ def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     del us, vs
     if np.any(a == b):
         raise LargError("pair needs two distinct vertices")
-    if np.ndim(edge_seed) == 0:
-        h = _seed_stage(edge_seed)
-    else:
-        if np.ndim(edge_seed) != 1:
-            raise LargError("edge_seed must be one seed or a 1-D sequence of seeds")
-        h = np.array([_seed_stage(s) for s in edge_seed], dtype=np.uint64)[:, None]
-        a = np.repeat(a[None, :], len(h), axis=0)
-        b = np.repeat(b[None, :], len(h), axis=0)
-    return _absorb(_absorb(h, a), b) / 2.0**64
+    h = _absorb(_vertex_words(a), _seed_stage(edge_seed))
+    return _absorb(h, _vertex_words(b)) / 2.0**64
 
 
-def _vertex_table(edge_seed, n: int) -> np.ndarray:
-    """The coin hash of edge_seed after its first vertex, for each vertex
-    0..n-1: the coin of u < v is ``_table_coins(table, u, v)``."""
-    return _absorb(_seed_stage(edge_seed), np.arange(n, dtype=np.uint64))
+def _vertex_table(edge_seed, vertices: np.ndarray) -> np.ndarray:
+    """The coin hash of edge_seed after its first vertex, for each of the
+    given vertices: the coin of vertices[k] < v is
+    ``_table_coins(table, k, v)``.
+
+    edge_seed is one seed, giving one value per vertex, or a 1-D uint64
+    array of T seeds, giving a T x len(vertices) table whose row t is the
+    table of edge_seed[t].
+    """
+    h = np.expand_dims(_seed_stage(edge_seed), -1)
+    return _mix_array(h ^ _vertex_words(vertices))
 
 
-def _table_coins(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _table_coins(table: np.ndarray, k: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """pair_uniform_array(edge_seed, lo, hi) for pairs lo < hi, from the
-    _vertex_table of edge_seed."""
-    return _absorb(table[lo], hi.astype(np.uint64)) / 2.0**64
+    _vertex_table of edge_seed whose column k holds lo; a table of T rows
+    gives T rows of coins."""
+    return _absorb(table[..., k], _vertex_words(hi)) / 2.0**64
+
+
+def _sorted_pairs(u: np.ndarray, v: np.ndarray) -> bool:
+    """Are the pairs (u, v) all u < v and in strictly increasing
+    lexicographic order?  Checked in blocks of _BLOCK_CELLS pairs, each
+    overlapping the next by one, so the temporaries stay block-sized."""
+    for i0 in range(0, len(u), _BLOCK_CELLS):
+        bu, bv = u[i0 : i0 + _BLOCK_CELLS + 1], v[i0 : i0 + _BLOCK_CELLS + 1]
+        du = np.diff(bu)
+        if not ((bu < bv).all() and ((du > 0) | ((du == 0) & (bv[1:] > bv[:-1]))).all()):
+            return False
+    return True
 
 
 class EdgeSet(Set):
@@ -145,8 +173,7 @@ class EdgeSet(Set):
         if u.ndim != 1 or u.shape != v.shape or u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
             raise LargError("edge arrays must be two integer vectors of one length")
         u, v = np.ascontiguousarray(u, dtype=np.int64), np.ascontiguousarray(v, dtype=np.int64)
-        du, dv = np.diff(u), np.diff(v)
-        if not ((u < v).all() and ((du > 0) | ((du == 0) & (dv > 0))).all()):
+        if not _sorted_pairs(u, v):
             raise LargError("edges must be pairs u < v in strictly increasing order")
         u.flags.writeable = v.flags.writeable = False
         self.u, self.v = u, v
@@ -386,7 +413,7 @@ def sample_larg(
         raise LargError(f"p must be in (0, 1), got {p}")
     if not (delta > 0):
         raise LargError("delta must be positive")
-    table = _vertex_table(edge_seed, len(points))
+    table = _vertex_table(edge_seed, np.arange(len(points)))
     keys = []
     for lo, hi, sure in _in_range_blocks(points, shape, delta):
         coin = _table_coins(table, lo, hi) < p

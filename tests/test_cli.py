@@ -2,9 +2,11 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from larg_lab import cli
 from larg_lab.cli import main
 from larg_lab.geometry import Vec2, rational_hexagon, shape_to_json, square_linf
 from larg_lab.larg import load_graph
@@ -232,6 +234,14 @@ class TestExperiment:
         cfg.write_text(json.dumps({"shape": "lp:2", "trials": 1}))
         code, out, err = run(capsys, "experiment", "box-demo", "--config", str(cfg))
         assert code == 1 and out == "" and "needs a box shape" in err
+
+    def test_box_demo_refuses_polygon_before_sampling(self, workdir, capsys):
+        cfg = workdir / "box-hex.json"
+        cfg.write_text(json.dumps({"shape": "hexagon", "trials": 1}))
+        with mock.patch.object(cli, "sample_poisson_window") as sampler:
+            code, out, err = run(capsys, "experiment", "box-demo", "--config", str(cfg))
+        assert code == 1 and out == "" and "needs a box shape" in err
+        sampler.assert_not_called()
 
 
 def test_unknown_subcommand_exits_two(capsys):

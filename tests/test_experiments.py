@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import os
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from larg_lab import larg
+from larg_lab import experiments, larg
 from larg_lab.anchoring import AnchoringError, good_enumeration
 from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor, is_exact
 from larg_lab.experiments import (
@@ -19,10 +21,16 @@ from larg_lab.experiments import (
     DecayRow,
     ExperimentConfig,
     ExperimentError,
+    _apply,
     _coin_rows,
     _extension_candidates,
     _floor_table,
+    _inverse_transpose,
+    _is_shape_symmetry,
+    _linear_part,
+    _point_lookup,
     _trial_seed,
+    _trial_seeds,
     back_and_forth_isomorphism,
     box_isomorphism_demo,
     box_to_linf_transform,
@@ -44,7 +52,7 @@ from larg_lab.geometry import (
     regular_hexagon,
     square_linf,
 )
-from larg_lab.larg import GeoGraph, pair_uniform_array, sample_larg
+from larg_lab.larg import GeoGraph, pair_uniform, pair_uniform_array, sample_larg
 from larg_lab.pointsets import (
     PointSet,
     Window,
@@ -142,6 +150,140 @@ class TestDecayBound:
             paper_decay_bound(2, 3, 0.5)
         with pytest.raises(ExperimentError):
             paper_decay_bound(5, 1, 0.5)
+
+
+def reference_extension_candidates(enum, n):
+    """The scalar candidate loop: every pair distance of V_n computed by the
+    scalar distance, then u1, u2, u3 tried in V_n order."""
+    vn = enum.order[:n]
+    if n == 3:
+        return tuple(permutations(vn, 3))
+
+    pts = enum.point_set.points
+    shape = enum.shape
+    lookup = _point_lookup(enum.point_set)
+    m = tuple(pts[i] for i in vn[:3])
+    rest = tuple(pts[i] - m[0] for i in vn[3:])
+    d01 = distance(shape, m[0], m[1])
+    d02 = distance(shape, m[0], m[2])
+    d12 = distance(shape, m[1], m[2])
+    pair_d = {}
+    for i, u in enumerate(vn):
+        for v in vn[i + 1 :]:
+            d = pair_d[(u, v)] = distance(shape, pts[u], pts[v])
+            pair_d[(v, u)] = d
+    out = []
+    for u1 in vn:
+        for u2 in vn:
+            if u2 == u1 or pair_d[(u1, u2)] != d01:
+                continue
+            for u3 in vn:
+                if u3 == u1 or u3 == u2:
+                    continue
+                if pair_d[(u1, u3)] != d02 or pair_d[(u2, u3)] != d12:
+                    continue
+                w = (pts[u1], pts[u2], pts[u3])
+                L = _linear_part(m, w)
+                if L is None:
+                    continue
+                Lit = _inverse_transpose(L)
+                if Lit is None or not _is_shape_symmetry(shape, Lit):
+                    continue
+                images = [u1, u2, u3]
+                for x in rest:
+                    idx = lookup(w[0] + _apply(L, x))
+                    if idx is None or idx in images:
+                        break
+                    images.append(idx)
+                else:
+                    out.append(tuple(images))
+    return tuple(out)
+
+
+# linear maps (a, b, c, d), x -> (a x + b y, c x + d y), that keep each norm
+# and the square window when applied about its centre
+_SYMMETRIES = {
+    "hexagon": ((1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0)),
+    "regular-hexagon": ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, -1), (-1, 0, 0, 1)),
+    "lp": (
+        (1, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, -1), (-1, 0, 0, 1),
+        (0, 1, 1, 0), (0, -1, -1, 0), (0, 1, -1, 0), (0, -1, 1, 0),
+    ),
+}
+
+
+def symmetric_point_set(spec, sample):
+    """sample together with its images under the shape's symmetry group,
+    taken about the centre of the (square) window."""
+    w = sample.window
+    cx, cy = (w.x0 + w.x1) / 2, (w.y0 + w.y1) / 2
+    seen, pts = set(), []
+    for a, b, c, d in _SYMMETRIES["lp" if spec.startswith("lp:") else spec]:
+        for v in sample.points:
+            x, y = v.x - cx, v.y - cy
+            img = Vec2(cx + a * x + b * y, cy + c * x + d * y)
+            if img not in seen:
+                seen.add(img)
+                pts.append(img)
+    return PointSet(tuple(pts), w, sample.seed, mode=sample.mode)
+
+
+class TestCandidateReference:
+    """The float-filtered candidates are the scalar loop's, in its order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["hexagon", "regular-hexagon", "lp:1.5", "lp:2", "lp:3"]),
+        st.sampled_from(["rational", "float"]),
+        st.sampled_from([1, 2, 3]),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    def test_matches_scalar_loop(self, spec, mode, side, symmetric, seed):
+        size = Fraction(side) if mode == "rational" else float(side)
+        # about 50 points, or about 6 before the symmetry closure
+        intensity = (6.0 if symmetric else 50.0) / side**2
+        pts = sample_poisson_window(Window(0 * size, 0 * size, size, size), intensity, seed=seed, mode=mode)
+        if symmetric:
+            pts = symmetric_point_set(spec, pts)
+        try:
+            enum = good_enumeration(pts, shape_from_spec(spec))
+        except AnchoringError:
+            assume(False)
+        lookup = _point_lookup(pts)
+        for n in range(3, min(12, len(enum.order)) + 1):
+            want = reference_extension_candidates(enum, n)
+            assert _extension_candidates(enum, n) == want
+            assert _extension_candidates(enum, n, lookup) == want
+
+    @pytest.mark.parametrize("spec", ["hexagon", "regular-hexagon", "lp:2"])
+    def test_symmetric_sets_have_several_candidates(self, spec):
+        several = 0
+        for seed in range(6):
+            sample = sample_poisson_window(
+                Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2)), 1.5, seed=seed, mode="rational"
+            )
+            try:
+                enum = good_enumeration(symmetric_point_set(spec, sample), shape_from_spec(spec))
+            except AnchoringError:
+                continue
+            for n in range(4, min(12, len(enum.order)) + 1):
+                want = reference_extension_candidates(enum, n)
+                assert _extension_candidates(enum, n) == want
+                several += len(want) > 1
+        assert several > 0
+
+    def test_scalar_distance_calls_on_benchmark_rows(self):
+        # the benchmark's decay config at seed 1: the scalar loop made 1046
+        # distance calls over these rows
+        pts = sample_poisson_window(Window(0, 0, 1, 1), 120.0, seed=1127523868, mode="rational")
+        enum = good_enumeration(pts, rational_hexagon())
+        lookup = _point_lookup(pts)
+        counted = mock.Mock(side_effect=distance)
+        with mock.patch.object(experiments, "distance", counted):
+            cands = [_extension_candidates(enum, n, lookup) for n in (3, 4, 5, 10, 20, 40)]
+        assert [len(c) for c in cands] == [6, 1, 1, 1, 1, 1]
+        assert counted.call_count <= 100
 
 
 class TestPartialIsomorphism:
@@ -384,6 +526,24 @@ class TestDecayEquivalence:
             assert [r.successes for r in rows] == successes, policy
 
 
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "data", "golden_decay_rows.json")
+
+
+class TestGoldenRows:
+    """Rows recorded from the pair-by-pair candidate and coin code."""
+
+    with open(GOLDEN_ROWS, encoding="utf-8") as fh:
+        RECORDED = json.load(fh)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_rows_match_recording(self, name):
+        entry = self.RECORDED[name]
+        for policy, rows in entry["rows"].items():
+            cfg = ExperimentConfig(**entry["config"], anchor_policy=policy)
+            got = [dataclasses.asdict(r) for r in run_decay_experiment(cfg)]
+            assert got == rows, policy
+
+
 class TestCsv:
     ROWS = [
         DecayRow(5, 200, 13, 0.065, 0.0384, 0.10812, 24414.0625),
@@ -617,6 +777,45 @@ class TestCoinRows:
         with mock.patch.object(larg, "_BLOCK_CELLS", cells):
             got = _coin_rows(11, 6, 1, 13, us, vs, in_range, 0.4)
         assert got.dtype == bool and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cells", [1, 7, larg._BLOCK_CELLS])
+    @pytest.mark.parametrize("base", [-1, -(2**63) - 5, 2**64, 2**64 + 12345, 2**70 + 3])
+    def test_rows_match_scalar_coins(self, cells, base):
+        rng = np.random.default_rng(4)
+        us = rng.integers(0, 40, 30)
+        vs = (us + rng.integers(1, 9, 30)) % 45  # some pairs have u > v
+        in_range = rng.random(30) < 0.8
+        want = np.array(
+            [
+                [
+                    bool(r) and pair_uniform(_trial_seed(base, 7, t, 0), int(u), int(v)) < 0.6
+                    for u, v, r in zip(us, vs, in_range)
+                ]
+                for t in range(11)
+            ]
+        )
+        with mock.patch.object(larg, "_BLOCK_CELLS", cells):
+            got = _coin_rows(base, 7, 0, 11, us, vs, in_range, 0.6)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(-(2**70), 2**70),
+        st.integers(3, 50),
+        st.integers(0, 40),
+        st.sampled_from([0, 1]),
+    )
+    def test_per_trial_tables_match_scalar_pair_uniform(self, base, n, trials, side):
+        seeds = _trial_seeds(base, n, trials, side)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [_trial_seed(base, n, t, side) for t in range(trials)]
+        lo, hi = np.triu_indices(6, 1)
+        verts, k = np.unique(lo, return_inverse=True)
+        got = larg._table_coins(larg._vertex_table(seeds, verts), k, hi)
+        want = np.array(
+            [[pair_uniform(int(s), int(a), int(b)) for a, b in zip(lo, hi)] for s in seeds]
+        ).reshape(got.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_graph_searches_accept_a_reloaded_point_set():

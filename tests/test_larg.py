@@ -83,22 +83,26 @@ def test_pair_uniform_array_matches_scalar():
     st.lists(st.integers(-(2**63), 2**64 - 1), max_size=6),
     st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20),
 )
-def test_pair_uniform_array_seed_vector_matches_per_seed_calls(seeds, pairs):
+def test_vertex_table_seed_vector_matches_per_seed_calls(seeds, pairs):
     us = np.array([u for u, _ in pairs], dtype=np.int64)
     vs = np.array([v for _, v in pairs], dtype=np.int64)
+    with pytest.raises(LargError, match="one seed"):
+        pair_uniform_array(seeds, us, vs)
     if any(u == v for u, v in pairs):
-        with pytest.raises(LargError, match="distinct"):
-            pair_uniform_array(seeds, us, vs)
         for s in seeds:
             with pytest.raises(LargError, match="distinct"):
                 pair_uniform_array(s, us, vs)
         return
-    got = pair_uniform_array(seeds, us, vs)
+    verts, k = np.unique(np.minimum(us, vs), return_inverse=True)
+    hi = np.maximum(us, vs)
+    table = larg._vertex_table(np.array([s & larg._MASK for s in seeds], dtype=np.uint64), verts)
+    assert table.shape == (len(seeds), len(verts))
+    got = larg._table_coins(table, k, hi)
     assert got.shape == (len(seeds), len(pairs))
     want = np.array([pair_uniform_array(s, us, vs) for s in seeds]).reshape(got.shape)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    with pytest.raises(LargError, match="1-D"):
-        pair_uniform_array([seeds], us, vs)
+    for row, s in zip(table, seeds):
+        assert np.array_equal(row, larg._vertex_table(s, verts))
 
 
 def test_pair_streams_nearly_uncorrelated():
@@ -256,7 +260,7 @@ def test_vertex_table_coins_match_pair_uniform_array(n):
     lo, hi = np.triu_indices(n, 1)
     assert lo[0] == 0 and hi[-1] == n - 1
     for seed in (0, 7, -1, 2**63, 2**64 - 1):
-        got = larg._table_coins(larg._vertex_table(seed, n), lo, hi)
+        got = larg._table_coins(larg._vertex_table(seed, np.arange(n)), lo, hi)
         want = pair_uniform_array(seed, lo, hi)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert got[n - 2] == pair_uniform(seed, 0, n - 1)
@@ -463,6 +467,32 @@ def test_edge_set_validation():
         EdgeSet([0, 0], [1, 1])  # repeated pair
     with pytest.raises(LargError):
         EdgeSet([0.0], [1.0])
+    # the order is checked in blocks; a fault on either side of a block
+    # boundary is still refused
+    u, v = np.arange(10), np.arange(1, 11)
+    for cells in (1, 2, 3, larg._BLOCK_CELLS):
+        with mock.patch.object(larg, "_BLOCK_CELLS", cells):
+            assert len(EdgeSet(u, v)) == 10
+            for k in range(1, 10):
+                with pytest.raises(LargError):
+                    EdgeSet(np.r_[u[:k], u[k - 1], u[k + 1 :]], np.r_[v[:k], v[k - 1], v[k + 1 :]])
+                with pytest.raises(LargError):
+                    EdgeSet(u, np.r_[v[:k], u[k], v[k + 1 :]])
+
+
+def test_edge_set_order_check_memory():
+    # 550k sorted, contiguous int64 pairs are kept without a copy, and the
+    # blocked order check allocates a small part of their bytes
+    u = np.repeat(np.arange(1100, dtype=np.int64), 500)
+    v = u + np.tile(np.arange(1, 501, dtype=np.int64), 1100)
+    tracemalloc.start()
+    try:
+        e = EdgeSet(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(e) == 550_000 and e.u is u and e.v is v
+    assert peak <= 0.25 * (u.nbytes + v.nbytes)
 
 
 def test_replace_revalidates_edges():
