@@ -280,6 +280,15 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     ``validate_good_enumeration`` re-checks everything with the scalar
     definitions alone.
 
+    Up to six anchors are walked, and the first walk leaving the fewest
+    points pending wins.  A point pending after the first walk that has no
+    certificate even against all other points is hopeless: more references
+    only add face classes (gradient directions for L^p), so no walk can
+    place it, and every walk whose anchor does not hold it leaves it
+    pending.  A later anchor that leaves out at least as many hopeless
+    points as the best walk so far left pending cannot win, so its walk is
+    skipped; the result is the one walking every anchor gives.
+
     Redundant generators (`PolygonShape.vertices`) and SqrtExt points under
     float generators (`larg.in_range_pairs`) raise GeometryError before any
     point is read.
@@ -406,8 +415,13 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
         return order, certificates, set(np.flatnonzero(pending).tolist())
 
     best = None
+    hopeless = set()
     for anchor in itertools.islice(anchor_candidates(), 6):
+        if best is not None and len(hopeless - set(anchor)) >= len(best[2]):
+            continue  # its walk leaves at least as many points pending
         order, certificates, pending = run(anchor)
+        if best is None:
+            hopeless = {u for u in pending if certify([i for i in range(n) if i != u], u) is None}
         if best is None or len(pending) < len(best[2]):
             best = (order, certificates, pending)
         if not pending:

@@ -9,11 +9,16 @@ nested-window experiments consistent.
 
 In-range pairs come from one kernel for float and exact point sets alike: a
 float sweep in cache-sized row blocks, with the scalar distance deciding the
-pairs whose float distance lies within a guard of delta.  sample_larg draws
+pairs whose float distance lies within a guard of delta.  A block's cells
+with column <= row all lie in its leading square, the only part it masks.
+Most blocks hold no cell within the guard of delta; their pairs are all in
+range, and no per-pair boundary flag is gathered for them.  sample_larg draws
 the coins of each block as the sweep yields it, from a per-vertex table of the
 hash's seed and first-vertex stages, and sends only pairs whose coin is below
-p to the scalar distance; a block keeps only its edges, so memory follows the
-edges, not the in-range pairs.  Edges are held as sorted int64 arrays.
+p to the scalar distance (a block without boundary cells keeps its
+coin-passing pairs in one pass over their keys); a block keeps only its
+edges, so memory follows the edges, not the in-range pairs.  Edges are held
+as sorted int64 arrays.
 """
 
 from __future__ import annotations
@@ -291,11 +296,13 @@ def _columns(arr: np.ndarray, shape: NormShape):
 
 
 def _row_blocks(ends: np.ndarray):
-    """Row blocks (i0, i1, j1, upper) over n rows with nondecreasing ends.
+    """Row blocks (i0, i1, j1) over n rows with nondecreasing ends, each
+    ends[i] > i.
 
     Each block is rows i0..i1 against columns i0..j1 = ends[i1 - 1]: the
-    largest such block within _BLOCK_CELLS cells, or one row.  upper masks
-    its cells with column > row.
+    largest such block within _BLOCK_CELLS cells, or one row.  Its cells
+    with column <= row all lie in its leading rows x rows square, which
+    _clear_lower masks.
     """
     n = len(ends)
     max_rows = math.isqrt(_BLOCK_CELLS)
@@ -304,9 +311,17 @@ def _row_blocks(ends: np.ndarray):
         rows = np.arange(i0, min(n, i0 + max_rows))
         cells = (rows - i0 + 1) * (ends[rows] - i0)
         i1 = i0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-        j1 = int(ends[i1 - 1])
-        yield i0, i1, j1, np.arange(i0, j1) > np.arange(i0, i1)[:, None]
+        yield i0, i1, int(ends[i1 - 1])
         i0 = i1
+
+
+def _clear_lower(mask: np.ndarray) -> np.ndarray:
+    """Clear, in place, the cells with column <= row of a block's cell mask
+    from _row_blocks: the lower triangle of its leading square."""
+    k = len(mask)
+    square = mask[:, :k]
+    square &= np.arange(k) > np.arange(k)[:, None]
+    return mask
 
 
 def _block_gaps(cols: np.ndarray, q, i0: int, i1: int, j1: int) -> np.ndarray:
@@ -330,7 +345,9 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
     Yields, per row block, int64 original indices lo < hi of the pairs whose
     float distance is at most delta plus a guard, and a flag `sure` that
     their float distance is below delta minus the guard.  A pair not sure
-    is in range iff the scalar ``distance(...) < delta`` says so.
+    is in range iff the scalar ``distance(...) < delta`` says so.  Most
+    blocks hold no pair within the guard of delta; for those `sure` is None
+    (every pair is sure) and the per-pair flags are never gathered.
     """
     _refuse_mixed_fields(shape, points.points)
     if len(points) < 2:
@@ -348,11 +365,14 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
     order = np.argsort(cols[0]).astype(np.int64, copy=False)
     cols = cols[:, order]
     ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
-    for i0, i1, j1, upper in _row_blocks(ends):
+    for i0, i1, j1 in _row_blocks(ends):
         acc = _block_gaps(cols, q, i0, i1, j1)
-        r, c = np.nonzero((acc <= outer) & upper)
+        mask = _clear_lower(acc <= outer)
+        near = acc >= inner
+        near &= mask
+        r, c = np.nonzero(mask)
         a, b = order[r + i0], order[c + i0]
-        yield np.minimum(a, b), np.maximum(a, b), acc[r, c] < inner
+        yield np.minimum(a, b), np.maximum(a, b), acc[r, c] < inner if near.any() else None
 
 
 def _kept_keys(points: PointSet, shape: NormShape, delta, lo, hi, sure) -> np.ndarray:
@@ -391,11 +411,12 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     by less than delta along that coordinate.  SqrtExt points under float
     generators are refused up front (GeometryError).
     """
+    n = len(points)
     keys = [
-        _kept_keys(points, shape, delta, lo, hi, sure)
+        lo * n + hi if sure is None else _kept_keys(points, shape, delta, lo, hi, sure)
         for lo, hi, sure in _in_range_blocks(points, shape, delta)
     ]
-    return _decode_keys(keys, len(points))
+    return _decode_keys(keys, n)
 
 
 def sample_larg(
@@ -413,18 +434,22 @@ def sample_larg(
         raise LargError(f"p must be in (0, 1), got {p}")
     if not (delta > 0):
         raise LargError("delta must be positive")
-    table = _vertex_table(edge_seed, np.arange(len(points)))
+    n = len(points)
+    table = _vertex_table(edge_seed, np.arange(n))
     keys = []
     for lo, hi, sure in _in_range_blocks(points, shape, delta):
         coin = _table_coins(table, lo, hi) < p
-        keys.append(_kept_keys(points, shape, delta, lo[coin], hi[coin], sure[coin]))
+        if sure is None:
+            keys.append((lo * n + hi)[coin])
+        else:
+            keys.append(_kept_keys(points, shape, delta, lo[coin], hi[coin], sure[coin]))
     return GeoGraph(
         point_set_ref=points.fingerprint(),
-        n=len(points),
+        n=n,
         p=float(p),
         delta=delta,
         edge_seed=edge_seed,
-        edges=EdgeSet(*_decode_keys(keys, len(points))),
+        edges=EdgeSet(*_decode_keys(keys, n)),
     )
 
 

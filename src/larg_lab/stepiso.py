@@ -53,7 +53,7 @@ from .geometry import (
     distance,
     truncated_distance,
 )
-from .larg import _block_gaps, _columns, _row_blocks
+from .larg import _block_gaps, _clear_lower, _columns, _row_blocks
 from .pointsets import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = [
@@ -489,10 +489,10 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdic
 
     The float filter takes both sides' distances over row blocks of pairs;
     marks(dd, di, scale) flags the pairs that may fail, scale being 1 plus
-    the coordinate scale.  Each flagged pair is then decided in order by
-    fails(left, right) on the scalar values scalar(shape, x, y) of both
-    sides, exact for exact data.  SqrtExt data under float generators is
-    refused up front (GeometryError).
+    the coordinate scale.  A block with no flagged pair is skipped.  Each
+    flagged pair is then decided in order by fails(left, right) on the
+    scalar values scalar(shape, x, y) of both sides, exact for exact data.
+    SqrtExt data under float generators is refused up front (GeometryError).
     """
     pts, ims = pmap.domain.points, pmap.images
     _refuse_mixed_fields(shape, pts + ims)
@@ -504,13 +504,16 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdic
     dom_cols, reach, q = _columns(dom, shape)
     img_cols = _columns(img, shape)[0]
     scale = 1.0 + reach * max(np.abs(dom).max(), np.abs(img).max())
-    for i0, i1, j1, upper in _row_blocks(np.full(n, n)):
+    for i0, i1, j1 in _row_blocks(np.full(n, n)):
         dd = _block_gaps(dom_cols, q, i0, i1, j1)
         di = _block_gaps(img_cols, q, i0, i1, j1)
         if q is not None:
             dd **= 1.0 / q
             di **= 1.0 / q
-        rows, cols = np.nonzero(marks(dd, di, scale) & upper)
+        flagged = _clear_lower(marks(dd, di, scale))
+        if not flagged.any():
+            continue
+        rows, cols = np.nonzero(flagged)
         for i, j in zip((rows + i0).tolist(), (cols + i0).tolist()):
             try:
                 left = scalar(shape, pts[i], pts[j])

@@ -2,7 +2,7 @@
 
 import dataclasses
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from larg_lab import larg
+from larg_lab import anchoring, larg
 
 from larg_lab.anchoring import (
     AnchoringError,
@@ -570,3 +570,46 @@ def test_good_enumeration_matches_scalar_reference(problem):
     with mock.patch.object(larg, "_BLOCK_CELLS", block):
         got = enumeration_outcome(good_enumeration, ps, shape)
     assert got == enumeration_outcome(reference_good_enumeration, ps, shape)
+
+
+# point sets with points no walk can place: a point in a window corner
+# (rational and float), a point far from all others, and a float sample
+# with a corner point whose first walk stalls with 111 of its 114 points
+# pending, so that hopelessness must be judged against all other points,
+# not against that walk's order.  The flag says whether a walk before the
+# last leaves only hopeless points pending, so that the walks after it are
+# skipped.
+HOPELESS_CONFIGS = {
+    "rational-corner": (lambda: rational_sample(2), True),
+    "isolated": (
+        lambda: PointSet(
+            rational_sample(4).points + (Vec2(F(30), F(30)),), Window(F(0), F(0), F(31), F(31)), 0, "rational"
+        ),
+        False,
+    ),
+    "float-corner": (lambda: sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 120.0, seed=0), True),
+    "float-corner-cluster": (lambda: sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 120.0, seed=24), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOPELESS_CONFIGS))
+def test_walks_that_cannot_win_are_skipped(name):
+    # skipping the walks that cannot win leaves the output unchanged; once
+    # a walk leaves only hopeless points pending, the certificate searches
+    # stay within twice those of the busiest walk (each walk's searches have
+    # its anchor as their order's first three points)
+    make, skips = HOPELESS_CONFIGS[name]
+    ps = make()
+    calls = []
+    try_certificate = anchoring._try_certificate
+
+    def counted(shape, pts, cols, guard, order, target):
+        calls.append(tuple(order[:3]))
+        return try_certificate(shape, pts, cols, guard, order, target)
+
+    with mock.patch.object(anchoring, "_try_certificate", counted):
+        enum = good_enumeration(ps, HEX)
+    assert enum.unplaced
+    assert (enum.order, enum.certificates, enum.unplaced) == reference_good_enumeration(ps, HEX)
+    if skips:
+        assert len(calls) <= 2 * max(Counter(calls).values())

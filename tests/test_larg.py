@@ -228,7 +228,7 @@ def pair_problems(draw):
         pts = tuple(Vec2(x, y) for x, y in coords)
     window = Window(Fraction(-4), Fraction(0), Fraction(20), Fraction(20))
     ps = PointSet(pts, window, seed=0, mode=mode)
-    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
+    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS, 1 << 16]))
     return ps, shape, delta, block
 
 
@@ -253,6 +253,20 @@ def test_sample_larg_matches_brute_force(problem, p, seed):
         G = sample_larg(ps, shape, delta, p, edge_seed=seed)
     want = [(u, v) for u, v in brute_force_pairs(ps, shape, delta) if pair_uniform(seed, u, v) < p]
     assert list(G.edges) == want
+
+
+def test_blocks_of_more_rows_than_the_default():
+    # at 1 << 16 cells a block of the sweep takes 200 rows, more than the
+    # default block size allows, so a lower-triangle mask sized for the
+    # default leaves pairs of its last rows unmasked
+    ps = tiny_cluster(200, spread=0.5, seed=4)
+    want = brute_force_pairs(ps, LpShape(2), 1)
+    with mock.patch.object(larg, "_BLOCK_CELLS", 1 << 16):
+        u, v = in_range_pairs(ps, LpShape(2), 1)
+        G = sample_larg(ps, LpShape(2), 1, 0.5, edge_seed=9)
+    assert len(want) == 200 * 199 // 2
+    assert list(zip(u.tolist(), v.tolist())) == want
+    assert list(G.edges) == [(a, b) for a, b in want if pair_uniform(9, a, b) < 0.5]
 
 
 @pytest.mark.parametrize("n", [2, 3, 97])

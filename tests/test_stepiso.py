@@ -574,7 +574,7 @@ def map_problems(draw):
         if len(set((w.x, w.y) for w in ims)) < n:
             ims = [p + t for p in pts]
         pm = PointMap(ps, tuple(ims))
-    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
+    block = draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS, 1 << 16]))
     return pm, shape, block
 
 
@@ -614,6 +614,21 @@ def test_checks_match_brute_force(problem):
         assert_verdict_matches(
             lambda: is_isometry(pm, shape), lambda: oracle_isometry(shape, pts, ims, tol)
         )
+
+
+def test_blocks_of_more_rows_than_the_default():
+    # at 1 << 16 cells the scan's first block takes all 200 rows, more than
+    # the default block size allows; a lower-triangle mask sized for the
+    # default leaves the diagonal of the last rows unmasked, and a distance
+    # of 0 is refused as within the guard of an integer
+    ps = sample_poisson_window(Window(0.0, 0.0, 0.7, 0.7), 500.0, seed=3)
+    assert len(ps) >= 200
+    ps = PointSet(ps.points[:200], ps.window, ps.seed)
+    pm = PointMap.from_function(ps, lambda p: p + Vec2(0.25, 0.5))
+    with mock.patch.object(larg, "_BLOCK_CELLS", 1 << 16):
+        for check in (is_step_isometry, is_isometry):
+            v = check(pm, square_linf())
+            assert (v.ok, v.checked) == (True, 200 * 199 // 2)
 
 
 # ---------------------------------------------------------------------------
