@@ -289,9 +289,9 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     points as the best walk so far left pending cannot win, so its walk is
     skipped; the result is the one walking every anchor gives.
 
-    Redundant generators (`PolygonShape.vertices`) and SqrtExt points under
-    float generators (`larg.in_range_pairs`) raise GeometryError before any
-    point is read.
+    Redundant generators (`PolygonShape.vertices`) and points with no
+    common field with the shape (`larg.in_range_pairs`) raise GeometryError
+    before any point is read.
     """
     _require_non_box(shape)
     if isinstance(shape, PolygonShape):

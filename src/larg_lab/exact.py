@@ -1,9 +1,17 @@
-"""Exact scalars for the rational numeric mode.
+"""Exact scalars, and the one rule that says which field a value lives in.
 
-Coordinates in rational mode are ``int``, ``fractions.Fraction``, or
-``SqrtExt`` (an element a + b*sqrt(d) of a real quadratic field).  Floats are
-the separate fast mode; a value is either exact or float, never a blend, and
-helpers here let callers branch on that without isinstance ladders everywhere.
+Coordinates are ``int``, ``fractions.Fraction``, ``SqrtExt`` (an element
+a + b*sqrt(d) of a real quadratic field) or floats, the separate fast mode.
+Every kernel reads one field tag, computed here by ``field_of``: 0 for Q,
+d for Q(sqrt(d)), and ``FLOAT`` once any value is a float (floats absorb
+rationals).  ``join_fields`` combines two tags and refuses the inputs that
+have no common field: a float beside a SqrtExt, or two radicands.
+``PointSet`` and each shape carry their tag, so a kernel joins tags instead
+of reading coordinates.
+
+Kernels that work in integers read a + b*sqrt(d) as (A + B*sqrt(d))/D with
+int A, B and D > 0; ``surd_ints``, ``surd_value``, ``_floor_surd`` and
+``_surd_nonneg`` are that format's only encoder, decoder, floor and sign.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ __all__ = [
 # integer boundary (truncation refuses to guess; see geometry.truncated_distance)
 FLOAT_INTEGER_GUARD = 1e-9
 
+# the field tag of float data; 0 tags Q and d > 0 tags Q(sqrt(d))
+FLOAT = -1
+
 ExactScalar = int | Fraction  # SqrtExt joins via duck typing
 Scalar = int | float | Fraction
 
@@ -47,6 +58,18 @@ def _floor_surd(A: int, B: int, d: int, D: int) -> int:
         return A // D
     f = math.isqrt(B * B * d)
     return (A + (f if B > 0 else -f - 1)) // D
+
+
+def _surd_nonneg(a: int, b: int, d: int) -> bool:
+    """a + b*sqrt(d) >= 0 for ints a, b and a non-square d (any d if b == 0)."""
+    if b == 0:
+        return a >= 0
+    if a >= 0 and b > 0:
+        return True
+    if a <= 0 and b < 0:
+        return False
+    # opposite signs; a*a == b*b*d cannot hold for a non-square d
+    return (a * a > b * b * d) == (a > 0)
 
 
 class SqrtExt:
@@ -165,18 +188,8 @@ class SqrtExt:
 
     def _sign(self) -> int:
         a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(d), squared (never equal: d non-square)
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        # both parts times the positive a.denominator * b.denominator
+        return 1 if _surd_nonneg(a.numerator * b.denominator, b.numerator * a.denominator, self.d) else -1
 
     def _cmp(self, other) -> int | None:
         parts = self._coerce(other)
@@ -242,6 +255,50 @@ class SqrtExt:
 
     def __str__(self):
         return f"{self.a}+{self.b}*sqrt({self.d})"
+
+
+def join_fields(a: int, b: int, error: type[Exception]) -> int:
+    """The field of values from fields a and b (FLOAT absorbs Q).
+
+    A float beside a SqrtExt, or two radicands, have no common field: raise
+    error.
+    """
+    if a == b or b == 0:
+        return a
+    if a == 0:
+        return b
+    if FLOAT in (a, b):
+        raise error("a float and a SqrtExt have no common field")
+    raise error(f"radicands {sorted((a, b))} have no common field")
+
+
+def field_of(values, error: type[Exception]) -> int:
+    """The field tag of scalars, in one pass: 0 for Q, d for Q(sqrt(d)),
+    FLOAT when any value is a float.  Values with no common field raise
+    error (``join_fields``)."""
+    field = 0
+    for x in values:
+        if isinstance(x, float):
+            if field != FLOAT:
+                field = join_fields(field, FLOAT, error)
+        elif isinstance(x, SqrtExt) and x.d != field:
+            field = join_fields(field, x.d, error)
+    return field
+
+
+def surd_ints(values) -> tuple[int, list[tuple[int, int]]]:
+    """One denominator D and int pairs (A, B) with value = (A + B*sqrt(d))/D,
+    for int, Fraction or SqrtExt values over one radicand d."""
+    parts = [(c.a, c.b) if isinstance(c, SqrtExt) else (c, 0) for c in values]
+    D = math.lcm(*(q.denominator for ab in parts for q in ab))
+    return D, [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)) for a, b in parts]
+
+
+def surd_value(A: int, B: int, D: int, d: int):
+    """(A + B*sqrt(d))/D as a Fraction, or as a SqrtExt when B != 0."""
+    if B == 0:
+        return Fraction(A, D)
+    return SqrtExt(Fraction(A, D), Fraction(B, D), d)
 
 
 def is_exact(x) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT_INTEGER_GUARD, exact_div, exact_floor, guarded_floor, is_exact
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, exact_div, guarded_floor, is_exact
 from .geometry import (
     GeometryError,
     LpShape,
@@ -275,7 +275,7 @@ def _is_shape_symmetry(shape: NormShape, Lit) -> bool:
 def _point_lookup(points: PointSet):
     """y -> index of the point equal to y (exact data) or within _REL_TOL of it."""
     pts = points.points
-    if all(v.is_exact() for v in pts):
+    if points.field != FLOAT:
         exact_index = {(v.x, v.y): i for i, v in enumerate(pts)}
         return lambda y: exact_index.get((y.x, y.y))
 
@@ -597,14 +597,13 @@ def _floor_table(points: PointSet, shape: PolygonShape):
     """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats.
 
     A float filter floors the difference matrix; cells within a guard of an
-    integer are decided in row-major order by the scalar rule (exact floor
-    for exact data, guarded_floor for floats). The diagonal is exactly 0.
+    integer are decided in row-major order by guarded_floor, which floors
+    exact data exactly. The diagonal is exactly 0.
     """
     pts = points.points
     tables = []
     for a in shape.generators:
         proj = [a.dot(v) for v in pts]
-        exact = all(not isinstance(t, float) for t in proj)
         col = np.array([float(t) for t in proj])
         diff = col[:, None] - col[None, :]
         tab = np.floor(diff)
@@ -614,9 +613,7 @@ def _floor_table(points: PointSet, shape: PolygonShape):
         np.fill_diagonal(tab, 0.0)
         for u, v in zip(*np.nonzero(near)):
             diff_uv = proj[u] - proj[v]
-            tab[u, v] = exact_floor(diff_uv) if exact else guarded_floor(
-                diff_uv, what=f"projection difference ({u}, {v})"
-            )
+            tab[u, v] = guarded_floor(diff_uv, what=f"projection difference ({u}, {v})")
         tables.append(tab.astype(np.int64).tolist())
     return tables
 

@@ -6,9 +6,12 @@ are supported: polygons given by generator normals (the norm is a max of
 absolute dot products) and smooth L^p curves for finite p > 1 (closed-form
 norm and support function).
 
-Scalars are either all-exact (int/Fraction/SqrtExt) or floats; every operation
-here is generic over that choice except where noted (L^p norms evaluate in
-float).
+Scalars are exact (int, Fraction, SqrtExt) or floats; every operation here
+is generic over that choice except where noted (L^p norms evaluate in
+float).  Each shape carries the field tag of `exact.field_of`: a polygon
+takes it from its generators, and L^p shapes are tagged Q because their
+norm reads any scalar as a float.  Generators, or a polygon and the points
+it measures, with no common field raise GeometryError.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .exact import (
+    FLOAT,
     BoundaryAmbiguityError,
-    SqrtExt,
     exact_div,
+    field_of,
     format_scalar,
     guarded_floor,
     is_exact,
+    join_fields,
     parse_scalar,
 )
 
@@ -165,6 +170,7 @@ class PolygonShape:
                 raise GeometryError("generators must be Vec2")
             if _is_zero(g):
                 raise GeometryError("zero generator")
+        self.field = field_of((c for g in gens for c in (g.x, g.y)), GeometryError)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 if _parallel(gens[i], gens[j]):
@@ -172,7 +178,6 @@ class PolygonShape:
                         f"generators {i} and {j} are parallel; store one per direction"
                     )
         self.generators = gens
-        self.has_float_generator = any(isinstance(c, float) for g in gens for c in (g.x, g.y))
         self._vertices: tuple[Vec2, ...] | None = None
 
     def __repr__(self):
@@ -217,8 +222,7 @@ class PolygonShape:
                 x = exact_div(b.y - a.y, den)
                 y = exact_div(a.x - b.x, den)
                 verts.append(Vec2(x, y))
-            exact = all(v.is_exact() for v in verts)
-            slack = 0 if exact else 1e-9
+            slack = 1e-9 if self.field == FLOAT else 0
             for i, v in enumerate(verts):
                 u = verts[i - 1]
                 if abs(v.x - u.x) <= slack and abs(v.y - u.y) <= slack:
@@ -246,7 +250,7 @@ class LpShape:
 
     kind = "lp"
     # the norm reads any scalar as a float, SqrtExt included
-    has_float_generator = False
+    field = 0
 
     def __init__(self, p: float):
         p = float(p)
@@ -289,24 +293,11 @@ def norm(shape: NormShape, x: Vec2):
     return shape.norm(x)
 
 
-def _refuse_mixed_fields(shape: NormShape, points: Iterable[Vec2]) -> None:
-    """Refuse SqrtExt coordinates under a polygon with a float generator.
-
-    A float times a SqrtExt has no common field.  Refusing the whole input
-    up front, before any arithmetic, keeps the outcome from depending on
-    which pairs a float filter sends to exact arithmetic.
-    """
-    if shape.has_float_generator:
-        for v in points:
-            if isinstance(v.x, SqrtExt) or isinstance(v.y, SqrtExt):
-                raise GeometryError(
-                    f"SqrtExt coordinates such as {v} need exact generators, "
-                    f"not the float ones of {shape!r}"
-                )
-
-
 def distance(shape: NormShape, x: Vec2, y: Vec2):
-    _refuse_mixed_fields(shape, (x, y))
+    if shape.field:
+        # a rational shape meets any scalar; other shapes refuse what has no
+        # common field with them before any arithmetic
+        join_fields(shape.field, field_of((x.x, x.y, y.x, y.y), GeometryError), GeometryError)
     return shape.norm(x - y)
 
 

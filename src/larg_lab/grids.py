@@ -8,20 +8,19 @@ direction classes the offsets along one normal accumulate values z1*r + z2
 and, for irrational r, become dense mod 1. With only two classes nothing
 new ever appears.
 
-Input is exact: int, Fraction, or sqrt extensions over one radicand d;
-floats and mixed radicands are refused. Internally every offset is a pair
-of ints (A, B) over one common denominator D, read as c = (A + B*sqrt(d))/D,
-so growth is integer arithmetic and deduplication is on int tuples.
-floor(c) is computed from the ints alone (`exact._floor_surd`).
-Levels store only the lines first seen at that level, decoded to Fraction
-or SqrtExt; `all_lines` flattens.
+Input is exact: its field tag (`exact.field_of`) is Q or one Q(sqrt(d));
+floats and inputs with no common field are refused. Internally every
+offset is a pair of ints (A, B) over one common denominator D, read as
+c = (A + B*sqrt(d))/D, so growth is integer arithmetic and deduplication is
+on int tuples. floor(c) is computed from the ints alone
+(`exact._floor_surd`). Levels store only the lines first seen at that
+level, decoded to Fraction or SqrtExt (`exact.surd_value`); `all_lines`
+flattens.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import SqrtExt, _floor_surd, exact_div, fractional_part
+from .exact import FLOAT, _floor_surd, exact_div, field_of, fractional_part, surd_ints, surd_value
 from .geometry import Line, Vec2
 
 __all__ = [
@@ -68,39 +67,21 @@ def _dedup_direction_classes(generators) -> tuple[Vec2, ...]:
     return tuple(reps)
 
 
-def _radicand(values):
-    """The single radicand of exact input values, or None if all rational."""
-    radicands = set()
-    for x in values:
-        if isinstance(x, float):
-            raise GridError(f"grids need exact input, got float {x!r}")
-        if isinstance(x, SqrtExt):
-            radicands.add(x.d)
-    if len(radicands) > 1:
-        raise GridError(f"input mixes radicands {sorted(radicands)}")
-    return radicands.pop() if radicands else None
-
-
-def _parts(x) -> tuple[Fraction, Fraction]:
-    """Rational and irrational parts (a, b) of x = a + b*sqrt(d)."""
-    if isinstance(x, SqrtExt):
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
-
-
 def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
     """Grow the intersection-closed line family to the given depth.
 
     Every line is windowed: its offset must lie within `window` of the
     offset of some base point along the same normal. Integer parallels of
     each discovered line are added as far as the window allows, at every
-    level. Input must be exact over at most one radicand.
+    level. Input must be exact over Q or one Q(sqrt(d)).
     """
     base = tuple(base_points)
     if not base:
         raise GridError("need at least one base point")
     generators = tuple(generators)
-    d = _radicand([window] + [c for v in base + generators for c in (v.x, v.y)])
+    d = field_of([window] + [c for v in base + generators for c in (v.x, v.y)], GridError)
+    if d == FLOAT:
+        raise GridError("grids need exact input, not floats")
     gens = _dedup_direction_classes(generators)
     if len(gens) < 2:
         raise GridError("generators span fewer than two direction classes")
@@ -110,9 +91,6 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
         raise GridError("window must be positive")
 
     nclasses = len(gens)
-    base_proj = [[_parts(g.dot(b)) for b in base] for g in gens]
-    wa, wb = _parts(window)
-
     # combination coefficients: gens[k3] = alpha * gens[k1] + beta * gens[k2]
     combo = {}
     for k1 in range(nclasses):
@@ -123,23 +101,19 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
             for k3 in range(nclasses):
                 if k3 == k1 or k3 == k2:
                     continue
-                alpha = _parts(exact_div(gens[k3].cross(gens[k2]), den))
-                beta = _parts(exact_div(gens[k1].cross(gens[k3]), den))
-                combo.setdefault((k1, k2), []).append((k3, alpha + beta))
+                alpha = exact_div(gens[k3].cross(gens[k2]), den)
+                beta = exact_div(gens[k1].cross(gens[k3]), den)
+                combo.setdefault((k1, k2), []).append((k3, alpha, beta))
+    # coef: (A, B) of alpha, then of beta, over one denominator L
+    L, co = surd_ints([c for cs in combo.values() for _, alpha, beta in cs for c in (alpha, beta)])
+    co = iter(co)
+    coef = {key: [(k3, next(co) + next(co)) for k3, _, _ in cs] for key, cs in combo.items()}
 
     # a level-k value has denominator dividing D0 * L^k, so one D serves all
-    L = math.lcm(*(q.denominator for cs in combo.values() for _, co in cs for q in co))
-    D0 = math.lcm(
-        wa.denominator, wb.denominator,
-        *(q.denominator for row in base_proj for pb in row for q in pb),
-    )
+    D0, ints = surd_ints([window] + [g.dot(b) for g in gens for b in base])
     D = D0 * L**depth
-    coef = {
-        key: [(k3, tuple(int(q * L) for q in co)) for k3, co in cs]
-        for key, cs in combo.items()
-    }
-    Aw, Bw = int(wa * D), int(wb * D)
-    base_int = [[(int(a * D), int(b * D)) for a, b in row] for row in base_proj]
+    (Aw, Bw), *proj = [(A * (D // D0), B * (D // D0)) for A, B in ints]
+    base_int = [proj[k * len(base) : (k + 1) * len(base)] for k in range(nclasses)]
 
     def windowed_parallels(k: int, values) -> set:
         # all integer shifts of each value within `window` of a base projection
@@ -151,11 +125,6 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
                 out.update((A + z * D, B) for z in range(lo, hi + 1))
         return out
 
-    def decode(A: int, B: int):
-        if B == 0:
-            return Fraction(A, D)
-        return SqrtExt(Fraction(A, D), Fraction(B, D), d)
-
     seen: list[set] = [set() for _ in range(nclasses)]
     older: list[list] = [[] for _ in range(nclasses)]
     levels: list[tuple[Line, ...]] = []
@@ -165,7 +134,7 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
         for k in range(nclasses):
             new = new_by_class[k] - seen[k]
             seen[k] |= new
-            fresh.extend((k, decode(A, B), A, B) for A, B in new)
+            fresh.extend((k, surd_value(A, B, D, d), A, B) for A, B in new)
         # exact value breaks float ties, so the order never depends on hashing
         fresh.sort(key=lambda e: (e[0], float(e[1]), e[1]))
         levels.append(tuple(Line(gens[k], c) for k, c, _, _ in fresh))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import format_scalar, parse_scalar
-from .geometry import LpShape, NormShape, PolygonShape, _refuse_mixed_fields, distance
+from .exact import format_scalar, join_fields, parse_scalar
+from .geometry import GeometryError, LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
 __all__ = [
@@ -349,7 +349,7 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
     blocks hold no pair within the guard of delta; for those `sure` is None
     (every pair is sure) and the per-pair flags are never gathered.
     """
-    _refuse_mixed_fields(shape, points.points)
+    join_fields(shape.field, points.field, GeometryError)
     if len(points) < 2:
         return
     arr = points.as_array()
@@ -408,8 +408,9 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     exact point sets.  The sweep sorts the points by a coordinate that never
     exceeds the distance (the first generator's projection for polygons, x
     for L^p), so each point is compared only with the points that follow it
-    by less than delta along that coordinate.  SqrtExt points under float
-    generators are refused up front (GeometryError).
+    by less than delta along that coordinate.  Points with no common field
+    with the shape (SqrtExt points under float generators, or two
+    radicands) are refused up front (GeometryError).
     """
     n = len(points)
     keys = [

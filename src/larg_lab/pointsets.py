@@ -4,7 +4,10 @@ Infinite models (Poisson processes) are approximated by their restriction to
 an axis-aligned window.  A PointSet remembers how it was produced (seed,
 scaling alpha, numeric mode) plus structural flags: integer-distance-freeness
 of generator projections, verified by `rescale_to_idf`, and a pairwise
-non-integer distance flag carried through JSON.
+non-integer distance flag carried through JSON.  It also carries the field
+tag of its coordinates (`exact.field_of`), which the kernels join with the
+shape's tag; a set whose points have no common field (a float beside a
+SqrtExt, or two radicands) is refused when it is made.
 
 Rational mode draws dyadic rationals so every downstream floor/idf question
 has an exact answer; float mode is for Monte Carlo throughput.
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import SqrtExt, format_scalar, is_exact, parse_scalar
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, field_of, format_scalar, is_exact, parse_scalar
 from .geometry import Vec2
 
 __all__ = [
@@ -39,9 +42,6 @@ __all__ = [
 
 # denominator for rational-mode draws; dyadic so exactness survives scaling
 _RATIONAL_DEN = 1 << 40
-
-# float pairwise differences within this of an integer count as integer
-_IDF_GUARD = 1e-9
 
 
 class PointSetError(ValueError):
@@ -77,7 +77,8 @@ class Window:
 class PointSet:
     """Distinct plane points plus sampling provenance; treat as immutable.
 
-    SqrtExt coordinates must share one radicand (PointSetError otherwise).
+    `field` is the field tag of the coordinates; points with no common
+    field raise PointSetError.
     """
 
     points: tuple[Vec2, ...]
@@ -91,22 +92,16 @@ class PointSet:
         if self.mode not in ("float", "rational"):
             raise PointSetError(f"unknown mode {self.mode!r}")
         self.points = tuple(self.points)
+        self.field = field_of((c for v in self.points for c in (v.x, v.y)), PointSetError)
+        refuse_floats = self.mode == "rational" and self.field == FLOAT
         seen = set()
         for v in self.points:
             key = (v.x, v.y)
             if key in seen:
                 raise PointSetError(f"duplicate point {v}")
             seen.add(key)
-            if self.mode == "rational" and not v.is_exact():
+            if refuse_floats and not v.is_exact():
                 raise PointSetError(f"float coordinate {v} in rational mode")
-        # SqrtExt values over different radicands do not compare, so no
-        # distance between such points could be decided
-        radicands = sorted(
-            {v.x.d for v in self.points if isinstance(v.x, SqrtExt)}
-            | {v.y.d for v in self.points if isinstance(v.y, SqrtExt)}
-        )
-        if len(radicands) > 1:
-            raise PointSetError(f"points mix the radicands {radicands}")
 
     def __len__(self):
         return len(self.points)
@@ -215,10 +210,10 @@ def is_idf(values: Iterable) -> bool:
         return len(fracs) == len(vals)
     fr = sorted(float(v) % 1.0 for v in vals)
     for a, b in zip(fr, fr[1:]):
-        if b - a < _IDF_GUARD:
+        if b - a < FLOAT_INTEGER_GUARD:
             return False
     # wrap-around: 0.0000001 and 0.9999999 differ by ~an integer
-    if len(fr) > 1 and (fr[0] + 1.0) - fr[-1] < _IDF_GUARD:
+    if len(fr) > 1 and (fr[0] + 1.0) - fr[-1] < FLOAT_INTEGER_GUARD:
         return False
     return True
 

@@ -18,11 +18,18 @@ Box product maps are computed for a whole domain at once, in two lanes that
 both give exactly the images of the scalar formula `box_product_map` states.
 Exact points under exact generators and knots take an integer lane: each
 dual coordinate is an int pair (A, B) over one denominator D, read as
-(A + B*sqrt(d))/D, so floors and knot comparisons are integer sign tests and
-each image coordinate is built once, as the same Fraction or SqrtExt.  Float
-points take one numpy pass that performs the scalar formula's float
-operations in its order, so the images are bit-identical and its refusals
-are raised for the same first point.
+(A + B*sqrt(d))/D (the format of `exact.surd_ints`), so floors and knot
+comparisons are integer sign tests and each image coordinate is built once,
+as the same Fraction or SqrtExt.  Float points take one numpy pass that
+performs the scalar formula's float operations in its order, so the images
+are bit-identical and a fractional part the scalar formula refuses is
+refused for the same first point.
+
+Field refusals come up front, for the whole input, before any image or
+distance: the field tags (`exact.field_of`) of the generators, the knots
+and the domain must have a common field for a box map (StepIsoError), and
+the pair scan joins the shape's tag with the domain's and with the images'
+(GeometryError).
 """
 
 from __future__ import annotations
@@ -36,20 +43,25 @@ from typing import Callable
 import numpy as np
 
 from .exact import (
-    BoundaryAmbiguityError,
+    FLOAT,
     FLOAT_INTEGER_GUARD,
-    SqrtExt,
+    BoundaryAmbiguityError,
     _floor_surd,
+    _surd_nonneg,
     exact_div,
+    field_of,
     format_scalar,
+    join_fields,
     parse_scalar,
+    surd_ints,
+    surd_value,
 )
 from .geometry import (
+    GeometryError,
     Line,
     NormShape,
     PolygonShape,
     Vec2,
-    _refuse_mixed_fields,
     distance,
     truncated_distance,
 )
@@ -164,17 +176,8 @@ def box_product_map(shape: NormShape, g1: Interleaving1D, g2: Interleaving1D, v:
     w_i = apply_fractional_map(g_i, u_i) and den = a1.cross(a2).  This is
     the one-point call of `box_product_point_map`.
     """
-    return _box_images(shape, g1, g2, (v,), lambda: np.array([v.to_floats()]))[0]
-
-
-def _surd_ints(values) -> tuple[int, list[tuple[int, int]]]:
-    """One denominator D and int pairs (A, B) with value = (A + B*sqrt(d))/D.
-
-    The values are int, Fraction or SqrtExt over one radicand d.
-    """
-    parts = [(c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), Fraction(0)) for c in values]
-    D = math.lcm(*(q.denominator for ab in parts for q in ab))
-    return D, [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)) for a, b in parts]
+    field = field_of((v.x, v.y), StepIsoError)
+    return _box_images(shape, g1, g2, (v,), field, lambda: np.array([v.to_floats()]))[0]
 
 
 def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
@@ -183,21 +186,9 @@ def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
     return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
 
 
-def _surd_nonneg(a: int, b: int, d: int) -> bool:
-    """a + b*sqrt(d) >= 0 for ints a, b and a non-square d (any d if b == 0)."""
-    if b == 0:
-        return a >= 0
-    if a >= 0 and b > 0:
-        return True
-    if a <= 0 and b < 0:
-        return False
-    # opposite signs; a*a == b*b*d cannot hold for a non-square d
-    return (a * a > b * b * d) == (a > 0)
-
-
-def _exact_images(a1: Vec2, a2: Vec2, g1, g2, todo, images) -> None:
-    """The integer lane: images[j] for each (j, v, d) in todo, v exact over
-    the radicand d (0 for rational points).
+def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, todo, images) -> None:
+    """The integer lane: images[j] for each (j, v) in todo, v exact over
+    Q(sqrt(d)), or over Q for d = 0.
 
     The generators are (p_x + q_x*sqrt(d), ...)/G, each interleaving piece is
     s -> m*s + c with m, c over one denominator E, the knots are over T and
@@ -207,14 +198,14 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, todo, images) -> None:
     all int arithmetic, and each image coordinate becomes one Fraction or
     SqrtExt at the end.
     """
-    G, gen = _surd_ints((a1.x, a1.y, a2.x, a2.y))
+    G, gen = surd_ints((a1.x, a1.y, a2.x, a2.y))
     den = a1.cross(a2)
-    K, coef = _surd_ints(
+    K, coef = surd_ints(
         (exact_div(a2.y, den), exact_div(-a1.y, den), exact_div(-a2.x, den), exact_div(a1.x, den))
     )
     segs = [_segments(g) for g in (g1, g2)]
-    T, starts = _surd_ints([t0 for sg in segs for t0, _, _ in sg])
-    E, lines = _surd_ints([c for sg in segs for t0, u0, m in sg for c in (m, u0 - t0 * m)])
+    T, starts = surd_ints([t0 for sg in segs for t0, _, _ in sg])
+    E, lines = surd_ints([c for sg in segs for t0, u0, m in sg for c in (m, u0 - t0 * m)])
     duals = []
     next_start, next_line = iter(starts).__next__, iter(lines).__next__
     for i, sg in enumerate(segs):
@@ -223,12 +214,8 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, todo, images) -> None:
         duals.append((gen[2 * i], gen[2 * i + 1], knots, pieces))
     (k11a, k11b), (k12a, k12b), (k21a, k21b), (k22a, k22b) = coef
     KE = K * E
-    for j, v, d in todo:
-        xa, xb, xD = _point_ints(v.x)
-        ya, yb, yD = _point_ints(v.y)
-        P = math.lcm(xD, yD)
-        Xa, Xb = xa * (P // xD), xb * (P // xD)
-        Ya, Yb = ya * (P // yD), yb * (P // yD)
+    for j, v in todo:
+        P, ((Xa, Xb), (Ya, Yb)) = surd_ints((v.x, v.y))
         Du = G * P
         W = []
         for (px, qx), (py, qy), knots, pieces in duals:
@@ -246,27 +233,11 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, todo, images) -> None:
         (w1a, w1b), (w2a, w2b) = W
         Dn = KE * Du
         images[j] = Vec2(
-            _decode(k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
-                    k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a, Dn, d),
-            _decode(k21a * w1a + k22a * w2a + (k21b * w1b + k22b * w2b) * d,
-                    k21a * w1b + k21b * w1a + k22a * w2b + k22b * w2a, Dn, d),
+            surd_value(k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
+                       k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a, Dn, d),
+            surd_value(k21a * w1a + k22a * w2a + (k21b * w1b + k22b * w2b) * d,
+                       k21a * w1b + k21b * w1a + k22a * w2b + k22b * w2a, Dn, d),
         )
-
-
-def _point_ints(c) -> tuple[int, int, int]:
-    """(A, B, D) with c = (A + B*sqrt(d))/D for an int, Fraction or SqrtExt c."""
-    if isinstance(c, SqrtExt):
-        a, b = c.a, c.b
-        D = math.lcm(a.denominator, b.denominator)
-        return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
-    return c.numerator, 0, c.denominator
-
-
-def _decode(A: int, B: int, D: int, d: int):
-    """(A + B*sqrt(d))/D as a Fraction, or as a SqrtExt when B != 0."""
-    if B == 0:
-        return Fraction(A, D)
-    return SqrtExt(Fraction(A, D), Fraction(B, D), d)
 
 
 def _first_double_at_least(t) -> float:
@@ -313,50 +284,35 @@ def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
             apply_fractional_map(g, u)  # raises as the scalar formula does
 
 
-def _box_images(shape: NormShape, g1, g2, points, floats) -> list[Vec2]:
-    """Images of points under the box product map; floats() is their n x 2
-    float array, read only if some point takes the float lane."""
+def _box_images(shape: NormShape, g1, g2, points, field: int, floats) -> list[Vec2]:
+    """Images of points, whose field tag is field, under the box product map;
+    floats() is their n x 2 float array, read only if some point takes the
+    float lane.  Generators, knots and points with no common field are
+    refused first (StepIsoError)."""
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise StepIsoError("box product maps need a box (two-generator) shape")
     a1, a2 = shape.generators
-    setup = [a1.x, a1.y, a2.x, a2.y] + [c for g in (g1, g2) for knot in g.knots for c in knot]
-    float_setup = any(isinstance(c, float) for c in setup)
-    radicands = {c.d for c in setup if isinstance(c, SqrtExt)}
-    if len(radicands) > 1:
-        raise TypeError(f"box product map mixes radicands {sorted(radicands)}")
-    setup_d = radicands.pop() if radicands else 0
+    knots = field_of([c for g in (g1, g2) for knot in g.knots for c in knot], StepIsoError)
+    setup = join_fields(shape.field, knots, StepIsoError)
+    field = join_fields(setup, field, StepIsoError)
 
+    # float setups send every point to the float lane; rational setups send
+    # the float points of a domain that mixes them with rational ones
     exact_todo, float_todo = [], []
-    refusal = None
     for j, v in enumerate(points):
-        x, y = v.x, v.y
-        if float_setup or isinstance(x, float) or isinstance(y, float):
-            if setup_d or isinstance(x, SqrtExt) or isinstance(y, SqrtExt):
-                refusal = TypeError(f"point {j}: a float and a SqrtExt have no common field")
-                break
+        if setup != FLOAT and (field != FLOAT or v.is_exact()):
+            exact_todo.append((j, v))
+        else:
             float_todo.append(j)
-            continue
-        d = setup_d
-        for c in (x, y):
-            if isinstance(c, SqrtExt):
-                if d and c.d != d:
-                    refusal = TypeError(f"point {j}: radicands {d} and {c.d} have no common field")
-                    break
-                d = c.d
-        if refusal is not None:
-            break
-        exact_todo.append((j, v, d))
 
     images = [None] * len(points)
     if exact_todo:
-        _exact_images(a1, a2, g1, g2, exact_todo, images)
+        _exact_images(a1, a2, g1, g2, 0 if field == FLOAT else field, exact_todo, images)
     if float_todo:
         xy = floats()
         if len(float_todo) < len(xy):
             xy = xy[float_todo]
         _float_images(a1, a2, g1, g2, float_todo, xy, images)
-    if refusal is not None:
-        raise refusal
     return images
 
 
@@ -429,15 +385,17 @@ def box_product_point_map(
     ``domain.as_array()`` that repeats the scalar formula's float operations
     in its order, so float images are bit-identical to it and the scalar
     formula's refusals (a fractional part rounded up to 1.0) are raised for
-    the same first point.  Floats and SqrtExt values never meet: a point
-    that would combine them, or two radicands, raises TypeError.
+    the same first point.  Floats and SqrtExt values never meet: when the
+    generators, knots and domain have no common field (a float beside a
+    SqrtExt, or two radicands), the whole input is refused up front with
+    StepIsoError.
 
     Exact points under float generators or knots, and points with one
     exact and one float coordinate, also take the float lane, on their
     coordinates rounded to floats; where the scalar formula rounds an exact
     product or fractional part instead, an image may differ in the last bit.
     """
-    images = _box_images(shape, g1, g2, domain.points, domain.as_array)
+    images = _box_images(shape, g1, g2, domain.points, domain.field, domain.as_array)
     return PointMap(domain, images, "box-product", (g1, g2))
 
 
@@ -484,6 +442,18 @@ class Verdict:
 _ISO_GUARD = 1e-12
 
 
+def _fields(pmap: PointMap, shape: NormShape) -> tuple[int, int]:
+    """The field tags of the domain and of the images, each joined with the
+    shape's, so data with no common field with the shape is refused up front
+    (GeometryError).  The two sides are never joined with each other: their
+    distances are computed apart, and an exact domain with float images is
+    a legitimate input."""
+    images = field_of((c for w in pmap.images for c in (w.x, w.y)), GeometryError)
+    for f in (pmap.domain.field, images):
+        join_fields(shape.field, f, GeometryError)
+    return pmap.domain.field, images
+
+
 def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdict:
     """The first pair i < j, in lexicographic order, that fails a check.
 
@@ -492,10 +462,10 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdic
     the coordinate scale.  A block with no flagged pair is skipped.  Each
     flagged pair is then decided in order by fails(left, right) on the
     scalar values scalar(shape, x, y) of both sides, exact for exact data.
-    SqrtExt data under float generators is refused up front (GeometryError).
+    Callers refuse data with no common field with the shape first
+    (`_fields`).
     """
     pts, ims = pmap.domain.points, pmap.images
-    _refuse_mixed_fields(shape, pts + ims)
     n = len(pts)
     if n < 2:
         return Verdict(True, checked=0)
@@ -531,6 +501,8 @@ def is_step_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
     Exact data is decided exactly; float data raises BoundaryAmbiguityError
     (naming the pair) when a distance is too close to an integer to truncate
     safely and no earlier pair fails.  The witness carries both floors.
+    A domain or images with no common field with the shape raise
+    GeometryError before any pair is read.
     """
 
     def marks(dd, di, scale):
@@ -539,6 +511,7 @@ def is_step_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
         near = (np.abs(dd - np.rint(dd)) < guard) | (np.abs(di - np.rint(di)) < guard)
         return near | (np.floor(dd) != np.floor(di))
 
+    _fields(pmap, shape)
     return _pair_scan(pmap, shape, marks, truncated_distance, lambda td, ti: td != ti)
 
 
@@ -546,11 +519,12 @@ def is_isometry(pmap: PointMap, shape: NormShape, tol=None) -> Verdict:
     """Do all pairs keep their exact distance (within tol for floats)?
 
     Exact data on a polygon defaults to tol 0, other data to
-    FLOAT_INTEGER_GUARD.  The witness carries both distances.
+    FLOAT_INTEGER_GUARD.  The witness carries both distances.  Fields are
+    refused as in `is_step_isometry`.
     """
+    fields = _fields(pmap, shape)
     if tol is None:
-        exact = all(v.is_exact() for v in pmap.domain.points + pmap.images)
-        tol = 0 if exact and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
+        tol = 0 if FLOAT not in fields and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
 
     def marks(dd, di, scale):
         return np.abs(dd - di) > float(tol) - _ISO_GUARD * scale

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: quadratic extensions, guarded floors, JSON forms."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from larg_lab.exact import (
-    BoundaryAmbiguityError,
+    FLOAT,
     FLOAT_INTEGER_GUARD,
+    BoundaryAmbiguityError,
     SqrtExt,
+    field_of,
     format_scalar,
     fractional_part,
     guarded_floor,
     is_exact,
+    join_fields,
     parse_scalar,
+    surd_ints,
+    surd_value,
 )
 
 SQRT2 = SqrtExt(0, 1, 2)
@@ -133,6 +139,27 @@ def test_scalar_json_round_trip():
     assert isinstance(parse_scalar(2), float)
 
 
+def test_field_tags_and_joins():
+    assert field_of([], ValueError) == 0
+    assert field_of([1, Fraction(1, 3)], ValueError) == 0
+    assert field_of([Fraction(1, 3), SQRT2, 2 * SQRT2], ValueError) == 2
+    assert field_of([1, 0.5, Fraction(1, 3)], ValueError) == FLOAT  # floats absorb Q
+    for a in (0, 2, FLOAT):
+        assert join_fields(a, a, ValueError) == a
+        assert join_fields(a, 0, ValueError) == join_fields(0, a, ValueError) == a
+    for a, b, message in (
+        (FLOAT, 2, "a float and a SqrtExt have no common field"),
+        (3, 2, "radicands [2, 3] have no common field"),
+    ):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(KeyError, match=re.escape(message)):
+                join_fields(x, y, KeyError)
+    with pytest.raises(KeyError, match="float"):
+        field_of([SQRT2, 1, 0.5], KeyError)
+    with pytest.raises(KeyError, match=re.escape("radicands [2, 5]")):
+        field_of([SqrtExt(1, 1, 5), 1, SQRT2], KeyError)
+
+
 # ---------------------------------------------------------------------------
 # properties of Q(sqrt d) against an integer oracle
 
@@ -226,3 +253,15 @@ def test_sqrt_ext_floor_and_float_match_integer_oracle(problem, shift):
     if x != 0:
         want = Fraction(oracle_floor(x, d, 1 << 200), 1 << 200)
         assert math.isclose(float(x), float(want), rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(4))
+def test_surd_ints_round_trip(problem):
+    d, vals = problem
+    D, ints = surd_ints(vals)
+    assert D > 0 and all(isinstance(k, int) for ab in ints for k in ab)
+    for x, (A, B) in zip(vals, ints):
+        back = surd_value(A, B, D, d)
+        assert back == x and type(back) is type(x)
+        assert math.floor(x) == oracle_floor(back, d)

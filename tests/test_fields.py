@@ -1,0 +1,126 @@
+"""One field rule: every kernel refuses inputs with no common field alike.
+
+The rule lives in ``exact.field_of`` and ``exact.join_fields``; point sets
+and shapes carry its tag and the kernels join tags.  The table below runs
+each kernel on the same two inputs, a float beside a SqrtExt and sqrt(2)
+beside sqrt(3), and asserts the error class and the message.
+"""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from larg_lab.anchoring import good_enumeration
+from larg_lab.exact import SqrtExt
+from larg_lab.geometry import (
+    GeometryError,
+    PolygonShape,
+    Vec2,
+    box_shape,
+    distance,
+    rational_hexagon,
+    regular_hexagon,
+)
+from larg_lab.grids import GridError, generate_grid
+from larg_lab.larg import in_range_pairs, sample_larg
+from larg_lab.pointsets import PointSet, PointSetError, Window
+from larg_lab.stepiso import (
+    PointMap,
+    StepIsoError,
+    box_product_map,
+    box_product_point_map,
+    canonical_interleaving,
+    is_isometry,
+    is_step_isometry,
+)
+
+F = Fraction
+R2, R3 = SqrtExt(0, 1, 2), SqrtExt(0, 1, 3)
+WINDOW = Window(F(-4), F(-4), F(4), F(4))
+POINTS = (Vec2(R2, F(0)), Vec2(R2 + F(1, 3), F(1, 2)), Vec2(F(1, 2), R2 - 1))
+SQRT2_SET = PointSet(POINTS, WINDOW, 0, "rational")
+RATIONAL_SET = PointSet((Vec2(F(0), F(0)), Vec2(F(1, 2), F(0)), Vec2(F(0), F(1, 3))), WINDOW, 0, "rational")
+G = canonical_interleaving()
+
+# each input pairs a shape with the points over sqrt(2): the regular hexagon
+# has float generators, and its exact twin generators over sqrt(3)
+SHAPES = {
+    "float-sqrt": regular_hexagon(),
+    "sqrt2-sqrt3": PolygonShape([Vec2(1, 0), Vec2(F(1, 2), R3 / 2), Vec2(F(-1, 2), R3 / 2)]),
+}
+BOXES = {"float-sqrt": box_shape(Vec2(1.0, 0.0), Vec2(0, 1)), "sqrt2-sqrt3": box_shape(Vec2(1, 0), Vec2(0, R3))}
+# a second value of the other field beside the points over sqrt(2)
+OTHER = {"float-sqrt": 0.5, "sqrt2-sqrt3": R3}
+MESSAGES = {
+    "float-sqrt": "a float and a SqrtExt have no common field",
+    "sqrt2-sqrt3": "radicands [2, 3] have no common field",
+}
+
+
+
+def _mixed_images(kind) -> PointMap:
+    return PointMap(RATIONAL_SET, POINTS[:2] + (Vec2(OTHER[kind], F(0)),))
+
+
+KERNELS = {
+    "PointSet": (PointSetError, lambda k: PointSet(POINTS + (Vec2(OTHER[k], F(0)),), WINDOW, 0)),
+    "PolygonShape": (GeometryError, lambda k: PolygonShape([Vec2(1, 0), Vec2(0, OTHER[k]), Vec2(R2, 1)])),
+    "distance": (GeometryError, lambda k: distance(SHAPES[k], POINTS[0], POINTS[1])),
+    "in_range_pairs": (GeometryError, lambda k: in_range_pairs(SQRT2_SET, SHAPES[k], 1)),
+    "sample_larg": (GeometryError, lambda k: sample_larg(SQRT2_SET, SHAPES[k], 1, 0.5, edge_seed=1)),
+    "good_enumeration": (GeometryError, lambda k: good_enumeration(SQRT2_SET, SHAPES[k])),
+    "is_step_isometry": (GeometryError, lambda k: is_step_isometry(PointMap(SQRT2_SET, POINTS), SHAPES[k])),
+    "is_isometry": (GeometryError, lambda k: is_isometry(PointMap(SQRT2_SET, POINTS), SHAPES[k])),
+    # the images alone have no common field, under a rational shape
+    "is_step_isometry images": (GeometryError, lambda k: is_step_isometry(_mixed_images(k), rational_hexagon())),
+    "is_isometry images": (GeometryError, lambda k: is_isometry(_mixed_images(k), rational_hexagon())),
+    "box_product_map": (StepIsoError, lambda k: box_product_map(BOXES[k], G, G, POINTS[0])),
+    "box_product_point_map": (StepIsoError, lambda k: box_product_point_map(SQRT2_SET, BOXES[k], G, G)),
+    "generate_grid": (GridError, lambda k: generate_grid(POINTS[:2], SHAPES[k].generators, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESSAGES))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_every_kernel_refuses_inputs_with_no_common_field(kernel, kind):
+    error, call = KERNELS[kernel]
+    with pytest.raises(error, match=f"^{re.escape(MESSAGES[kind])}$"):
+        call(kind)
+
+
+def test_images_do_not_join_the_domain():
+    # an exact domain with float images, or images over another radicand,
+    # is a step-isometry input: each side's distances are computed apart
+    square = box_shape(Vec2(1, 0), Vec2(0, 1))
+    floats = tuple(Vec2(float(v.x), float(v.y)) for v in RATIONAL_SET.points)
+    assert is_step_isometry(PointMap(RATIONAL_SET, floats), square).ok
+    # sqrt(2) -> sqrt(3): pair (0, 2) is at distance sqrt(2) - 1/2 < 1 in
+    # the domain and sqrt(3) - 1/2 > 1 among the images
+    swapped = (Vec2(R3, F(0)), Vec2(R3 + F(1, 3), F(1, 2)), Vec2(F(1, 2), R3 - 1))
+    verdict = is_step_isometry(PointMap(SQRT2_SET, swapped), square)
+    assert (verdict.ok, verdict.witness, verdict.left, verdict.right) == (False, (0, 2), 0, 1)
+
+
+def test_only_exact_names_sqrtext():
+    # the field rule stays in one place: no other module names the type
+    # (docstrings and comments may)
+    src = Path(__file__).resolve().parents[1] / "src" / "larg_lab"
+    modules = sorted(src.glob("*.py"))
+    assert any(p.name == "exact.py" for p in modules)
+    for path in modules:
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.asname or a.name for a in node.names)
+                names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        assert "SqrtExt" not in names, f"{path.name} names SqrtExt"

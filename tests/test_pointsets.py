@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from larg_lab.exact import SqrtExt
+from larg_lab.exact import FLOAT, SqrtExt
 from larg_lab.geometry import Vec2, distance, rational_hexagon, square_linf
 from larg_lab.pointsets import (
     PointSet,
@@ -285,6 +285,19 @@ def test_pointset_refuses_mixed_radicands():
     assert distance(rational_hexagon(), *ps.points) > 0
     with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
         replace(ps, points=(a, b))
+
+
+def test_pointset_refuses_a_float_beside_a_sqrt():
+    # the float filter of in_range_pairs could answer pair (0, 1) of such a
+    # set, while distance cannot compute it; the set is refused when made
+    a, b = Vec2(0.5, 0.0), Vec2(SqrtExt(0, 1, 2), 0)
+    with pytest.raises(TypeError):
+        distance(rational_hexagon(), a, b)
+    with pytest.raises(PointSetError, match="a float and a SqrtExt have no common field"):
+        PointSet((a, b), Window(-1.0, -1.0, 2.0, 2.0), seed=0)
+    # floats beside rationals, and rationals beside a radicand, keep a field
+    assert PointSet((a, Vec2(Fraction(1, 3), 0)), Window(-1.0, -1.0, 2.0, 2.0), seed=0).field == FLOAT
+    assert PointSet((b, Vec2(Fraction(1, 3), 0)), Window(-1, -1, 2, 2), seed=0, mode="rational").field == 2
 
 
 def test_pointset_json_round_trip_rational():
