@@ -33,7 +33,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, exact_div, guarded_floor, is_exact
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, exact_div, guarded_floor, is_exact, surd_value
 from .geometry import (
     GeometryError,
     LpShape,
@@ -54,7 +54,7 @@ from .larg import (
     in_range_pairs,
     sample_larg,
 )
-from .pointsets import PointSet, Window, is_idf, sample_poisson_window
+from .pointsets import PointSet, Window, _idf_tests, _projection_ints, sample_poisson_window
 
 __all__ = [
     "BoxDemoReport",
@@ -597,14 +597,19 @@ def _floor_table(points: PointSet, shape: PolygonShape):
     """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats.
 
     A float filter floors the difference matrix; cells within a guard of an
-    integer are decided in row-major order by guarded_floor, which floors
-    exact data exactly. The diagonal is exactly 0.
+    integer are decided in row-major order: exact data by the floor of the
+    integer projections (`pointsets._projection_ints`) the float column was
+    read from, floats by guarded_floor.  The diagonal is exactly 0.
     """
     pts = points.points
     tables = []
-    for a in shape.generators:
-        proj = [a.dot(v) for v in pts]
-        col = np.array([float(t) for t in proj])
+    for a, enc in zip(shape.generators, _projection_ints(points, shape.generators)):
+        if enc is None:
+            proj = [a.dot(v) for v in pts]
+            col = np.array([float(t) for t in proj])
+        else:
+            D, proj, d = enc
+            col = np.array([A / D if B == 0 else float(surd_value(A, B, D, d)) for A, B in proj])
         diff = col[:, None] - col[None, :]
         tab = np.floor(diff)
         guard = FLOAT_INTEGER_GUARD * (1.0 + np.abs(col).max(initial=0.0))
@@ -612,8 +617,10 @@ def _floor_table(points: PointSet, shape: PolygonShape):
         np.fill_diagonal(near, False)
         np.fill_diagonal(tab, 0.0)
         for u, v in zip(*np.nonzero(near)):
-            diff_uv = proj[u] - proj[v]
-            tab[u, v] = guarded_floor(diff_uv, what=f"projection difference ({u}, {v})")
+            if enc is None:
+                tab[u, v] = guarded_floor(proj[u] - proj[v], what=f"projection difference ({u}, {v})")
+            else:
+                tab[u, v] = _floor_surd(proj[u][0] - proj[v][0], proj[u][1] - proj[v][1], d, D)
         tables.append(tab.astype(np.int64).tolist())
     return tables
 
@@ -733,8 +740,8 @@ def box_isomorphism_demo(
     """
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise ExperimentError("box_isomorphism_demo needs a box shape")
-    for a in shape.generators:
-        if not is_idf([a.dot(v) for v in points.points]):
+    for a, idf in zip(shape.generators, _idf_tests(points, shape.generators)):
+        if not idf(1):
             raise ExperimentError(
                 f"projections on generator ({a.x}, {a.y}) are not integer-"
                 "difference-free; rescale the sample first"

@@ -9,15 +9,21 @@ tag of its coordinates (`exact.field_of`), which the kernels join with the
 shape's tag; a set whose points have no common field (a float beside a
 SqrtExt, or two radicands) is refused when it is made.
 
-Rational mode draws dyadic rationals so every downstream floor/idf question
-has an exact answer; float mode is for Monte Carlo throughput.
+Rational mode draws dyadic rationals x0 + (x1 - x0)*k/2^40 so every
+downstream floor/idf question has an exact answer; float mode is for Monte
+Carlo throughput.  Exact work runs on integer numerators over one
+denominator, the (A + B*sqrt(d))/D format of `exact.surd_ints`: the sampler
+builds each coordinate once from the window's numerators and the integer
+draw k, a set of rationals checks duplicates on (numerator, denominator)
+keys, and the idf tests, the rescaling search and the projection floors of
+`experiments` read the projections a.v as such integers
+(`_projection_ints`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +31,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, field_of, format_scalar, is_exact, parse_scalar
+from .exact import (
+    FLOAT,
+    FLOAT_INTEGER_GUARD,
+    field_of,
+    format_scalar,
+    is_exact,
+    join_fields,
+    parse_scalar,
+    surd_ints,
+    surd_value,
+)
 from .geometry import Vec2
 
 __all__ = [
@@ -94,9 +110,13 @@ class PointSet:
         self.points = tuple(self.points)
         self.field = field_of((c for v in self.points for c in (v.x, v.y)), PointSetError)
         refuse_floats = self.mode == "rational" and self.field == FLOAT
+        if self.field == 0:
+            # ints and Fractions both carry a normalised numerator/denominator
+            keys = [(v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator) for v in self.points]
+        else:
+            keys = [(v.x, v.y) for v in self.points]
         seen = set()
-        for v in self.points:
-            key = (v.x, v.y)
+        for v, key in zip(self.points, keys):
             if key in seen:
                 raise PointSetError(f"duplicate point {v}")
             seen.add(key)
@@ -122,6 +142,12 @@ class PointSet:
 
     @cached_property
     def _array(self) -> np.ndarray:
+        if self.field == 0:
+            # int / int is correctly rounded, as float(Fraction) is
+            return np.array(
+                [(v.x.numerator / v.x.denominator, v.y.numerator / v.y.denominator) for v in self.points],
+                dtype=float,
+            )
         return np.array([p.to_floats() for p in self.points], dtype=float)
 
     @cached_property
@@ -130,9 +156,7 @@ class PointSet:
         h = hashlib.sha256()
         h.update(self.mode.encode())
         for v in self.points:
-            x = Fraction(v.x) if isinstance(v.x, int) else v.x
-            y = Fraction(v.y) if isinstance(v.y, int) else v.y
-            h.update(repr((x, y)).encode())
+            h.update(repr((_int_as_fraction(v.x), _int_as_fraction(v.y))).encode())
         return h.hexdigest()[:16]
 
 
@@ -145,6 +169,16 @@ def _window_exact(window: Window) -> Window:
         if not is_exact(c):
             raise PointSetError("rational mode needs exact window bounds")
     return window
+
+
+def _dyadic_axis(lo, hi):
+    """k -> lo + (hi - lo)*k/2^40, built from integer numerators: with
+    lo, hi = (A0 + B0*sqrt(d))/D, (A1 + B1*sqrt(d))/D the value is
+    ((A0*2^40 + (A1 - A0)*k) + (B0*2^40 + (B1 - B0)*k)*sqrt(d)) / (D*2^40)."""
+    D, ((A0, B0), (A1, B1)) = surd_ints((lo, hi))
+    d = field_of((lo, hi), PointSetError)
+    a, da, b, db, den = A0 * _RATIONAL_DEN, A1 - A0, B0 * _RATIONAL_DEN, B1 - B0, D * _RATIONAL_DEN
+    return lambda k: surd_value(a + da * k, b + db * k, den, d)
 
 
 def sample_poisson_window(
@@ -174,18 +208,16 @@ def sample_poisson_window(
                     pts.append(p)
     elif mode == "rational":
         _window_exact(window)
-        w = window.x1 - window.x0
-        h = window.y1 - window.y0
-        while len(pts) < n:
-            block = rng.integers(0, _RATIONAL_DEN, size=(n - len(pts), 2))
-            for ku, kv in block:
-                p = Vec2(
-                    window.x0 + w * Fraction(int(ku), _RATIONAL_DEN),
-                    window.y0 + h * Fraction(int(kv), _RATIONAL_DEN),
-                )
-                if (p.x, p.y) not in seen:
-                    seen.add((p.x, p.y))
-                    pts.append(p)
+        # k -> lo + (hi - lo)*k/2^40 is injective, so duplicates are found on
+        # the integer draws
+        fx, fy = _dyadic_axis(window.x0, window.x1), _dyadic_axis(window.y0, window.y1)
+        draws: list[tuple[int, int]] = []
+        while len(draws) < n:
+            for ku, kv in rng.integers(0, _RATIONAL_DEN, size=(n - len(draws), 2)).tolist():
+                if (ku, kv) not in seen:
+                    seen.add((ku, kv))
+                    draws.append((ku, kv))
+        pts = [Vec2(fx(ku), fy(kv)) for ku, kv in draws]
     else:
         raise PointSetError(f"unknown mode {mode!r}")
     return PointSet(tuple(pts), window, seed, mode=mode)
@@ -199,15 +231,19 @@ def is_idf(values: Iterable) -> bool:
     """True iff no two distinct entries differ by an integer.
 
     Exact inputs are decided exactly; float inputs treat differences within
-    1e-9 of an integer as integer.  Both reduce to fractional parts: x - y is
-    an integer iff frac(x) == frac(y).
+    1e-9 of an integer as integer.  Exact values of one field are encoded as
+    (A + B*sqrt(d))/D (`exact.surd_ints`) and keyed by (A mod D, B); values
+    of different fields never differ by an integer.  Floats reduce to
+    fractional parts: x - y is an integer iff frac(x) == frac(y).
     """
     vals = list(values)
     if not vals:
         return True
     if all(is_exact(v) for v in vals):
-        fracs = {v - math.floor(v) for v in vals}
-        return len(fracs) == len(vals)
+        fields: dict[int, list] = {}
+        for v in vals:
+            fields.setdefault(field_of((v,), PointSetError), []).append(v)
+        return all(_idf_ints(*surd_ints(group)) for group in fields.values())
     fr = sorted(float(v) % 1.0 for v in vals)
     for a, b in zip(fr, fr[1:]):
         if b - a < FLOAT_INTEGER_GUARD:
@@ -216,6 +252,16 @@ def is_idf(values: Iterable) -> bool:
     if len(fr) > 1 and (fr[0] + 1.0) - fr[-1] < FLOAT_INTEGER_GUARD:
         return False
     return True
+
+
+def _idf_ints(D: int, ints: list, r: int = 1, s: int = 1) -> bool:
+    """Are the values (A + B*sqrt(d))/D * r/s, (A, B) in ints, idf?
+
+    For r != 0 two of them differ by an integer iff their B agree and their
+    A*r agree mod D*s.
+    """
+    m = D * s
+    return len({(A * r % m, B) for A, B in ints}) == len(ints)
 
 
 def projections(points: Sequence[Vec2], a: Vec2) -> list:
@@ -242,6 +288,48 @@ def _golden_candidates(trials: int, seed: int):
         yield m + k * Fraction(fib[j + 1], fib[j])
 
 
+def _projection_ints(points: PointSet, generators: Sequence[Vec2]) -> list:
+    """Per generator a, the projections a.v of the points as (D, [(A, B)], d)
+    with a.v = (A + B*sqrt(d))/D, or None when a or the points are float.
+
+    The coordinates are encoded once; a generator with no common field with
+    the points raises PointSetError.
+    """
+    fields = [join_fields(field_of((a.x, a.y), PointSetError), points.field, PointSetError) for a in generators]
+    if points.field == FLOAT:
+        return [None] * len(fields)
+    D, ints = surd_ints(c for v in points.points for c in (v.x, v.y))
+    xs, ys = ints[::2], ints[1::2]
+    out = []
+    for a, d in zip(generators, fields):
+        if d == FLOAT:
+            out.append(None)
+            continue
+        # (g + h*sqrt(d))(x + y*sqrt(d)) = (g*x + h*y*d) + (g*y + h*x)*sqrt(d)
+        G, ((gx, hx), (gy, hy)) = surd_ints((a.x, a.y))
+        proj = [
+            (gx * xa + gy * ya + (hx * xb + hy * yb) * d, gx * xb + hx * xa + gy * yb + hy * ya)
+            for (xa, xb), (ya, yb) in zip(xs, ys)
+        ]
+        out.append((G * D, proj, d))
+    return out
+
+
+def _idf_tests(points: PointSet, generators: Sequence[Vec2]) -> list:
+    """Per generator a, the test alpha -> are the projections a.v * alpha
+    idf?  Exact projections are encoded once (`_projection_ints`), so a test
+    costs one residue per point; float ones go through `is_idf`."""
+    tests = []
+    for a, enc in zip(generators, _projection_ints(points, generators)):
+        if enc is None:
+            proj = projections(points.points, a)
+            tests.append(lambda alpha, proj=proj: is_idf([t * alpha for t in proj]))
+        else:
+            D, ints, _ = enc
+            tests.append(lambda alpha, D=D, ints=ints: _idf_ints(D, ints, alpha.numerator, alpha.denominator))
+    return tests
+
+
 def rescale_to_idf(
     points: PointSet,
     generators: Sequence[Vec2],
@@ -252,33 +340,44 @@ def rescale_to_idf(
 
     Returns (alpha, new PointSet) with alpha recorded on the set and
     per-generator idf flags set; raises after `trials` failed candidates,
-    naming an obstruction.
+    naming an obstruction.  Coordinates come back as alpha times the old
+    ones, so ints become Fractions even when alpha is 1.
     """
     if not generators:
         raise PointSetError("need at least one generator")
+    tests = _idf_tests(points, generators)
     obstruction = None
     for alpha in _golden_candidates(trials, seed):
-        ok = True
-        for a in generators:
-            scaled = [a.dot(v) * alpha for v in points.points]
-            if not is_idf(scaled):
-                ok = False
-                obstruction = (alpha, a)
-                break
-        if ok:
-            flags = {(a.x, a.y): True for a in generators}
-            rescaled = replace(
-                points,
-                points=tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points),
-                window=points.window.scaled(alpha),
-                alpha=points.alpha * alpha,
-                idf_per_generator={**points.idf_per_generator, **flags},
+        failed = next((a for a, test in zip(generators, tests) if not test(alpha)), None)
+        if failed is not None:
+            obstruction = (alpha, failed)
+            continue
+        if alpha == 1:
+            # v * Fraction(1) without the multiplication: only ints change
+            scaled = tuple(
+                Vec2(_int_as_fraction(v.x), _int_as_fraction(v.y)) if isinstance(v.x, int) or isinstance(v.y, int) else v
+                for v in points.points
             )
-            return alpha, rescaled
+        else:
+            scaled = tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points)
+        flags = {(a.x, a.y): True for a in generators}
+        rescaled = replace(
+            points,
+            points=scaled,
+            window=points.window.scaled(alpha),
+            alpha=points.alpha * alpha,
+            idf_per_generator={**points.idf_per_generator, **flags},
+        )
+        return alpha, rescaled
     raise PointSetError(
         f"no idf rescaling found in {trials} candidates; "
         f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
     )
+
+
+def _int_as_fraction(c):
+    """c itself, or the equal Fraction when c is an int."""
+    return Fraction(c) if isinstance(c, int) else c
 
 
 # ---------------------------------------------------------------------------

@@ -529,7 +529,10 @@ def is_isometry(pmap: PointMap, shape: NormShape, tol=None) -> Verdict:
     def marks(dd, di, scale):
         return np.abs(dd - di) > float(tol) - _ISO_GUARD * scale
 
-    return _pair_scan(pmap, shape, marks, distance, lambda d, e: abs(d - e) > tol)
+    # with tol 0 exact pairs are compared, never subtracted: the two sides
+    # may lie over different radicands, whose values are simply unequal
+    fails = (lambda d, e: d != e) if tol == 0 else (lambda d, e: abs(d - e) > tol)
+    return _pair_scan(pmap, shape, marks, distance, fails)
 
 
 def respects_line(pmap: PointMap, ell: Line, ell_image: Line) -> bool:

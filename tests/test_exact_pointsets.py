@@ -1,0 +1,348 @@
+"""The exact point-set layer against its Fraction references.
+
+Sampling, `is_idf`, `rescale_to_idf` and the projection floors of
+`experiments._floor_table` run on integer numerators over one denominator.
+The references below are the Fraction implementations they replaced, kept
+verbatim in spirit: one Fraction or SqrtExt operation per coordinate.  The
+integer lane must give the same points (values, types and order), the same
+alpha, the same idf answers and the same floor tables, or the same error.
+"""
+
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from larg_lab.exact import FLOAT_INTEGER_GUARD, BoundaryAmbiguityError, SqrtExt, guarded_floor, is_exact
+from larg_lab.experiments import _floor_table
+from larg_lab.geometry import PolygonShape, Vec2, box_shape, rational_hexagon, square_linf
+from larg_lab.pointsets import (
+    PointSet,
+    PointSetError,
+    Window,
+    _golden_candidates,
+    is_idf,
+    rescale_to_idf,
+    sample_poisson_window,
+)
+
+F = Fraction
+R2, R3 = SqrtExt(0, 1, 2), SqrtExt(0, 1, 3)
+_RATIONAL_DEN = 1 << 40
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+
+def ref_sample_rational(window: Window, intensity: float, seed: int) -> PointSet:
+    """The rational sampler: Fraction arithmetic per coordinate, duplicates
+    dropped by value."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(intensity * float(window.area())))
+    pts, seen = [], set()
+    w = window.x1 - window.x0
+    h = window.y1 - window.y0
+    while len(pts) < n:
+        block = rng.integers(0, _RATIONAL_DEN, size=(n - len(pts), 2))
+        for ku, kv in block:
+            p = Vec2(
+                window.x0 + w * Fraction(int(ku), _RATIONAL_DEN),
+                window.y0 + h * Fraction(int(kv), _RATIONAL_DEN),
+            )
+            if (p.x, p.y) not in seen:
+                seen.add((p.x, p.y))
+                pts.append(p)
+    return PointSet(tuple(pts), window, seed, mode="rational")
+
+
+def ref_is_idf(values) -> bool:
+    """Exact values by their set of fractional parts, floats by the guard."""
+    vals = list(values)
+    if not vals:
+        return True
+    if all(is_exact(v) for v in vals):
+        return len({v - math.floor(v) for v in vals}) == len(vals)
+    fr = sorted(float(v) % 1.0 for v in vals)
+    for a, b in zip(fr, fr[1:]):
+        if b - a < FLOAT_INTEGER_GUARD:
+            return False
+    return not (len(fr) > 1 and (fr[0] + 1.0) - fr[-1] < FLOAT_INTEGER_GUARD)
+
+
+def ref_rescale(points: PointSet, generators, trials: int = 64, seed: int = 0):
+    """The rescaling loop: Fraction projections times each candidate alpha."""
+    obstruction = None
+    for alpha in _golden_candidates(trials, seed):
+        ok = True
+        for a in generators:
+            if not ref_is_idf([a.dot(v) * alpha for v in points.points]):
+                ok = False
+                obstruction = (alpha, a)
+                break
+        if ok:
+            flags = {(a.x, a.y): True for a in generators}
+            return alpha, replace(
+                points,
+                points=tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points),
+                window=points.window.scaled(alpha),
+                alpha=points.alpha * alpha,
+                idf_per_generator={**points.idf_per_generator, **flags},
+            )
+    raise PointSetError(
+        f"no idf rescaling found in {trials} candidates; "
+        f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
+    )
+
+
+def ref_floor_table(points: PointSet, shape: PolygonShape):
+    """The floor table from Fraction projections: a float filter, then
+    guarded_floor of the projection difference near an integer."""
+    pts = points.points
+    tables = []
+    for a in shape.generators:
+        proj = [a.dot(v) for v in pts]
+        col = np.array([float(t) for t in proj])
+        diff = col[:, None] - col[None, :]
+        tab = np.floor(diff)
+        guard = FLOAT_INTEGER_GUARD * (1.0 + np.abs(col).max(initial=0.0))
+        near = np.abs(diff - np.rint(diff)) < guard
+        np.fill_diagonal(near, False)
+        np.fill_diagonal(tab, 0.0)
+        for u, v in zip(*np.nonzero(near)):
+            tab[u, v] = guarded_floor(proj[u] - proj[v], what=f"projection difference ({u}, {v})")
+        tables.append(tab.astype(np.int64).tolist())
+    return tables
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def typed(points):
+    return [(type(c), c) for v in points for c in (v.x, v.y)]
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+# rationals with small denominators, so projections often differ by integers
+small_rationals = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6]))
+coordinates = st.one_of(st.integers(-3, 3), small_rationals)
+
+
+def near_zero(d):
+    """sqrt(d) - c for the rational c just below it: about 1e-13, so
+    differences that include it sit next to an integer yet are irrational."""
+    return SqrtExt(0, 1, d) - F(math.isqrt(d * 10**26), 10**13)
+
+
+@st.composite
+def scalars(draw, d):
+    """An int, a Fraction, or (for d > 0) a SqrtExt over d, some of them
+    within 1e-12 of a rational."""
+    c = draw(coordinates)
+    if d and draw(st.booleans()):
+        if draw(st.booleans()):
+            return c + draw(st.sampled_from([1, -1])) * near_zero(d)
+        return SqrtExt(c, draw(st.sampled_from([F(1), F(-1), F(1, 2)])), d)
+    return c
+
+
+def exact_sets(d):
+    """Point sets over Q, or over Q(sqrt(d)) when d > 0, with ints beside
+    Fractions and negative coordinates; some points sit an integer vector
+    away from another, so alpha = 1 fails."""
+
+    @st.composite
+    def build(draw):
+        pts = draw(st.lists(st.builds(Vec2, scalars(d), scalars(d)), min_size=1, max_size=10))
+        for _ in range(draw(st.integers(0, 2))):
+            v = draw(st.sampled_from(pts))
+            pts.append(Vec2(v.x + draw(st.integers(-2, 2)), v.y + draw(st.integers(-2, 2))))
+        unique = {}
+        for v in pts:
+            unique.setdefault(tuple(F(c) if isinstance(c, int) else c for c in (v.x, v.y)), v)
+        return PointSet(tuple(unique.values()), Window(F(-9), F(-9), F(9), F(9)), 0, "rational")
+
+    return build()
+
+
+float_sets = st.lists(
+    st.builds(Vec2, st.integers(-12, 12).map(lambda k: k / 4), st.floats(-3, 3, allow_nan=False)),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda v: (v.x, v.y),
+).map(lambda pts: PointSet(tuple(pts), Window(-9.0, -9.0, 9.0, 9.0), 0))
+
+SQRT3_HEXAGON = PolygonShape([Vec2(1, 0), Vec2(F(1, 2), R3 / 2), Vec2(F(-1, 2), R3 / 2)])
+# shape name -> (shape, the radicand of its generators)
+SHAPES = {
+    "square": (square_linf(), 0),
+    "box": (box_shape(Vec2(1, 0), Vec2(1, 2)), 0),
+    "fraction-box": (box_shape(Vec2(F(1, 3), F(2, 5)), Vec2(F(-1, 2), 1)), 0),
+    "hexagon": (rational_hexagon(), 0),
+    "sqrt3-hexagon": (SQRT3_HEXAGON, 3),
+}
+
+
+@st.composite
+def problems(draw):
+    """A shape and a point set sharing a field with its generators."""
+    shape, d = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    kind = draw(st.sampled_from(["float", "rational", "sqrt"] if d == 0 else ["rational", "sqrt"]))
+    if kind == "float":
+        return shape, draw(float_sets)
+    return shape, draw(exact_sets(0 if kind == "rational" else d or draw(st.sampled_from([2, 5]))))
+
+
+# ---------------------------------------------------------------------------
+# sampler
+
+
+@st.composite
+def windows(draw):
+    """Exact windows: ints beside Fractions, negative corners, and axes over
+    sqrt(2) or sqrt(3), one radicand per axis."""
+
+    def axis():
+        lo = draw(coordinates)
+        width = draw(st.sampled_from([F(1), F(1, 3), 2, F(5, 2)]))
+        if draw(st.booleans()):
+            r = draw(st.sampled_from([R2, R3]))
+            shift = draw(st.sampled_from([r, -r, r / 3]))
+            return (lo + shift, lo + shift + width) if draw(st.booleans()) else (lo, lo + width * r)
+        return lo, lo + width
+
+    (x0, x1), (y0, y1) = axis(), axis()
+    return Window(x0, y0, x1, y1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows(), st.sampled_from([0.5, 3.0, 12.0]), st.integers(0, 2**31))
+@example(Window(0, 0, 1, 1), 12.0, 1)
+@example(Window(R2, F(0), R2 + 1, F(1, 2)), 12.0, 2)
+@example(Window(R2, R3, R2 + 1, R3 + 1), 12.0, 3)  # two radicands: refused alike
+def test_rational_sampler_matches_fraction_reference(window, intensity, seed):
+    got = outcome(sample_poisson_window, window, intensity, seed, "rational")
+    want = outcome(ref_sample_rational, window, intensity, seed)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert typed(got.points) == typed(want.points)
+    assert got.field == want.field
+
+
+# ---------------------------------------------------------------------------
+# is_idf
+
+
+@st.composite
+def mixed_values(draw):
+    """Rationals and SqrtExt values over sqrt(2) and sqrt(3), with rational
+    and irrational parts chosen so that keys of the two radicands coincide."""
+    vals = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(small_rationals)
+        kind = draw(st.sampled_from([0, 2, 3]))
+        vals.append(SqrtExt(a, draw(st.sampled_from([F(1), F(-1, 3)])), kind) if kind else a)
+    for _ in range(draw(st.integers(0, 2))):
+        if vals:
+            vals.append(draw(st.sampled_from(vals)) + draw(st.integers(-2, 2)))
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_values())
+@example([R2, R3, F(3, 2)])
+@example([R2, R3 + 1])
+@example([R2, R2 + 1])
+@example([1, F(3)])
+def test_is_idf_matches_fractional_parts(values):
+    assert is_idf(values) is ref_is_idf(values)
+
+
+def test_is_idf_keeps_radicands_apart():
+    # sqrt(2) and sqrt(3) + 1 have equal (A mod D, B) keys in their own fields
+    assert is_idf([R2, R3 + 1]) is True
+    assert is_idf([R2, R2 + 1]) is False
+    assert is_idf([F(1, 2), R2 + F(1, 2), R3 - F(1, 2)]) is True
+
+
+# ---------------------------------------------------------------------------
+# rescaling
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.integers(0, 50))
+def test_rescale_matches_fraction_reference(problem, seed):
+    shape, points = problem
+    got = outcome(rescale_to_idf, points, shape.generators, 16, seed)
+    want = outcome(ref_rescale, points, shape.generators, 16, seed)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (alpha, out), (ref_alpha, ref) = got, want
+    assert (type(alpha), alpha) == (type(ref_alpha), ref_alpha)
+    assert typed(out.points) == typed(ref.points)
+    assert (out.window, out.alpha, out.idf_per_generator) == (ref.window, ref.alpha, ref.idf_per_generator)
+
+
+def test_rescale_matches_reference_when_alpha_is_not_one():
+    # x-projections 1/2 and 3/2, and sqrt 2 and sqrt 2 + 1, differ by 1
+    square = square_linf().generators
+    for pts in (
+        (Vec2(0, 0), Vec2(F(1, 2), F(1, 5)), Vec2(F(3, 2), F(1, 3))),
+        (Vec2(R2, F(1, 3)), Vec2(R2 + 1, F(1, 2))),
+    ):
+        ps = PointSet(pts, Window(F(-9), F(-9), F(9), F(9)), 0, "rational")
+        alpha, out = rescale_to_idf(ps, square, 16, 1)
+        ref_alpha, ref = ref_rescale(ps, square, 16, 1)
+        assert alpha != 1
+        assert (alpha, typed(out.points)) == (ref_alpha, typed(ref.points))
+
+
+def test_rescale_refuses_generators_over_another_radicand():
+    # the projections on (sqrt 3, 0) of points over sqrt(2) have no field;
+    # rescaling refuses them as every kernel refuses such a shape
+    ps = PointSet((Vec2(F(1, 3), R2), Vec2(F(1, 2), F(0))), Window(F(-9), F(-9), F(9), F(9)), 0, "rational")
+    with pytest.raises(PointSetError, match=r"radicands \[2, 3\] have no common field"):
+        rescale_to_idf(ps, [Vec2(R3, 0), Vec2(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# floor tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+@example(
+    (
+        square_linf(),
+        PointSet(
+            (Vec2(near_zero(2), F(1, 3)), Vec2(F(0), F(1, 2)), Vec2(1 - near_zero(2), F(0)), Vec2(F(-1), -near_zero(2))),
+            Window(F(-9), F(-9), F(9), F(9)), 0, "rational",
+        ),
+    )
+)
+def test_floor_table_matches_fraction_reference(problem):
+    shape, points = problem
+    got = outcome(_floor_table, points, shape)
+    want = outcome(ref_floor_table, points, shape)
+    assert got == want
+
+
+def test_floor_table_float_boundary_refused_alike():
+    # quarter-spaced floats sit at exact integer differences
+    pts = PointSet((Vec2(0.25, 0.5), Vec2(1.25, 0.75), Vec2(2.0, 0.0)), Window(-9.0, -9.0, 9.0, 9.0), 0)
+    for fn in (_floor_table, ref_floor_table):
+        with pytest.raises(BoundaryAmbiguityError, match=r"\(0, 1\)"):
+            fn(pts, square_linf())

@@ -268,6 +268,14 @@ def test_pointset_rejects_duplicates_and_mode_mismatch():
         PointSet((Vec2(0.5, 0.5), Vec2(0.5, 0.5)), w, seed=0)
     with pytest.raises(PointSetError):
         PointSet((Vec2(0.5, 0.5),), w, seed=0, mode="rational")
+    # an int and the equal Fraction are one point, in Q and in Q(sqrt 2)
+    F, r2 = Fraction, SqrtExt(0, 1, 2)
+    exact = Window(F(0), F(0), F(3), F(3))
+    with pytest.raises(PointSetError, match=r"duplicate point Vec2\(x=Fraction\(1, 1\), y=Fraction\(0, 1\)\)"):
+        PointSet((Vec2(1, 0), Vec2(F(1), F(0))), exact, seed=0, mode="rational")
+    with pytest.raises(PointSetError, match="duplicate point"):
+        PointSet((Vec2(r2, 0), Vec2(F(1, 2), 1), Vec2(r2 + 1 - 1, F(0))), exact, seed=0, mode="rational")
+    assert len(PointSet((Vec2(r2, 0), Vec2(r2, 1)), exact, seed=0, mode="rational")) == 2
 
 
 def test_pointset_refuses_mixed_radicands():

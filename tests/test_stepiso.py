@@ -651,6 +651,15 @@ def test_translation_is_isometry():
     assert (v.ok, v.witness, v.left, v.right, v.checked) == (False, (0, 2), 2, 2 + eps, 2)
 
 
+def test_isometry_across_radicands_fails_at_the_pair():
+    # domain over sqrt(2), images over sqrt(3): the sides are not joined, and
+    # at tol 0 their exact distances compare unequal instead of raising
+    R2, R3 = SqrtExt(0, 1, 2), SqrtExt(0, 1, 3)
+    ps = PointSet((Vec2(R2, F(0)), Vec2(F(1, 2), F(0))), Window(F(-2), F(-2), F(2), F(2)), 0, "rational")
+    v = is_isometry(PointMap(ps, (Vec2(R3, F(0)), Vec2(F(1, 2), F(0)))), square_linf())
+    assert (v.ok, v.witness, v.left, v.right) == (False, (0, 1), R2 - F(1, 2), R3 - F(1, 2))
+
+
 def test_isometry_tolerance_float():
     ps = line_set([0.0, 0.4], mode="float")
     wiggled = PointMap(ps, (Vec2(0.0, 0.0), Vec2(0.4 + 5e-7, 0.0)))
