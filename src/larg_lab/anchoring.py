@@ -8,10 +8,10 @@ derives such certificates, reconstructs points from anchor data, and
 builds enumerations of finite samples in which every point past the
 anchor carries a certificate.
 
-good_enumeration follows the numeric policy of ``larg.in_range_pairs``: a
-float filter decides what it can, and the scalar rule (``distance``,
-``determining_generator``) decides the cases within a guard of a boundary,
-so its output equals what the scalar definitions alone give.
+good_enumeration follows the numeric policy of ``exact``: a float filter
+decides what it can, and the scalar rule (``distance``,
+``determining_generator``) decides the cases within larg's guard of a
+boundary, so its output equals what the scalar definitions alone give.
 validate_good_enumeration stays scalar throughout: it is the independent
 check of an enumeration.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import exact_div, is_exact
+from .exact import FLOAT_INTEGER_GUARD, close, exact_div
 from .geometry import (
     LpShape,
     NormShape,
@@ -35,7 +35,7 @@ from .geometry import (
     distance,
     is_triangular_set,
 )
-from .larg import _BOUNDARY_GUARD, _columns, in_range_pairs
+from .larg import _columns, _distances, _guard, in_range_pairs
 from .pointsets import PointSet
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "validate_good_enumeration",
 ]
 
-_REL_TOL = 1e-9
+_LP_AGREEMENT = 1e-7  # gap allowed between the L^p reconstructions, per unit of scale
 
 
 class AnchoringError(ValueError):
@@ -71,10 +71,7 @@ def determining_generator(shape: NormShape, v: Vec2) -> Vec2:
     if isinstance(shape, PolygonShape):
         vals = [a.dot(v) for a in shape.generators]
         best = max(abs(c) for c in vals)
-        if is_exact(best):
-            hits = [i for i, c in enumerate(vals) if abs(c) == best]
-        else:
-            hits = [i for i, c in enumerate(vals) if abs(abs(c) - best) <= _REL_TOL * best]
+        hits = [i for i, c in enumerate(vals) if close(abs(c), best, best)]
         if len(hits) > 1:
             raise AnchoringError(
                 f"distance from {v} achieved on {len(hits)} faces; no unique determining generator"
@@ -120,9 +117,6 @@ def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: V
         if x == m[i]:
             return w[i]
 
-    exact = all(v.is_exact() for v in m + w + (x,)) and all(is_exact(c) for c in s)
-    tol = 0 if exact else _REL_TOL
-
     if isinstance(shape, LpShape):
         # smooth ball: the distance sphere touches its supporting line at
         # one point, in the direction read off the domain side
@@ -134,7 +128,7 @@ def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: V
             cands.append(Vec2(float(w[i].x) + scale * float(v.x), float(w[i].y) + scale * float(v.y)))
         for i in range(1, 3):
             gap = max(abs(cands[i].x - cands[0].x), abs(cands[i].y - cands[0].y))
-            if gap > max(1.0, abs(cands[0].x), abs(cands[0].y)) * 1e-7:
+            if gap > max(1.0, abs(cands[0].x), abs(cands[0].y)) * _LP_AGREEMENT:
                 raise AnchoringError("smooth reconstruction constraints disagree")
         return cands[0]
 
@@ -145,19 +139,13 @@ def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: V
                 raise AnchoringError("certificate generators are pairwise parallel; invalid")
     consts = tuple(gens[i].dot(w[i]) + s[i] for i in range(3))
     y = _solve_two_lines(gens[0], consts[0], gens[1], consts[1])
-    res = gens[2].dot(y) - consts[2]
-    if exact:
-        if res != 0:
-            raise AnchoringError(f"third face constraint violated by {res}")
-    elif abs(res) > tol * max(1.0, abs(float(consts[2]))):
-        raise AnchoringError(f"third face constraint violated by {res}")
+    lhs = gens[2].dot(y)
+    if not close(lhs, consts[2], max(1.0, abs(float(consts[2])))):
+        raise AnchoringError(f"third face constraint violated by {lhs - consts[2]}")
     for i in range(3):
         d = distance(shape, y, w[i])
-        if exact:
-            if d != s[i]:
-                raise AnchoringError(f"reconstructed point misses distance {i}: {d} != {s[i]}")
-        elif abs(float(d) - float(s[i])) > tol * max(1.0, abs(float(s[i]))):
-            raise AnchoringError(f"reconstructed point misses distance {i}")
+        if not close(d, s[i], max(1.0, abs(float(s[i])))):
+            raise AnchoringError(f"reconstructed point misses distance {i}: {d} != {s[i]}")
     return y
 
 
@@ -209,10 +197,11 @@ def _try_certificate(shape, pts, cols, guard, order, target):
     determining_generator refuses.  For polygons the class of every placed
     point comes from one pass over the float projection table `cols`: the
     largest |projection| of the difference, when it beats the runner-up by
-    more than _REL_TOL of itself plus `guard`.  determining_generator decides
-    the other rows, and only those that can still change the answer.  L^p
-    (cols None) scans with determining_generator, which finds three
-    non-parallel gradients within a few references.
+    more than determining_generator's tie rule (``close``) plus `guard`.
+    determining_generator decides the other rows, and only those that can
+    still change the answer.  L^p (cols None) scans with
+    determining_generator, which finds three non-parallel gradients within
+    a few references.
     """
     if cols is None:
         refs, gens = [], []
@@ -233,7 +222,7 @@ def _try_certificate(shape, pts, cols, guard, order, target):
     mag = np.abs(vals)
     face = mag.argmax(axis=0)
     second, best = np.sort(mag, axis=0)[-2:]
-    sure = best - second > _REL_TOL * best + guard
+    sure = best - second > FLOAT_INTEGER_GUARD * best + guard
     # first sure position of each face class; the third of them bounds the
     # positions an unsure row can still claim
     classes, firsts = np.unique(np.where(sure, face, len(cols)), return_index=True)
@@ -310,14 +299,13 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
 
     arr = points.as_array()
     cols, reach, q = _columns(arr, shape)
-    guard = _BOUNDARY_GUARD * (1.0 + reach * float(np.abs(arr).max()))
+    guard = _guard(1.0, reach, arr)
     face_cols = None if q is not None else cols
 
     def nearest(end, eligible):
         # this float distance and float(distance(...)) both lie within
         # guard / 2 of the true one, so the scalar minimum is among the ties
-        gaps = np.abs(cols[:, eligible] - cols[:, end, None])
-        fd = gaps.max(axis=0) if q is None else (gaps**q).sum(axis=0) ** (1.0 / q)
+        fd = _distances(cols, q, end, eligible)[0]
         ties = eligible[fd <= fd.min() + guard].tolist()
         if len(ties) == 1:
             return ties[0]

@@ -8,7 +8,6 @@ serializations, so outputs feed back in as inputs.
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -189,14 +188,8 @@ def _cmd_grid(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg_text = _read(args.config)
     if args.kind == "decay":
-        cfg = ExperimentConfig.from_json(cfg_text)
-        if args.out:
-            cfg = dataclasses.replace(cfg, out_csv=args.out)
-        rows = run_decay_experiment(cfg)
-        if not args.out:
-            buf = io.StringIO()
-            rows_to_csv(rows, buf)
-            sys.stdout.write(buf.getvalue())
+        rows = run_decay_experiment(ExperimentConfig.from_json(cfg_text))
+        rows_to_csv(rows, args.out or sys.stdout)
         for r in rows:
             sys.stderr.write(
                 f"n={r.n}: {r.successes}/{r.trials} agree, "

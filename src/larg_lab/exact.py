@@ -12,17 +12,22 @@ of reading coordinates.
 Kernels that work in integers read a + b*sqrt(d) as (A + B*sqrt(d))/D with
 int A, B and D > 0; ``surd_ints``, ``surd_value``, ``_floor_surd`` and
 ``_surd_nonneg`` are that format's only encoder, decoder, floor and sign.
+
+The numeric policy (README, the ``exact`` layer): ``FLOAT_INTEGER_GUARD`` is
+the one float tolerance and ``close`` the one equality test for floats.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
     "FLOAT_INTEGER_GUARD",
     "BoundaryAmbiguityError",
     "SqrtExt",
+    "close",
     "exact_div",
     "exact_floor",
     "format_scalar",
@@ -32,15 +37,12 @@ __all__ = [
     "parse_scalar",
 ]
 
-# floats closer than this to an integer are treated as sitting on the
-# integer boundary (truncation refuses to guess; see geometry.truncated_distance)
+# the one float tolerance: a float this near an integer has no trusted floor
+# (guarded_floor), and floats this near each other, times a scale, are close
 FLOAT_INTEGER_GUARD = 1e-9
 
 # the field tag of float data; 0 tags Q and d > 0 tags Q(sqrt(d))
 FLOAT = -1
-
-ExactScalar = int | Fraction  # SqrtExt joins via duck typing
-Scalar = int | float | Fraction
 
 
 def _is_square(n: int) -> bool:
@@ -306,6 +308,14 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, SqrtExt))
 
 
+def close(a, b, scale=1) -> bool:
+    """a == b for exact scalars; once either is a float, |a - b| within
+    FLOAT_INTEGER_GUARD * scale, compared in float."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(float(a) - float(b)) <= FLOAT_INTEGER_GUARD * scale
+
+
 def exact_div(n, d):
     """n / d that keeps int/int exact instead of degrading to float."""
     if isinstance(n, int) and isinstance(d, int):
@@ -346,23 +356,38 @@ def fractional_part(x):
     return x - math.floor(x)
 
 
+# the JSON form of a + b*sqrt(d), as format_scalar writes it
+_SURD_FORM = re.compile(r"(.+)\+(.+)\*sqrt\((\d+)\)")
+
+
+def _ratio(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
 def format_scalar(x) -> str | float:
-    """JSON form: exact rationals as 'num/den' strings, floats as numbers."""
+    """JSON form: exact rationals as 'num/den' strings, a + b*sqrt(d) as
+    'num/den+num/den*sqrt(d)', floats as numbers."""
     if isinstance(x, bool):
         raise TypeError("bool is not a coordinate")
-    if isinstance(x, int):
-        return f"{x}/1"
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (int, Fraction)):
+        return _ratio(Fraction(x))
+    if isinstance(x, SqrtExt):
+        return f"{_ratio(x.a)}+{_ratio(x.b)}*sqrt({x.d})"
     if isinstance(x, float):
         return x
     raise TypeError(f"cannot serialize scalar {x!r}")
 
 
-def parse_scalar(v) -> Scalar:
-    """Inverse of format_scalar: 'num/den' -> Fraction, number -> float."""
+def parse_scalar(v):
+    """Inverse of format_scalar: 'num/den' -> Fraction,
+    'num/den+num/den*sqrt(d)' -> SqrtExt, number -> float.  A malformed
+    string raises ValueError."""
     if isinstance(v, str):
-        return Fraction(v)
+        m = _SURD_FORM.fullmatch(v)
+        try:
+            return Fraction(v) if m is None else SqrtExt(Fraction(m[1]), Fraction(m[2]), int(m[3]))
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {v!r} has a zero denominator") from None
     if isinstance(v, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(v, (int, float)):

@@ -12,10 +12,10 @@ linear change of coordinates that turns the box metric into L-infinity,
 back-and-forth extension respecting truncated coordinates finds explicit
 isomorphisms routinely.
 
-A decay row's candidates follow the one numeric policy: a float table of
-the distances of V_n marks the pairs within a guard of an anchor distance,
-and only those are confirmed by the scalar distance. Edge coins are
-counter-based, keyed by trial seed and vertex pair, so each decay row is
+A decay row's candidates follow the numeric policy of ``exact``: larg's
+float distances over V_n mark the pairs within larg's guard of an anchor
+distance, and only those are confirmed by the scalar distance. Edge coins
+are counter-based, keyed by trial seed and vertex pair, so each decay row is
 evaluated in one pass that draws, per trial, only the coins of the pairs
 inside V_n and of their candidate images. The trial seeds of a row are one
 uint64 array, and a block of trials draws its coins from per-trial vertex
@@ -25,7 +25,7 @@ tables, one hash stage per coin; the rows are reproducible bit for bit.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import permutations
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, exact_div, guarded_floor, is_exact, surd_value
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, surd_value
 from .geometry import (
     GeometryError,
     LpShape,
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_REL_TOL = 1e-9
 
 
 class ExperimentError(ValueError):
@@ -130,8 +129,6 @@ class ExperimentConfig:
     trials: int = 200
     base_seed: int = 1
     anchor_policy: str = "exhaustive"
-    out_csv: str | None = None
-    out_json: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
@@ -240,18 +237,13 @@ def _apply(L, v: Vec2) -> Vec2:
     return Vec2(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
-def _vec_close(u: Vec2, v: Vec2) -> bool:
-    if u.is_exact() and v.is_exact():
-        return u.x == v.x and u.y == v.y
-    return abs(float(u.x) - float(v.x)) <= _REL_TOL and abs(float(u.y) - float(v.y)) <= _REL_TOL
-
-
 def _is_shape_symmetry(shape: NormShape, Lit) -> bool:
     """Does y -> L y preserve the norm? Checked through the dual action Lit."""
     if isinstance(shape, PolygonShape):
+        signed = shape.signed_generators()
         for g in shape.generators:
             img = _apply(Lit, g)
-            if not any(_vec_close(img, h) or _vec_close(img, -h) for h in shape.generators):
+            if not any(close(img.x, h.x) and close(img.y, h.y) for h in signed):
                 return False
         return True
     if isinstance(shape, LpShape):
@@ -268,18 +260,18 @@ def _is_shape_symmetry(shape: NormShape, Lit) -> bool:
                 a * c,
                 b * d,
             )
-        return all(v == 0 if is_exact(v) else abs(float(v)) <= _REL_TOL for v in checks)
+        return all(close(v, 0) for v in checks)
     raise ExperimentError(f"unsupported shape {shape!r}")
 
 
 def _point_lookup(points: PointSet):
-    """y -> index of the point equal to y (exact data) or within _REL_TOL of it."""
+    """y -> index of the point equal (exact data) or ``close`` (floats) to y."""
     pts = points.points
     if points.field != FLOAT:
         exact_index = {(v.x, v.y): i for i, v in enumerate(pts)}
         return lambda y: exact_index.get((y.x, y.y))
 
-    scale = 1.0 / _REL_TOL
+    scale = 1.0 / FLOAT_INTEGER_GUARD
     grid: dict = {}
     for i, v in enumerate(pts):
         grid.setdefault((round(float(v.x) * scale), round(float(v.y) * scale)), []).append(i)
@@ -292,7 +284,7 @@ def _point_lookup(points: PointSet):
             for dx in (0, -1, 1)
             for dy in (0, -1, 1)
             for i in grid.get((kx + dx, ky + dy), ())
-            if abs(float(pts[i].x) - fx) <= _REL_TOL and abs(float(pts[i].y) - fy) <= _REL_TOL
+            if close(float(pts[i].x), fx) and close(float(pts[i].y), fy)
         ]
         return hits[0] if len(hits) == 1 else None
 
@@ -306,12 +298,12 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
     anchor images w fix the affine map f(x) = w0 + L(x - m0); f is kept when
     L preserves the norm and f sends every later point of V_n to a distinct
     point of the sample. A norm-preserving f keeps every distance, so the
-    anchor distances must match first. They are filtered in float: one
-    table of float distances over V_n (larg's columns) marks the pairs
-    within the larg._BOUNDARY_GUARD rule of an anchor distance, and only
-    those pairs are confirmed by the scalar distance, each pair once. The
-    result is the scalar definition's own, in its order. `lookup` is the
-    _point_lookup of the enumeration's point set, built here when not given.
+    anchor distances must match first. They are filtered in float: larg's
+    float distances over V_n mark the pairs within larg's guard of an
+    anchor distance, and only those pairs are confirmed by the scalar
+    distance, each pair once. The result is the scalar definition's own, in
+    its order. `lookup` is the _point_lookup of the enumeration's point set,
+    built here when not given.
     """
     vn = enum.order[:n]
     if n == 3:
@@ -322,10 +314,9 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
     lookup = lookup or _point_lookup(enum.point_set)
     arr = enum.point_set.as_array()[list(vn)]
     cols, reach, q = larg._columns(arr, shape)
-    gaps = np.abs(cols[:, :, None] - cols[:, None, :])
-    fd = gaps.max(axis=0) if q is None else (gaps**q).sum(axis=0) ** (1.0 / q)
+    fd = larg._distances(cols, q, slice(None), slice(None))
     anchor = ((0, 1), (0, 2), (1, 2))
-    guard = larg._BOUNDARY_GUARD * (max(fd[a] for a in anchor) + reach * np.abs(arr).max())
+    guard = larg._guard(max(fd[a] for a in anchor), reach, arr)
     near01, near02, near12 = (np.abs(fd - fd[a]) <= guard for a in anchor)
 
     memo = {}
@@ -528,25 +519,20 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
                 paper_bound=paper_decay_bound(n, k, p_star),
             )
         )
-
-    if cfg.out_csv:
-        rows_to_csv(rows, cfg.out_csv)
-    if cfg.out_json:
-        with open(cfg.out_json, "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in rows], fh, indent=2)
     return rows
 
 
-_CSV_COLUMNS = ("n", "trials", "successes", "fraction", "ci_lo", "ci_hi", "paper_bound")
+# one CSV column per DecayRow field, in field order; each cell is the
+# value's repr and is read back by the field's type
+_CSV_FIELDS = fields(DecayRow)
+_CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 
 
 def _write_rows(fh, rows) -> None:
     writer = csv.writer(fh)
     writer.writerow(_CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [r.n, r.trials, r.successes, repr(r.fraction), repr(r.ci_lo), repr(r.ci_hi), repr(r.paper_bound)]
-        )
+        writer.writerow([repr(getattr(r, name)) for name in _CSV_COLUMNS])
 
 
 def rows_to_csv(rows, path) -> None:
@@ -563,18 +549,7 @@ def rows_from_csv(path) -> list[DecayRow]:
         header = next(reader, None)
         if tuple(header or ()) != _CSV_COLUMNS:
             raise ExperimentError(f"unexpected CSV header {header!r}")
-        return [
-            DecayRow(
-                n=int(row[0]),
-                trials=int(row[1]),
-                successes=int(row[2]),
-                fraction=float(row[3]),
-                ci_lo=float(row[4]),
-                ci_hi=float(row[5]),
-                paper_bound=float(row[6]),
-            )
-            for row in reader
-        ]
+        return [DecayRow(*(f.type(cell) for f, cell in zip(_CSV_FIELDS, row))) for row in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +587,7 @@ def _floor_table(points: PointSet, shape: PolygonShape):
             col = np.array([A / D if B == 0 else float(surd_value(A, B, D, d)) for A, B in proj])
         diff = col[:, None] - col[None, :]
         tab = np.floor(diff)
-        guard = FLOAT_INTEGER_GUARD * (1.0 + np.abs(col).max(initial=0.0))
+        guard = larg._guard(1.0, 1.0, col)
         near = np.abs(diff - np.rint(diff)) < guard
         np.fill_diagonal(near, False)
         np.fill_diagonal(tab, 0.0)

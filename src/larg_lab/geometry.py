@@ -24,8 +24,8 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .exact import (
-    FLOAT,
     BoundaryAmbiguityError,
+    close,
     exact_div,
     field_of,
     format_scalar,
@@ -209,7 +209,7 @@ class PolygonShape:
         a.x = 1 touches the shape); redundant constraints are rejected: a
         face line that misses the shape leaves a vertex outside it, and one
         that only touches a corner makes two consecutive vertices coincide
-        (within 1e-9 for float vertices).
+        (``exact.close`` in both coordinates).
         """
         if self._vertices is None:
             signed = self.signed_generators()
@@ -222,17 +222,16 @@ class PolygonShape:
                 x = exact_div(b.y - a.y, den)
                 y = exact_div(a.x - b.x, den)
                 verts.append(Vec2(x, y))
-            slack = 1e-9 if self.field == FLOAT else 0
             for i, v in enumerate(verts):
                 u = verts[i - 1]
-                if abs(v.x - u.x) <= slack and abs(v.y - u.y) <= slack:
+                if close(v.x, u.x) and close(v.y, u.y):
                     raise GeometryError(
                         f"redundant generator: the faces of {signed[i - 1]}, {signed[i]} "
                         f"and {signed[(i + 1) % k]} meet at the vertex {v}"
                     )
             for v in verts:
                 for a in signed:
-                    if a.dot(v) > 1 + slack:
+                    if a.dot(v) > 1 and not close(a.dot(v), 1):
                         raise GeometryError(
                             "generator set is not scaled to the shape: vertex "
                             f"{v} violates |{a}.x| <= 1"
@@ -302,7 +301,7 @@ def distance(shape: NormShape, x: Vec2, y: Vec2):
 
 
 def truncated_distance(shape: NormShape, x: Vec2, y: Vec2) -> int:
-    """floor of d(x, y); refuses floats within 1e-9 of an integer."""
+    """floor of d(x, y); refuses floats near an integer (exact.guarded_floor)."""
     d = distance(shape, x, y)
     return guarded_floor(d, what=f"distance of {x} and {y}")
 

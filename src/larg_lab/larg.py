@@ -18,7 +18,8 @@ hash's seed and first-vertex stages, and sends only pairs whose coin is below
 p to the scalar distance (a block without boundary cells keeps its
 coin-passing pairs in one pass over their keys); a block keeps only its
 edges, so memory follows the edges, not the in-range pairs.  Edges are held
-as sorted int64 arrays.
+as sorted int64 arrays.  Every float filter of the package takes its guard
+and its float distances from here (``_guard``, ``_distances``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import format_scalar, join_fields, parse_scalar
+from .exact import FLOAT_INTEGER_GUARD, format_scalar, join_fields, parse_scalar
 from .geometry import GeometryError, LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
@@ -274,9 +275,12 @@ class GeoGraph:
 # float temporary of a block takes about 128 KB
 _BLOCK_CELLS = 1 << 14
 
-# float distances this close to delta, relative to delta plus the coordinate
-# scale, are decided by the scalar distance; float error is ~1e-16 relative
-_BOUNDARY_GUARD = 1e-9
+
+def _guard(level, reach, *arrays, rel=FLOAT_INTEGER_GUARD):
+    """rel times (the boundary level plus reach times the largest |coordinate|
+    of the arrays).  Float error is ~1e-16 of that sum, so float values within
+    the guard of the boundary are left to the scalar rule."""
+    return rel * (level + reach * max(np.abs(a).max(initial=0.0) for a in arrays))
 
 
 def _columns(arr: np.ndarray, shape: NormShape):
@@ -324,12 +328,13 @@ def _clear_lower(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _block_gaps(cols: np.ndarray, q, i0: int, i1: int, j1: int) -> np.ndarray:
-    """Rows i0..i1 against columns i0..j1: the largest column gap
-    (polygons, q None) or the sum of the gaps to the power q (L^p)."""
+def _block_gaps(cols: np.ndarray, q, rows, columns) -> np.ndarray:
+    """The points `rows` against the points `columns` (index objects into
+    the columns of _columns): the largest column gap (polygons, q None) or
+    the sum of the gaps to the power q (L^p)."""
     acc = None
     for col in cols:
-        d = col[i0:i1, None] - col[None, i0:j1]
+        d = col[rows, None] - col[None, columns]
         np.abs(d, out=d)
         if q is None:
             acc = d if acc is None else np.maximum(acc, d, out=acc)
@@ -337,6 +342,12 @@ def _block_gaps(cols: np.ndarray, q, i0: int, i1: int, j1: int) -> np.ndarray:
             d **= q
             acc = d if acc is None else np.add(acc, d, out=acc)
     return acc
+
+
+def _distances(cols: np.ndarray, q, rows, columns) -> np.ndarray:
+    """Float distances: _block_gaps with the L^p root taken."""
+    acc = _block_gaps(cols, q, rows, columns)
+    return acc if q is None else np.power(acc, 1.0 / q, out=acc)
 
 
 def _in_range_blocks(points: PointSet, shape: NormShape, delta):
@@ -355,7 +366,7 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
     arr = points.as_array()
     cols, reach, q = _columns(arr, shape)
     fdelta = float(delta)
-    guard = _BOUNDARY_GUARD * (fdelta + reach * np.abs(arr).max())
+    guard = _guard(fdelta, reach, arr)
     # a block holds the largest projection gap (polygons) or the p-sum
     # |dx|^p + |dy|^p (L^p); below inner is in range, above outer is not
     inner, outer = fdelta - guard, fdelta + guard
@@ -366,7 +377,7 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
     cols = cols[:, order]
     ends = np.searchsorted(cols[0], cols[0] + (fdelta + guard), side="right")
     for i0, i1, j1 in _row_blocks(ends):
-        acc = _block_gaps(cols, q, i0, i1, j1)
+        acc = _block_gaps(cols, q, slice(i0, i1), slice(i0, j1))
         mask = _clear_lower(acc <= outer)
         near = acc >= inner
         near &= mask

@@ -144,11 +144,10 @@ class PointSet:
     def _array(self) -> np.ndarray:
         if self.field == 0:
             # int / int is correctly rounded, as float(Fraction) is
-            return np.array(
-                [(v.x.numerator / v.x.denominator, v.y.numerator / v.y.denominator) for v in self.points],
-                dtype=float,
-            )
-        return np.array([p.to_floats() for p in self.points], dtype=float)
+            rows = [(v.x.numerator / v.x.denominator, v.y.numerator / v.y.denominator) for v in self.points]
+        else:
+            rows = [p.to_floats() for p in self.points]
+        return np.array(rows, dtype=float).reshape(len(rows), 2)
 
     @cached_property
     def _fingerprint(self) -> str:

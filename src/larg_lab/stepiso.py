@@ -7,12 +7,11 @@ both dual coordinates of a box (parallelogram) metric this stays a
 step-isometry; under any other shape it breaks, and the verifier here finds
 the breaking pair.
 
-Both checks run one pair scan: a float filter computes the distances of
-both sides in row blocks and flags the pairs that may fail (floors that
-differ or a distance near an integer; distances that differ by about tol or
-more), and the scalar distance decides each flagged pair in lexicographic
-order.  That decision is exact for exact data; for float data the scalar
-truncation refuses to guess when a distance sits within 1e-9 of an integer.
+Both checks run one pair scan under the numeric policy of ``exact``: a
+float filter flags the pairs that may fail (floors that differ or a distance
+near an integer; distances that differ by about tol or more), and the scalar
+distance decides each flagged pair in lexicographic order: exactly for exact
+data, and for float data refusing a distance too near an integer.
 
 Box product maps are computed for a whole domain at once, in two lanes that
 both give exactly the images of the scalar formula `box_product_map` states.
@@ -65,7 +64,7 @@ from .geometry import (
     distance,
     truncated_distance,
 )
-from .larg import _block_gaps, _clear_lower, _columns, _row_blocks
+from .larg import _clear_lower, _columns, _distances, _guard, _row_blocks
 from .pointsets import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = [
@@ -436,9 +435,9 @@ class Verdict:
     checked: int = 0
 
 
-# is_isometry confirms the pairs whose float |d - e| exceeds tol less this
-# much times 1 plus the coordinate scale: float distances are off by ~1e-15
-# times that, and the default float tol, FLOAT_INTEGER_GUARD, is far above it
+# is_isometry's filter margin inside tol (larg._guard's rel): float distances
+# are off by ~1e-15 times 1 plus the coordinate scale, and the default float
+# tol, FLOAT_INTEGER_GUARD, is far above this much of it
 _ISO_GUARD = 1e-12
 
 
@@ -454,12 +453,13 @@ def _fields(pmap: PointMap, shape: NormShape) -> tuple[int, int]:
     return pmap.domain.field, images
 
 
-def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdict:
+def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails, rel=FLOAT_INTEGER_GUARD) -> Verdict:
     """The first pair i < j, in lexicographic order, that fails a check.
 
     The float filter takes both sides' distances over row blocks of pairs;
-    marks(dd, di, scale) flags the pairs that may fail, scale being 1 plus
-    the coordinate scale.  A block with no flagged pair is skipped.  Each
+    marks(dd, di, guard) flags the pairs that may fail, guard being
+    larg._guard at level 1 over both sides.  A block with no flagged pair
+    is skipped.  Each
     flagged pair is then decided in order by fails(left, right) on the
     scalar values scalar(shape, x, y) of both sides, exact for exact data.
     Callers refuse data with no common field with the shape first
@@ -473,14 +473,11 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails) -> Verdic
     img = np.array([w.to_floats() for w in ims], dtype=float)
     dom_cols, reach, q = _columns(dom, shape)
     img_cols = _columns(img, shape)[0]
-    scale = 1.0 + reach * max(np.abs(dom).max(), np.abs(img).max())
+    guard = _guard(1.0, reach, dom, img, rel=rel)
     for i0, i1, j1 in _row_blocks(np.full(n, n)):
-        dd = _block_gaps(dom_cols, q, i0, i1, j1)
-        di = _block_gaps(img_cols, q, i0, i1, j1)
-        if q is not None:
-            dd **= 1.0 / q
-            di **= 1.0 / q
-        flagged = _clear_lower(marks(dd, di, scale))
+        block = slice(i0, i1), slice(i0, j1)
+        dd, di = _distances(dom_cols, q, *block), _distances(img_cols, q, *block)
+        flagged = _clear_lower(marks(dd, di, guard))
         if not flagged.any():
             continue
         rows, cols = np.nonzero(flagged)
@@ -505,9 +502,8 @@ def is_step_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
     GeometryError before any pair is read.
     """
 
-    def marks(dd, di, scale):
+    def marks(dd, di, guard):
         # floors that differ, or a distance near an integer on either side
-        guard = FLOAT_INTEGER_GUARD * scale
         near = (np.abs(dd - np.rint(dd)) < guard) | (np.abs(di - np.rint(di)) < guard)
         return near | (np.floor(dd) != np.floor(di))
 
@@ -526,13 +522,13 @@ def is_isometry(pmap: PointMap, shape: NormShape, tol=None) -> Verdict:
     if tol is None:
         tol = 0 if FLOAT not in fields and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
 
-    def marks(dd, di, scale):
-        return np.abs(dd - di) > float(tol) - _ISO_GUARD * scale
+    def marks(dd, di, guard):
+        return np.abs(dd - di) > float(tol) - guard
 
     # with tol 0 exact pairs are compared, never subtracted: the two sides
     # may lie over different radicands, whose values are simply unequal
     fails = (lambda d, e: d != e) if tol == 0 else (lambda d, e: abs(d - e) > tol)
-    return _pair_scan(pmap, shape, marks, distance, fails)
+    return _pair_scan(pmap, shape, marks, distance, fails, _ISO_GUARD)
 
 
 def respects_line(pmap: PointMap, ell: Line, ell_image: Line) -> bool:

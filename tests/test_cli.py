@@ -8,6 +8,7 @@ import pytest
 
 from larg_lab import cli
 from larg_lab.cli import main
+from larg_lab.exact import SqrtExt, parse_scalar
 from larg_lab.geometry import Vec2, rational_hexagon, shape_to_json, square_linf
 from larg_lab.larg import load_graph
 from larg_lab.pointsets import PointSet, Window, pointset_from_json, pointset_to_json
@@ -176,6 +177,33 @@ class TestGrid:
         assert code == 0
         rows = [row.split(",") for row in out.strip().splitlines()[1:]]
         assert rows and all(r[1:3] == ["1/1", "1/1"] for r in rows)
+
+    def test_sqrt2_base_prints_irrational_offsets(self, workdir, capsys):
+        # the base (0, 0), (sqrt 2 - 1, 0) spaces its lines irrationally
+        base = PointSet(
+            (Vec2(Fraction(0), Fraction(0)), Vec2(SqrtExt(-1, 1, 2), Fraction(0))),
+            Window(Fraction(0), Fraction(0), Fraction(1), Fraction(1)),
+            seed=0,
+            mode="rational",
+        )
+        (workdir / "sbase.json").write_text(pointset_to_json(base))
+        code, out, _ = run(
+            capsys,
+            "grid", "--base", str(workdir / "sbase.json"), "--shape", "hexagon",
+            "--depth", "1", "--window", "2", "--emit-offsets", "1,0",
+        )
+        assert code == 0
+        offsets = [parse_scalar(row.split(",")[3]) for row in out.strip().splitlines()[1:]]
+        assert SqrtExt(-1, 1, 2) in offsets and Fraction(1) in offsets
+        assert all(isinstance(c, (Fraction, SqrtExt)) for c in offsets)
+
+    def test_malformed_scalar_is_exit_one(self, workdir, capsys):
+        code, out, err = run(
+            capsys,
+            "grid", "--base", str(workdir / "base.json"), "--shape", "hexagon",
+            "--depth", "1", "--window", "1/2+1/0*sqrt(2)",
+        )
+        assert code == 1 and out == "" and "zero denominator" in err
 
     def test_float_base_and_smooth_shape_refused(self, workdir, capsys):
         floats = PointSet((Vec2(0.0, 0.0), Vec2(0.4, 0.3)), Window(0.0, 0.0, 1.0, 1.0), seed=0)

@@ -13,6 +13,7 @@ from larg_lab.exact import (
     FLOAT_INTEGER_GUARD,
     BoundaryAmbiguityError,
     SqrtExt,
+    close,
     field_of,
     format_scalar,
     fractional_part,
@@ -137,6 +138,37 @@ def test_scalar_json_round_trip():
     assert parse_scalar("-3/7") == Fraction(-3, 7)
     assert parse_scalar(0.25) == 0.25
     assert isinstance(parse_scalar(2), float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(max_denominator=10**12),
+    st.fractions(max_denominator=10**12).filter(lambda q: q != 0),
+    st.sampled_from([2, 3, 5, 7, 10**6 + 3]),
+)
+def test_scalar_json_round_trip_over_sqrt_fields(a, b, d):
+    x = SqrtExt(a, b, d)
+    text = format_scalar(x)
+    assert text == f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({d})"
+    back = parse_scalar(text)
+    assert type(back) is SqrtExt and back == x and (back.a, back.b, back.d) == (a, b, d)
+
+
+def test_malformed_scalar_strings_raise_value_error():
+    assert format_scalar(SqrtExt(Fraction(1, 2), Fraction(-3, 4), 2)) == "1/2+-3/4*sqrt(2)"
+    for text in ("1/0", "x", "1/2+*sqrt(2)", "1/2+1/0*sqrt(2)", "1/2+0/1*sqrt(2)", "1/1+1/1*sqrt(4)", "1/1+1/1*sqrt(-2)"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_close_is_exact_for_exact_values_and_guarded_for_floats():
+    assert close(Fraction(1, 3), Fraction(1, 3)) and close(SQRT2, SqrtExt(0, 1, 2))
+    assert not close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
+    assert not close(SQRT2, SqrtExt(0, 1, 3))
+    assert close(1.0, 1.0 + FLOAT_INTEGER_GUARD / 2) and not close(1.0, 1.0 + 2 * FLOAT_INTEGER_GUARD)
+    # the tolerance scales, and an exact value beside a float compares in float
+    assert close(1000.0, 1000.0 + 500 * FLOAT_INTEGER_GUARD, 1000)
+    assert close(Fraction(1, 3), 1 / 3) and close(SQRT2, math.sqrt(2))
 
 
 def test_field_tags_and_joins():

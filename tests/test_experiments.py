@@ -427,17 +427,15 @@ class TestDecayExperiment:
             run_decay_experiment(cfg)
 
     def test_csv_and_json_outputs(self, tmp_path):
-        cfg = dataclasses.replace(
-            self.CFG,
-            n_values=(3,),
-            trials=5,
-            out_csv=str(tmp_path / "rows.csv"),
-            out_json=str(tmp_path / "rows.json"),
-        )
+        # the run writes no file: callers write the rows, and the config
+        # carries no output paths
+        cfg = dataclasses.replace(self.CFG, n_values=(3,), trials=5)
         rows = run_decay_experiment(cfg)
+        rows_to_csv(rows, tmp_path / "rows.csv")
         assert rows_from_csv(tmp_path / "rows.csv") == list(rows)
-        payload = json.loads((tmp_path / "rows.json").read_text())
-        assert payload[0]["n"] == 3
+        assert rows[0].n == 3
+        with pytest.raises(ExperimentError, match="bad config"):
+            ExperimentConfig.from_json(json.dumps({"out_csv": str(tmp_path / "rows.csv")}))
 
 
 def reference_successes(cfg: ExperimentConfig) -> dict:

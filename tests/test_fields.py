@@ -124,3 +124,51 @@ def test_only_exact_names_sqrtext():
                 names.update(a.asname or a.name for a in node.names)
                 names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
         assert "SqrtExt" not in names, f"{path.name} names SqrtExt"
+
+
+def test_numeric_policy_stays_in_one_place():
+    # exact owns the one float tolerance and close; larg owns the filter
+    # guard and the float distance tables.  No module restates a tolerance:
+    # a float literal below 1e-6 outside exact is one of two named margins,
+    # and the tolerance is read only where the policy is applied
+    src = Path(__file__).resolve().parents[1] / "src" / "larg_lab"
+    margins = {("stepiso.py", "_ISO_GUARD"), ("anchoring.py", "_LP_AGREEMENT")}
+    readers = {
+        ("larg.py", "_guard"),
+        ("pointsets.py", "is_idf"),
+        ("anchoring.py", "_try_certificate"),
+        ("experiments.py", "_point_lookup"),
+        ("stepiso.py", "_pair_scan"),
+        ("stepiso.py", "is_isometry"),
+    }
+    owners = {"close": "exact.py", "_guard": "larg.py", "_block_gaps": "larg.py", "_distances": "larg.py"}
+    defined = {}
+
+    def visit(node, path, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.setdefault(node.name, []).append(path.name)
+            func = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            assert name not in ("_BOUNDARY_GUARD", "_REL_TOL"), f"{path.name}:{node.lineno} names {name}"
+            if name == "FLOAT_INTEGER_GUARD" and path.name != "exact.py":
+                assert (path.name, func) in readers, f"{path.name}:{node.lineno} reads the tolerance in {func}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func)
+
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path, None)
+        if path.name == "exact.py":
+            continue
+        named = {
+            id(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and (path.name, t.id) in margins for t in node.targets)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-6:
+                assert id(node) in named, f"{path.name}:{node.lineno} binds the float literal {node.value!r}"
+    for name, owner in owners.items():
+        assert defined.get(name) == [owner], f"{name} is defined in {defined.get(name)}"

@@ -1,8 +1,9 @@
 """JSON round trips of shapes, point sets and point maps.
 
-Every value comes back equal.  Fractions and floats keep their type (a
-float's repr round-trips exactly through JSON); an int comes back as the
-equal Fraction, since files write every exact scalar as "num/den".
+Every value comes back equal.  Fractions, SqrtExt values and floats keep
+their type (a float's repr round-trips exactly through JSON); an int comes
+back as the equal Fraction, since files write every rational as "num/den"
+and a + b*sqrt(d) as "num/den+num/den*sqrt(d)".
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from larg_lab.exact import SqrtExt
 from larg_lab.geometry import (
     GeometryError,
     LpShape,
@@ -18,7 +20,13 @@ from larg_lab.geometry import (
     shape_from_json,
     shape_to_json,
 )
-from larg_lab.pointsets import PointSet, Window, pointset_from_json, pointset_to_json
+from larg_lab.pointsets import (
+    PointSet,
+    Window,
+    pointset_from_json,
+    pointset_to_json,
+    sample_poisson_window,
+)
 from larg_lab.stepiso import PointMap, pointmap_from_json, pointmap_to_json
 
 exact_scalars = st.one_of(
@@ -122,3 +130,21 @@ def test_point_map_round_trip(ps, kind, data):
     assert_same_point_set(back.domain, ps)
     for v, w in zip(back.images, pmap.images):
         assert_same_vec(v, w)
+
+
+def test_sqrt2_point_set_round_trip():
+    # a rational-mode sample of a window with an irrational corner lives in
+    # Q(sqrt 2); its values, their types and its fingerprint come back
+    window = Window(Fraction(0), Fraction(0), SqrtExt(0, 1, 2), Fraction(1))
+    ps = sample_poisson_window(window, 5.0, seed=1, mode="rational")
+    assert ps.field == 2 and any(isinstance(v.x, SqrtExt) for v in ps.points)
+    text = pointset_to_json(ps)
+    assert "*sqrt(2)" in text
+    back = pointset_from_json(text)
+    assert back == ps and back.field == 2
+    assert back.fingerprint() == ps.fingerprint()
+    pairs = [(b, o) for v, w in zip(back.points, ps.points) for b, o in ((v.x, w.x), (v.y, w.y))]
+    pairs += [(getattr(back.window, c), getattr(ps.window, c)) for c in ("x0", "y0", "x1", "y1")]
+    for b, o in pairs:
+        assert b == o
+        assert type(b) is (SqrtExt if isinstance(o, SqrtExt) else Fraction)

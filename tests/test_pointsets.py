@@ -86,6 +86,18 @@ def test_poisson_rational_mode_exact_points():
     assert ps.points == again.points
 
 
+def test_empty_point_set_array_is_n_by_2():
+    # the docstring's n x 2 holds at n = 0, so column slices still work
+    for window, mode in (
+        (Window(0.0, 0.0, 1.0, 1.0), "float"),
+        (Window(Fraction(0), Fraction(0), Fraction(1), Fraction(1)), "rational"),
+    ):
+        ps = PointSet((), window, seed=0, mode=mode)
+        arr = ps.as_array()
+        assert arr.shape == (0, 2) and arr.dtype == float
+        assert arr[:, 0].shape == (0,)
+
+
 def test_poisson_rejects_bad_inputs():
     with pytest.raises(PointSetError):
         sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 0.0, seed=1)
