@@ -12,8 +12,12 @@ good_enumeration follows the numeric policy of ``exact``: a float filter
 decides what it can, and the scalar rule (``distance``,
 ``determining_generator``) decides the cases within larg's guard of a
 boundary, so its output equals what the scalar definitions alone give.
-validate_good_enumeration stays scalar throughout: it is the independent
-check of an enumeration.
+validate_good_enumeration is the independent check of an enumeration and
+reads no float filter. On exact polygon data (Q or one Q(sqrt d)) it
+decides on integers: the generator projections are encoded once over a
+common denominator (``pointsets._projection_ints``), and signs over
+sqrt(d) are integer tests (``exact._surd_nonneg``). Float and L^p data are
+checked by the scalar definitions.
 
 Box shapes are excluded throughout: with only two face directions no
 triple of pairwise non-parallel normals exists.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT_INTEGER_GUARD, close, exact_div
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _surd_nonneg, close, exact_div
 from .geometry import (
     LpShape,
     NormShape,
@@ -36,7 +40,7 @@ from .geometry import (
     is_triangular_set,
 )
 from .larg import _columns, _distances, _guard, in_range_pairs
-from .pointsets import PointSet
+from .pointsets import PointSet, _projection_ints
 
 __all__ = [
     "AnchoringError",
@@ -450,6 +454,57 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     )
 
 
+def _validator_rules(enum: GoodEnumeration):
+    """The validator's two rules over point indices: in_range(i, j), is
+    distance < 1, and face(t, r), the determining generator of the
+    difference of points t and r.
+
+    Exact polygon data decide both on integers: with every projection
+    a.v = (P + Q*sqrt(d))/D over one denominator D, a distance is below 1
+    when max_a |a.(v - w)| < D, and the determining generator is the unique
+    argmax of |a.(t - r)|.  A tie goes to determining_generator, which
+    refuses it.  Float and L^p data, and data with no common field (which
+    distance refuses), use the scalar definitions.
+    """
+    pts, shape = enum.point_set.points, enum.shape
+    # the radicands of shape and points; Q joins any field
+    fields = {shape.field if isinstance(shape, PolygonShape) else FLOAT, enum.point_set.field} - {0}
+    if FLOAT in fields or len(fields) > 1:
+        return (
+            lambda i, j: distance(shape, pts[i], pts[j]) < 1,
+            lambda t, r: determining_generator(shape, pts[t] - pts[r]),
+        )
+
+    encs = _projection_ints(enum.point_set, shape.generators)
+    D = math.lcm(*(e[0] for e in encs))
+    d = max(fields, default=0)
+    rows = [[(A * (D // De), B * (D // De)) for A, B in proj] for De, proj, _ in encs]
+    signed = [(a, -a) for a in shape.generators]
+
+    def diffs(i, j):
+        # |a.(v_i - v_j)| as integer pairs, and whether a.(v_i - v_j) >= 0
+        for row in rows:
+            P, Q = row[i][0] - row[j][0], row[i][1] - row[j][1]
+            pos = _surd_nonneg(P, Q, d)
+            yield ((P, Q) if pos else (-P, -Q)), pos
+
+    def in_range(i, j):
+        return all((P, Q) != (D, 0) and _surd_nonneg(D - P, -Q, d) for (P, Q), _ in diffs(i, j))
+
+    def face(t, r):
+        mags = list(diffs(t, r))
+        best = 0
+        for c in range(1, len(mags)):
+            (P, Q), (R, S) = mags[c][0], mags[best][0]
+            if not _surd_nonneg(R - P, S - Q, d):
+                best = c
+        if sum(m == mags[best][0] for m, _ in mags) > 1:
+            return determining_generator(shape, pts[t] - pts[r])
+        return signed[best][0 if mags[best][1] else 1]
+
+    return in_range, face
+
+
 def validate_good_enumeration(enum: GoodEnumeration) -> None:
     """Re-check every defining condition from scratch; raise on violation."""
     pts = enum.point_set.points
@@ -469,13 +524,14 @@ def validate_good_enumeration(enum: GoodEnumeration) -> None:
             raise AnchoringError("repeated point in enumeration")
         seen.add(key)
 
+    in_range, face = _validator_rules(enum)
     for a, b in zip(order, order[1:]):
-        if not distance(shape, pts[a], pts[b]) < 1:
+        if not in_range(a, b):
             raise AnchoringError(f"consecutive points {a}, {b} at distance >= 1")
 
     i0, i1, i2 = order[:3]
     for a, b in ((i0, i1), (i0, i2), (i1, i2)):
-        if not distance(shape, pts[a], pts[b]) < 1:
+        if not in_range(a, b):
             raise AnchoringError("anchor pair at distance >= 1")
     if not is_triangular_set(shape, pts[i0], pts[i1], pts[i2]):
         raise AnchoringError("anchor is not a triangular set")
@@ -490,10 +546,8 @@ def validate_good_enumeration(enum: GoodEnumeration) -> None:
         j, k, l = cert.refs
         if not 0 <= j < k < l < pos:
             raise AnchoringError(f"certificate positions {cert.refs} not all before {pos}")
-        target = pts[order[pos]]
         for ref_pos, g in zip(cert.refs, cert.generators):
-            expect = determining_generator(shape, target - pts[order[ref_pos]])
-            if g != expect:
+            if g != face(order[pos], order[ref_pos]):
                 raise AnchoringError(
                     f"certificate generator {g} does not determine the distance at position {pos}"
                 )

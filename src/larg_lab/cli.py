@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .exact import format_scalar, parse_scalar
 from .experiments import (
@@ -22,7 +21,7 @@ from .experiments import (
     run_decay_experiment,
     shape_from_spec,
 )
-from .geometry import Line, PolygonShape, Vec2, shape_from_json, shape_to_json
+from .geometry import Line, PolygonShape, Vec2, shape_from_json
 from .grids import generate_grid
 from .larg import graph_lines, sample_larg
 from .pointsets import (

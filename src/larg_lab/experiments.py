@@ -15,9 +15,11 @@ isomorphisms routinely.
 A decay row's candidates follow the numeric policy of ``exact``: larg's
 float distances over V_n mark the pairs within larg's guard of an anchor
 distance, and only those are confirmed by the scalar distance. Edge coins
-are counter-based, keyed by trial seed and vertex pair, so each decay row is
-evaluated in one pass that draws, per trial, only the coins of the pairs
-inside V_n and of their candidate images. The trial seeds of a row are one
+are counter-based, keyed by trial seed and vertex pair, so a row draws only
+the coins it reads: it walks the pairs of V_n in chunks of 16, 32, 64, ...
+pairs, and a chunk draws the coins of its pairs and of their candidate
+images only for the trials that still have a live candidate. A row's coin
+cost thus follows its surviving trials. The trial seeds of a row are one
 uint64 array, and a block of trials draws its coins from per-trial vertex
 tables, one hash stage per coin; the rows are reproducible bit for bit.
 """
@@ -426,28 +428,54 @@ def _trial_seeds(base: int, n: int, trials: int, side: int) -> np.ndarray:
     return seeds
 
 
-def _coin_rows(base: int, n: int, side: int, trials: int, us, vs, in_range, p: float):
-    """trials x len(us) adjacency matrix of one graph side over the given pairs.
+def _coin_rows(seeds: np.ndarray, us, vs, in_range, p: float):
+    """len(seeds) x len(us) adjacency matrix of one graph side over the given pairs.
 
-    The coin of pair (u, v) in trial t is pair_uniform(_trial_seed(base, n,
-    t, side), u, v). A block of trials, at most larg._BLOCK_CELLS coins or
-    table cells (one trial at least), builds a trials x vertices table of
-    the seed and first-vertex hash stages (larg._vertex_table over the
-    pairs' lower vertices), so each coin costs the one stage of its upper
-    vertex.
+    The coin of pair (u, v) in row t is pair_uniform(seeds[t], u, v), and a
+    pair outside in_range has no edge; seeds is a uint64 array of trial
+    seeds (_trial_seeds, or the rows of it still live). A block of trials,
+    at most larg._BLOCK_CELLS coins or table cells (one trial at least),
+    builds a trials x vertices table of the seed and first-vertex hash
+    stages (larg._vertex_table over the pairs' lower vertices), so each coin
+    costs the one stage of its upper vertex.
     """
-    seeds = _trial_seeds(base, n, trials, side)
     us, vs = np.asarray(us), np.asarray(vs)
     verts, k = np.unique(np.minimum(us, vs), return_inverse=True)
     hi = np.maximum(us, vs)
-    rows = np.empty((trials, len(us)), dtype=bool)
+    rows = np.empty((len(seeds), len(us)), dtype=bool)
     step = max(1, larg._BLOCK_CELLS // max(1, len(us), len(verts)))
-    for t0 in range(0, trials, step):
+    for t0 in range(0, len(seeds), step):
         block = rows[t0 : t0 + step]
         table = larg._vertex_table(seeds[t0 : t0 + step], verts)
         np.less(larg._table_coins(table, k, hi), p, out=block)
         block &= in_range
     return rows
+
+
+def _surviving_trials(g_seeds, h_seeds, gu, gv, g_in, hu, hv, h_in, p: float) -> int:
+    """Trials in which some candidate matches the G coins on every pair.
+
+    gu, gv, g_in are the m pairs of V_n and their range mask; hu, hv, h_in
+    are C x m, row c the images of those pairs under candidate c. The
+    pairs are walked in chunks of 16, 32, 64, ... pairs, and a chunk draws
+    its coins (_coin_rows) only for the trials that still have a live
+    candidate; a (trial, candidate) dies on its first mismatched pair. The
+    count is (e_g[:, None, :] == e_h).all(axis=2).any(axis=1).sum() over
+    the full trials x pairs coin matrices e_g and e_h (C x m per trial).
+    """
+    live = np.arange(len(g_seeds))
+    alive = np.ones((len(live), len(hu)), dtype=bool)
+    j0, width = 0, 16
+    while j0 < len(gu) and len(live):
+        j1 = j0 + width
+        e_g = _coin_rows(g_seeds[live], gu[j0:j1], gv[j0:j1], g_in[j0:j1], p)
+        pairs = (x[:, j0:j1].ravel() for x in (hu, hv, h_in))
+        e_h = _coin_rows(h_seeds[live], *pairs, p).reshape(len(live), len(hu), e_g.shape[1])
+        alive &= (e_g[:, None, :] == e_h).all(axis=2)
+        keep = alive.any(axis=1)
+        live, alive = live[keep], alive[keep]
+        j0, width = j1, 2 * width
+    return len(live)
 
 
 def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
@@ -502,11 +530,11 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
         a, b = np.triu_indices(n, 1)
         gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
         images = np.asarray(cands, dtype=np.int64).reshape(len(cands), n)
-        hu, hv = images[:, a].ravel(), images[:, b].ravel()
-        e_g = _coin_rows(cfg.base_seed, n, 0, cfg.trials, gu, gv, within(gu, gv), cfg.p)
-        e_h = _coin_rows(cfg.base_seed, n, 1, cfg.trials, hu, hv, within(hu, hv), cfg.p)
-        e_h = e_h.reshape(cfg.trials, len(cands), len(a))
-        successes = int((e_g[:, None, :] == e_h).all(axis=2).any(axis=1).sum())
+        hu, hv = images[:, a], images[:, b]
+        successes = _surviving_trials(
+            *(_trial_seeds(cfg.base_seed, n, cfg.trials, side) for side in (0, 1)),
+            gu, gv, within(gu, gv), hu, hv, within(hu, hv), cfg.p,
+        )
         lo, hi = wilson_interval(successes, cfg.trials)
         rows.append(
             DecayRow(

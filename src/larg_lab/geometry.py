@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exact import (
     BoundaryAmbiguityError,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import anchoring, larg
+from larg_lab.exact import SqrtExt
 
 from larg_lab.anchoring import (
     AnchoringError,
@@ -310,6 +312,132 @@ def test_validator_catches_corruption():
 def test_certificate_position_validation():
     with pytest.raises(AnchoringError):
         Certificate((2, 1, 0), (Vec2(F(1), F(0)),) * 3)
+
+
+# ---------------------------------------------------------------------------
+# the validator's integer lane against the scalar definitions
+
+R2, R3 = SqrtExt(0, 1, 2), SqrtExt(0, 1, 3)
+SQRT3_HEX = PolygonShape([Vec2(F(1), F(0)), Vec2(F(1, 2), R3 / 2), Vec2(F(-1, 2), R3 / 2)])
+
+
+def tied_sample():
+    # 30 sampled points and copies of six of them moved by (1/8, 0),
+    # (0, 1/8) and (1/8, -1/8): each copy ties two faces with its original
+    base = rational_sample(1).points[:30]
+    moves = ((F(1, 8), F(0)), (F(0), F(1, 8)), (F(1, 8), F(-1, 8)))
+    copies = tuple(v + Vec2(dx, dy) for v in base[:6] for dx, dy in moves)
+    return PointSet(base + copies, Window(F(-1), F(-1), F(3), F(3)), 0, "rational")
+
+
+def sqrt2_lattice():
+    # 40 points with coordinates (i + j*sqrt(2))/4 over Q(sqrt(2)); under
+    # the hexagon, two points sharing a coordinate, or differing by (t, -t),
+    # tie two faces
+    axis = [F(i, 4) + j * R2 / 4 for i in range(4) for j in range(3)]
+    rng = np.random.default_rng(7)
+    cells = rng.choice(len(axis) ** 2, 40, replace=False)
+    pts = tuple(Vec2(axis[c % len(axis)], axis[c // len(axis)]) for c in cells.tolist())
+    return PointSet(pts, Window(F(-1), F(-1), F(3), F(3)), 0, "rational")
+
+
+LANE_CASES = {
+    "Q-hexagon": lambda: (HEX, tied_sample()),
+    "Q-octagon4": lambda: (OCTAGON4, tied_sample()),
+    "Q-sqrt3-hexagon": lambda: (SQRT3_HEX, tied_sample()),
+    "sqrt2-hexagon": lambda: (HEX, sqrt2_lattice()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_integer_lane_matches_scalar_rules(name):
+    # every (target, reference) pair: the same in-range answer as distance,
+    # the same generator as determining_generator, the same refusal of a tie
+    shape, ps = LANE_CASES[name]()
+    enum = good_enumeration(ps, shape)
+    in_range, face = anchoring._validator_rules(enum)
+    pts = ps.points
+    ties = 0
+    for t, r in itertools.permutations(range(len(pts)), 2):
+        assert in_range(t, r) == (distance(shape, pts[t], pts[r]) < 1)
+        try:
+            want = determining_generator(shape, pts[t] - pts[r])
+        except AnchoringError as exc:
+            ties += 1
+            with pytest.raises(AnchoringError, match=f"^{re.escape(str(exc))}$"):
+                face(t, r)
+        else:
+            assert face(t, r) == want
+    assert ties
+    # a valid exact enumeration is checked without the scalar rules
+    no_scalar = AssertionError("scalar rule called")
+    with mock.patch.object(anchoring, "distance", side_effect=no_scalar), mock.patch.object(
+        anchoring, "determining_generator", side_effect=no_scalar
+    ):
+        validate_good_enumeration(enum)
+
+
+def corrupt_certificate(enum, pos, refs, generators):
+    certs = list(enum.certificates)
+    certs[pos] = Certificate(tuple(refs), tuple(generators))
+    return dataclasses.replace(enum, certificates=tuple(certs))
+
+
+@pytest.mark.parametrize("make", [tied_sample, sqrt2_lattice])
+def test_validator_refuses_corrupted_certificates(make):
+    ps = make()
+    enum = good_enumeration(ps, HEX)
+    pts, order = ps.points, enum.order
+
+    # a certificate generator with its sign flipped
+    cert = enum.certificates[5]
+    flipped = (-cert.generators[0],) + cert.generators[1:]
+    with pytest.raises(
+        AnchoringError, match=f"^{re.escape(f'certificate generator {flipped[0]} does not determine the distance at position 5')}$"
+    ):
+        validate_good_enumeration(corrupt_certificate(enum, 5, cert.refs, flipped))
+
+    # a reference whose difference to the target ties two faces, placed
+    # after references that determine their faces
+    def face_or_none(pos, ref):
+        try:
+            return determining_generator(HEX, pts[order[pos]] - pts[order[ref]])
+        except AnchoringError:
+            return None
+
+    pos, tie = next(
+        (pos, ref)
+        for pos in range(5, len(order))
+        for ref in range(2, pos)
+        if face_or_none(pos, ref) is None and None not in (face_or_none(pos, 0), face_or_none(pos, 1))
+    )
+    with pytest.raises(AnchoringError) as want:
+        determining_generator(HEX, pts[order[pos]] - pts[order[tie]])
+    generators = (face_or_none(pos, 0), face_or_none(pos, 1), HEX.generators[0])
+    with pytest.raises(AnchoringError, match=f"^{re.escape(str(want.value))}$"):
+        validate_good_enumeration(corrupt_certificate(enum, pos, (0, 1, tie), generators))
+
+
+@pytest.mark.parametrize("shift", [F(0), R2 / 4])
+def test_validator_distance_one_is_out_of_range(shift):
+    # hexagon distance exactly 1, with rational or sqrt(2) coordinates: the
+    # validator's test is strict
+    def points(*coords):
+        pts = tuple(Vec2(x + shift, y) for x, y in coords)
+        return PointSet(pts, Window(F(-1), F(-1), F(3), F(3)), 0, "rational")
+
+    cert = Certificate((0, 1, 2), (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), F(1))))
+    certificates = (None, None, None, cert)
+    # consecutive points 2, 3 differ by (1, 0)
+    ps = points((0, 0), (F(1, 2), 0), (0, F(1, 2)), (1, F(1, 2)))
+    enum = GoodEnumeration(ps, HEX, (0, 1, 2, 3), certificates, ())
+    with pytest.raises(AnchoringError, match="^consecutive points 2, 3 at distance >= 1$"):
+        validate_good_enumeration(enum)
+    # anchor points 0, 2 differ by (1, 0); consecutive hops are shorter
+    ps = points((0, 0), (F(1, 2), F(1, 4)), (1, 0), (F(1, 2), F(1, 2)))
+    enum = GoodEnumeration(ps, HEX, (0, 1, 2, 3), certificates, ())
+    with pytest.raises(AnchoringError, match="^anchor pair at distance >= 1$"):
+        validate_good_enumeration(enum)
 
 
 # ---------------------------------------------------------------------------

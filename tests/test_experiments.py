@@ -1,6 +1,7 @@
 """Tests for decay experiments and the box comparison demo."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import experiments, larg
@@ -29,6 +30,7 @@ from larg_lab.experiments import (
     _is_shape_symmetry,
     _linear_part,
     _point_lookup,
+    _surviving_trials,
     _trial_seed,
     _trial_seeds,
     back_and_forth_isomorphism,
@@ -524,6 +526,105 @@ class TestDecayEquivalence:
             assert [r.successes for r in rows] == successes, policy
 
 
+@functools.lru_cache(maxsize=None)
+def decay_inputs(spec, window, intensity, mode, seed):
+    """The enumeration of a decay config's point set, and the in-range test
+    of a pair u < v by the scalar distance."""
+    shape = shape_from_spec(spec)
+    points = sample_poisson_window(Window(*window), intensity, seed=seed, mode=mode)
+    pts = points.points
+
+    @functools.lru_cache(maxsize=None)
+    def in_range(u, v):
+        return distance(shape, pts[u], pts[v]) < 1
+
+    return good_enumeration(points, shape), in_range
+
+
+def full_matrix_successes(cfg: ExperimentConfig) -> list:
+    """Per-row success counts from the full trials x pairs coin matrices,
+    every pair drawn in every trial: a trial succeeds when some candidate
+    matches the G coins on all pairs, (e_g == e_h).all().any()."""
+    enum, in_range = decay_inputs(cfg.shape, cfg.window, cfg.intensity, cfg.mode, cfg.base_seed)
+    out = []
+    for n in cfg.n_values:
+        prefix = enum.order[:n]
+        cands = (prefix,) if cfg.anchor_policy == "identity" else _extension_candidates(enum, n)
+        a, b = np.triu_indices(n, 1)
+        gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
+        images = np.asarray(cands).reshape(len(cands), n)
+        hu, hv = images[:, a].ravel(), images[:, b].ravel()
+
+        def coins(side, us, vs):
+            mask = np.array([in_range(*sorted((int(u), int(v)))) for u, v in zip(us, vs)], dtype=bool)
+            return np.array(
+                [
+                    (pair_uniform_array(_trial_seed(cfg.base_seed, n, t, side), us, vs) < cfg.p) & mask
+                    for t in range(cfg.trials)
+                ]
+            )
+
+        e_g = coins(0, gu, gv)
+        e_h = coins(1, hu, hv).reshape(cfg.trials, len(cands), len(a))
+        out.append(int((e_g[:, None, :] == e_h).all(axis=2).any(axis=1).sum()))
+    return out
+
+
+# (shape spec, sampling mode) and (window, intensity): [0, 3]^2 at intensity
+# 8 is the window where V_n has pairs out of range
+ROW_SHAPES = [("hexagon", "rational"), ("regular-hexagon", "float")]
+ROW_WINDOWS = [((0, 0, 1, 1), 60.0), ((0, 0, 3, 3), 8.0)]
+
+
+class TestRowEngine:
+    """Rows walked in chunks of pairs count what the full coin matrices count."""
+
+    @example(("hexagon", "rational"), ROW_WINDOWS[1], 0.98, 300, (3, 4, 20, 40), "exhaustive", 9)
+    @example(("regular-hexagon", "float"), ROW_WINDOWS[1], 0.98, 7, (5, 40), "identity", 12)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(ROW_SHAPES),
+        st.sampled_from(ROW_WINDOWS),
+        st.sampled_from([0.02, 0.5, 0.98]),
+        st.sampled_from([1, 7, 300]),
+        st.sets(st.integers(3, 40), min_size=1, max_size=4).map(lambda ns: tuple(sorted(ns))),
+        st.sampled_from(["identity", "exhaustive"]),
+        st.sampled_from([9, 12]),
+    )
+    def test_rows_match_full_matrix_count(self, shape, window, p, trials, n_values, policy, seed):
+        (spec, mode), (box, intensity) = shape, window
+        cfg = ExperimentConfig(
+            shape=spec, window=box, intensity=intensity, mode=mode, n_values=n_values,
+            p=p, trials=trials, base_seed=seed, anchor_policy=policy,
+        )
+        got = [r.successes for r in run_decay_experiment(cfg)]
+        assert got == full_matrix_successes(cfg)
+
+    # the decay configs above have one candidate from n = 4 on; random
+    # images give a trial several candidates that die in different chunks
+    @example(0.98, 300, 12, 12, 0)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([0.02, 0.5, 0.98]),
+        st.sampled_from([1, 7, 300]),
+        st.integers(3, 40),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    def test_candidates_match_full_matrix_count(self, p, trials, n, cands, seed):
+        rng = np.random.default_rng(seed)
+        prefix = rng.choice(60, n, replace=False)
+        images = np.array([rng.choice(60, n, replace=False) for _ in range(cands)])
+        a, b = np.triu_indices(n, 1)
+        gu, gv, hu, hv = prefix[a], prefix[b], images[:, a], images[:, b]
+        g_in, h_in = rng.random(gu.shape) < 0.8, rng.random(hu.shape) < 0.8
+        seeds = [_trial_seeds(seed, n, trials, side) for side in (0, 1)]
+        e_g = np.array([(pair_uniform_array(int(s), gu, gv) < p) & g_in for s in seeds[0]])
+        e_h = np.array([(pair_uniform_array(int(s), hu, hv) < p) & h_in for s in seeds[1]])
+        want = int((e_g[:, None, :] == e_h).all(axis=2).any(axis=1).sum())
+        assert _surviving_trials(*seeds, gu, gv, g_in, hu, hv, h_in, p) == want
+
+
 GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "data", "golden_decay_rows.json")
 
 
@@ -773,7 +874,7 @@ class TestCoinRows:
             ]
         )
         with mock.patch.object(larg, "_BLOCK_CELLS", cells):
-            got = _coin_rows(11, 6, 1, 13, us, vs, in_range, 0.4)
+            got = _coin_rows(_trial_seeds(11, 6, 13, 1), us, vs, in_range, 0.4)
         assert got.dtype == bool and np.array_equal(got, want)
 
     @pytest.mark.parametrize("cells", [1, 7, larg._BLOCK_CELLS])
@@ -793,7 +894,7 @@ class TestCoinRows:
             ]
         )
         with mock.patch.object(larg, "_BLOCK_CELLS", cells):
-            got = _coin_rows(base, 7, 0, 11, us, vs, in_range, 0.6)
+            got = _coin_rows(_trial_seeds(base, 7, 11, 0), us, vs, in_range, 0.6)
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)

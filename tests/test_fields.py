@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from larg_lab.anchoring import good_enumeration
+from larg_lab.anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
 from larg_lab.exact import SqrtExt
 from larg_lab.geometry import (
     GeometryError,
@@ -72,6 +72,10 @@ KERNELS = {
     "in_range_pairs": (GeometryError, lambda k: in_range_pairs(SQRT2_SET, SHAPES[k], 1)),
     "sample_larg": (GeometryError, lambda k: sample_larg(SQRT2_SET, SHAPES[k], 1, 0.5, edge_seed=1)),
     "good_enumeration": (GeometryError, lambda k: good_enumeration(SQRT2_SET, SHAPES[k])),
+    "validate_good_enumeration": (
+        GeometryError,
+        lambda k: validate_good_enumeration(GoodEnumeration(SQRT2_SET, SHAPES[k], (0, 1, 2), (None,) * 3, ())),
+    ),
     "is_step_isometry": (GeometryError, lambda k: is_step_isometry(PointMap(SQRT2_SET, POINTS), SHAPES[k])),
     "is_isometry": (GeometryError, lambda k: is_isometry(PointMap(SQRT2_SET, POINTS), SHAPES[k])),
     # the images alone have no common field, under a rational shape
@@ -172,3 +176,29 @@ def test_numeric_policy_stays_in_one_place():
                 assert id(node) in named, f"{path.name}:{node.lineno} binds the float literal {node.value!r}"
     for name, owner in owners.items():
         assert defined.get(name) == [owner], f"{name} is defined in {defined.get(name)}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import whose name is never read is dead code; names a module lists
+    # in __all__, and the package's re-exports, are read by its importers
+    src = Path(__file__).resolve().parents[1] / "src" / "larg_lab"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    if a.name != "*":
+                        imported[a.asname or a.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read | exported]
+    assert not unused, f"imported names never read: {unused}"
