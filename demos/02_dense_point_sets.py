@@ -8,6 +8,7 @@ any two projections onto a generator differ by an integer, the degenerate
 case every construction downstream wants ruled out.
 """
 
+import time
 from fractions import Fraction as F
 
 from larg_lab import (
@@ -41,3 +42,9 @@ print(f"rescaled by alpha = {alpha}; flags now {all(fixed.idf_per_generator.valu
 
 # fingerprints tie graphs to the exact point set they were drawn over
 print("fingerprint:", fixed.fingerprint())
+
+# float mode at scale: 10^5 points are drawn into one float64 array, and
+# no Vec2 is built until a point is read
+start = time.process_time()
+big = sample_poisson_window(Window(0.0, 0.0, 316.0, 316.0), 1.0, seed=5)
+print(f"\nfloat mode: {len(big)} points in {time.process_time() - start:.2f} s of CPU")

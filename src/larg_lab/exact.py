@@ -10,8 +10,9 @@ have no common field: a float beside a SqrtExt, or two radicands.
 of reading coordinates.
 
 Kernels that work in integers read a + b*sqrt(d) as (A + B*sqrt(d))/D with
-int A, B and D > 0; ``surd_ints``, ``surd_value``, ``_floor_surd`` and
-``_surd_nonneg`` are that format's only encoder, decoder, floor and sign.
+int A, B and D > 0; ``surd_ints``, ``surd_value``, ``surd_float``,
+``_floor_surd`` and ``_surd_nonneg`` are that format's only encoder,
+decoders, floor and sign.
 
 The numeric policy (README, the ``exact`` layer): ``FLOAT_INTEGER_GUARD`` is
 the one float tolerance and ``close`` the one equality test for floats.
@@ -301,6 +302,11 @@ def surd_value(A: int, B: int, D: int, d: int):
     if B == 0:
         return Fraction(A, D)
     return SqrtExt(Fraction(A, D), Fraction(B, D), d)
+
+
+def surd_float(A: int, B: int, D: int, d: int) -> float:
+    """float((A + B*sqrt(d))/D), correctly rounded when B == 0."""
+    return A / D if B == 0 else float(surd_value(A, B, D, d))
 
 
 def is_exact(x) -> bool:

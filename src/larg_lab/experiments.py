@@ -35,7 +35,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, surd_value
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, surd_float
 from .geometry import (
     GeometryError,
     LpShape,
@@ -604,15 +604,14 @@ def _floor_table(points: PointSet, shape: PolygonShape):
     integer projections (`pointsets._projection_ints`) the float column was
     read from, floats by guarded_floor.  The diagonal is exactly 0.
     """
-    pts = points.points
     tables = []
     for a, enc in zip(shape.generators, _projection_ints(points, shape.generators)):
         if enc is None:
-            proj = [a.dot(v) for v in pts]
+            proj = [a.dot(v) for v in points.points]
             col = np.array([float(t) for t in proj])
         else:
             D, proj, d = enc
-            col = np.array([A / D if B == 0 else float(surd_value(A, B, D, d)) for A, B in proj])
+            col = np.array([surd_float(A, B, D, d) for A, B in proj])
         diff = col[:, None] - col[None, :]
         tab = np.floor(diff)
         guard = larg._guard(1.0, 1.0, col)

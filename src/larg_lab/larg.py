@@ -391,9 +391,8 @@ def _kept_keys(points: PointSet, shape: NormShape, delta, lo, hi, sure) -> np.nd
     distance puts in range; `sure` is updated in place."""
     near = np.flatnonzero(~sure)
     if len(near):
-        pts = points.points
         sure[near] = [
-            distance(shape, pts[a], pts[b]) < delta
+            distance(shape, points[a], points[b]) < delta
             for a, b in zip(lo[near].tolist(), hi[near].tolist())
         ]
     return lo[sure] * len(points) + hi[sure]

@@ -2,31 +2,28 @@
 
 Infinite models (Poisson processes) are approximated by their restriction to
 an axis-aligned window.  A PointSet remembers how it was produced (seed,
-scaling alpha, numeric mode) plus structural flags: integer-distance-freeness
-of generator projections, verified by `rescale_to_idf`, and a pairwise
-non-integer distance flag carried through JSON.  It also carries the field
-tag of its coordinates (`exact.field_of`), which the kernels join with the
-shape's tag; a set whose points have no common field (a float beside a
-SqrtExt, or two radicands) is refused when it is made.
+scaling alpha, numeric mode), which generator projections `rescale_to_idf`
+made integer-difference-free, and the field tag of its coordinates
+(`exact.field_of`).
 
-Rational mode draws dyadic rationals x0 + (x1 - x0)*k/2^40 so every
-downstream floor/idf question has an exact answer; float mode is for Monte
-Carlo throughput.  Exact work runs on integer numerators over one
-denominator, the (A + B*sqrt(d))/D format of `exact.surd_ints`: the sampler
-builds each coordinate once from the window's numerators and the integer
-draw k, a set of rationals checks duplicates on (numerator, denominator)
-keys, and the idf tests, the rescaling search and the projection floors of
-`experiments` read the projections a.v as such integers
-(`_projection_ints`).
+This module owns the point format.  A PointSet stores its coordinates once,
+as columns: a float set a read-only n x 2 float64 array (`as_array`), an
+exact set integer numerators (A + B*sqrt(d))/D over one denominator (the
+format of `exact.surd_ints`), which the idf tests, `rescale_to_idf` and the
+integer lanes of stepiso, anchoring and experiments read.  Rational mode
+draws dyadic rationals x0 + (x1 - x0)*k/2^40 so every downstream floor/idf
+question has an exact answer; float mode is for Monte Carlo throughput.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +36,7 @@ from .exact import (
     is_exact,
     join_fields,
     parse_scalar,
+    surd_float,
     surd_ints,
     surd_value,
 )
@@ -66,7 +64,7 @@ class PointSetError(ValueError):
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned box [x0, x1] x [y0, y1]."""
+    """Axis-aligned box [x0, x1] x [y0, y1] with finite bounds."""
 
     x0: object
     y0: object
@@ -74,6 +72,9 @@ class Window:
     y1: object
 
     def __post_init__(self):
+        for c in (self.x0, self.y0, self.x1, self.y1):
+            if isinstance(c, float) and not math.isfinite(c):
+                raise PointSetError(f"window bound {c!r} is not finite")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise PointSetError("window must have positive extent")
 
@@ -89,49 +90,105 @@ class Window:
         return Window(c[0], d[0], c[1], d[1])
 
 
-@dataclass
 class PointSet:
     """Distinct plane points plus sampling provenance; treat as immutable.
 
-    `field` is the field tag of the coordinates; points with no common
-    field raise PointSetError.
+    The constructor takes Vec2s, keeps their tuple as `points`, encodes the
+    columns and checks from them that the points have a common field
+    (`field`), are distinct and hold no float in rational mode.  The
+    samplers and `rescale_to_idf` build a set from columns of distinct
+    points, unchecked (`_from_columns`); `points` is built on first read.
     """
 
-    points: tuple[Vec2, ...]
-    window: Window
-    seed: int
-    mode: str = "float"
-    alpha: object = 1
-    idf_per_generator: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mode not in ("float", "rational"):
-            raise PointSetError(f"unknown mode {self.mode!r}")
-        self.points = tuple(self.points)
-        self.field = field_of((c for v in self.points for c in (v.x, v.y)), PointSetError)
-        refuse_floats = self.mode == "rational" and self.field == FLOAT
-        if self.field == 0:
-            # ints and Fractions both carry a normalised numerator/denominator
-            keys = [(v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator) for v in self.points]
+    def __init__(self, points, window: Window, seed: int, mode: str = "float", alpha=1, idf_per_generator=None):
+        if mode not in ("float", "rational"):
+            raise PointSetError(f"unknown mode {mode!r}")
+        self.points = pts = tuple(points)
+        field = field_of((c for v in pts for c in (v.x, v.y)), PointSetError)
+        if field == FLOAT:
+            cols = np.array([v.to_floats() for v in pts], dtype=float).reshape(len(pts), 2)
         else:
-            keys = [(v.x, v.y) for v in self.points]
-        seen = set()
-        for v, key in zip(self.points, keys):
-            if key in seen:
-                raise PointSetError(f"duplicate point {v}")
-            seen.add(key)
-            if refuse_floats and not v.is_exact():
-                raise PointSetError(f"float coordinate {v} in rational mode")
+            D, ints = surd_ints(c for v in pts for c in (v.x, v.y))
+            cols = (D, ints[::2], ints[1::2])
+        self._store(cols, field, window, seed, mode, alpha, idf_per_generator)
+        n = bad = len(pts)
+        if field == FLOAT:
+            # a float row may round distinct exact values (1/3 and its float)
+            dup = next((j for j in _repeats(cols).tolist() if pts[j] in pts[:j]), n)
+            if mode == "rational":
+                bad = next(j for j, v in enumerate(pts) if not v.is_exact())
+        else:
+            seen = set()
+            dup = next((j for j, key in enumerate(zip(*cols[1:])) if key in seen or seen.add(key)), n)
+        if min(dup, bad) < n:
+            v = pts[min(dup, bad)]
+            raise PointSetError(f"duplicate point {v}" if dup <= bad else f"float coordinate {v} in rational mode")
+
+    @classmethod
+    def _from_columns(cls, cols, field: int, window: Window, seed: int, mode: str, alpha=1, idf_per_generator=None):
+        ps = cls.__new__(cls)
+        ps._store(cols, field, window, seed, mode, alpha, idf_per_generator)
+        return ps
+
+    def _store(self, cols, field, window, seed, mode, alpha, idf_per_generator):
+        self.window, self.seed, self.mode, self.alpha, self.field = window, seed, mode, alpha, field
+        self.idf_per_generator = {} if idf_per_generator is None else idf_per_generator
+        self._ints = None if field == FLOAT else cols
+        if field == FLOAT:
+            cols.flags.writeable = False
+            self._xy = cols
+
+    @cached_property
+    def points(self) -> tuple[Vec2, ...]:
+        """The points as Vec2s, built from the columns on first read."""
+        return tuple(Vec2(x, y) for x, y in self._coords())
+
+    def _coords(self):
+        """The (x, y) scalars: from the tuple if built, else the columns."""
+        if "points" in self.__dict__:
+            return ((v.x, v.y) for v in self.points)
+        if self._ints is None:  # a chunk of rows at a time
+            return (c for i in range(0, len(self), 1 << 16) for c in zip(*self._xy[i : i + (1 << 16)].T.tolist()))
+        D, xs, ys = self._ints
+        return ((surd_value(*x, D, self.field), surd_value(*y, D, self.field)) for x, y in zip(xs, ys))
+
+    def _exact_part(self):
+        """The indices of the points with two exact coordinates (all of an
+        exact set, none of a sampled float set) and their numerators (D, xs, ys)."""
+        if self._ints is not None:
+            return range(len(self)), self._ints
+        pts = self.__dict__.get("points", ())
+        rows = [j for j, v in enumerate(pts) if v.is_exact()]
+        D, ints = surd_ints(c for j in rows for c in (pts[j].x, pts[j].y))
+        return rows, (D, ints[::2], ints[1::2])
 
     def __len__(self):
-        return len(self.points)
+        return len(self._xy) if self._ints is None else len(self._ints[1])
 
-    def __getitem__(self, i) -> Vec2:
-        return self.points[i]
+    def __getitem__(self, i):
+        if "points" in self.__dict__ or isinstance(i, slice):
+            return self.points[i]
+        if self._ints is None:
+            return Vec2(*self._xy[i].tolist())
+        D, xs, ys = self._ints
+        return Vec2(*(surd_value(*c[i], D, self.field) for c in (xs, ys)))
+
+    def __eq__(self, other):
+        meta = lambda ps: (len(ps), ps.window, ps.seed, ps.mode, ps.alpha, ps.idf_per_generator)
+        same = isinstance(other, PointSet) and meta(self) == meta(other)
+        return same and all(map(eq, self._coords(), other._coords()))
 
     def as_array(self) -> np.ndarray:
-        """n x 2 float array (cached)."""
-        return self._array
+        """The read-only n x 2 float array (an exact set's is built once)."""
+        return self._xy
+
+    @cached_property
+    def _xy(self) -> np.ndarray:
+        # exact sets only; a float set stores its array when it is made
+        D, xs, ys = self._ints
+        xy = np.array([[surd_float(*c, D, self.field) for c in row] for row in zip(xs, ys)], dtype=float)
+        xy.flags.writeable = False
+        return xy.reshape(len(xs), 2)
 
     def fingerprint(self) -> str:
         """Content hash used as the point_set_ref of graphs sampled over this set.
@@ -141,85 +198,83 @@ class PointSet:
         return self._fingerprint
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        if self.field == 0:
-            # int / int is correctly rounded, as float(Fraction) is
-            rows = [(v.x.numerator / v.x.denominator, v.y.numerator / v.y.denominator) for v in self.points]
-        else:
-            rows = [p.to_floats() for p in self.points]
-        return np.array(rows, dtype=float).reshape(len(rows), 2)
-
-    @cached_property
     def _fingerprint(self) -> str:
         # an int is hashed as the equal Fraction, which JSON reads it back as
-        h = hashlib.sha256()
-        h.update(self.mode.encode())
-        for v in self.points:
-            h.update(repr((_int_as_fraction(v.x), _int_as_fraction(v.y))).encode())
+        frac = lambda c: Fraction(c) if isinstance(c, int) else c
+        h = hashlib.sha256(self.mode.encode())
+        for x, y in self._coords():
+            h.update(repr((frac(x), frac(y))).encode())
         return h.hexdigest()[:16]
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of an n x 2 array equal to an earlier
+    row (0.0 equals -0.0).  The stable sort puts a row's first occurrence
+    first among its equals; it runs only when two rows share an x."""
+    x = np.sort(rows[:, 0])
+    if not (x[1:] == x[:-1]).any():
+        return np.zeros(0, dtype=np.int64)
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    s = rows[order]
+    return np.sort(order[1:][(s[1:] == s[:-1]).all(axis=1)])
 
 
 # ---------------------------------------------------------------------------
 # samplers
 
 
-def _window_exact(window: Window) -> Window:
-    for c in (window.x0, window.y0, window.x1, window.y1):
-        if not is_exact(c):
-            raise PointSetError("rational mode needs exact window bounds")
-    return window
+def _distinct_draws(draw, n: int) -> np.ndarray:
+    """n distinct rows from draw(m), which gives m more; repeats are dropped."""
+    rows = draw(n)
+    while len(rep := _repeats(rows)):
+        rows = np.delete(rows, rep, axis=0)
+        rows = np.concatenate((rows, draw(n - len(rows))))
+    return rows
 
 
-def _dyadic_axis(lo, hi):
-    """k -> lo + (hi - lo)*k/2^40, built from integer numerators: with
-    lo, hi = (A0 + B0*sqrt(d))/D, (A1 + B1*sqrt(d))/D the value is
-    ((A0*2^40 + (A1 - A0)*k) + (B0*2^40 + (B1 - B0)*k)*sqrt(d)) / (D*2^40)."""
-    D, ((A0, B0), (A1, B1)) = surd_ints((lo, hi))
-    d = field_of((lo, hi), PointSetError)
-    a, da, b, db, den = A0 * _RATIONAL_DEN, A1 - A0, B0 * _RATIONAL_DEN, B1 - B0, D * _RATIONAL_DEN
-    return lambda k: surd_value(a + da * k, b + db * k, den, d)
-
-
-def sample_poisson_window(
-    window: Window, intensity: float, seed: int, mode: str = "float"
-) -> PointSet:
+def sample_poisson_window(window: Window, intensity: float, seed: int, mode: str = "float") -> PointSet:
     """Homogeneous Poisson process restricted to the window.
 
     Point count ~ Poisson(intensity * area), positions iid uniform.  The same
-    (window, intensity, seed, mode) always reproduces the same PointSet.
+    (window, intensity, seed, mode) always reproduces the same PointSet.  An
+    intensity that is not positive and finite, or a mean count that is no
+    finite float or too large for numpy's sampler, raises PointSetError.
     """
-    if intensity <= 0:
-        raise PointSetError("intensity must be positive")
-    area = float(window.area())
+    if not (math.isfinite(intensity) and intensity > 0):
+        raise PointSetError(f"intensity must be positive and finite, got {intensity!r}")
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(intensity * area))
-    pts: list[Vec2] = []
-    seen = set()
+    mean = math.inf  # an exact area past the float range
+    try:
+        mean = intensity * float(window.area())
+        n = int(rng.poisson(mean))
+    except (OverflowError, ValueError):
+        raise PointSetError(f"mean point count {mean!r} (intensity times window area) is too large to sample") from None
     if mode == "float":
         w, h = float(window.x1 - window.x0), float(window.y1 - window.y0)
         x0, y0 = float(window.x0), float(window.y0)
-        while len(pts) < n:
-            block = rng.random((n - len(pts), 2))
-            for u, v in block:
-                p = Vec2(x0 + w * float(u), y0 + h * float(v))
-                if (p.x, p.y) not in seen:
-                    seen.add((p.x, p.y))
-                    pts.append(p)
-    elif mode == "rational":
-        _window_exact(window)
-        # k -> lo + (hi - lo)*k/2^40 is injective, so duplicates are found on
-        # the integer draws
-        fx, fy = _dyadic_axis(window.x0, window.x1), _dyadic_axis(window.y0, window.y1)
-        draws: list[tuple[int, int]] = []
-        while len(draws) < n:
-            for ku, kv in rng.integers(0, _RATIONAL_DEN, size=(n - len(draws), 2)).tolist():
-                if (ku, kv) not in seen:
-                    seen.add((ku, kv))
-                    draws.append((ku, kv))
-        pts = [Vec2(fx(ku), fy(kv)) for ku, kv in draws]
-    else:
+        # x0 + w*u, as float arithmetic does it point by point
+        xy = _distinct_draws(lambda m: rng.random((m, 2)) * (w, h) + (x0, y0), n)
+        # no point has no float: the empty set's field is Q, as field_of says
+        return PointSet._from_columns(xy, FLOAT, window, seed, mode) if n else PointSet((), window, seed, mode)
+    if mode != "rational":
         raise PointSetError(f"unknown mode {mode!r}")
-    return PointSet(tuple(pts), window, seed, mode=mode)
+    # k -> lo + (hi - lo)*k/2^40 is injective, so duplicates are found on the
+    # integer draws k; with lo, hi = (A0 + B0*sqrt(d))/D, (A1 + B1*sqrt(d))/D
+    # the value is ((A0*2^40 + (A1 - A0)*k) + (B0*2^40 + (B1 - B0)*k)*sqrt(d)) / (D*2^40)
+    axes = (window.x0, window.x1), (window.y0, window.y1)
+    if not all(is_exact(c) for axis in axes for c in axis):
+        raise PointSetError("rational mode needs exact window bounds")
+    for axis in axes:
+        field_of(axis, PointSetError)  # an axis over two radicands has no field
+    D, ints = surd_ints(c for axis in axes for c in axis)
+    ks = _distinct_draws(lambda m: rng.integers(0, _RATIONAL_DEN, size=(m, 2)), n).T.tolist()
+    cols = [
+        [(A0 * _RATIONAL_DEN + (A1 - A0) * k, B0 * _RATIONAL_DEN + (B1 - B0) * k) for k in col]
+        for ((A0, B0), (A1, B1)), col in zip((ints[:2], ints[2:]), ks)
+    ]
+    # the points' field: that of the bounds of each axis with an irrational point
+    field = field_of((c for axis, col in zip(axes, cols) if any(B for _, B in col) for c in axis), PointSetError)
+    return PointSet._from_columns((D * _RATIONAL_DEN, *cols), field, window, seed, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +346,13 @@ def _projection_ints(points: PointSet, generators: Sequence[Vec2]) -> list:
     """Per generator a, the projections a.v of the points as (D, [(A, B)], d)
     with a.v = (A + B*sqrt(d))/D, or None when a or the points are float.
 
-    The coordinates are encoded once; a generator with no common field with
-    the points raises PointSetError.
+    The projections are taken from the stored numerators; a generator with
+    no common field with the points raises PointSetError.
     """
     fields = [join_fields(field_of((a.x, a.y), PointSetError), points.field, PointSetError) for a in generators]
     if points.field == FLOAT:
         return [None] * len(fields)
-    D, ints = surd_ints(c for v in points.points for c in (v.x, v.y))
-    xs, ys = ints[::2], ints[1::2]
+    D, xs, ys = points._ints
     out = []
     for a, d in zip(generators, fields):
         if d == FLOAT:
@@ -330,17 +384,15 @@ def _idf_tests(points: PointSet, generators: Sequence[Vec2]) -> list:
 
 
 def rescale_to_idf(
-    points: PointSet,
-    generators: Sequence[Vec2],
-    trials: int = 64,
-    seed: int = 0,
+    points: PointSet, generators: Sequence[Vec2], trials: int = 64, seed: int = 0
 ) -> tuple[object, PointSet]:
     """Scale the whole set by one alpha so every generator projection is idf.
 
     Returns (alpha, new PointSet) with alpha recorded on the set and
     per-generator idf flags set; raises after `trials` failed candidates,
     naming an obstruction.  Coordinates come back as alpha times the old
-    ones, so ints become Fractions even when alpha is 1.
+    ones, so ints become Fractions even when alpha is 1; an exact set is
+    scaled on its numerators.
     """
     if not generators:
         raise PointSetError("need at least one generator")
@@ -351,32 +403,16 @@ def rescale_to_idf(
         if failed is not None:
             obstruction = (alpha, failed)
             continue
-        if alpha == 1:
-            # v * Fraction(1) without the multiplication: only ints change
-            scaled = tuple(
-                Vec2(_int_as_fraction(v.x), _int_as_fraction(v.y)) if isinstance(v.x, int) or isinstance(v.y, int) else v
-                for v in points.points
-            )
-        else:
-            scaled = tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points)
-        flags = {(a.x, a.y): True for a in generators}
-        rescaled = replace(
-            points,
-            points=scaled,
-            window=points.window.scaled(alpha),
-            alpha=points.alpha * alpha,
-            idf_per_generator={**points.idf_per_generator, **flags},
-        )
-        return alpha, rescaled
-    raise PointSetError(
-        f"no idf rescaling found in {trials} candidates; "
-        f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
-    )
-
-
-def _int_as_fraction(c):
-    """c itself, or the equal Fraction when c is an int."""
-    return Fraction(c) if isinstance(c, int) else c
+        flags = {**points.idf_per_generator, **{(a.x, a.y): True for a in generators}}
+        meta = (points.window.scaled(alpha), points.seed, points.mode, points.alpha * alpha, flags)
+        if points.field == FLOAT:
+            return alpha, PointSet(tuple(Vec2(x * alpha, y * alpha) for x, y in points._coords()), *meta)
+        # alpha = r/s scales (A + B*sqrt(d))/D to (A*r + B*r*sqrt(d))/(D*s)
+        D, xs, ys = points._ints
+        cols = [[(A * alpha.numerator, B * alpha.numerator) for A, B in col] for col in (xs, ys)]
+        return alpha, PointSet._from_columns((D * alpha.denominator, *cols), points.field, *meta)
+    alpha, a = obstruction
+    raise PointSetError(f"no idf rescaling found in {trials} candidates; last obstruction: alpha={alpha} generator={a}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +420,15 @@ def _int_as_fraction(c):
 
 
 def pointset_to_json(ps: PointSet) -> str:
+    w = ps.window
+    flags = sorted(ps.idf_per_generator.items(), key=lambda kv: repr(kv[0]))
     obj = {
         "seed": ps.seed,
         "alpha": format_scalar(ps.alpha),
-        "window": [
-            format_scalar(ps.window.x0),
-            format_scalar(ps.window.y0),
-            format_scalar(ps.window.x1),
-            format_scalar(ps.window.y1),
-        ],
+        "window": [format_scalar(c) for c in (w.x0, w.y0, w.x1, w.y1)],
         "mode": ps.mode,
-        "points": [[format_scalar(p.x), format_scalar(p.y)] for p in ps.points],
-        "flags": {
-            "idf_per_generator": [
-                [format_scalar(gx), format_scalar(gy), bool(v)]
-                for (gx, gy), v in sorted(
-                    ps.idf_per_generator.items(), key=lambda kv: repr(kv[0])
-                )
-            ],
-        },
+        "points": [[format_scalar(x), format_scalar(y)] for x, y in ps._coords()],
+        "flags": {"idf_per_generator": [[format_scalar(gx), format_scalar(gy), bool(v)] for (gx, gy), v in flags]},
     }
     return json.dumps(obj)
 
@@ -412,16 +438,6 @@ def pointset_from_json(text: str) -> PointSet:
     window = Window(*(parse_scalar(c) for c in obj["window"]))
     pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
     # files from older versions also carry flags["pairwise_noninteger"]
-    flags = obj.get("flags", {})
-    idf_flags = {
-        (parse_scalar(gx), parse_scalar(gy)): bool(v)
-        for gx, gy, v in flags.get("idf_per_generator", [])
-    }
-    return PointSet(
-        pts,
-        window,
-        int(obj["seed"]),
-        mode=obj["mode"],
-        alpha=parse_scalar(obj.get("alpha", 1.0)),
-        idf_per_generator=idf_flags,
-    )
+    flags = obj.get("flags", {}).get("idf_per_generator", [])
+    idf_flags = {(parse_scalar(gx), parse_scalar(gy)): bool(v) for gx, gy, v in flags}
+    return PointSet(pts, window, int(obj["seed"]), obj["mode"], parse_scalar(obj.get("alpha", 1.0)), idf_flags)

@@ -15,14 +15,12 @@ data, and for float data refusing a distance too near an integer.
 
 Box product maps are computed for a whole domain at once, in two lanes that
 both give exactly the images of the scalar formula `box_product_map` states.
-Exact points under exact generators and knots take an integer lane: each
-dual coordinate is an int pair (A, B) over one denominator D, read as
-(A + B*sqrt(d))/D (the format of `exact.surd_ints`), so floors and knot
+Exact points under exact generators and knots take an integer lane on the
+domain's stored numerators (A + B*sqrt(d))/D, so floors and knot
 comparisons are integer sign tests and each image coordinate is built once,
-as the same Fraction or SqrtExt.  Float points take one numpy pass that
-performs the scalar formula's float operations in its order, so the images
-are bit-identical and a fractional part the scalar formula refuses is
-refused for the same first point.
+as the same Fraction or SqrtExt.  Float points take one numpy pass over the
+domain's float array that performs the scalar formula's float operations in
+its order, so the images are bit-identical.
 
 Field refusals come up front, for the whole input, before any image or
 distance: the field tags (`exact.field_of`) of the generators, the knots
@@ -65,7 +63,7 @@ from .geometry import (
     truncated_distance,
 )
 from .larg import _clear_lower, _columns, _distances, _guard, _row_blocks
-from .pointsets import PointSet, pointset_from_json, pointset_to_json
+from .pointsets import PointSet, Window, pointset_from_json, pointset_to_json
 
 __all__ = [
     "StepIsoError",
@@ -175,8 +173,8 @@ def box_product_map(shape: NormShape, g1: Interleaving1D, g2: Interleaving1D, v:
     w_i = apply_fractional_map(g_i, u_i) and den = a1.cross(a2).  This is
     the one-point call of `box_product_point_map`.
     """
-    field = field_of((v.x, v.y), StepIsoError)
-    return _box_images(shape, g1, g2, (v,), field, lambda: np.array([v.to_floats()]))[0]
+    field_of((v.x, v.y), StepIsoError)
+    return _box_images(shape, g1, g2, PointSet((v,), Window(0, 0, 1, 1), 0))[0]
 
 
 def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
@@ -185,17 +183,16 @@ def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
     return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
 
 
-def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, todo, images) -> None:
-    """The integer lane: images[j] for each (j, v) in todo, v exact over
-    Q(sqrt(d)), or over Q for d = 0.
+def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, rows, ints, images) -> None:
+    """The integer lane: images[j] for each j in rows, whose points are
+    exact over Q(sqrt(d)) (Q for d = 0), with coordinates ints = (P, xs, ys).
 
     The generators are (p_x + q_x*sqrt(d), ...)/G, each interleaving piece is
     s -> m*s + c with m, c over one denominator E, the knots are over T and
     the image coefficients over K.  A dual coordinate u = a.v is an int pair
-    over Du = G*P, P the point's denominator; its floor, the piece it falls
-    in (an integer sign test against each knot) and the image numerators are
-    all int arithmetic, and each image coordinate becomes one Fraction or
-    SqrtExt at the end.
+    over Du = G*P; its floor, the piece it falls in (an integer sign test
+    against each knot) and the image numerators are all int arithmetic, and
+    each image coordinate becomes one Fraction or SqrtExt at the end.
     """
     G, gen = surd_ints((a1.x, a1.y, a2.x, a2.y))
     den = a1.cross(a2)
@@ -212,10 +209,10 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, todo, images) -> None:
         pieces = [next_line() + next_line() for _ in sg]  # (mA, mB, cA, cB)
         duals.append((gen[2 * i], gen[2 * i + 1], knots, pieces))
     (k11a, k11b), (k12a, k12b), (k21a, k21b), (k22a, k22b) = coef
-    KE = K * E
-    for j, v in todo:
-        P, ((Xa, Xb), (Ya, Yb)) = surd_ints((v.x, v.y))
-        Du = G * P
+    P, xs, ys = ints
+    Du = G * P
+    Dn = K * E * Du
+    for j, (Xa, Xb), (Ya, Yb) in zip(rows, xs, ys):
         W = []
         for (px, qx), (py, qy), knots, pieces in duals:
             UA = px * Xa + py * Ya + (qx * Xb + qy * Yb) * d
@@ -230,7 +227,6 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, todo, images) -> None:
             mA, mB, cA, cB = pieces[k]
             W.append(((fl * E + cA) * Du + mA * SA + mB * UB * d, mA * UB + mB * SA + cB * Du))
         (w1a, w1b), (w2a, w2b) = W
-        Dn = KE * Du
         images[j] = Vec2(
             surd_value(k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
                        k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a, Dn, d),
@@ -283,35 +279,25 @@ def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
             apply_fractional_map(g, u)  # raises as the scalar formula does
 
 
-def _box_images(shape: NormShape, g1, g2, points, field: int, floats) -> list[Vec2]:
-    """Images of points, whose field tag is field, under the box product map;
-    floats() is their n x 2 float array, read only if some point takes the
-    float lane.  Generators, knots and points with no common field are
-    refused first (StepIsoError)."""
+def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> list[Vec2]:
+    """The domain's images under the box product map; generators, knots and
+    points with no common field are refused first (StepIsoError)."""
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise StepIsoError("box product maps need a box (two-generator) shape")
     a1, a2 = shape.generators
     knots = field_of([c for g in (g1, g2) for knot in g.knots for c in knot], StepIsoError)
     setup = join_fields(shape.field, knots, StepIsoError)
-    field = join_fields(setup, field, StepIsoError)
+    field = join_fields(setup, domain.field, StepIsoError)
 
     # float setups send every point to the float lane; rational setups send
-    # the float points of a domain that mixes them with rational ones
-    exact_todo, float_todo = [], []
-    for j, v in enumerate(points):
-        if setup != FLOAT and (field != FLOAT or v.is_exact()):
-            exact_todo.append((j, v))
-        else:
-            float_todo.append(j)
-
-    images = [None] * len(points)
-    if exact_todo:
-        _exact_images(a1, a2, g1, g2, 0 if field == FLOAT else field, exact_todo, images)
-    if float_todo:
-        xy = floats()
-        if len(float_todo) < len(xy):
-            xy = xy[float_todo]
-        _float_images(a1, a2, g1, g2, float_todo, xy, images)
+    # the exact points of a float domain built from Vec2s to the integer lane
+    rows, ints = ((), None) if setup == FLOAT else domain._exact_part()
+    images = [None] * len(domain)
+    if rows:
+        _exact_images(a1, a2, g1, g2, 0 if field == FLOAT else field, rows, ints, images)
+    if len(rows) < len(domain):
+        todo = np.setdiff1d(np.arange(len(domain)), list(rows))
+        _float_images(a1, a2, g1, g2, todo.tolist(), domain.as_array()[todo], images)
     return images
 
 
@@ -374,27 +360,21 @@ def explicit_1d_point_map(domain: PointSet) -> PointMap:
 def box_product_point_map(
     domain: PointSet, shape: NormShape, g1: Interleaving1D, g2: Interleaving1D
 ) -> PointMap:
-    """`box_product_map` over the whole domain, in one pass per lane.
-
-    Exact points (int, Fraction, SqrtExt) under exact generators and knots
-    take the integer lane: each dual coordinate is an int pair over one
-    denominator, read as (A + B*sqrt(d))/D, and each image coordinate is
-    built once, as the Fraction or SqrtExt the scalar formula gives.  Every
-    other point takes the float lane, one numpy pass over
-    ``domain.as_array()`` that repeats the scalar formula's float operations
-    in its order, so float images are bit-identical to it and the scalar
+    """`box_product_map` over the whole domain, in one pass per lane (see
+    the module docstring): exact points under exact generators and knots
+    take the integer lane, on the domain's numerators; every other point
+    takes the float lane, on ``domain.as_array()``, and the scalar
     formula's refusals (a fractional part rounded up to 1.0) are raised for
-    the same first point.  Floats and SqrtExt values never meet: when the
-    generators, knots and domain have no common field (a float beside a
-    SqrtExt, or two radicands), the whole input is refused up front with
-    StepIsoError.
+    the same first point.  Generators, knots and domain with no common
+    field (a float beside a SqrtExt, or two radicands) are refused up front
+    with StepIsoError.
 
     Exact points under float generators or knots, and points with one
-    exact and one float coordinate, also take the float lane, on their
+    exact and one float coordinate, take the float lane on their
     coordinates rounded to floats; where the scalar formula rounds an exact
     product or fractional part instead, an image may differ in the last bit.
     """
-    images = _box_images(shape, g1, g2, domain.points, domain.field, domain.as_array)
+    images = _box_images(shape, g1, g2, domain)
     return PointMap(domain, images, "box-product", (g1, g2))
 
 
@@ -465,15 +445,15 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails, rel=FLOAT
     Callers refuse data with no common field with the shape first
     (`_fields`).
     """
-    pts, ims = pmap.domain.points, pmap.images
-    n = len(pts)
+    dom, ims = pmap.domain, pmap.images
+    n = len(dom)
     if n < 2:
         return Verdict(True, checked=0)
-    dom = pmap.domain.as_array()
+    xy = dom.as_array()
     img = np.array([w.to_floats() for w in ims], dtype=float)
-    dom_cols, reach, q = _columns(dom, shape)
+    dom_cols, reach, q = _columns(xy, shape)
     img_cols = _columns(img, shape)[0]
-    guard = _guard(1.0, reach, dom, img, rel=rel)
+    guard = _guard(1.0, reach, xy, img, rel=rel)
     for i0, i1, j1 in _row_blocks(np.full(n, n)):
         block = slice(i0, i1), slice(i0, j1)
         dd, di = _distances(dom_cols, q, *block), _distances(img_cols, q, *block)
@@ -483,7 +463,7 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails, rel=FLOAT
         rows, cols = np.nonzero(flagged)
         for i, j in zip((rows + i0).tolist(), (cols + i0).tolist()):
             try:
-                left = scalar(shape, pts[i], pts[j])
+                left = scalar(shape, dom[i], dom[j])
                 right = scalar(shape, ims[i], ims[j])
             except BoundaryAmbiguityError as err:
                 raise BoundaryAmbiguityError(f"pair ({i}, {j}): {err}") from None

@@ -60,6 +60,16 @@ class TestSample:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "window, intensity",
+        [("0,0,1e200,1e200", "1"), ("0,0,1,1", "nan"), ("0,0,1,1", "1e30"), ("0.0,0.0,inf,1.0", "1")],
+    )
+    def test_bad_sampler_input_is_an_error_line(self, capsys, window, intensity):
+        code, out, err = run(capsys, "sample", "--window", window, "--intensity", intensity, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "lam" not in err
+
     def test_idf_rescale_reports_alpha(self, workdir, capsys):
         code, out, err = run(
             capsys,

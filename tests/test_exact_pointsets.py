@@ -1,15 +1,15 @@
-"""The exact point-set layer against its Fraction references.
+"""The point-set layer against its Vec2 and Fraction references.
 
 Sampling, `is_idf`, `rescale_to_idf` and the projection floors of
-`experiments._floor_table` run on integer numerators over one denominator.
-The references below are the Fraction implementations they replaced, kept
-verbatim in spirit: one Fraction or SqrtExt operation per coordinate.  The
-integer lane must give the same points (values, types and order), the same
-alpha, the same idf answers and the same floor tables, or the same error.
+`experiments._floor_table` run on the stored columns: a float64 array, or
+integer numerators over one denominator.  The references below are the
+implementations they replaced, kept verbatim in spirit: one Vec2 per draw,
+one Fraction or SqrtExt operation per coordinate.  The column lanes must
+give the same points (values, types and order), the same alpha, the same
+idf answers and the same floor tables, or the same error.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +26,7 @@ from larg_lab.pointsets import (
     Window,
     _golden_candidates,
     is_idf,
+    pointset_to_json,
     rescale_to_idf,
     sample_poisson_window,
 )
@@ -37,6 +38,22 @@ _RATIONAL_DEN = 1 << 40
 
 # ---------------------------------------------------------------------------
 # Fraction references
+
+
+def ref_sample_float(window: Window, intensity: float, seed: int) -> PointSet:
+    """The float sampler: one Vec2 per draw, duplicates dropped by value."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(intensity * float(window.area())))
+    pts, seen = [], set()
+    w, h = float(window.x1 - window.x0), float(window.y1 - window.y0)
+    x0, y0 = float(window.x0), float(window.y0)
+    while len(pts) < n:
+        for u, v in rng.random((n - len(pts), 2)):
+            p = Vec2(x0 + w * float(u), y0 + h * float(v))
+            if (p.x, p.y) not in seen:
+                seen.add((p.x, p.y))
+                pts.append(p)
+    return PointSet(tuple(pts), window, seed)
 
 
 def ref_sample_rational(window: Window, intensity: float, seed: int) -> PointSet:
@@ -86,12 +103,13 @@ def ref_rescale(points: PointSet, generators, trials: int = 64, seed: int = 0):
                 break
         if ok:
             flags = {(a.x, a.y): True for a in generators}
-            return alpha, replace(
-                points,
-                points=tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points),
-                window=points.window.scaled(alpha),
-                alpha=points.alpha * alpha,
-                idf_per_generator={**points.idf_per_generator, **flags},
+            return alpha, PointSet(
+                tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points),
+                points.window.scaled(alpha),
+                points.seed,
+                points.mode,
+                points.alpha * alpha,
+                {**points.idf_per_generator, **flags},
             )
     raise PointSetError(
         f"no idf rescaling found in {trials} candidates; "
@@ -239,6 +257,77 @@ def test_rational_sampler_matches_fraction_reference(window, intensity, seed):
         return
     assert typed(got.points) == typed(want.points)
     assert got.field == want.field
+
+
+# a window 16 doubles wide on each axis, so the float sampler repeats rows
+# and draws again; 40 points on average leave the 256 rows far from full
+_ULP = math.ulp(1e6)
+DENSE_FLOAT_WINDOW = Window(1e6, 1e6, 1e6 + 16 * _ULP, 1e6 + 16 * _ULP)
+
+
+@st.composite
+def column_and_vec2_sets(draw):
+    """A set from the samplers or `rescale_to_idf`, which store columns, and
+    the same set built from the references' Vec2s."""
+    kind = draw(st.sampled_from(["float", "dense-float", "rational", "rescaled"]))
+    seed = draw(st.integers(0, 2**31))
+    intensity = draw(st.sampled_from([0.5, 3.0, 12.0]))
+    if kind == "float":
+        x0, y0 = draw(st.integers(-3, 3)) / 2, draw(st.floats(-5, 5))
+        window = Window(x0, y0, x0 + draw(st.sampled_from([1.0, 2.5])), y0 + 1.5)
+        return sample_poisson_window(window, intensity, seed), ref_sample_float(window, intensity, seed)
+    if kind == "dense-float":
+        mean = draw(st.integers(1, 40))
+        intensity = mean / float(DENSE_FLOAT_WINDOW.area())
+        return (
+            sample_poisson_window(DENSE_FLOAT_WINDOW, intensity, seed),
+            ref_sample_float(DENSE_FLOAT_WINDOW, intensity, seed),
+        )
+    window = draw(windows())
+    got = outcome(sample_poisson_window, window, intensity, seed, "rational")
+    want = outcome(ref_sample_rational, window, intensity, seed)
+    if kind == "rescaled" and isinstance(got, PointSet):
+        gens = SHAPES[draw(st.sampled_from(["square", "box", "fraction-box", "hexagon"]))][0].generators
+        got = outcome(rescale_to_idf, got, gens, 16, seed)
+        want = outcome(ref_rescale, want, gens, 16, seed)
+        got, want = (got, want) if isinstance(want[0], type) else (got[1], want[1])
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_and_vec2_sets())
+@example((sample_poisson_window(DENSE_FLOAT_WINDOW, 1e19, 1), ref_sample_float(DENSE_FLOAT_WINDOW, 1e19, 1)))
+def test_column_sets_match_vec2_sets(sets):
+    got, want = sets
+    if not isinstance(want, PointSet):
+        assert got == want
+        return
+    # read before the tuple is built, so from the columns (an empty float
+    # sample is the empty tuple, whose field is Q)
+    built = lambda: "points" in vars(got) and len(got) > 0
+    assert not built()
+    assert (len(got), got.field, got.fingerprint()) == (len(want), want.field, want.fingerprint())
+    assert pointset_to_json(got) == pointset_to_json(want)
+    assert got.as_array().shape == want.as_array().shape == (len(want), 2)
+    assert got.as_array().tobytes() == want.as_array().tobytes()
+    assert not got.as_array().flags.writeable
+    assert got == want and want == got
+    assert [got[i] for i in range(len(got))] == list(want.points)
+    assert not built()
+    assert typed(got.points) == typed(want.points)
+
+    # both tuples are refused alike once a bad point joins them
+    meta = (want.window, want.seed, want.mode, want.alpha, want.idf_per_generator)
+    extras = [(Vec2(R2, 0), Vec2(R3, 1)), (Vec2(F(1, 7), 0.25),)]
+    if len(want):
+        extras.append((want.points[len(want) // 2],))
+    for extra in extras:
+        refusal = outcome(PointSet, want.points + extra, *meta)
+        assert outcome(PointSet, got.points + extra, *meta) == refusal
+        # a float beside rationals makes a float set, refused in rational mode only
+        assert want.mode == "float" and extra is extras[1] or refusal[0] is PointSetError
+    rational = (want.window, want.seed, "rational")
+    assert outcome(PointSet, got.points, *rational) == outcome(PointSet, want.points, *rational)
 
 
 # ---------------------------------------------------------------------------

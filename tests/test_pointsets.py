@@ -1,14 +1,15 @@
 """Windowed samplers, idf structure, rescaling, and PointSet round trips."""
 
+import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from larg_lab.exact import FLOAT, SqrtExt
-from larg_lab.geometry import Vec2, distance, rational_hexagon, square_linf
+from larg_lab.geometry import Vec2, box_shape, distance, rational_hexagon, square_linf
+from larg_lab.larg import in_range_pairs, sample_larg
 from larg_lab.pointsets import (
     PointSet,
     PointSetError,
@@ -20,6 +21,7 @@ from larg_lab.pointsets import (
     rescale_to_idf,
     sample_poisson_window,
 )
+from larg_lab.stepiso import box_product_point_map, canonical_interleaving, is_step_isometry
 
 
 def poisson_tail_outside(lam: float, lo: int, hi: int) -> float:
@@ -99,12 +101,88 @@ def test_empty_point_set_array_is_n_by_2():
 
 
 def test_poisson_rejects_bad_inputs():
+    unit = Window(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(PointSetError):
-        sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 0.0, seed=1)
+        sample_poisson_window(unit, 0.0, seed=1)
     with pytest.raises(PointSetError):
-        sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 5.0, seed=1, mode="odd")
+        sample_poisson_window(unit, 5.0, seed=1, mode="odd")
     with pytest.raises(PointSetError):
-        sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 5.0, seed=1, mode="rational")
+        sample_poisson_window(unit, 5.0, seed=1, mode="rational")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PointSetError, match=f"intensity must be positive and finite, got {bad!r}"):
+            sample_poisson_window(unit, bad, seed=1)
+    # the mean count intensity * area: no finite float (an exact area past
+    # the float range, a float area that overflows), or too large for numpy
+    for window, intensity, mean in (
+        (Window(Fraction(0), Fraction(0), Fraction(10**200), Fraction(10**200)), 1.0, "inf"),
+        (Window(0.0, 0.0, 1e200, 1e200), 1.0, "inf"),
+        (unit, 1e30, r"1e\+30"),
+    ):
+        with pytest.raises(PointSetError, match=f"mean point count {mean} .* is too large to sample"):
+            sample_poisson_window(window, intensity, seed=1)
+    for bound in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PointSetError, match=f"window bound {bound!r} is not finite"):
+            Window(0.0, 0.0, bound, 1.0)
+        with pytest.raises(PointSetError, match="not finite"):
+            Window(bound, 0.0, 1.0, 1.0)
+
+
+# the sampler's output at the commit before point sets stored columns:
+# name -> (set, fingerprint(), sha256 of pointset_to_json)
+def _pinned_sets():
+    R2 = SqrtExt(0, 1, 2)
+    F = Fraction
+    rational = sample_poisson_window(Window(F(0), F(0), F(3, 2), F(3, 2)), 8.0, seed=4, mode="rational")
+    unit_alpha, rescaled = rescale_to_idf(rational, [Vec2(1, 0), Vec2(1, 2)], seed=1)
+    alpha, scaled = rescale_to_idf(rational, [Vec2(1 << 40, 0), Vec2(1 << 40, 1 << 41)], seed=1)
+    assert (unit_alpha, alpha) == (1, F(10059505, 1346269))
+    return {
+        "float": (
+            sample_poisson_window(Window(0.0, 0.0, 3.0, 2.0), 20.0, seed=7),
+            "eff724181324d4c7",
+            "3b0e4fe13e807262e8c20a79ae87a201d8d7fe30f663c0cf6550d08fc0a584b6",
+        ),
+        "rational": (
+            rational,
+            "09810ba14364e066",
+            "3f318f7e8d1db7f2f12afc3390547fbf15e8fc30bc76962e463d0567b7d51edf",
+        ),
+        "sqrt2": (
+            sample_poisson_window(Window(F(0), F(-1), R2 + 1, F(2)), 6.0, seed=3, mode="rational"),
+            "00dbe146ab324afc",
+            "5b092b6267d3888854cc780430a2c8ac97fa4e5df569b2ba164cd7ae980f7b0f",
+        ),
+        "rescaled": (
+            rescaled,
+            "09810ba14364e066",
+            "4d27265d0607cd93d3fbd48981546c4e80412fb411af43770fb50be64e8358eb",
+        ),
+        "rescaled-alpha": (
+            scaled,
+            "775bce2a71c03f0c",
+            "50c54fe3c2c5ed6e0438bed41832761bf47da9c12af27c152da19cb53d118dec",
+        ),
+    }
+
+
+def test_sampler_output_is_pinned():
+    for name, (ps, fp, digest) in _pinned_sets().items():
+        assert (name, ps.fingerprint()) == (name, fp)
+        assert (name, hashlib.sha256(pointset_to_json(ps).encode()).hexdigest()) == (name, digest)
+
+
+def test_float_kernels_leave_the_vec2_tuple_unbuilt():
+    # the float sweep, the edge coins and the step check read the array and
+    # build a Vec2 only for a pair near a boundary
+    ps = sample_poisson_window(Window(0.0, 0.0, 6.0, 6.0), 10.0, seed=3)
+    box = box_shape(Vec2(1, 0), Vec2(1, 2))
+    for shape in (square_linf(), rational_hexagon(), box):
+        assert len(sample_larg(ps, shape, 1, 0.5, 7).edges) > 0
+        assert len(in_range_pairs(ps, shape, 1)[0]) > 0
+    pmap = box_product_point_map(ps, box, canonical_interleaving(), canonical_interleaving())
+    assert is_step_isometry(pmap, box).ok
+    assert "points" not in vars(ps)
+    assert len(ps.points) == len(ps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +366,13 @@ def test_pointset_rejects_duplicates_and_mode_mismatch():
     with pytest.raises(PointSetError, match="duplicate point"):
         PointSet((Vec2(r2, 0), Vec2(F(1, 2), 1), Vec2(r2 + 1 - 1, F(0))), exact, seed=0, mode="rational")
     assert len(PointSet((Vec2(r2, 0), Vec2(r2, 1)), exact, seed=0, mode="rational")) == 2
+    # in a float set, 1/3 and its rounding share a float row but are two
+    # points, while 1/2 and 0.5 are one; -0.0 and 0.0 are one
+    assert len(PointSet((Vec2(F(1, 3), 0), Vec2(1 / 3, 0.0), Vec2(-0.0, 1.0)), w, seed=0)) == 3
+    with pytest.raises(PointSetError, match=r"duplicate point Vec2\(x=0\.5, y=0\.0\)"):
+        PointSet((Vec2(F(1, 3), 0), Vec2(F(1, 2), 0), Vec2(1 / 3, 0.0), Vec2(0.5, 0.0)), w, seed=0)
+    with pytest.raises(PointSetError, match=r"duplicate point Vec2\(x=0\.0, y=1\.0\)"):
+        PointSet((Vec2(-0.0, 1.0), Vec2(0.0, 1.0)), w, seed=0)
 
 
 def test_pointset_refuses_mixed_radicands():
@@ -300,11 +385,9 @@ def test_pointset_refuses_mixed_radicands():
     w = Window(F(-1), F(-1), F(20), F(20))
     with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
         PointSet((a, b), w, seed=0, mode="rational")
-    # one radicand is fine; a replace that mixes them is refused too
+    # one radicand is fine
     ps = PointSet((a, Vec2(F(1, 2), SqrtExt(9, 1, 2))), w, seed=0, mode="rational")
     assert distance(rational_hexagon(), *ps.points) > 0
-    with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
-        replace(ps, points=(a, b))
 
 
 def test_pointset_refuses_a_float_beside_a_sqrt():
