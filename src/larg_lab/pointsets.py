@@ -90,15 +90,24 @@ class Window:
         return Window(c[0], d[0], c[1], d[1])
 
 
+@dataclass(init=False, eq=False)
 class PointSet:
     """Distinct plane points plus sampling provenance; treat as immutable.
 
     The constructor takes Vec2s, keeps their tuple as `points`, encodes the
     columns and checks from them that the points have a common field
-    (`field`), are distinct and hold no float in rational mode.  The
-    samplers and `rescale_to_idf` build a set from columns of distinct
-    points, unchecked (`_from_columns`); `points` is built on first read.
+    (`field`), are distinct and hold no float in rational mode;
+    `dataclasses.replace` goes through it too.  The samplers and
+    `rescale_to_idf` build a set from columns of distinct points, unchecked
+    (`_from_columns`); `points` is built on first read.
     """
+
+    points: tuple[Vec2, ...]
+    window: Window
+    seed: int
+    mode: str
+    alpha: object
+    idf_per_generator: dict
 
     def __init__(self, points, window: Window, seed: int, mode: str = "float", alpha=1, idf_per_generator=None):
         if mode not in ("float", "rational"):
@@ -111,18 +120,24 @@ class PointSet:
             D, ints = surd_ints(c for v in pts for c in (v.x, v.y))
             cols = (D, ints[::2], ints[1::2])
         self._store(cols, field, window, seed, mode, alpha, idf_per_generator)
-        n = bad = len(pts)
+        dup = len(pts)
         if field == FLOAT:
             # a float row may round distinct exact values (1/3 and its float)
-            dup = next((j for j in _repeats(cols).tolist() if pts[j] in pts[:j]), n)
-            if mode == "rational":
-                bad = next(j for j, v in enumerate(pts) if not v.is_exact())
+            dup = next((j for j in _repeats(cols).tolist() if pts[j] in pts[:j]), dup)
         else:
             seen = set()
-            dup = next((j for j, key in enumerate(zip(*cols[1:])) if key in seen or seen.add(key)), n)
-        if min(dup, bad) < n:
-            v = pts[min(dup, bad)]
-            raise PointSetError(f"duplicate point {v}" if dup <= bad else f"float coordinate {v} in rational mode")
+            for j, key in enumerate(zip(*cols[1:])):
+                if key in seen:
+                    dup = j
+                    break
+                seen.add(key)
+        if mode == "rational" and field == FLOAT:
+            # the first bad point is reported, a repeat before a float
+            bad = next(j for j, v in enumerate(pts) if not v.is_exact())
+            if bad < dup:
+                raise PointSetError(f"float coordinate {pts[bad]} in rational mode")
+        if dup < len(pts):
+            raise PointSetError(f"duplicate point {pts[dup]}")
 
     @classmethod
     def _from_columns(cls, cols, field: int, window: Window, seed: int, mode: str, alpha=1, idf_per_generator=None):
@@ -131,8 +146,12 @@ class PointSet:
         return ps
 
     def _store(self, cols, field, window, seed, mode, alpha, idf_per_generator):
-        self.window, self.seed, self.mode, self.alpha, self.field = window, seed, mode, alpha, field
+        self.window = window
+        self.seed = seed
+        self.mode = mode
+        self.alpha = alpha
         self.idf_per_generator = {} if idf_per_generator is None else idf_per_generator
+        self.field = field
         self._ints = None if field == FLOAT else cols
         if field == FLOAT:
             cols.flags.writeable = False
@@ -146,11 +165,15 @@ class PointSet:
     def _coords(self):
         """The (x, y) scalars: from the tuple if built, else the columns."""
         if "points" in self.__dict__:
-            return ((v.x, v.y) for v in self.points)
-        if self._ints is None:  # a chunk of rows at a time
-            return (c for i in range(0, len(self), 1 << 16) for c in zip(*self._xy[i : i + (1 << 16)].T.tolist()))
-        D, xs, ys = self._ints
-        return ((surd_value(*x, D, self.field), surd_value(*y, D, self.field)) for x, y in zip(xs, ys))
+            for v in self.points:
+                yield v.x, v.y
+        elif self._ints is None:
+            for i in range(0, len(self), 1 << 16):  # a chunk of rows at a time
+                yield from zip(*self._xy[i : i + (1 << 16)].T.tolist())
+        else:
+            D, xs, ys = self._ints
+            for x, y in zip(xs, ys):
+                yield surd_value(*x, D, self.field), surd_value(*y, D, self.field)
 
     def _exact_part(self):
         """The indices of the points with two exact coordinates (all of an
@@ -210,10 +233,7 @@ class PointSet:
 def _repeats(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows of an n x 2 array equal to an earlier
     row (0.0 equals -0.0).  The stable sort puts a row's first occurrence
-    first among its equals; it runs only when two rows share an x."""
-    x = np.sort(rows[:, 0])
-    if not (x[1:] == x[:-1]).any():
-        return np.zeros(0, dtype=np.int64)
+    first among its equals."""
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     s = rows[order]
     return np.sort(order[1:][(s[1:] == s[:-1]).all(axis=1)])
@@ -232,7 +252,9 @@ def _distinct_draws(draw, n: int) -> np.ndarray:
     return rows
 
 
-def sample_poisson_window(window: Window, intensity: float, seed: int, mode: str = "float") -> PointSet:
+def sample_poisson_window(
+    window: Window, intensity: float, seed: int, mode: str = "float"
+) -> PointSet:
     """Homogeneous Poisson process restricted to the window.
 
     Point count ~ Poisson(intensity * area), positions iid uniform.  The same
@@ -384,7 +406,10 @@ def _idf_tests(points: PointSet, generators: Sequence[Vec2]) -> list:
 
 
 def rescale_to_idf(
-    points: PointSet, generators: Sequence[Vec2], trials: int = 64, seed: int = 0
+    points: PointSet,
+    generators: Sequence[Vec2],
+    trials: int = 64,
+    seed: int = 0,
 ) -> tuple[object, PointSet]:
     """Scale the whole set by one alpha so every generator projection is idf.
 
@@ -411,8 +436,10 @@ def rescale_to_idf(
         D, xs, ys = points._ints
         cols = [[(A * alpha.numerator, B * alpha.numerator) for A, B in col] for col in (xs, ys)]
         return alpha, PointSet._from_columns((D * alpha.denominator, *cols), points.field, *meta)
-    alpha, a = obstruction
-    raise PointSetError(f"no idf rescaling found in {trials} candidates; last obstruction: alpha={alpha} generator={a}")
+    raise PointSetError(
+        f"no idf rescaling found in {trials} candidates; "
+        f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +447,25 @@ def rescale_to_idf(
 
 
 def pointset_to_json(ps: PointSet) -> str:
-    w = ps.window
-    flags = sorted(ps.idf_per_generator.items(), key=lambda kv: repr(kv[0]))
     obj = {
         "seed": ps.seed,
         "alpha": format_scalar(ps.alpha),
-        "window": [format_scalar(c) for c in (w.x0, w.y0, w.x1, w.y1)],
+        "window": [
+            format_scalar(ps.window.x0),
+            format_scalar(ps.window.y0),
+            format_scalar(ps.window.x1),
+            format_scalar(ps.window.y1),
+        ],
         "mode": ps.mode,
         "points": [[format_scalar(x), format_scalar(y)] for x, y in ps._coords()],
-        "flags": {"idf_per_generator": [[format_scalar(gx), format_scalar(gy), bool(v)] for (gx, gy), v in flags]},
+        "flags": {
+            "idf_per_generator": [
+                [format_scalar(gx), format_scalar(gy), bool(v)]
+                for (gx, gy), v in sorted(
+                    ps.idf_per_generator.items(), key=lambda kv: repr(kv[0])
+                )
+            ],
+        },
     }
     return json.dumps(obj)
 
@@ -438,6 +475,16 @@ def pointset_from_json(text: str) -> PointSet:
     window = Window(*(parse_scalar(c) for c in obj["window"]))
     pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
     # files from older versions also carry flags["pairwise_noninteger"]
-    flags = obj.get("flags", {}).get("idf_per_generator", [])
-    idf_flags = {(parse_scalar(gx), parse_scalar(gy)): bool(v) for gx, gy, v in flags}
-    return PointSet(pts, window, int(obj["seed"]), obj["mode"], parse_scalar(obj.get("alpha", 1.0)), idf_flags)
+    flags = obj.get("flags", {})
+    idf_flags = {
+        (parse_scalar(gx), parse_scalar(gy)): bool(v)
+        for gx, gy, v in flags.get("idf_per_generator", [])
+    }
+    return PointSet(
+        pts,
+        window,
+        int(obj["seed"]),
+        mode=obj["mode"],
+        alpha=parse_scalar(obj.get("alpha", 1.0)),
+        idf_per_generator=idf_flags,
+    )

@@ -334,7 +334,7 @@ class TestPartialIsomorphism:
     def test_collinear_anchor_rejected(self):
         sample = hex_enumeration().point_set
         line = tuple(Vec2(Fraction(i, 7), Fraction(1, 11)) for i in (1, 2, 3))
-        pts = PointSet(sample.points + line, sample.window, sample.seed, sample.mode)
+        pts = dataclasses.replace(sample, points=sample.points + line)
         enum = good_enumeration(pts, rational_hexagon())
         first = tuple(range(len(sample), len(pts)))
         rest = [i for i in enum.order if i not in first]

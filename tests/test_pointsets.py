@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -385,9 +386,11 @@ def test_pointset_refuses_mixed_radicands():
     w = Window(F(-1), F(-1), F(20), F(20))
     with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
         PointSet((a, b), w, seed=0, mode="rational")
-    # one radicand is fine
+    # one radicand is fine; a replace that mixes them is refused too
     ps = PointSet((a, Vec2(F(1, 2), SqrtExt(9, 1, 2))), w, seed=0, mode="rational")
     assert distance(rational_hexagon(), *ps.points) > 0
+    with pytest.raises(PointSetError, match=r"radicands \[2, 3\]"):
+        replace(ps, points=(a, b))
 
 
 def test_pointset_refuses_a_float_beside_a_sqrt():
