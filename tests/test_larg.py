@@ -1,6 +1,7 @@
 """LARG sampling: edge coins, thresholds, compatibility, graph files."""
 
 import dataclasses
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from larg_lab import larg
+from larg_lab.experiments import shape_from_spec
 from larg_lab.geometry import (
     LpShape,
     Vec2,
@@ -267,6 +269,87 @@ def test_blocks_of_more_rows_than_the_default():
     assert len(want) == 200 * 199 // 2
     assert list(zip(u.tolist(), v.tolist())) == want
     assert list(G.edges) == [(a, b) for a, b in want if pair_uniform(9, a, b) < 0.5]
+
+
+def _digest(u, v) -> str:
+    """sha256 of the little-endian int64 bytes of u, then of v."""
+    h = hashlib.sha256(np.asarray(u).astype("<i8").tobytes())
+    h.update(np.asarray(v).astype("<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _float_square(n: int, side: float, seed: int) -> PointSet:
+    xy = np.random.default_rng(seed).random((n, 2)) * side
+    return PointSet(tuple(Vec2(float(x), float(y)) for x, y in xy), Window(0.0, 0.0, side, side), seed=seed)
+
+
+def _rational_near_delta() -> PointSet:
+    # a lattice of step 1/3 with a copy shifted by 10^-13, so many pairs sit
+    # at exactly 1 or within the float guard of it
+    base = [Vec2(Fraction(i, 3), Fraction(j, 3)) for i in range(9) for j in range(9)]
+    tiny = Fraction(1, 10**13)
+    pts = base + [Vec2(b.x + tiny, b.y - tiny) for b in base[::3]]
+    window = Window(Fraction(-1), Fraction(-1), Fraction(4), Fraction(4))
+    return PointSet(tuple(pts), window, seed=0, mode="rational")
+
+
+# name -> (points, shape, delta, p, edge_seed, sample_larg digest, in_range_pairs digest)
+def _golden_graphs():
+    box_window = Window(Fraction(0), Fraction(0), Fraction(3), Fraction(3))
+    return {
+        "hexagon-1.5": (_float_square(2000, 1.5, 5), rational_hexagon(), 1, 0.5, 3, "ed9d57d4238036d4", "c2b5017c5492d105"),
+        "hexagon-3": (_float_square(2000, 3.0, 6), rational_hexagon(), 1, 0.5, 3, "8929d6d29d160bd1", "1b599fb1552ef3bb"),
+        "lp2": (_float_square(2000, 3.0, 7), LpShape(2), 1, 0.3, 11, "1fe21a9ae36129f1", "d815ea607f46b90c"),
+        "lp1.5": (_float_square(2000, 3.0, 8), LpShape(1.5), 1, 0.7, 12, "b6d5dc94936f1a6d", "98b2d45885ee7ca8"),
+        "rational-near": (_rational_near_delta(), rational_hexagon(), 1, 0.5, 5, "f804c6418d45a151", "bbd0506e77cae18f"),
+        "box-7/10": (
+            sample_poisson_window(box_window, 100.0, seed=2, mode="rational"),
+            shape_from_spec("box:1,0;1,2"),
+            Fraction(7, 10),
+            0.5,
+            13,
+            "7a4d85b19f5a2efa",
+            "e8d829b75e947cdb",
+        ),
+    }
+
+
+def test_golden_edge_digests():
+    # edges and in-range pairs as the pair kernel drew them when these
+    # digests were recorded; any change to the sweep must reproduce them
+    for name, (ps, shape, delta, p, seed, edges, pairs) in _golden_graphs().items():
+        G = sample_larg(ps, shape, delta, p, edge_seed=seed)
+        got = (_digest(G.edges.u, G.edges.v), _digest(*in_range_pairs(ps, shape, delta)))
+        assert (name, *got) == (name, edges, pairs)
+
+
+# n -> (sample_larg digest, in_range_pairs digest); n = 2^k and 2^k + 1
+# bracket each width of the pair keys
+_GOLDEN_SMALL = {
+    2: ("9d34149fbd1fe777", "9d34149fbd1fe777"),
+    3: ("c571327cb01ac1de", "c571327cb01ac1de"),
+    4: ("947e28fde0b46f57", "5e42ae9be0a73be2"),
+    5: ("64412c3ea0f01282", "df0e7a5c0e28ae02"),
+    8: ("e21919b0d3b0e995", "43e5bb85183db740"),
+    9: ("ad65c6bbed0ecfab", "ac218662ce75f532"),
+    16: ("3e9a58643d3d0044", "313dcebe8c8eb5b1"),
+    17: ("b3e12000108e6ae9", "49c8e846d129ae18"),
+    64: ("fbb83fee3f764bf5", "42b0f0c5435df935"),
+    65: ("4bb255630101083d", "35abd5e5d808fa10"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_GOLDEN_SMALL))
+def test_golden_small_graphs_match_brute_force(n):
+    ps = tiny_cluster(n, spread=1.6, seed=n)
+    for shape in (rational_hexagon(), LpShape(2)):
+        want = brute_force_pairs(ps, shape, 1)
+        u, v = in_range_pairs(ps, shape, 1)
+        G = sample_larg(ps, shape, 1, 0.5, edge_seed=n)
+        assert list(zip(u.tolist(), v.tolist())) == want
+        assert list(G.edges) == [(a, b) for a, b in want if pair_uniform(n, a, b) < 0.5]
+    got = (_digest(G.edges.u, G.edges.v), _digest(u, v))
+    assert got == _GOLDEN_SMALL[n]
 
 
 @pytest.mark.parametrize("n", [2, 3, 97])
