@@ -431,7 +431,8 @@ def _trial_seeds(base: int, n: int, trials: int, side: int) -> np.ndarray:
 def _coin_rows(seeds: np.ndarray, us, vs, in_range, p: float):
     """len(seeds) x len(us) adjacency matrix of one graph side over the given pairs.
 
-    The coin of pair (u, v) in row t is pair_uniform(seeds[t], u, v), and a
+    The coin of pair (u, v) in row t is pair_uniform(seeds[t], u, v) < p,
+    decided on its hash as sample_larg does (larg._coin_threshold), and a
     pair outside in_range has no edge; seeds is a uint64 array of trial
     seeds (_trial_seeds, or the rows of it still live). A block of trials,
     at most larg._BLOCK_CELLS coins or table cells (one trial at least),
@@ -444,10 +445,11 @@ def _coin_rows(seeds: np.ndarray, us, vs, in_range, p: float):
     hi = np.maximum(us, vs)
     rows = np.empty((len(seeds), len(us)), dtype=bool)
     step = max(1, larg._BLOCK_CELLS // max(1, len(us), len(verts)))
+    threshold = larg._coin_threshold(p)
     for t0 in range(0, len(seeds), step):
         block = rows[t0 : t0 + step]
         table = larg._vertex_table(seeds[t0 : t0 + step], verts)
-        np.less(larg._table_coins(table, k, hi), p, out=block)
+        np.less(larg._table_hashes(table, k, hi), threshold, out=block)
         block &= in_range
     return rows
 

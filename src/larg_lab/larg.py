@@ -10,16 +10,19 @@ nested-window experiments consistent.
 In-range pairs come from one kernel for float and exact point sets alike: a
 float sweep in cache-sized row blocks, with the scalar distance deciding the
 pairs whose float distance lies within a guard of delta.  A block's cells
-with column <= row all lie in its leading square, the only part it masks.
-Most blocks hold no cell within the guard of delta; their pairs are all in
-range, and no per-pair boundary flag is gathered for them.  sample_larg draws
-the coins of each block as the sweep yields it, from a per-vertex table of the
-hash's seed and first-vertex stages, and sends only pairs whose coin is below
-p to the scalar distance (a block without boundary cells keeps its
-coin-passing pairs in one pass over their keys); a block keeps only its
-edges, so memory follows the edges, not the in-range pairs.  Edges are held
-as sorted int64 arrays.  Every float filter of the package takes its guard
-and its float distances from here (``_guard``, ``_distances``).
+with column <= row all lie in its leading square, the only part it masks;
+its pairs come from the flat indices of the mask (rows repeated by their
+counts, columns by one take).  Most blocks hold no cell within the guard of
+delta; their pairs are all in range, and no per-pair boundary flag is
+gathered for them.  sample_larg draws the coins of each block as the sweep
+yields it, from a per-vertex table of the hash's seed and first-vertex
+stages: a coin passes when its 64-bit hash is below _coin_threshold(p),
+which decides h / 2**64 < p without the float.  Only passing pairs near
+delta reach the scalar distance, and a block keeps only its edges, as keys
+lo << s | hi (s bits hold any vertex index), so memory follows the edges,
+not the in-range pairs.  Edges are held as sorted int64 arrays.  Every
+float filter of the package takes its guard and its float distances from
+here (``_guard``, ``_distances``).
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 def _vertex_table(edge_seed, vertices: np.ndarray) -> np.ndarray:
     """The coin hash of edge_seed after its first vertex, for each of the
-    given vertices: the coin of vertices[k] < v is
-    ``_table_coins(table, k, v)``.
+    given vertices: the coin hash of vertices[k] < v is
+    ``_table_hashes(table, k, v)``.
 
     edge_seed is one seed, giving one value per vertex, or a 1-D uint64
     array of T seeds, giving a T x len(vertices) table whose row t is the
@@ -143,11 +146,24 @@ def _vertex_table(edge_seed, vertices: np.ndarray) -> np.ndarray:
     return _mix_array(h ^ _vertex_words(vertices))
 
 
-def _table_coins(table: np.ndarray, k: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """pair_uniform_array(edge_seed, lo, hi) for pairs lo < hi, from the
-    _vertex_table of edge_seed whose column k holds lo; a table of T rows
-    gives T rows of coins."""
-    return _absorb(table[..., k], _vertex_words(hi)) / 2.0**64
+def _table_hashes(table: np.ndarray, k: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The coin hashes of pairs lo < hi, pair_uniform_array(edge_seed, lo, hi)
+    times 2**64, from the _vertex_table of edge_seed whose column k holds lo;
+    a table of T rows gives T rows of hashes."""
+    return _absorb(np.take(table, k, axis=-1), _vertex_words(hi))
+
+
+def _coin_threshold(p) -> np.uint64:
+    """The smallest uint64 h with h / 2**64 >= p, for 0 < p < 1: a coin
+    h / 2**64 is below p iff h < T, as the uint64 -> float64 cast is
+    monotone and dividing by 2**64 is exact.  Floats below 2**64 are at
+    most 2**11 apart, so T lies within 2**13 of p * 2**64."""
+    c = math.ceil(p * 2.0**64)
+    lo, hi = max(0, c - (1 << 13)), min(_MASK, c + (1 << 13))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid / 2.0**64 >= p else (mid + 1, hi)
+    return np.uint64(lo)
 
 
 def _sorted_pairs(u: np.ndarray, v: np.ndarray) -> bool:
@@ -381,31 +397,38 @@ def _in_range_blocks(points: PointSet, shape: NormShape, delta):
         mask = _clear_lower(acc <= outer)
         near = acc >= inner
         near &= mask
-        r, c = np.nonzero(mask)
-        a, b = order[r + i0], order[c + i0]
-        yield np.minimum(a, b), np.maximum(a, b), acc[r, c] < inner if near.any() else None
+        flat = np.flatnonzero(mask)
+        a = np.repeat(order[i0:i1], np.count_nonzero(mask, axis=1))
+        b = np.broadcast_to(order[i0:j1], mask.shape).take(flat)
+        yield np.minimum(a, b), np.maximum(a, b), acc.take(flat) < inner if near.any() else None
 
 
-def _kept_keys(points: PointSet, shape: NormShape, delta, lo, hi, sure) -> np.ndarray:
-    """Keys lo*n + hi of the pairs that are sure or that the scalar
-    distance puts in range; `sure` is updated in place."""
-    near = np.flatnonzero(~sure)
-    if len(near):
-        sure[near] = [
+def _kept_keys(points: PointSet, shape: NormShape, delta, lo, hi, sure, keep=None) -> np.ndarray:
+    """Keys lo << s | hi, s = (n - 1).bit_length() (so keys sort as the
+    pairs do), of the pairs in `keep` (default all) that are sure (sure None:
+    all are) or that the scalar distance puts in range; the arrays are the
+    block's own and are overwritten."""
+    if sure is not None:
+        near = np.flatnonzero(~sure if keep is None else keep & ~sure)
+        keep = sure if keep is None else np.logical_and(keep, sure, out=keep)
+        keep[near] = [
             distance(shape, points[a], points[b]) < delta
             for a, b in zip(lo[near].tolist(), hi[near].tolist())
         ]
-    return lo[sure] * len(points) + hi[sure]
+    lo <<= (len(points) - 1).bit_length()
+    lo |= hi
+    return lo if keep is None else np.compress(keep, lo)
 
 
 def _decode_keys(keys: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u, v) in lexicographic order from a list of key arrays u*n + v,
+    """Pairs (u, v) in lexicographic order from a list of _kept_keys arrays,
     which is emptied; the sort and the decoding reuse the joined array."""
     key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
     keys.clear()
     key.sort()
-    u = key // n
-    np.remainder(key, n, out=key)
+    s = (n - 1).bit_length()
+    u = key >> s
+    key &= (1 << s) - 1
     return u, key
 
 
@@ -422,12 +445,8 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     with the shape (SqrtExt points under float generators, or two
     radicands) are refused up front (GeometryError).
     """
-    n = len(points)
-    keys = [
-        lo * n + hi if sure is None else _kept_keys(points, shape, delta, lo, hi, sure)
-        for lo, hi, sure in _in_range_blocks(points, shape, delta)
-    ]
-    return _decode_keys(keys, n)
+    keys = [_kept_keys(points, shape, delta, *block) for block in _in_range_blocks(points, shape, delta)]
+    return _decode_keys(keys, len(points))
 
 
 def sample_larg(
@@ -437,9 +456,10 @@ def sample_larg(
 
     Strict threshold: pairs at distance exactly delta are never adjacent.
     The edges are the pairs of ``in_range_pairs`` whose
-    ``pair_uniform(edge_seed, u, v) < p``.  Each block of the sweep draws
-    its coins first, so only pairs whose coin is below p reach the scalar
-    distance, and only edges are kept past the block.
+    ``pair_uniform(edge_seed, u, v) < p``, decided on the coin's hash
+    (_coin_threshold).  Each block of the sweep draws its coins first, so
+    only pairs whose coin is below p reach the scalar distance, and only
+    edges are kept past the block.
     """
     if not (0.0 < p < 1.0):
         raise LargError(f"p must be in (0, 1), got {p}")
@@ -447,13 +467,11 @@ def sample_larg(
         raise LargError("delta must be positive")
     n = len(points)
     table = _vertex_table(edge_seed, np.arange(n))
-    keys = []
-    for lo, hi, sure in _in_range_blocks(points, shape, delta):
-        coin = _table_coins(table, lo, hi) < p
-        if sure is None:
-            keys.append((lo * n + hi)[coin])
-        else:
-            keys.append(_kept_keys(points, shape, delta, lo[coin], hi[coin], sure[coin]))
+    threshold = _coin_threshold(p)
+    keys = [
+        _kept_keys(points, shape, delta, lo, hi, sure, _table_hashes(table, lo, hi) < threshold)
+        for lo, hi, sure in _in_range_blocks(points, shape, delta)
+    ]
     return GeoGraph(
         point_set_ref=points.fingerprint(),
         n=n,

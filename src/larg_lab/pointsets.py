@@ -225,8 +225,7 @@ class PointSet:
         # an int is hashed as the equal Fraction, which JSON reads it back as
         frac = lambda c: Fraction(c) if isinstance(c, int) else c
         h = hashlib.sha256(self.mode.encode())
-        for x, y in self._coords():
-            h.update(repr((frac(x), frac(y))).encode())
+        h.update("".join([repr((frac(x), frac(y))) for x, y in self._coords()]).encode())
         return h.hexdigest()[:16]
 
 

@@ -910,7 +910,7 @@ class TestCoinRows:
         assert seeds.tolist() == [_trial_seed(base, n, t, side) for t in range(trials)]
         lo, hi = np.triu_indices(6, 1)
         verts, k = np.unique(lo, return_inverse=True)
-        got = larg._table_coins(larg._vertex_table(seeds, verts), k, hi)
+        got = larg._table_hashes(larg._vertex_table(seeds, verts), k, hi) / 2.0**64
         want = np.array(
             [[pair_uniform(int(s), int(a), int(b)) for a, b in zip(lo, hi)] for s in seeds]
         ).reshape(got.shape)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import larg
@@ -99,7 +99,7 @@ def test_vertex_table_seed_vector_matches_per_seed_calls(seeds, pairs):
     hi = np.maximum(us, vs)
     table = larg._vertex_table(np.array([s & larg._MASK for s in seeds], dtype=np.uint64), verts)
     assert table.shape == (len(seeds), len(verts))
-    got = larg._table_coins(table, k, hi)
+    got = larg._table_hashes(table, k, hi) / 2.0**64
     assert got.shape == (len(seeds), len(pairs))
     want = np.array([pair_uniform_array(s, us, vs) for s in seeds]).reshape(got.shape)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -357,10 +357,50 @@ def test_vertex_table_coins_match_pair_uniform_array(n):
     lo, hi = np.triu_indices(n, 1)
     assert lo[0] == 0 and hi[-1] == n - 1
     for seed in (0, 7, -1, 2**63, 2**64 - 1):
-        got = larg._table_coins(larg._vertex_table(seed, np.arange(n)), lo, hi)
+        got = larg._table_hashes(larg._vertex_table(seed, np.arange(n)), lo, hi) / 2.0**64
         want = pair_uniform_array(seed, lo, hi)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert got[n - 2] == pair_uniform(seed, 0, n - 1)
+
+
+@st.composite
+def coin_probabilities(draw):
+    """p in (0, 1): any float, a dyadic k / 2^m, one near 0 or near 1, then
+    possibly moved to a float neighbour."""
+    m = draw(st.integers(1, 60))
+    p = draw(
+        st.one_of(
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            st.integers(1, 2 ** min(m, 53) - 1).map(lambda k: k / 2**m),
+            st.floats(0, 2.0**-50, exclude_min=True),
+            st.integers(1, 2**20).map(lambda k: 1 - k * 2.0**-53),
+        )
+    )
+    for toward in draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=2)):
+        p = math.nextafter(p, toward)
+    assume(0 < p < 1)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coin_probabilities(),
+    st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    st.integers(-(2**63), 2**64 - 1),
+    st.integers(0, 2**40),
+    st.integers(1, 2**20),
+)
+def test_coin_threshold_matches_float_coins(p, hashes, seed, u, gap):
+    # a hash h is a coin below p iff h / 2^64 < p in float64, as pair_uniform
+    # and pair_uniform_array compute it
+    T = int(larg._coin_threshold(p))
+    for h in [0, T - 1, T, T + 1, 2**64 - 1, *hashes]:
+        if 0 <= h < 2**64:
+            want = bool((np.array([h], dtype=np.uint64) / 2.0**64 < p)[0])
+            assert (h < T) == want, (p, h, T)
+    v = u + gap
+    h = larg._table_hashes(larg._vertex_table(seed, np.array([u])), np.array([0]), np.array([v]))
+    assert (pair_uniform(seed, u, v) < p) == bool(h[0] < T)
 
 
 def test_sample_larg_memory_follows_edges():

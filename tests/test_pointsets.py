@@ -452,6 +452,31 @@ def test_fingerprint_survives_json_round_trip():
         assert kept_set.fingerprint() == fp
 
 
+def _per_point_fingerprint(ps: PointSet) -> str:
+    # reference: one sha256 update per point, ints hashed as the equal Fraction
+    frac = lambda c: Fraction(c) if isinstance(c, int) else c
+    h = hashlib.sha256(ps.mode.encode())
+    for v in ps.points:
+        h.update(repr((frac(v.x), frac(v.y))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_fingerprint_matches_per_point_reference():
+    F, R2 = Fraction, SqrtExt(0, 1, 2)
+    make = [
+        lambda: sample_poisson_window(Window(0.0, 0.0, 3.0, 2.0), 40.0, seed=2),
+        lambda: PointSet((Vec2(1, 0.5), Vec2(-2.0, 3), Vec2(0.0, -0.0)), Window(-4.0, -4.0, 4.0, 4.0), 0),
+        lambda: sample_poisson_window(Window(F(0), F(0), F(2), F(2)), 10.0, seed=3, mode="rational"),
+        lambda: PointSet((Vec2(1, F(2, 3)), Vec2(F(-1, 2), 0), Vec2(3, 4)), Window(F(-4), F(-4), F(4), F(4)), 0, "rational"),
+        lambda: sample_poisson_window(Window(F(0), F(-1), R2 + 1, F(2)), 6.0, seed=5, mode="rational"),
+        lambda: PointSet((Vec2(R2, 1), Vec2(F(1, 2), R2 * 3 - 1)), Window(F(-4), F(-4), F(4), F(4)), 0, "rational"),
+    ]
+    for build in make:
+        ps = build()
+        got = ps.fingerprint()  # before the Vec2 tuple of a sampled set is built
+        assert len(ps) and got == _per_point_fingerprint(build())
+
+
 def test_pointset_json_reads_older_files():
     # older files carry a pairwise_noninteger flag that no longer exists
     text = (
