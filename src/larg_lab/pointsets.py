@@ -222,10 +222,11 @@ class PointSet:
 
     @cached_property
     def _fingerprint(self) -> str:
-        # an int is hashed as the equal Fraction, which JSON reads it back as
+        # each point as repr((x, y)), an int as the equal Fraction (as JSON reads it)
         frac = lambda c: Fraction(c) if isinstance(c, int) else c
         h = hashlib.sha256(self.mode.encode())
-        h.update("".join([repr((frac(x), frac(y))) for x, y in self._coords()]).encode())
+        for x, y in self._coords():
+            h.update(("(%r, %r)" % (frac(x), frac(y))).encode())
         return h.hexdigest()[:16]
 
 
