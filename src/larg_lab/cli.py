@@ -149,6 +149,7 @@ def _cmd_stepiso(args) -> int:
             "left": _fmt_value(v.left),
             "right": _fmt_value(v.right),
             "pairs_checked": v.checked,
+            "pairs_scanned": v.scanned,
         }
     _emit(json.dumps(verdict, indent=2), args.out)
     return 0 if verdict["ok"] else 3

@@ -208,8 +208,9 @@ class EdgeSet(Set):
             arr = np.zeros((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
             raise LargError("edges must be (u, v) pairs of integers")
-        arr = np.unique(arr, axis=0)
-        return cls(arr[:, 0], arr[:, 1])
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]  # np.unique would import numpy.ma
+        keep = np.diff(arr, axis=0, prepend=arr[:1] - 1).any(axis=1)  # first of each run
+        return cls(arr[keep, 0], arr[keep, 1])
 
     @classmethod
     def _from_iterable(cls, it):

@@ -132,6 +132,8 @@ class TestStepiso:
         verdict = json.loads(out)
         assert verdict["ok"] is True
         assert verdict["pairs_checked"] == 8 * 7 // 2
+        # points on a line tie in y, so the certificate leaves every pair to the filter
+        assert verdict["pairs_scanned"] == 8 * 7 // 2
 
     def test_explicit1d_is_not_isometry(self, workdir, capsys):
         code, out, _ = run(

@@ -594,6 +594,16 @@ def test_edge_set_behaves_as_frozenset():
         e.u[0] = 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+def test_edge_set_from_pairs_sorts_and_dedupes(pairs):
+    if all(u < v for u, v in pairs):
+        assert list(EdgeSet.from_pairs(pairs)) == sorted(set(pairs))
+    else:
+        with pytest.raises(LargError):
+            EdgeSet.from_pairs(pairs)
+
+
 def test_edge_set_validation():
     for bad in ([(0, 1.5)], [(0, 1, 2)], [(-1, 2)], [(1, 1)]):
         with pytest.raises(LargError):

@@ -1,20 +1,24 @@
 """Fractional-part maps, step-isometry verdicts, line respect, graph pairs."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from larg_lab import larg
+from larg_lab import larg, stepiso
 from larg_lab.exact import BoundaryAmbiguityError, SqrtExt, exact_div
 from larg_lab.geometry import (
     Line,
     LpShape,
+    PolygonShape,
     Vec2,
     box_shape,
     diamond_l1,
@@ -629,6 +633,155 @@ def test_blocks_of_more_rows_than_the_default():
         for check in (is_step_isometry, is_isometry):
             v = check(pm, square_linf())
             assert (v.ok, v.checked) == (True, 200 * 199 // 2)
+
+
+# ---------------------------------------------------------------------------
+# the per-projection certificate of the step check
+
+
+_OCTAGON = PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(F(3, 4), F(3, 4)), Vec2(F(3, 4), F(-3, 4))])
+_CHECK_SHAPES = {
+    "square": square_linf(),
+    "box": box_shape(Vec2(F(1), F(0)), Vec2(F(1), F(2))),
+    "rational_hexagon": rational_hexagon(),
+    "regular_hexagon": regular_hexagon(),
+    "octagon": _OCTAGON,
+    "lp2": LpShape(2),
+}
+
+
+def _no_certificate(dom_cols, *_):
+    return np.zeros(dom_cols.shape[1], dtype=bool)
+
+
+def _float_map(dom, img):
+    ps = PointSet(tuple(Vec2(*p) for p in dom), Window(-10.0, -10.0, 10.0, 10.0), 0)
+    return PointMap(ps, tuple(Vec2(*w) for w in img))
+
+
+# each pair of points is certified by one broken certificate and lies within
+# the guard of an integer, or fails, under the square: the circular gap
+# between fractional parts near 0 and near 1 dropped, the floor offset test
+# dropped, the rank test dropped, and margin 0 (fractional parts tied)
+_MUTANT_CASES = (
+    _float_map([(2.0 + 1e-11, 0.25), (1.0 - 1e-11, 0.6)], [(2.0 + 1e-11, 0.25), (1.0 - 1e-11, 0.6)]),
+    _float_map([(0.2, 0.3), (1.5, 0.7)], [(0.2, 0.3), (2.5, 0.7)]),
+    _float_map([(0.2, 0.1), (1.8, 0.6)], [(0.8, 0.1), (1.2, 0.6)]),
+    _float_map([(0.3, 0.1), (1.3 + 1e-12, 0.6)], [(0.3, 0.1), (1.3 + 1e-12, 0.6)]),
+)
+
+
+@st.composite
+def certificate_problems(draw):
+    """A map, a shape to check it under and a block size.  Points are float
+    or Fraction, on both sides of 0, some placed an integer step (plus at
+    most 1e-10) from another point or within 1e-10 of an integer.  Maps are
+    box-product maps under a box of BOXES, possibly with one image nudged
+    across a floor, or translations by an integer or a non-integer vector.
+    """
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = F(1, 10**10) if exact else 1e-10
+
+    def coord():
+        k = int(rng.integers(-6, 6))
+        how = rng.choice(["plain", "integer", "near"])
+        frac = F(int(rng.integers(0, 1 << 10)), 1 << 10) if how == "plain" else 0
+        near = int(rng.integers(-2, 3)) * tiny / 2 if how == "near" else 0
+        return (k + frac + near) if exact else float(k + frac) + near
+
+    n = draw(st.integers(2, 30))
+    pts = {}
+    while len(pts) < n:
+        p = (coord(), coord())
+        if pts and rng.random() < 0.3:  # an integer step from a point, plus a sliver
+            x, y = list(pts.values())[int(rng.integers(len(pts)))]
+            p = (x + int(rng.integers(-3, 4)) + int(rng.integers(-1, 2)) * tiny, y + int(rng.integers(-3, 4)))
+        pts[(float(p[0]), float(p[1]))] = p
+    ps = PointSet(tuple(Vec2(*p) for p in pts.values()), Window(-10, -10, 10, 10), 0, "rational" if exact else "float")
+    box = draw(st.sampled_from(BOXES))
+    how = draw(st.sampled_from(["box", "nudge", "integer", "shift"]))
+    if how in ("box", "nudge"):
+        try:
+            pm = box_product_point_map(ps, box, draw(interleavings()), draw(interleavings()))
+        except StepIsoError:  # a fractional part rounded up to 1.0
+            assume(False)
+        ims = list(pm.images)
+        if how == "nudge":
+            k = int(rng.integers(n))
+            ims[k] = ims[k] + Vec2(1 if rng.random() < 0.5 else F(1, 64), 0) * (1 if exact else 1.0)
+    else:
+        t = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4))) if how == "integer" else (F(3, 7), F(-5, 4))
+        ims = [p + Vec2(*(c if exact else float(c) for c in t)) for p in ps.points]
+    assume(len(set((w.x, w.y) for w in ims)) == n)
+    shapes = dict(_CHECK_SHAPES, own=box)
+    shape = shapes[draw(st.sampled_from(sorted(shapes)))]
+    return PointMap(ps, tuple(ims)), shape, draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_problems())
+@example((_MUTANT_CASES[0], square_linf(), larg._BLOCK_CELLS))
+@example((_MUTANT_CASES[1], square_linf(), larg._BLOCK_CELLS))
+@example((_MUTANT_CASES[2], square_linf(), larg._BLOCK_CELLS))
+@example((_MUTANT_CASES[3], square_linf(), larg._BLOCK_CELLS))
+def test_certificate_matches_the_full_scan(problem):
+    pm, shape, block = problem
+    with mock.patch.object(larg, "_BLOCK_CELLS", block):
+        got = outcome(lambda: is_step_isometry(pm, shape))
+        with mock.patch.object(stepiso, "_certified", _no_certificate):
+            want = outcome(lambda: is_step_isometry(pm, shape))
+    assert got == want  # Verdict equality ignores scanned
+    if got[0] == "ok" and got[1].ok:
+        assert got[1].scanned <= want[1].scanned == len(pm) * (len(pm) - 1) // 2
+
+
+def test_box_map_scans_few_pairs():
+    ps = sample_poisson_window(Window(0.0, 0.0, 50.0, 50.0), 1.7, seed=1)
+    ps = PointSet(ps.points[:4000], ps.window, ps.seed)
+    g = canonical_interleaving()
+    v = is_step_isometry(box_product_point_map(ps, square_linf(), g, g), square_linf())
+    assert v.ok and v.checked == 4000 * 3999 // 2
+    assert v.scanned <= v.checked // 100
+
+
+def test_identity_under_lp_scans_every_pair():
+    ps = sample_poisson_window(Window(0.0, 0.0, 10.0, 10.0), 3.0, seed=2)
+    n = len(ps)
+    v = is_step_isometry(identity_map(ps), LpShape(2))
+    assert v.ok and v.checked == v.scanned == n * (n - 1) // 2
+
+
+_NO_NUMPY_MA = """
+import sys
+from larg_lab.anchoring import good_enumeration
+from larg_lab.experiments import ExperimentConfig, run_decay_experiment
+from larg_lab.geometry import Vec2, box_shape, rational_hexagon, square_linf
+from larg_lab.larg import GeoGraph, sample_larg
+from larg_lab.pointsets import Window, sample_poisson_window
+from larg_lab.stepiso import box_product_point_map, canonical_interleaving, is_isometry, is_step_isometry
+g = canonical_interleaving()
+for mode, win in (("float", Window(0.0, 0.0, 8.0, 8.0)), ("rational", Window(0, 0, 8, 8))):
+    ps = sample_poisson_window(win, 2.0, seed=3, mode=mode)
+    for shape in (square_linf(), box_shape(Vec2(1, 0), Vec2(1, 2))):
+        pm = box_product_point_map(ps, shape, g, g)
+        is_step_isometry(pm, shape), is_isometry(pm, shape)
+    sample_larg(ps, rational_hexagon(), 1, 0.5, edge_seed=1)
+    good_enumeration(ps, rational_hexagon())
+GeoGraph("ref", 4, 0.5, 1, 0, [(2, 3), (0, 1), (0, 1)])
+run_decay_experiment(ExperimentConfig(n_values=(3, 4, 5), trials=20))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_library_paths_do_not_import_numpy_ma():
+    # np.unique without return_index/inverse/counts, and np.setdiff1d,
+    # np.median and np.isin's sort path through it, import numpy.ma (tens of
+    # ms of CPU in a fresh process)
+    src = os.path.dirname(os.path.dirname(larg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
