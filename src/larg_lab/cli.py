@@ -16,6 +16,7 @@ from .exact import format_scalar, parse_scalar
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
+    _require_int,
     box_isomorphism_demo,
     rows_to_csv,
     run_decay_experiment,
@@ -203,21 +204,15 @@ def _cmd_experiment(args) -> int:
     shape = shape_from_spec(cfg.get("shape", "square"))
     if not shape.is_box():
         raise ExperimentError("box-demo needs a box shape")
-    window = [parse_scalar(c) for c in cfg.get("window", ["0", "0", "3/2", "3/2"])]
-    points = sample_poisson_window(
-        Window(*window),
-        float(cfg.get("intensity", 4.0)),
-        seed=int(cfg.get("seed", 1)),
-        mode=cfg.get("mode", "rational"),
+    seed, alpha_seed, trials, budget = (
+        _require_int(cfg.get(key, default), key)
+        for key, default in (("seed", 1), ("alpha_seed", 0), ("trials", 20), ("budget", 5000))
     )
-    alpha, points = rescale_to_idf(points, shape.generators, seed=int(cfg.get("alpha_seed", 0)))
-    report = box_isomorphism_demo(
-        points,
-        shape,
-        float(cfg.get("p", 0.5)),
-        seeds=range(int(cfg.get("trials", 20))),
-        budget=int(cfg.get("budget", 5000)),
-    )
+    window = Window(*(parse_scalar(c) for c in cfg.get("window", ["0", "0", "3/2", "3/2"])))
+    intensity = float(cfg.get("intensity", 4.0))
+    points = sample_poisson_window(window, intensity, seed=seed, mode=cfg.get("mode", "rational"))
+    alpha, points = rescale_to_idf(points, shape.generators, seed=alpha_seed)
+    report = box_isomorphism_demo(points, shape, float(cfg.get("p", 0.5)), seeds=range(trials), budget=budget)
     payload = {
         "alpha": format_scalar(alpha),
         "n": len(points),

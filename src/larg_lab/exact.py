@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "SqrtExt",
     "close",
     "exact_div",
-    "exact_floor",
     "format_scalar",
     "fractional_part",
     "guarded_floor",
@@ -329,13 +329,6 @@ def exact_div(n, d):
     return n / d
 
 
-def exact_floor(x) -> int:
-    """Floor of an exact scalar. Floats are rejected: callers must guard them."""
-    if isinstance(x, float):
-        raise TypeError("exact_floor got a float; use guarded_floor")
-    return math.floor(x)
-
-
 def guarded_floor(x, *, what: str = "value"):
     """Floor with boundary refusal for floats.
 
@@ -399,3 +392,14 @@ def parse_scalar(v):
     if isinstance(v, (int, float)):
         return float(v)
     raise TypeError(f"cannot parse scalar {v!r}")
+
+
+@contextmanager
+def _malformed_json(what: str, error: type[Exception]):
+    """Raise error for a missing key or a wrongly shaped value in a what JSON."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{what} JSON has no key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise error(f"malformed {what} JSON: {exc}") from None

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, surd_float
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, is_exact, surd_float
 from .geometry import (
     GeometryError,
     LpShape,
@@ -80,6 +80,13 @@ _MASK64 = (1 << 64) - 1
 
 class ExperimentError(ValueError):
     pass
+
+
+def _require_int(value, what: str) -> int:
+    """value if it is an int (a bool is not one); else ExperimentError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ExperimentError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +141,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if len(self.window) != 4:
-            raise ExperimentError("window must be (x0, y0, x1, y1)")
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        ints = [("trials", self.trials), ("base_seed", self.base_seed)]
+        for what, v in ints + [("n_values entry", n) for n in self.n_values]:
+            _require_int(v, what)
+        numbers = all(not isinstance(c, bool) and (isinstance(c, float) or is_exact(c)) for c in self.window)
+        if len(self.window) != 4 or not numbers:
+            raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {list(self.window)!r}")
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
         if not self.n_values or any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
@@ -170,13 +181,14 @@ class ExperimentConfig:
 # statistics
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval; stays honest at zero counts and small trials."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; stays honest at zero counts and small trials."""
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ExperimentError("successes must lie in [0, trials]")
     phat = successes / trials
+    z = 1.96
     z2 = z * z
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom

@@ -4,7 +4,7 @@ A metric here always comes from a unit shape: a convex, point-symmetric body
 P with the origin in its interior, and d(x, y) = ||x - y||_P.  Two shape kinds
 are supported: polygons given by generator normals (the norm is a max of
 absolute dot products) and smooth L^p curves for finite p > 1 (closed-form
-norm and support function).
+norm).
 
 Scalars are exact (int, Fraction, SqrtExt) or floats; every operation here
 is generic over that choice except where noted (L^p norms evaluate in
@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .exact import (
     BoundaryAmbiguityError,
+    _malformed_json,
     close,
     exact_div,
     field_of,
@@ -40,11 +41,9 @@ __all__ = [
     "PolygonShape",
     "LpShape",
     "BoundaryAmbiguityError",
-    "norm",
     "distance",
     "truncated_distance",
     "is_triangular_set",
-    "support",
     "shape_to_json",
     "shape_from_json",
     "square_linf",
@@ -104,11 +103,6 @@ def _is_zero(v: Vec2) -> bool:
     return v.x == 0 and v.y == 0
 
 
-def _parallel(a: Vec2, b: Vec2) -> bool:
-    # representation-level predicate: exact zero cross product
-    return a.cross(b) == 0
-
-
 @dataclass(frozen=True)
 class Line:
     """Oriented line a.x = r given by normal a and offset r."""
@@ -119,9 +113,6 @@ class Line:
     def __post_init__(self):
         if _is_zero(self.normal):
             raise GeometryError("line normal must be nonzero")
-
-    def is_parallel(self, other: "Line") -> bool:
-        return _parallel(self.normal, other.normal)
 
     def side_of(self, v: Vec2) -> int:
         """-1 / 0 / +1 for a.v < r / = r / > r."""
@@ -172,7 +163,7 @@ class PolygonShape:
         self.field = field_of((c for g in gens for c in (g.x, g.y)), GeometryError)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                if _parallel(gens[i], gens[j]):
+                if gens[i].cross(gens[j]) == 0:  # exact zero cross product
                     raise GeometryError(
                         f"generators {i} and {j} are parallel; store one per direction"
                     )
@@ -238,10 +229,6 @@ class PolygonShape:
             self._vertices = tuple(verts)
         return self._vertices
 
-    def support(self, direction: Vec2):
-        """sup over the unit shape of direction.x (the support function)."""
-        return max(direction.dot(v) for v in self.vertices())
-
 
 class LpShape:
     """Smooth L^p unit circle, finite p > 1.  Norms evaluate in float."""
@@ -270,25 +257,12 @@ class LpShape:
         m = x if x >= y else y
         return m * ((x / m) ** self.p + (y / m) ** self.p) ** (1.0 / self.p)
 
-    def support(self, direction: Vec2) -> float:
-        # support function of the L^p ball is the dual norm, 1/p + 1/q = 1
-        q = self.p / (self.p - 1.0)
-        x, y = abs(float(direction.x)), abs(float(direction.y))
-        if x == 0.0 and y == 0.0:
-            return 0.0
-        m = x if x >= y else y
-        return m * ((x / m) ** q + (y / m) ** q) ** (1.0 / q)
-
 
 NormShape = PolygonShape | LpShape
 
 
 # ---------------------------------------------------------------------------
 # metric operations
-
-
-def norm(shape: NormShape, x: Vec2):
-    return shape.norm(x)
 
 
 def distance(shape: NormShape, x: Vec2, y: Vec2):
@@ -312,10 +286,6 @@ def is_triangular_set(shape: NormShape, x: Vec2, y: Vec2, z: Vec2) -> bool:
         raise GeometryError("triangular set needs three distinct points")
     d = sorted([distance(shape, x, y), distance(shape, y, z), distance(shape, x, z)])
     return d[0] + d[1] > d[2]
-
-
-def support(shape: NormShape, direction: Vec2):
-    return shape.support(direction)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +336,11 @@ def shape_to_json(shape: NormShape) -> str:
 
 def shape_from_json(text: str) -> NormShape:
     obj = json.loads(text)
-    kind = obj.get("kind")
-    if kind == "polygonal":
-        gens = [Vec2(parse_scalar(gx), parse_scalar(gy)) for gx, gy in obj["generators"]]
-        return PolygonShape(gens)
-    if kind == "lp":
-        return LpShape(obj["p"])  # files from older versions also carry "generator_budget"
+    with _malformed_json("shape", GeometryError):
+        kind = obj.get("kind")
+        if kind == "polygonal":
+            gens = [Vec2(parse_scalar(gx), parse_scalar(gy)) for gx, gy in obj["generators"]]
+            return PolygonShape(gens)
+        if kind == "lp":
+            return LpShape(obj["p"])  # files from older versions also carry "generator_budget"
     raise GeometryError(f"unknown shape kind {kind!r}")

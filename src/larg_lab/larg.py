@@ -48,7 +48,6 @@ __all__ = [
     "sample_larg",
     "compatibility_probability",
     "graph_lines",
-    "save_graph",
     "load_graph",
 ]
 
@@ -274,11 +273,6 @@ class GeoGraph:
         if u == v:
             return False
         return ((u, v) if u < v else (v, u)) in self.edges
-
-    def degree(self, u: int) -> int:
-        e = self.edges
-        lo, hi = np.searchsorted(e.u, [u, u + 1])
-        return int(hi - lo) + int(np.count_nonzero(e.v == u))
 
     def adjacency_matrix(self) -> np.ndarray:
         e = self.edges
@@ -512,12 +506,6 @@ def graph_lines(G: GeoGraph):
     yield json.dumps(header)
     for u, v in G.edges:
         yield f"{u} {v}"
-
-
-def save_graph(path, G: GeoGraph) -> None:
-    with open(path, "w") as fh:
-        for line in graph_lines(G):
-            fh.write(line + "\n")
 
 
 def load_graph(path) -> GeoGraph:

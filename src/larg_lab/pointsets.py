@@ -31,6 +31,7 @@ import numpy as np
 from .exact import (
     FLOAT,
     FLOAT_INTEGER_GUARD,
+    _malformed_json,
     field_of,
     format_scalar,
     is_exact,
@@ -57,6 +58,9 @@ __all__ = [
 # denominator for rational-mode draws; dyadic so exactness survives scaling
 _RATIONAL_DEN = 1 << 40
 
+# alpha candidates rescale_to_idf tries after alpha = 1
+_IDF_TRIALS = 64
+
 
 class PointSetError(ValueError):
     pass
@@ -80,9 +84,6 @@ class Window:
 
     def area(self):
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def contains(self, v: Vec2) -> bool:
-        return self.x0 <= v.x <= self.x1 and self.y0 <= v.y <= self.y1
 
     def scaled(self, alpha) -> "Window":
         c = sorted([self.x0 * alpha, self.x1 * alpha])
@@ -345,7 +346,7 @@ def projections(points: Sequence[Vec2], a: Vec2) -> list:
     return [a.dot(v) for v in points]
 
 
-def _golden_candidates(trials: int, seed: int):
+def _golden_candidates(seed: int):
     """Rational alpha candidates m + k*phi, phi via Fibonacci convergents.
 
     Exactly verifiable (they are rationals) yet non-resonant like the golden
@@ -354,10 +355,10 @@ def _golden_candidates(trials: int, seed: int):
     """
     yield Fraction(1)
     fib = [1, 1]
-    while len(fib) < 40 + trials:
+    while len(fib) < 39:
         fib.append(fib[-1] + fib[-2])
     rng = np.random.default_rng(seed)
-    for t in range(trials):
+    for t in range(_IDF_TRIALS):
         j = 30 + t % 8
         k = int(rng.integers(1, 8))
         m = int(rng.integers(0, 3))
@@ -405,25 +406,20 @@ def _idf_tests(points: PointSet, generators: Sequence[Vec2]) -> list:
     return tests
 
 
-def rescale_to_idf(
-    points: PointSet,
-    generators: Sequence[Vec2],
-    trials: int = 64,
-    seed: int = 0,
-) -> tuple[object, PointSet]:
+def rescale_to_idf(points: PointSet, generators: Sequence[Vec2], seed: int = 0) -> tuple[object, PointSet]:
     """Scale the whole set by one alpha so every generator projection is idf.
 
     Returns (alpha, new PointSet) with alpha recorded on the set and
-    per-generator idf flags set; raises after `trials` failed candidates,
-    naming an obstruction.  Coordinates come back as alpha times the old
-    ones, so ints become Fractions even when alpha is 1; an exact set is
-    scaled on its numerators.
+    per-generator idf flags set; raises after 1 + _IDF_TRIALS failed
+    candidates, naming an obstruction.  Coordinates come back as alpha times
+    the old ones, so ints become Fractions even when alpha is 1; an exact
+    set is scaled on its numerators.
     """
     if not generators:
         raise PointSetError("need at least one generator")
     tests = _idf_tests(points, generators)
     obstruction = None
-    for alpha in _golden_candidates(trials, seed):
+    for alpha in _golden_candidates(seed):
         failed = next((a for a, test in zip(generators, tests) if not test(alpha)), None)
         if failed is not None:
             obstruction = (alpha, failed)
@@ -437,7 +433,7 @@ def rescale_to_idf(
         cols = [[(A * alpha.numerator, B * alpha.numerator) for A, B in col] for col in (xs, ys)]
         return alpha, PointSet._from_columns((D * alpha.denominator, *cols), points.field, *meta)
     raise PointSetError(
-        f"no idf rescaling found in {trials} candidates; "
+        f"no idf rescaling found in {_IDF_TRIALS} candidates; "
         f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
     )
 
@@ -472,19 +468,14 @@ def pointset_to_json(ps: PointSet) -> str:
 
 def pointset_from_json(text: str) -> PointSet:
     obj = json.loads(text)
-    window = Window(*(parse_scalar(c) for c in obj["window"]))
-    pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
-    # files from older versions also carry flags["pairwise_noninteger"]
-    flags = obj.get("flags", {})
-    idf_flags = {
-        (parse_scalar(gx), parse_scalar(gy)): bool(v)
-        for gx, gy, v in flags.get("idf_per_generator", [])
-    }
-    return PointSet(
-        pts,
-        window,
-        int(obj["seed"]),
-        mode=obj["mode"],
-        alpha=parse_scalar(obj.get("alpha", 1.0)),
-        idf_per_generator=idf_flags,
-    )
+    with _malformed_json("point-set", PointSetError):
+        window = Window(*(parse_scalar(c) for c in obj["window"]))
+        pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
+        # files from older versions also carry flags["pairwise_noninteger"]
+        flags = obj.get("flags", {})
+        idf_flags = {
+            (parse_scalar(gx), parse_scalar(gy)): bool(v)
+            for gx, gy, v in flags.get("idf_per_generator", [])
+        }
+        alpha = parse_scalar(obj.get("alpha", 1.0))
+        return PointSet(pts, window, int(obj["seed"]), mode=obj["mode"], alpha=alpha, idf_per_generator=idf_flags)

@@ -9,7 +9,7 @@ the breaking pair.
 
 Both checks run one pair scan under the numeric policy of ``exact``: a
 float filter flags the pairs that may fail (floors that differ or a distance
-near an integer; distances that differ by about tol or more), and the scalar
+near an integer; distances that may not be `exact.close`), and the scalar
 distance decides each flagged pair in lexicographic order: exactly for exact
 data, and for float data refusing a distance too near an integer.  The step
 check filters only pairs with an end not certified by the box mechanism
@@ -17,7 +17,7 @@ check filters only pairs with an end not certified by the box mechanism
 the guard (1% of 20,137 rational points in [0, 100]^2 under a box map).
 
 Box product maps are computed for a whole domain at once, in two lanes that
-both give exactly the images of the scalar formula `box_product_map` states.
+both give exactly the images of the formula in `box_product_point_map`.
 Exact points under exact generators and knots take an integer lane on the
 domain's stored numerators (A + B*sqrt(d))/D, so floors and knot
 comparisons are integer sign tests and each image coordinate is built once,
@@ -47,7 +47,9 @@ from .exact import (
     FLOAT_INTEGER_GUARD,
     BoundaryAmbiguityError,
     _floor_surd,
+    _malformed_json,
     _surd_nonneg,
+    close,
     exact_div,
     field_of,
     format_scalar,
@@ -67,7 +69,7 @@ from .geometry import (
 )
 from . import larg
 from .larg import _columns, _distances, _guard
-from .pointsets import PointSet, Window, pointset_from_json, pointset_to_json
+from .pointsets import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = [
     "StepIsoError",
@@ -75,7 +77,6 @@ __all__ = [
     "canonical_interleaving",
     "explicit_step_isometry_1d",
     "apply_fractional_map",
-    "box_product_map",
     "PointMap",
     "explicit_1d_point_map",
     "box_product_point_map",
@@ -130,9 +131,6 @@ class Interleaving1D:
         """Map [0, t] linearly onto [0, u] and [t, 1) onto [u, 1)."""
         return cls(((0, 0), (t, u)))
 
-    def is_identity(self) -> bool:
-        return all(t == u for t, u in self.knots)
-
     def __call__(self, s):
         if not (0 <= s < 1):
             raise StepIsoError(f"fractional part {s!r} outside [0, 1)")
@@ -166,19 +164,6 @@ def apply_fractional_map(g: Interleaving1D, x):
     """floor(x) + g(frac(x)): keeps the integer part, remaps the rest."""
     fl = math.floor(x)
     return fl + g(x - fl)
-
-
-def box_product_map(shape: NormShape, g1: Interleaving1D, g2: Interleaving1D, v: Vec2) -> Vec2:
-    """Apply g1, g2 to the two dual coordinates of a box shape.
-
-    With generators a1, a2 the dual coordinates are u_i = a_i.v; the image w
-    is the unique point with a_i.w = floor(u_i) + g_i(frac(u_i)), that is
-    w = ((w1*a2.y - w2*a1.y) / den, (a1.x*w2 - a2.x*w1) / den) with
-    w_i = apply_fractional_map(g_i, u_i) and den = a1.cross(a2).  This is
-    the one-point call of `box_product_point_map`.
-    """
-    field_of((v.x, v.y), StepIsoError)
-    return _box_images(shape, g1, g2, PointSet((v,), Window(0, 0, 1, 1), 0))[0]
 
 
 def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
@@ -313,14 +298,12 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> list[Vec2]:
 class PointMap:
     """A finite map: domain points (by index) to image points.
 
-    kind is a provenance tag ("arbitrary", "box-product", "explicit-1d");
-    components carries the fractional maps for constructed kinds.
+    kind is a provenance tag ("arbitrary", "box-product", "explicit-1d").
     """
 
     domain: PointSet
     images: tuple[Vec2, ...]
     kind: str = "arbitrary"
-    components: tuple[Interleaving1D, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
@@ -340,11 +323,8 @@ class PointMap:
         return len(self.images)
 
     @classmethod
-    def from_function(
-        cls, domain: PointSet, fn: Callable[[Vec2], Vec2], kind: str = "arbitrary",
-        components: tuple = (),
-    ) -> "PointMap":
-        return cls(domain, tuple(fn(p) for p in domain.points), kind, components)
+    def from_function(cls, domain: PointSet, fn: Callable[[Vec2], Vec2], kind: str = "arbitrary") -> "PointMap":
+        return cls(domain, tuple(fn(p) for p in domain.points), kind)
 
 
 def explicit_1d_point_map(domain: PointSet) -> PointMap:
@@ -352,34 +332,33 @@ def explicit_1d_point_map(domain: PointSet) -> PointMap:
 
     Meant for sets on a horizontal line, where the metric restricts to |dx|.
     """
-    g = canonical_interleaving()
-    return PointMap.from_function(
-        domain,
-        lambda p: Vec2(explicit_step_isometry_1d(p.x), p.y),
-        "explicit-1d",
-        (g,),
-    )
+    return PointMap.from_function(domain, lambda p: Vec2(explicit_step_isometry_1d(p.x), p.y), "explicit-1d")
 
 
 def box_product_point_map(
     domain: PointSet, shape: NormShape, g1: Interleaving1D, g2: Interleaving1D
 ) -> PointMap:
-    """`box_product_map` over the whole domain, in one pass per lane (see
-    the module docstring): exact points under exact generators and knots
-    take the integer lane, on the domain's numerators; every other point
-    takes the float lane, on ``domain.as_array()``, and the scalar
-    formula's refusals (a fractional part rounded up to 1.0) are raised for
-    the same first point.  Generators, knots and domain with no common
-    field (a float beside a SqrtExt, or two radicands) are refused up front
-    with StepIsoError.
+    """Apply g1, g2 to the two dual coordinates of a box shape at each
+    domain point v: with generators a1, a2 the dual coordinates are
+    u_i = a_i.v, and the image w is the unique point with
+    a_i.w = w_i = apply_fractional_map(g_i, u_i) = floor(u_i) + g_i(frac(u_i)),
+    that is w = ((w1*a2.y - w2*a1.y) / den, (a1.x*w2 - a2.x*w1) / den) with
+    den = a1.cross(a2).
+
+    The images come in one pass per lane (see the module docstring): exact
+    points under exact generators and knots take the integer lane, on the
+    domain's numerators; every other point takes the float lane, on
+    ``domain.as_array()``, and the scalar formula's refusals (a fractional
+    part rounded up to 1.0) are raised for the same first point.
+    Generators, knots and domain with no common field (a float beside a
+    SqrtExt, or two radicands) are refused up front with StepIsoError.
 
     Exact points under float generators or knots, and points with one
     exact and one float coordinate, take the float lane on their
     coordinates rounded to floats; where the scalar formula rounds an exact
     product or fractional part instead, an image may differ in the last bit.
     """
-    images = _box_images(shape, g1, g2, domain)
-    return PointMap(domain, images, "box-product", (g1, g2))
+    return PointMap(domain, _box_images(shape, g1, g2, domain), "box-product")
 
 
 def pointmap_to_json(pmap: PointMap) -> str:
@@ -392,11 +371,11 @@ def pointmap_to_json(pmap: PointMap) -> str:
 
 
 def pointmap_from_json(text: str) -> PointMap:
-    """Reload a stored map; fractional-map components are not persisted."""
     obj = json.loads(text)
-    domain = pointset_from_json(json.dumps(obj["domain"]))
-    images = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["images"])
-    return PointMap(domain, images, obj.get("kind", "arbitrary"))
+    with _malformed_json("map", StepIsoError):
+        domain = pointset_from_json(json.dumps(obj["domain"]))
+        images = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["images"])
+        return PointMap(domain, images, obj.get("kind", "arbitrary"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +399,9 @@ class Verdict:
     scanned: int = field(default=0, compare=False)
 
 
-# is_isometry's filter margin inside tol (larg._guard's rel): float distances
-# are off by ~1e-15 times 1 plus the coordinate scale, and the default float
-# tol, FLOAT_INTEGER_GUARD, is far above this much of it
+# is_isometry's filter margin inside its level (larg._guard's rel): float
+# distances are off by ~1e-15 times 1 plus the coordinate scale, and the float
+# level, FLOAT_INTEGER_GUARD, is far above this much of it
 _ISO_GUARD = 1e-12
 
 
@@ -549,24 +528,21 @@ def is_step_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
     return _pair_scan(pmap, shape, marks, truncated_distance, lambda td, ti: td != ti, certify=_certified)
 
 
-def is_isometry(pmap: PointMap, shape: NormShape, tol=None) -> Verdict:
-    """Do all pairs keep their exact distance (within tol for floats)?
+def is_isometry(pmap: PointMap, shape: NormShape) -> Verdict:
+    """Do all pairs keep their distance, as `exact.close` decides?
 
-    Exact data on a polygon defaults to tol 0, other data to
-    FLOAT_INTEGER_GUARD.  The witness carries both distances.  Fields are
-    refused as in `is_step_isometry`.
+    Exact distances must be equal; once either is a float, they must agree
+    within FLOAT_INTEGER_GUARD.  The witness carries both distances.
+    Fields are refused as in `is_step_isometry`.
     """
-    fields = _fields(pmap, shape)
-    if tol is None:
-        tol = 0 if FLOAT not in fields and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
+    level = 0.0 if FLOAT not in _fields(pmap, shape) and isinstance(shape, PolygonShape) else FLOAT_INTEGER_GUARD
 
     def marks(dd, di, guard):
-        return np.abs(dd - di) > float(tol) - guard
+        return np.abs(dd - di) > level - guard
 
-    # with tol 0 exact pairs are compared, never subtracted: the two sides
-    # may lie over different radicands, whose values are simply unequal
-    fails = (lambda d, e: d != e) if tol == 0 else (lambda d, e: abs(d - e) > tol)
-    return _pair_scan(pmap, shape, marks, distance, fails, _ISO_GUARD)
+    # exact pairs are compared, never subtracted: the two sides may lie over
+    # different radicands, whose values are simply unequal
+    return _pair_scan(pmap, shape, marks, distance, lambda d, e: not close(d, e), _ISO_GUARD)
 
 
 def respects_line(pmap: PointMap, ell: Line, ell_image: Line) -> bool:

@@ -12,6 +12,7 @@ from larg_lab.exact import SqrtExt, parse_scalar
 from larg_lab.geometry import Vec2, rational_hexagon, shape_to_json, square_linf
 from larg_lab.larg import load_graph
 from larg_lab.pointsets import PointSet, Window, pointset_from_json, pointset_to_json
+from larg_lab.stepiso import PointMap, pointmap_to_json
 
 
 @pytest.fixture
@@ -39,6 +40,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(code, out, err, *words):
+    # exit 1 with nothing on stdout and one "error:" line naming the fault
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    for w in words:
+        assert w in err
 
 
 class TestSample:
@@ -120,6 +129,22 @@ class TestGraph:
         header = json.loads(out.splitlines()[0])
         assert header["edge_seed"] == 3
 
+    def test_point_set_without_window_is_an_error_line(self, workdir, capsys):
+        obj = json.loads((workdir / "base.json").read_text())
+        del obj["window"]
+        (workdir / "no-window.json").write_text(json.dumps(obj))
+        result = run(capsys, "graph", "--points", str(workdir / "no-window.json"), "--shape", "hexagon", "--seed", "3")
+        assert_one_error_line(*result, "point-set JSON has no key 'window'")
+
+    @pytest.mark.parametrize("text", ['{"kind": "polygonal"}', '{"kind": "polygonal", "generators": [1, 2]}', "[]"])
+    def test_malformed_shape_file_is_an_error_line(self, workdir, capsys, text):
+        (workdir / "bad-shape.json").write_text(text)
+        result = run(
+            capsys, "graph", "--points", str(workdir / "base.json"), "--shape", str(workdir / "bad-shape.json"),
+            "--seed", "3",
+        )
+        assert_one_error_line(*result, "shape JSON")
+
 
 class TestStepiso:
     def test_explicit1d_is_step_isometry(self, workdir, capsys):
@@ -156,6 +181,30 @@ class TestStepiso:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("text", ["[]", '{"domain": []}', '{"images": []}'])
+    def test_malformed_map_file_is_an_error_line(self, workdir, capsys, text):
+        (workdir / "bad-map.json").write_text(text)
+        result = run(capsys, "stepiso", "--map", str(workdir / "bad-map.json"), "--shape", "square")
+        assert_one_error_line(*result, "JSON")
+
+    def test_sqrt2_domain_with_float_images_fails_the_isometry_check(self, workdir, capsys):
+        # exact distances over sqrt(2) against float ones: the second image
+        # moved by 0.5 breaks pair (0, 1)
+        r2 = SqrtExt(0, 1, 2)
+        ps = PointSet(
+            (Vec2(0, 0), Vec2(r2, 0), Vec2(0, 2 * r2)), Window(Fraction(-4), Fraction(-4), Fraction(4), Fraction(4)),
+            seed=0, mode="rational",
+        )
+        images = (Vec2(0.0, 0.0), Vec2(float(r2) + 0.5, 0.0), Vec2(0.0, float(2 * r2)))
+        (workdir / "sqrt2-map.json").write_text(pointmap_to_json(PointMap(ps, images)))
+        code, out, _ = run(
+            capsys, "stepiso", "--map", str(workdir / "sqrt2-map.json"), "--shape", str(workdir / "sq.json"),
+            "--check", "iso",
+        )
+        assert code == 3
+        verdict = json.loads(out)
+        assert (verdict["ok"], verdict["witness"]) == (False, [0, 1])
 
     def test_missing_shape_is_an_error(self, workdir, capsys):
         code, _, err = run(
@@ -268,6 +317,38 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "decay", "--config", str(cfg))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "entry, words",
+        [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"n_values": [3.7, 4]}, "n_values entry must be an integer, got 3.7"),
+            ({"window": ["0", "0", "1", "1"]}, "window must be four numbers"),
+            ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_decay_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"n_values": [3, 4], "trials": 3, "intensity": 60.0, "base_seed": 9, **entry}))
+        assert_one_error_line(*run(capsys, "experiment", "decay", "--config", str(cfg)), words)
+
+    @pytest.mark.parametrize(
+        "entry, words",
+        [
+            ({"seed": 3.9}, "seed must be an integer, got 3.9"),
+            ({"alpha_seed": "1"}, "alpha_seed must be an integer, got '1'"),
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"budget": True}, "budget must be an integer, got True"),
+        ],
+    )
+    def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
+        cfg = workdir / "box.json"
+        cfg.write_text(json.dumps({"shape": "square", "intensity": 4.0, "trials": 1, "budget": 100, **entry}))
+        with mock.patch.object(cli, "sample_poisson_window") as sampler:
+            result = run(capsys, "experiment", "box-demo", "--config", str(cfg))
+        assert_one_error_line(*result, words)
+        sampler.assert_not_called()
 
     def test_box_demo_refuses_smooth_shape(self, workdir, capsys):
         cfg = workdir / "box-lp.json"

@@ -92,10 +92,10 @@ def ref_is_idf(values) -> bool:
     return not (len(fr) > 1 and (fr[0] + 1.0) - fr[-1] < FLOAT_INTEGER_GUARD)
 
 
-def ref_rescale(points: PointSet, generators, trials: int = 64, seed: int = 0):
+def ref_rescale(points: PointSet, generators, seed: int = 0):
     """The rescaling loop: Fraction projections times each candidate alpha."""
     obstruction = None
-    for alpha in _golden_candidates(trials, seed):
+    for alpha in _golden_candidates(seed):
         ok = True
         for a in generators:
             if not ref_is_idf([a.dot(v) * alpha for v in points.points]):
@@ -112,7 +112,7 @@ def ref_rescale(points: PointSet, generators, trials: int = 64, seed: int = 0):
                 idf_per_generator={**points.idf_per_generator, **flags},
             )
     raise PointSetError(
-        f"no idf rescaling found in {trials} candidates; "
+        "no idf rescaling found in 64 candidates; "
         f"last obstruction: alpha={obstruction[0]} generator={obstruction[1]}"
     )
 
@@ -293,8 +293,8 @@ def column_and_vec2_sets(kind, window, intensity, seed, shape):
     want = outcome(ref_sample_rational, window, intensity, seed)
     if kind == "rescaled" and isinstance(got, PointSet):
         gens = SHAPES[shape][0].generators
-        got = outcome(rescale_to_idf, got, gens, 16, seed)
-        want = outcome(ref_rescale, want, gens, 16, seed)
+        got = outcome(rescale_to_idf, got, gens, seed)
+        want = outcome(ref_rescale, want, gens, seed)
         got, want = (got, want) if isinstance(want[0], type) else (got[1], want[1])
     return got, want
 
@@ -379,8 +379,8 @@ def test_is_idf_keeps_radicands_apart():
 @given(problems(), st.integers(0, 50))
 def test_rescale_matches_fraction_reference(problem, seed):
     shape, points = problem
-    got = outcome(rescale_to_idf, points, shape.generators, 16, seed)
-    want = outcome(ref_rescale, points, shape.generators, 16, seed)
+    got = outcome(rescale_to_idf, points, shape.generators, seed)
+    want = outcome(ref_rescale, points, shape.generators, seed)
     if isinstance(want[0], type):
         assert got == want
         return
@@ -398,8 +398,8 @@ def test_rescale_matches_reference_when_alpha_is_not_one():
         (Vec2(R2, F(1, 3)), Vec2(R2 + 1, F(1, 2))),
     ):
         ps = PointSet(pts, Window(F(-9), F(-9), F(9), F(9)), 0, "rational")
-        alpha, out = rescale_to_idf(ps, square, 16, 1)
-        ref_alpha, ref = ref_rescale(ps, square, 16, 1)
+        alpha, out = rescale_to_idf(ps, square, 1)
+        ref_alpha, ref = ref_rescale(ps, square, 1)
         assert alpha != 1
         assert (alpha, typed(out.points)) == (ref_alpha, typed(ref.points))
 

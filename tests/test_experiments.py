@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from larg_lab import experiments, larg
 from larg_lab.anchoring import AnchoringError, good_enumeration
-from larg_lab.exact import BoundaryAmbiguityError, exact_floor, guarded_floor, is_exact
+from larg_lab.exact import BoundaryAmbiguityError, guarded_floor, is_exact
 from larg_lab.experiments import (
     BoxDemoReport,
     DecayRow,
@@ -746,7 +746,7 @@ class TestBackAndForth:
                 for v in range(len(pts)):
                     if u != v:
                         diff = proj[u] - proj[v]
-                        tab[u][v] = exact_floor(diff) if exact else guarded_floor(
+                        tab[u][v] = math.floor(diff) if exact else guarded_floor(
                             diff, what=f"projection difference ({u}, {v})"
                         )
             tables.append(tab)

@@ -23,13 +23,11 @@ from larg_lab.geometry import (
     diamond_l1,
     distance,
     is_triangular_set,
-    norm,
     rational_hexagon,
     regular_hexagon,
     shape_from_json,
     shape_to_json,
     square_linf,
-    support,
     truncated_distance,
 )
 from larg_lab.larg import in_range_pairs, sample_larg
@@ -116,8 +114,6 @@ def test_line_validation_and_sides():
     assert ell.side_of(Vec2(0, 7)) == -1
     assert ell.side_of(Vec2(Fraction(1, 2), -2)) == 0
     assert ell.side_of(Vec2(1, 0)) == 1
-    assert ell.is_parallel(Line(Vec2(-3, 0), 9))
-    assert not ell.is_parallel(Line(Vec2(1, 1), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +121,13 @@ def test_line_validation_and_sides():
 
 
 def test_linf_norm_example():
-    assert norm(square_linf(), Vec2(3, -2)) == 3
+    assert square_linf().norm(Vec2(3, -2)) == 3
 
 
 def test_l1_norm_example_matches_ray_oracle():
     expected = oracle_polygon_norm([(1, 1), (1, -1)], (3, -2))
     assert abs(expected - 5.0) < 1e-12
-    assert norm(diamond_l1(), Vec2(3, -2)) == 5
+    assert diamond_l1().norm(Vec2(3, -2)) == 5
 
 
 def test_polygon_norm_equals_ray_oracle_randomized():
@@ -149,7 +145,7 @@ def test_polygon_norm_equals_ray_oracle_randomized():
             x = rng.uniform(-10, 10, size=2)
             if abs(x[0]) + abs(x[1]) < 1e-6:
                 continue
-            got = norm(shape, Vec2(float(x[0]), float(x[1])))
+            got = shape.norm(Vec2(float(x[0]), float(x[1])))
             want = oracle_polygon_norm(gens, x)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
             checked += 1
@@ -171,18 +167,18 @@ def test_norm_axioms_randomized():
         x = Vec2(*(float(v) for v in rng.uniform(-5, 5, 2)))
         y = Vec2(*(float(v) for v in rng.uniform(-5, 5, 2)))
         lam = float(rng.uniform(-3, 3))
-        nx, ny = norm(sh, x), norm(sh, y)
+        nx, ny = sh.norm(x), sh.norm(y)
         assert nx >= 0
-        assert abs(norm(sh, lam * x) - abs(lam) * nx) <= 1e-9 * (1 + abs(lam) * nx)
-        assert norm(sh, x + y) <= nx + ny + 1e-9
-        assert norm(sh, -x) == pytest.approx(nx, abs=1e-12)  # point symmetry
-    assert norm(square_linf(), Vec2(0, 0)) == 0
+        assert abs(sh.norm(lam * x) - abs(lam) * nx) <= 1e-9 * (1 + abs(lam) * nx)
+        assert sh.norm(x + y) <= nx + ny + 1e-9
+        assert sh.norm(-x) == pytest.approx(nx, abs=1e-12)  # point symmetry
+    assert square_linf().norm(Vec2(0, 0)) == 0
 
 
 def test_exact_mode_norm_is_exact():
     sh = rational_hexagon()
     x = Vec2(Fraction(3, 7), Fraction(-2, 5))
-    n = norm(sh, x)
+    n = sh.norm(x)
     assert isinstance(n, Fraction)
     assert n == max(Fraction(3, 7), Fraction(2, 5), abs(Fraction(3, 7) - Fraction(2, 5)))
 
@@ -199,7 +195,7 @@ def test_sandwich_bound_against_euclidean():
         for _ in range(500):
             x = rng.uniform(-4, 4, 2)
             e = math.hypot(*x)
-            n = norm(sh, Vec2(float(x[0]), float(x[1])))
+            n = sh.norm(Vec2(float(x[0]), float(x[1])))
             assert e / r_max - 1e-9 <= n <= e / r_min + 1e-9
 
 
@@ -226,8 +222,6 @@ def test_redundant_generator_rejected():
         square4 = PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(*diag), Vec2(diag[0], -diag[1])])
         with pytest.raises(GeometryError, match="redundant generator"):
             square4.vertices()
-        with pytest.raises(GeometryError, match="redundant generator"):
-            support(square4, Vec2(1, 0))
     assert len(PolygonShape([Vec2(1, 0), Vec2(0, 1), Vec2(F(2, 3), F(2, 3))]).vertices()) == 6
 
 
@@ -293,7 +287,7 @@ def test_truncated_distance_exact_mode():
 
 
 # ---------------------------------------------------------------------------
-# L^p norm and support
+# L^p norm
 
 
 def lp_touch_normal(p, th):
@@ -306,41 +300,30 @@ def lp_touch_normal(p, th):
 
 
 def test_smooth_generators_touch_scaling():
-    # the support function is the dual norm: it is 1 at a touch normal
     for p in (1.5, 2.0, 4.0):
         sh = LpShape(p)
         for k in range(16):
             b, a = lp_touch_normal(p, math.pi * k / 16)
             assert sh.norm(b) == pytest.approx(1.0, abs=1e-12)
             assert a.dot(b) == pytest.approx(1.0, abs=1e-12)
-            assert sh.support(a) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smooth_generators_p2_count4_example():
     sh = LpShape(2)
     assert sh.norm(Vec2(1.0, 0.0)) == 1.0
     assert sh.norm(Vec2(3.0, -4.0)) == pytest.approx(5.0, abs=1e-12)
-    assert sh.support(Vec2(0.0, -2.0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_smooth_generators_p4_count64_example():
     sh = LpShape(4)
     assert sh.norm(Vec2(1.0, 1.0)) == pytest.approx(2.0 ** 0.25, abs=1e-12)
-    # dual exponent q = 4/3
-    assert sh.support(Vec2(1.0, 1.0)) == pytest.approx(2.0 ** 0.75, abs=1e-12)
 
 
 def test_smooth_approximation_monotone_and_below():
-    # Hoelder: |a.x| <= support(a) * ||x||, with equality at touch points;
     # ||x||_p is nonincreasing in p
     rng = np.random.default_rng(3)
-    sh = LpShape(3.0)
     for _ in range(50):
         x = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        a = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        assert abs(a.dot(x)) <= sh.support(a) * sh.norm(x) + 1e-9
-        b, a = lp_touch_normal(3.0, float(rng.uniform(0, math.pi)))
-        assert a.dot(b) == pytest.approx(sh.support(a) * sh.norm(b), abs=1e-9)
         prev = math.inf
         for p in (1.5, 2.0, 3.0, 8.0):
             val = LpShape(p).norm(x)
@@ -378,7 +361,6 @@ def test_face_of_accepts_negation_and_rejects_strangers():
     assert face_vertices(diamond_l1(), Vec2(-1, -1)) == [(-1.0, 0.0), (0.0, -1.0)]
     # right direction, wrong scale: the line 2x + 2y = 1 misses every vertex
     assert face_vertices(diamond_l1(), Vec2(2, 2)) == []
-    assert diamond_l1().support(Vec2(2, 2)) == 2
 
 
 def test_hexagon_faces_cover_boundary():
@@ -387,7 +369,6 @@ def test_hexagon_faces_cover_boundary():
     for g in sh.generators:
         for a in (g, -g):
             assert len(face_vertices(sh, a)) == 2
-            assert sh.support(a) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,29 +435,24 @@ def test_triangular_invariance_float_away_from_ties():
 
 
 def test_parallel_line_distance_generator_scale():
-    # lines a.x = r1, a.x = r2 lie |r1 - r2| / support(a) apart
-    sh = square_linf()
-    assert support(sh, Vec2(1, 0)) == 1
-    assert support(sh, Vec2(-4, 0)) == 4
     # x = 1/2 and -4x = -10 (x = 5/2): feet on the x-axis are 2 apart
-    assert abs(Fraction(1, 2) - Fraction(5, 2)) / support(sh, Vec2(1, 0)) == 2
-    assert abs(-2 - (-10)) / support(sh, Vec2(-4, 0)) == 2
+    sh = square_linf()
     assert distance(sh, Vec2(Fraction(1, 2), 0), Vec2(Fraction(5, 2), 0)) == 2
 
 
 def test_parallel_line_distance_non_generator_normal():
-    # diagonal lines under the sup metric: support((1,1)) = 2
+    # diagonal lines under the sup metric: the unit square reaches x + y = 2,
+    # so x + y = 0 and x + y = 4 are 4 / 2 apart; (0,0) and (2,2) realise it
     sh = square_linf()
-    assert support(sh, Vec2(1, 1)) == 2
-    # x + y = 0 and x + y = 4 are 4 / 2 apart; (0,0) and (2,2) realise it
-    assert distance(sh, Vec2(0, 0), Vec2(2, 2)) == 4 / support(sh, Vec2(1, 1))
+    assert distance(sh, Vec2(0, 0), Vec2(2, 2)) == 2
 
 
 def test_integer_parallel():
-    # the parallel at metric distance z moves the offset by z * support(a)
+    # the parallel at metric distance z moves the offset by z times the
+    # shape's reach along the normal, 1 for a generator of the diamond
     sh = diamond_l1()
     ell = Line(Vec2(1, 1), Fraction(1, 3))
-    up = Line(ell.normal, ell.offset + 2 * support(sh, ell.normal))
+    up = Line(ell.normal, ell.offset + 2)
     assert up.offset == Fraction(7, 3)
     assert up.side_of(Vec2(Fraction(7, 6), Fraction(7, 6))) == 0
     assert distance(sh, Vec2(Fraction(1, 6), Fraction(1, 6)), Vec2(Fraction(7, 6), Fraction(7, 6))) == 2
@@ -514,8 +490,3 @@ def test_shape_json_rejects_unknown_kind():
     with pytest.raises(GeometryError):
         shape_from_json('{"kind": "weird"}')
 
-
-def test_support_function():
-    assert support(square_linf(), Vec2(1, 1)) == 2
-    assert support(diamond_l1(), Vec2(1, 0)) == 1
-    assert support(LpShape(2), Vec2(3, 4)) == pytest.approx(5.0)

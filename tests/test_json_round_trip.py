@@ -125,7 +125,6 @@ def test_point_map_round_trip(ps, kind, data):
     )
     pmap = PointMap(ps, tuple(Vec2(x, y) for x, y in images), kind)
     back = pointmap_from_json(pointmap_to_json(pmap))
-    # the fractional-map components are not stored; this map has none
     assert back == pmap
     assert_same_point_set(back.domain, ps)
     for v, w in zip(back.images, pmap.images):

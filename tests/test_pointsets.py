@@ -42,9 +42,11 @@ def test_window_validation_and_area():
         Window(0, 0, 0, 1)
     w = Window(Fraction(0), Fraction(0), Fraction(3), Fraction(2))
     assert w.area() == 6
-    assert w.contains(Vec2(Fraction(1), Fraction(1)))
-    assert not w.contains(Vec2(4, 1))
     assert w.scaled(Fraction(-2)) == Window(-6, -4, 0, 0)
+
+
+def in_window(w, v) -> bool:
+    return w.x0 <= v.x <= w.x1 and w.y0 <= v.y <= w.y1
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,7 @@ def test_poisson_count_within_oracle_band():
     assert poisson_tail_outside(100.0, 50, 150) < 1e-4
     ps = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 100.0, seed=42)
     assert 50 <= len(ps) <= 150
-    assert all(ps.window.contains(p) for p in ps.points)
+    assert all(in_window(ps.window, p) for p in ps.points)
 
 
 def test_poisson_determinism_bit_identical():
@@ -218,7 +220,7 @@ def test_interval_union_is_a_product_set():
     # every integer interval intersecting the range contributed
     for z in range(0, 3):
         assert any(z < x < z + 1 for x in xs)
-    assert all(w.contains(p) for p in ps.points)
+    assert all(in_window(w, p) for p in ps.points)
 
 
 def test_interval_union_same_contract_as_poisson():
@@ -272,7 +274,7 @@ def test_rescale_clears_integer_differences():
     ps = _flat_set([Fraction(0), Fraction(1, 2), Fraction(3, 2)])
     gens = [Vec2(1, 0)]
     assert not is_idf(projections(ps.points, gens[0]))  # 1/2 and 3/2 differ by 1
-    alpha, out = rescale_to_idf(ps, gens, trials=32, seed=1)
+    alpha, out = rescale_to_idf(ps, gens, seed=1)
     assert is_idf(projections(out.points, gens[0]))
     assert out.idf_per_generator[(1, 0)] is True
     assert out.alpha == alpha != 0
@@ -283,7 +285,7 @@ def test_rescale_clears_integer_differences():
 
 def test_rescale_keeps_already_idf_scale():
     ps = _flat_set([Fraction(1, 10), Fraction(1, 4), Fraction(7, 5)])
-    alpha, out = rescale_to_idf(ps, [Vec2(1, 0)], trials=8, seed=0)
+    alpha, out = rescale_to_idf(ps, [Vec2(1, 0)], seed=0)
     assert alpha == 1 and out.alpha == 1
     assert out.points == ps.points
 
@@ -301,7 +303,7 @@ def test_rescale_multi_generator():
         mode="rational",
     )
     gens = list(rational_hexagon().generators)
-    _, out = rescale_to_idf(ps, gens, trials=64, seed=2)
+    _, out = rescale_to_idf(ps, gens, seed=2)
     for a in gens:
         assert is_idf(projections(out.points, a))
         assert out.idf_per_generator[(a.x, a.y)] is True
@@ -316,7 +318,7 @@ def test_rescale_impossible_names_obstruction():
         mode="rational",
     )
     with pytest.raises(PointSetError, match="obstruction"):
-        rescale_to_idf(ps, [Vec2(1, 0)], trials=5, seed=0)
+        rescale_to_idf(ps, [Vec2(1, 0)], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +415,7 @@ def test_pointset_json_round_trip_rational():
         seed=13,
         mode="rational",
     )
-    _, ps = rescale_to_idf(ps, [Vec2(1, 0)], trials=16, seed=0)
+    _, ps = rescale_to_idf(ps, [Vec2(1, 0)], seed=0)
     back = pointset_from_json(pointset_to_json(ps))
     assert back.points == ps.points
     assert back.mode == "rational" and back.alpha == ps.alpha
