@@ -208,7 +208,13 @@ def _cmd_experiment(args) -> int:
         _require_int(cfg.get(key, default), key)
         for key, default in (("seed", 1), ("alpha_seed", 0), ("trials", 20), ("budget", 5000))
     )
-    window = Window(*(parse_scalar(c) for c in cfg.get("window", ["0", "0", "3/2", "3/2"])))
+    bounds = cfg.get("window", ["0", "0", "3/2", "3/2"])
+    if not (isinstance(bounds, list) and len(bounds) == 4):
+        raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {bounds!r}")
+    try:
+        window = Window(*(parse_scalar(c) for c in bounds))
+    except TypeError as exc:
+        raise ExperimentError(f"bad window {bounds!r}: {exc}") from None
     intensity = float(cfg.get("intensity", 4.0))
     points = sample_poisson_window(window, intensity, seed=seed, mode=cfg.get("mode", "rational"))
     alpha, points = rescale_to_idf(points, shape.generators, seed=alpha_seed)

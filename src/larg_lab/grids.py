@@ -15,12 +15,13 @@ c = (A + B*sqrt(d))/D, so growth is integer arithmetic and deduplication is
 on int tuples. floor(c) is computed from the ints alone
 (`exact._floor_surd`). Levels store only the lines first seen at that
 level, decoded to Fraction or SqrtExt (`exact.surd_value`); `all_lines`
-flattens.
+flattens. `grid_offsets` encodes one normal's offsets the same way and
+reduces them mod 1 on the numerators.
 """
 
 from dataclasses import dataclass
 
-from .exact import FLOAT, _floor_surd, exact_div, field_of, fractional_part, surd_ints, surd_value
+from .exact import FLOAT, _floor_surd, exact_div, field_of, surd_ints, surd_value
 from .geometry import Line, Vec2
 
 __all__ = [
@@ -175,9 +176,17 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
 
 
 def grid_offsets(family: LineFamily, a: Vec2) -> list:
-    """Offsets of all family lines with normal a, reduced mod 1, sorted."""
-    fracs = dict.fromkeys(fractional_part(ell.offset) for ell in family.lines_with_normal(a))
-    return sorted(fracs, key=float)
+    """Offsets of all family lines with normal a, reduced mod 1, sorted.
+
+    The offsets are encoded once as (A + B*sqrt(d))/D and reduced on the
+    ints, A - floor*D; only the distinct residues, in the order of their
+    first line, are decoded, then sorted by float value.
+    """
+    offsets = [ell.offset for ell in family.lines_with_normal(a)]
+    d = field_of(offsets, GridError)
+    D, ints = surd_ints(offsets)
+    residues = dict.fromkeys((A - _floor_surd(A, B, d, D) * D, B) for A, B in ints)
+    return sorted((surd_value(A, B, D, d) for A, B in residues), key=float)
 
 
 def offset_gaps(offsets) -> list:

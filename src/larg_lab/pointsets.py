@@ -10,7 +10,8 @@ This module owns the point format.  A PointSet stores its coordinates once,
 as columns: a float set a read-only n x 2 float64 array (`as_array`), an
 exact set integer numerators (A + B*sqrt(d))/D over one denominator (the
 format of `exact.surd_ints`), which the idf tests, `rescale_to_idf` and the
-integer lanes of stepiso, anchoring and experiments read.  Rational mode
+integer lanes of stepiso, anchoring and experiments read; a stepiso map's
+images are a PointSet in the same format.  Rational mode
 draws dyadic rationals x0 + (x1 - x0)*k/2^40 so every downstream floor/idf
 question has an exact answer; float mode is for Monte Carlo throughput.
 """
@@ -121,17 +122,7 @@ class PointSet:
             D, ints = surd_ints(c for v in pts for c in (v.x, v.y))
             cols = (D, ints[::2], ints[1::2])
         self._store(cols, field, window, seed, mode, alpha, idf_per_generator)
-        dup = len(pts)
-        if field == FLOAT:
-            # a float row may round distinct exact values (1/3 and its float)
-            dup = next((j for j in _repeats(cols).tolist() if pts[j] in pts[:j]), dup)
-        else:
-            seen = set()
-            for j, key in enumerate(zip(*cols[1:])):
-                if key in seen:
-                    dup = j
-                    break
-                seen.add(key)
+        dup = _first_repeat(cols, field, pts)
         if mode == "rational" and field == FLOAT:
             # the first bad point is reported, a repeat before a float
             bad = next(j for j, v in enumerate(pts) if not v.is_exact())
@@ -189,6 +180,9 @@ class PointSet:
     def __len__(self):
         return len(self._xy) if self._ints is None else len(self._ints[1])
 
+    def __iter__(self):
+        return iter(self.points)
+
     def __getitem__(self, i):
         if "points" in self.__dict__ or isinstance(i, slice):
             return self.points[i]
@@ -238,6 +232,22 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     s = rows[order]
     return np.sort(order[1:][(s[1:] == s[:-1]).all(axis=1)])
+
+
+def _first_repeat(cols, field: int, pts=()) -> int:
+    """The index of the first point equal to an earlier one, else the count.
+
+    Float rows are compared by `_repeats`; a row of pts, when given, counts
+    only if its Vec2 repeats too, as a float row may round distinct exact
+    values (1/3 and its float).  Exact rows are keyed by their numerators.
+    """
+    if field == FLOAT:
+        return next((j for j in _repeats(cols).tolist() if not pts or pts[j] in pts[:j]), len(cols))
+    keys = list(zip(*cols[1:]))
+    if len(set(keys)) == len(keys):
+        return len(keys)
+    seen = set()
+    return next(j for j, key in enumerate(keys) if key in seen or seen.add(key))
 
 
 # ---------------------------------------------------------------------------
@@ -478,4 +488,7 @@ def pointset_from_json(text: str) -> PointSet:
             for gx, gy, v in flags.get("idf_per_generator", [])
         }
         alpha = parse_scalar(obj.get("alpha", 1.0))
-        return PointSet(pts, window, int(obj["seed"]), mode=obj["mode"], alpha=alpha, idf_per_generator=idf_flags)
+        seed = obj["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise PointSetError(f"seed must be an integer, got {seed!r}")
+        return PointSet(pts, window, seed, mode=obj["mode"], alpha=alpha, idf_per_generator=idf_flags)

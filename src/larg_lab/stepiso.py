@@ -16,19 +16,23 @@ check filters only pairs with an end not certified by the box mechanism
 (`_certified`), counted in Verdict.scanned; that share grows with n times
 the guard (1% of 20,137 rational points in [0, 100]^2 under a box map).
 
-Box product maps are computed for a whole domain at once, in two lanes that
-both give exactly the images of the formula in `box_product_point_map`.
-Exact points under exact generators and knots take an integer lane on the
-domain's stored numerators (A + B*sqrt(d))/D, so floors and knot
-comparisons are integer sign tests and each image coordinate is built once,
-as the same Fraction or SqrtExt.  Float points take one numpy pass over the
-domain's float array that performs the scalar formula's float operations in
-its order, so the images are bit-identical.
+A PointMap's images are a PointSet, stored as columns like any domain:
+a float array, or integer numerators (A + B*sqrt(d))/D over one
+denominator.  Box product maps are computed for a whole domain at once, in
+two lanes that both give exactly the images of the formula in
+`box_product_point_map`, and write those columns directly.  Exact points
+under exact generators and knots take an integer lane on the domain's
+stored numerators, so floors and knot comparisons are integer sign tests
+and the images stay numerators (read back as the same Fraction or
+SqrtExt).  Float points take one numpy pass over the domain's float array
+that performs the scalar formula's float operations in its order, so the
+images are bit-identical.  Each map is checked injective on its columns.
 
 Field refusals come up front, for the whole input, before any image or
 distance: the field tags (`exact.field_of`) of the generators, the knots
-and the domain must have a common field for a box map (StepIsoError), and
-the pair scan joins the shape's tag with the domain's and with the images'
+and the domain must have a common field for a box map (StepIsoError),
+images with no common field are refused when the map is made, and the pair
+scan joins the shape's tag with the domain's and with the images'
 (GeometryError).
 """
 
@@ -69,7 +73,7 @@ from .geometry import (
 )
 from . import larg
 from .larg import _columns, _distances, _guard
-from .pointsets import PointSet, pointset_from_json, pointset_to_json
+from .pointsets import PointSet, PointSetError, _first_repeat, pointset_from_json, pointset_to_json
 
 __all__ = [
     "StepIsoError",
@@ -172,16 +176,16 @@ def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
     return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
 
 
-def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, rows, ints, images) -> None:
-    """The integer lane: images[j] for each j in rows, whose points are
-    exact over Q(sqrt(d)) (Q for d = 0), with coordinates ints = (P, xs, ys).
+def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, ints) -> tuple:
+    """The integer lane: the images of points exact over Q(sqrt(d)) (Q for
+    d = 0) with coordinates ints = (P, xs, ys), as numerator columns
+    (Dn, xs, ys) in the same format.
 
     The generators are (p_x + q_x*sqrt(d), ...)/G, each interleaving piece is
     s -> m*s + c with m, c over one denominator E, the knots are over T and
     the image coefficients over K.  A dual coordinate u = a.v is an int pair
     over Du = G*P; its floor, the piece it falls in (an integer sign test
-    against each knot) and the image numerators are all int arithmetic, and
-    each image coordinate becomes one Fraction or SqrtExt at the end.
+    against each knot) and the image numerators are all int arithmetic.
     """
     G, gen = surd_ints((a1.x, a1.y, a2.x, a2.y))
     den = a1.cross(a2)
@@ -200,8 +204,8 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, rows, ints, images) -> Non
     (k11a, k11b), (k12a, k12b), (k21a, k21b), (k22a, k22b) = coef
     P, xs, ys = ints
     Du = G * P
-    Dn = K * E * Du
-    for j, (Xa, Xb), (Ya, Yb) in zip(rows, xs, ys):
+    out_x, out_y = [], []
+    for (Xa, Xb), (Ya, Yb) in zip(xs, ys):
         W = []
         for (px, qx), (py, qy), knots, pieces in duals:
             UA = px * Xa + py * Ya + (qx * Xb + qy * Yb) * d
@@ -216,12 +220,11 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, rows, ints, images) -> Non
             mA, mB, cA, cB = pieces[k]
             W.append(((fl * E + cA) * Du + mA * SA + mB * UB * d, mA * UB + mB * SA + cB * Du))
         (w1a, w1b), (w2a, w2b) = W
-        images[j] = Vec2(
-            surd_value(k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
-                       k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a, Dn, d),
-            surd_value(k21a * w1a + k22a * w2a + (k21b * w1b + k22b * w2b) * d,
-                       k21a * w1b + k21b * w1a + k22a * w2b + k22b * w2a, Dn, d),
-        )
+        out_x.append((k11a * w1a + k12a * w2a + (k11b * w1b + k12b * w2b) * d,
+                      k11a * w1b + k11b * w1a + k12a * w2b + k12b * w2a))
+        out_y.append((k21a * w1a + k22a * w2a + (k21b * w1b + k22b * w2b) * d,
+                      k21a * w1b + k21b * w1a + k22a * w2b + k22b * w2a))
+    return K * E * Du, out_x, out_y
 
 
 def _first_double_at_least(t) -> float:
@@ -230,8 +233,8 @@ def _first_double_at_least(t) -> float:
     return math.nextafter(f, math.inf) if f < t else f
 
 
-def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
-    """The float lane: images[j] for each j in todo, xy holding their rows.
+def _float_images(a1: Vec2, a2: Vec2, g1, g2, xy: np.ndarray) -> np.ndarray:
+    """The float lane: the images of the rows of xy, as an array of rows.
 
     Every step is the float operation the scalar formula performs on float
     data, in the same order (an exact constant c enters as float(c), as
@@ -239,11 +242,11 @@ def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
     the knot comparison t <= s is exact in the scalar formula; it becomes
     s >= the smallest double >= t.  The first point whose floor or
     fractional part the scalar formula refuses (s rounded up to 1.0, a
-    non-finite dual coordinate) raises that refusal, after the images
-    before it are built.
+    non-finite dual coordinate), or whose image is not finite, raises that
+    refusal.
     """
     X, Y = xy[:, 0], xy[:, 1]
-    bad = np.zeros(len(todo), dtype=bool)
+    bad = np.zeros(len(xy), dtype=bool)
     ws = []
     with np.errstate(all="ignore"):
         for a, g in ((a1, g1), (a2, g2)):
@@ -259,18 +262,19 @@ def _float_images(a1: Vec2, a2: Vec2, g1, g2, todo, xy, images) -> None:
         den = float(a1.cross(a2))
         x = (w1 * float(a2.y) - w2 * float(a1.y)) / den
         y = (float(a1.x) * w2 - float(a2.x) * w1) / den
-    stop = int(np.argmax(bad)) if bad.any() else len(todo)
-    for j, wx, wy in zip(todo[:stop], x[:stop].tolist(), y[:stop].tolist()):
-        images[j] = Vec2(wx, wy)
-    if stop < len(todo):
+    images = np.column_stack((x, y))
+    for j in np.flatnonzero(bad | ~np.isfinite(images).all(axis=1))[:1].tolist():
         for a, g in ((a1, g1), (a2, g2)):
-            u = float(a.x) * float(xy[stop, 0]) + float(a.y) * float(xy[stop, 1])
+            u = float(a.x) * float(xy[j, 0]) + float(a.y) * float(xy[j, 1])
             apply_fractional_map(g, u)  # raises as the scalar formula does
+        Vec2(*images[j].tolist())  # a non-finite image: raises as the formula's Vec2 does
+    return images
 
 
-def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> list[Vec2]:
-    """The domain's images under the box product map; generators, knots and
-    points with no common field are refused first (StepIsoError)."""
+def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> PointSet:
+    """The domain's images under the box product map, checked injective;
+    generators, knots and points with no common field are refused first
+    (StepIsoError)."""
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise StepIsoError("box product maps need a box (two-generator) shape")
     a1, a2 = shape.generators
@@ -280,14 +284,46 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> list[Vec2]:
 
     # float setups send every point to the float lane; rational setups send
     # the exact points of a float domain built from Vec2s to the integer lane
+    n = len(domain)
     rows, ints = ((), None) if setup == FLOAT else domain._exact_part()
-    images = [None] * len(domain)
-    if rows:
-        _exact_images(a1, a2, g1, g2, 0 if common == FLOAT else common, rows, ints, images)
-    if len(rows) < len(domain):
-        todo = np.delete(np.arange(len(domain)), list(rows))  # a mask: np.setdiff1d imports numpy.ma
-        _float_images(a1, a2, g1, g2, todo.tolist(), domain.as_array()[todo], images)
+    d = 0 if common == FLOAT else common
+    if n and len(rows) == n:
+        cols = _exact_images(a1, a2, g1, g2, d, ints)
+        field = d if any(B for col in cols[1:] for _, B in col) else 0
+    elif n and not rows:
+        cols, field = _float_images(a1, a2, g1, g2, domain.as_array()), FLOAT
+    else:  # both lanes, or no point: Vec2s through the checking constructor
+        images = [None] * n
+        if rows:
+            D, xs, ys = _exact_images(a1, a2, g1, g2, d, ints)
+            for j, X, Y in zip(rows, xs, ys):
+                images[j] = Vec2(surd_value(*X, D, d), surd_value(*Y, D, d))
+        todo = np.delete(np.arange(n), list(rows))  # a mask: np.setdiff1d imports numpy.ma
+        for j, w in zip(todo.tolist(), _float_images(a1, a2, g1, g2, domain.as_array()[todo]).tolist()):
+            images[j] = Vec2(*w)
+        return _image_set(tuple(images), domain)
+    images = PointSet._from_columns(cols, field, domain.window, domain.seed, "float" if field == FLOAT else "rational")
+    dup = _first_repeat(cols, field)
+    if dup < n:
+        raise StepIsoError(f"map is not injective: image {images[dup]} repeats")
     return images
+
+
+def _image_set(images: tuple, domain: PointSet) -> PointSet:
+    """Vec2 images as a PointSet with the domain's window and seed, through
+    the checking constructor.  Images with no common field are refused
+    with GeometryError, as the checks refuse them; a repeat with StepIsoError."""
+    if not all(isinstance(w, Vec2) for w in images):
+        raise StepIsoError("images must be Vec2")
+    try:
+        ps = PointSet(images, domain.window, domain.seed)
+    except PointSetError:
+        field_of((c for w in images for c in (w.x, w.y)), GeometryError)
+        seen = set()
+        w = next(w for w in images if w in seen or seen.add(w))
+        raise StepIsoError(f"map is not injective: image {w} repeats") from None
+    ps.mode = "float" if ps.field == FLOAT else "rational"
+    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +334,22 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> list[Vec2]:
 class PointMap:
     """A finite map: domain points (by index) to image points.
 
+    images is a PointSet with the domain's window and seed, its mode set by
+    its field; Vec2 images (a tuple, as `dataclasses.replace` passes them)
+    go through the checking constructor, which refuses a repeated image.
     kind is a provenance tag ("arbitrary", "box-product", "explicit-1d").
     """
 
     domain: PointSet
-    images: tuple[Vec2, ...]
+    images: PointSet
     kind: str = "arbitrary"
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != len(self.domain):
-            raise StepIsoError(
-                f"{len(self.images)} images for {len(self.domain)} domain points"
-            )
-        seen = set()
-        for k, w in enumerate(self.images):
-            if not isinstance(w, Vec2):
-                raise StepIsoError("images must be Vec2")
-            seen.add((w.x, w.y))  # one hash per image; a repeat leaves the size at k
-            if len(seen) == k:
-                raise StepIsoError(f"map is not injective: image {w} repeats")
+        images = self.images if isinstance(self.images, PointSet) else tuple(self.images)
+        if len(images) != len(self.domain):
+            raise StepIsoError(f"{len(images)} images for {len(self.domain)} domain points")
+        if not isinstance(images, PointSet):
+            object.__setattr__(self, "images", _image_set(images, self.domain))
 
     def __len__(self):
         return len(self.images)
@@ -365,7 +397,7 @@ def pointmap_to_json(pmap: PointMap) -> str:
     obj = {
         "kind": pmap.kind,
         "domain": json.loads(pointset_to_json(pmap.domain)),
-        "images": [[format_scalar(w.x), format_scalar(w.y)] for w in pmap.images],
+        "images": [[format_scalar(x), format_scalar(y)] for x, y in pmap.images._coords()],
     }
     return json.dumps(obj)
 
@@ -411,10 +443,9 @@ def _fields(pmap: PointMap, shape: NormShape) -> tuple[int, int]:
     (GeometryError).  The two sides are never joined with each other: their
     distances are computed apart, and an exact domain with float images is
     a legitimate input."""
-    images = field_of((c for w in pmap.images for c in (w.x, w.y)), GeometryError)
-    for f in (pmap.domain.field, images):
+    for f in (pmap.domain.field, pmap.images.field):
         join_fields(shape.field, f, GeometryError)
-    return pmap.domain.field, images
+    return pmap.domain.field, pmap.images.field
 
 
 def _certified(dom_cols: np.ndarray, img_cols: np.ndarray, q, guard) -> np.ndarray:
@@ -429,10 +460,16 @@ def _certified(dom_cols: np.ndarray, img_cols: np.ndarray, q, guard) -> np.ndarr
     in every column, the distances (the maxima) share a floor, and neither is
     within margin of an integer.  The margin, the filter's guard plus 2^-48 (1
     + the largest |column|), covers the float error.  L^p certifies nothing.
+
+    A column constant on both sides is left out (collinear points tie in
+    it): its differences, 0 up to float error, lie below margin, so below
+    every tested column's, and never reach the maximum.  With no column
+    left, nothing is certified.
     """
     margin = guard + 2.0**-48 * (1.0 + max(np.abs(c).max() for c in (dom_cols, img_cols)))
-    ok = np.full(dom_cols.shape[1], q is None)
-    for a, b in zip(dom_cols, img_cols):
+    cols = [(a, b) for a, b in zip(dom_cols, img_cols) if a.min() < a.max() or b.min() < b.max()]
+    ok = np.full(dom_cols.shape[1], q is None and bool(cols))
+    for a, b in cols:
         if not ok.any():
             break
         off = np.floor(b) - np.floor(a)
@@ -446,12 +483,13 @@ def _certified(dom_cols: np.ndarray, img_cols: np.ndarray, q, guard) -> np.ndarr
     return ok
 
 
-def _scan_blocks(sure: np.ndarray):
-    """The pairs i < j with an uncertified end in row blocks, in order: the
-    block's uncertified rows against the columns from its first row i0, its
-    certified rows against the uncertified columns from i0; a block is the most
-    rows within larg._BLOCK_CELLS cells (larg._row_blocks if none is certified)."""
-    n, unsure, i0 = len(sure), np.flatnonzero(~sure), 0
+def _scan_blocks(sure: np.ndarray, i0: int):
+    """The pairs i < j, i >= i0, with an uncertified end in row blocks, in
+    order: the block's uncertified rows against the columns from its first
+    row, its certified rows against the uncertified columns from that row; a
+    block is the most rows within larg._BLOCK_CELLS cells (larg._row_blocks
+    if none is certified)."""
+    n, unsure = len(sure), np.flatnonzero(~sure)
     before = np.concatenate(([0], np.cumsum(~sure)))
     while i0 < n and (k := len(unsure) - int(before[i0])):
         span = np.arange(i0 + 1, min(n, i0 + max(1, larg._BLOCK_CELLS // k)) + 1)
@@ -469,7 +507,9 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails, rel=FLOAT
 
     The float filter takes both sides' distances over the row blocks of
     `_scan_blocks`, skipping pairs of points that certify(dom_cols, img_cols,
-    q, guard) names; marks(dd, di, guard) flags the pairs that may fail,
+    q, guard) names; row 0 is scanned whole, as its own block, before the
+    certificate is built, so a map that fails there builds none.
+    marks(dd, di, guard) flags the pairs that may fail,
     guard being larg._guard at level 1 over both sides.  Each flagged pair is
     then decided in order by fails(left, right) on the scalar values
     scalar(shape, x, y) of both sides, exact for exact data.  Callers refuse
@@ -480,13 +520,18 @@ def _pair_scan(pmap: PointMap, shape: NormShape, marks, scalar, fails, rel=FLOAT
     if n < 2:
         return Verdict(True, checked=0)
     xy = dom.as_array()
-    img = np.array([w.to_floats() for w in ims], dtype=float)
+    img = ims.as_array()
     dom_cols, reach, q = _columns(xy, shape)
     img_cols = _columns(img, shape)[0]
     guard = _guard(1.0, reach, xy, img, rel=rel)
-    sure = certify(dom_cols, img_cols, q, guard) if certify else np.zeros(n, dtype=bool)
     at, scanned = np.arange(n), 0
-    for pieces in _scan_blocks(sure):
+
+    def blocks():
+        yield (at[:1], slice(0, n)), (at[:0], at)
+        sure = certify(dom_cols, img_cols, q, guard) if certify else np.zeros(n, dtype=bool)
+        yield from _scan_blocks(sure, 1)
+
+    for pieces in blocks():
         keys = []
         for rows, cols in pieces:
             cj = at[cols]

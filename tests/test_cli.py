@@ -157,7 +157,8 @@ class TestStepiso:
         verdict = json.loads(out)
         assert verdict["ok"] is True
         assert verdict["pairs_checked"] == 8 * 7 // 2
-        # points on a line tie in y, so the certificate leaves every pair to the filter
+        # the x values (k^2 + 1)/7 repeat mod 1 (k = 3 and 4 give 3/7), so
+        # the certificate leaves every pair to the filter
         assert verdict["pairs_scanned"] == 8 * 7 // 2
 
     def test_explicit1d_is_not_isometry(self, workdir, capsys):
@@ -340,6 +341,8 @@ class TestExperiment:
             ({"alpha_seed": "1"}, "alpha_seed must be an integer, got '1'"),
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"budget": True}, "budget must be an integer, got True"),
+            ({"window": ["0", "0", "1"]}, "window must be four numbers (x0, y0, x1, y1), got ['0', '0', '1']"),
+            ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):

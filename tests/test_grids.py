@@ -29,6 +29,21 @@ def oracle_line_fracs(r, z1_values):
     return {fractional_part(z1 * r) for z1 in z1_values}
 
 
+def reference_grid_offsets(family: LineFamily, a: Vec2) -> list:
+    """grid_offsets line by line: fractional_part of each offset, deduped
+    on the values in line order, sorted by float."""
+    fracs = dict.fromkeys(fractional_part(ell.offset) for ell in family.lines_with_normal(a))
+    return sorted(fracs, key=float)
+
+
+def assert_same_offsets(family: LineFamily):
+    """grid_offsets equals the reference for every normal: values, types, order."""
+    for a in family.generators:
+        got, want = grid_offsets(family, a), reference_grid_offsets(family, a)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
 def line_keys(family: LineFamily):
     return {(ell.normal, ell.offset) for ell in family.all_lines()}
 
@@ -281,3 +296,17 @@ def test_four_classes_match_reference_at_depth_three():
     want = reference_levels(base, fam.generators, 3, F(1, 2))
     assert [{(ell.normal, ell.offset) for ell in lv} for lv in fam.levels] == want
     assert max(ell.offset.denominator for ell in fam.levels[3]) >= 24  # D0 = 6
+
+
+def test_grid_offsets_match_reference_on_benchmark_bases():
+    # the benchmark's grids: a shifted base with spacing sqrt(2) - 1 (window
+    # 2) and with spacing 1/3 (window 5), both to depth 6
+    t = Vec2(F(5, 13), F(9, 13))
+    for r, window in ((SQRT2_M1, 2), (F(1, 3), 5)):
+        assert_same_offsets(generate_grid((t, t + Vec2(r, F(0))), HEX_GENS, 6, window))
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_problems())
+def test_grid_offsets_match_reference(problem):
+    assert_same_offsets(generate_grid(*problem))

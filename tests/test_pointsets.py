@@ -175,8 +175,9 @@ def test_sampler_output_is_pinned():
 
 
 def test_float_kernels_leave_the_vec2_tuple_unbuilt():
-    # the float sweep, the edge coins and the step check read the array and
-    # build a Vec2 only for a pair near a boundary
+    # the float sweep, the edge coins, the box map and the step check read
+    # the arrays of the domain and the images, and build a Vec2 only for a
+    # pair near a boundary
     ps = sample_poisson_window(Window(0.0, 0.0, 6.0, 6.0), 10.0, seed=3)
     box = box_shape(Vec2(1, 0), Vec2(1, 2))
     for shape in (square_linf(), rational_hexagon(), box):
@@ -184,8 +185,9 @@ def test_float_kernels_leave_the_vec2_tuple_unbuilt():
         assert len(in_range_pairs(ps, shape, 1)[0]) > 0
     pmap = box_product_point_map(ps, box, canonical_interleaving(), canonical_interleaving())
     assert is_step_isometry(pmap, box).ok
-    assert "points" not in vars(ps)
-    assert len(ps.points) == len(ps)
+    for pts in (ps, pmap.images):
+        assert "points" not in vars(pts)
+        assert len(pts.points) == len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +492,10 @@ def test_pointset_json_reads_older_files():
     assert ps.points == (Vec2(Fraction(1, 2), Fraction(1, 3)), Vec2(Fraction(1, 4), Fraction(2, 3)))
     assert ps.idf_per_generator == {(Fraction(1), Fraction(0)): True}
     assert pointset_from_json(pointset_to_json(ps)) == ps
+
+
+@pytest.mark.parametrize("seed", ["1.5", "true", '"1"'])
+def test_pointset_json_refuses_a_seed_that_is_no_int(seed):
+    text = '{"seed": %s, "window": ["0/1", "0/1", "1/1", "1/1"], "mode": "rational", "points": [["1/2", "1/3"]]}' % seed
+    with pytest.raises(PointSetError, match="^seed must be an integer, got "):
+        pointset_from_json(text)
