@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _surd_nonneg, close, exact_div
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _surd_nonneg, close
 from .geometry import (
     LpShape,
     NormShape,
     PolygonShape,
     Vec2,
+    _meet,
     distance,
     is_triangular_set,
 )
@@ -91,15 +92,6 @@ def determining_generator(shape: NormShape, v: Vec2) -> Vec2:
     return Vec2(gx, gy)
 
 
-def _solve_two_lines(g1: Vec2, c1, g2: Vec2, c2) -> Vec2:
-    den = g1.cross(g2)
-    if den == 0:
-        raise AnchoringError("certificate generators are parallel; point not determined")
-    x = exact_div(c1 * g2.y - c2 * g1.y, den)
-    y = exact_div(g1.x * c2 - g2.x * c1, den)
-    return Vec2(x, y)
-
-
 def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: Vec2, dists) -> Vec2:
     """Recover the image of x from the anchor images and three distances.
 
@@ -142,7 +134,7 @@ def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: V
             if gens[i].cross(gens[j]) == 0:
                 raise AnchoringError("certificate generators are pairwise parallel; invalid")
     consts = tuple(gens[i].dot(w[i]) + s[i] for i in range(3))
-    y = _solve_two_lines(gens[0], consts[0], gens[1], consts[1])
+    y = Vec2(*_meet(gens[0], consts[0], gens[1], consts[1]))
     lhs = gens[2].dot(y)
     if not close(lhs, consts[2], max(1.0, abs(float(consts[2])))):
         raise AnchoringError(f"third face constraint violated by {lhs - consts[2]}")

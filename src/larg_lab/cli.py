@@ -215,8 +215,10 @@ def _cmd_experiment(args) -> int:
         window = Window(*(parse_scalar(c) for c in bounds))
     except TypeError as exc:
         raise ExperimentError(f"bad window {bounds!r}: {exc}") from None
-    intensity = float(cfg.get("intensity", 4.0))
-    points = sample_poisson_window(window, intensity, seed=seed, mode=cfg.get("mode", "rational"))
+    intensity = cfg.get("intensity", 4.0)
+    if isinstance(intensity, bool):
+        raise ExperimentError(f"intensity must be a number, got {intensity!r}")
+    points = sample_poisson_window(window, float(intensity), seed=seed, mode=cfg.get("mode", "rational"))
     alpha, points = rescale_to_idf(points, shape.generators, seed=alpha_seed)
     report = box_isomorphism_demo(points, shape, float(cfg.get("p", 0.5)), seeds=range(trials), budget=budget)
     payload = {

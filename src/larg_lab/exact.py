@@ -75,6 +75,38 @@ def _surd_nonneg(a: int, b: int, d: int) -> bool:
     return (a * a > b * b * d) == (a > 0)
 
 
+def _on_parts(method):
+    """A binary SqrtExt method on the other operand's parts (`_coerce`)."""
+
+    def wrapped(self, other):
+        parts = self._coerce(other)
+        if parts is None:
+            return NotImplemented
+        return method(self, *parts)
+
+    return wrapped
+
+
+def _order(test):
+    """A SqrtExt order method: test(sign of self - other), or NotImplemented."""
+
+    def wrapped(self, other):
+        c = self._cmp(other)
+        if c is None:
+            return NotImplemented
+        return test(c)
+
+    return wrapped
+
+
+def _inverse(a, b, d: int):
+    """1 / (a + b*sqrt(d)): the conjugate a - b*sqrt(d) over the norm."""
+    nrm = a * a - b * b * d
+    if nrm == 0:
+        raise ZeroDivisionError("division by zero")
+    return SqrtExt.make(a / nrm, -b / nrm, d)
+
+
 class SqrtExt:
     """a + b*sqrt(d) with a, b rational, b != 0, d a positive non-square int.
 
@@ -117,66 +149,35 @@ class SqrtExt:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
+    @_on_parts
+    def __add__(self, oa, ob):
         return SqrtExt.make(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
+    @_on_parts
+    def __sub__(self, oa, ob):
         return SqrtExt.make(self.a - oa, self.b - ob, self.d)
 
-    def __rsub__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
+    @_on_parts
+    def __rsub__(self, oa, ob):
         return SqrtExt.make(oa - self.a, ob - self.b, self.d)
 
-    def __mul__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
+    @_on_parts
+    def __mul__(self, oa, ob):
         return SqrtExt.make(
             self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa, self.d
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        # multiply by conjugate; norm oa^2 - ob^2 d is nonzero unless other == 0
-        nrm = oa * oa - ob * ob * self.d
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero")
-        return SqrtExt.make(
-            (self.a * oa - self.b * ob * self.d) / nrm,
-            (self.b * oa - self.a * ob) / nrm,
-            self.d,
-        )
+    @_on_parts
+    def __truediv__(self, oa, ob):
+        return self * _inverse(oa, ob, self.d)
 
-    def __rtruediv__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        nrm = self.a * self.a - self.b * self.b * self.d
-        return SqrtExt.make(
-            (oa * self.a - ob * self.b * self.d) / nrm,
-            (ob * self.a - oa * self.b) / nrm,
-            self.d,
-        )
+    @_on_parts
+    def __rtruediv__(self, oa, ob):
+        return _inverse(self.a, self.b, self.d) * SqrtExt.make(oa, ob, self.d)
 
     def __neg__(self):
         return SqrtExt(-self.a, -self.b, self.d)
@@ -207,35 +208,13 @@ class SqrtExt:
         c = self._cmp(other)
         return False if c is None else c == 0
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+    __lt__ = _order(lambda c: c < 0)
+    __le__ = _order(lambda c: c <= 0)
+    __gt__ = _order(lambda c: c > 0)
+    __ge__ = _order(lambda c: c >= 0)
 
     def __hash__(self):
         return hash(("SqrtExt", self.a, self.b, self.d))
-
-    def __bool__(self):
-        return True  # b != 0 means the value is irrational, hence nonzero
 
     # -- conversions ----------------------------------------------------------
 

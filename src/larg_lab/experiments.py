@@ -35,13 +35,14 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, exact_div, guarded_floor, is_exact, surd_float
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact, surd_float
 from .geometry import (
     GeometryError,
     LpShape,
     NormShape,
     PolygonShape,
     Vec2,
+    _meet,
     box_shape,
     diamond_l1,
     distance,
@@ -99,6 +100,8 @@ def shape_from_spec(spec: str) -> NormShape:
     Accepted: "hexagon", "regular-hexagon", "square", "diamond",
     "lp:<p>", and "box:ax,ay;bx,by" with exact rational components.
     """
+    if not isinstance(spec, str):
+        raise ExperimentError(f"shape spec must be a string, got {spec!r}")
     s = spec.strip().lower()
     if s == "hexagon":
         return rational_hexagon()
@@ -156,6 +159,8 @@ class ExperimentConfig:
             raise ExperimentError("prefix sizes start at the anchor, n >= 3")
         if not 0.0 < self.p < 1.0:
             raise ExperimentError(f"p must be in (0, 1), got {self.p}")
+        if isinstance(self.intensity, bool):
+            raise ExperimentError(f"intensity must be a number, got {self.intensity!r}")
         if self.intensity <= 0:
             raise ExperimentError("intensity must be positive")
         if self.mode not in ("float", "rational"):
@@ -220,30 +225,11 @@ class DecayRow:
 
 def _linear_part(m: tuple, w: tuple):
     """Row-major L with L(m1-m0) = w1-w0 and L(m2-m0) = w2-w0, or None."""
-    d1, d2 = m[1] - m[0], m[2] - m[0]
+    d1, d2 = m[1] - m[0], m[2] - m[0]  # anchors are triangular, never collinear
     e1, e2 = w[1] - w[0], w[2] - w[0]
-    det = d1.cross(d2)  # anchors are triangular, never collinear
     if e1.cross(e2) == 0:
         return None
-    return (
-        exact_div(e1.x * d2.y - e2.x * d1.y, det),
-        exact_div(e2.x * d1.x - e1.x * d2.x, det),
-        exact_div(e1.y * d2.y - e2.y * d1.y, det),
-        exact_div(e2.y * d1.x - e1.y * d2.x, det),
-    )
-
-
-def _inverse_transpose(L):
-    a, b, c, d = L
-    det = a * d - b * c
-    if det == 0:
-        return None
-    return (
-        exact_div(d, det),
-        exact_div(-c, det),
-        exact_div(-b, det),
-        exact_div(a, det),
-    )
+    return (*_meet(d1, e1.x, d2, e2.x), *_meet(d1, e1.y, d2, e2.y))
 
 
 def _apply(L, v: Vec2) -> Vec2:
@@ -251,17 +237,20 @@ def _apply(L, v: Vec2) -> Vec2:
     return Vec2(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
-def _is_shape_symmetry(shape: NormShape, Lit) -> bool:
-    """Does y -> L y preserve the norm? Checked through the dual action Lit."""
+def _is_shape_symmetry(shape: NormShape, L) -> bool:
+    """Does y -> L y preserve the norm? Tested on L^T: for a polygon it must
+    send each generator to a signed generator, as ||L y|| = max_g |(L^T g).y|;
+    under L^p it must be orthogonal (p = 2) or a signed permutation."""
+    Lt = (L[0], L[2], L[1], L[3])
     if isinstance(shape, PolygonShape):
         signed = shape.signed_generators()
         for g in shape.generators:
-            img = _apply(Lit, g)
+            img = _apply(Lt, g)
             if not any(close(img.x, h.x) and close(img.y, h.y) for h in signed):
                 return False
         return True
     if isinstance(shape, LpShape):
-        a, b, c, d = Lit
+        a, b, c, d = Lt
         if shape.p == 2:
             checks = (a * a + c * c - 1, b * b + d * d - 1, a * b + c * d)
         else:
@@ -359,8 +348,7 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
             L = _linear_part(m, w)
             if L is None:
                 continue
-            Lit = _inverse_transpose(L)
-            if Lit is None or not _is_shape_symmetry(shape, Lit):
+            if not _is_shape_symmetry(shape, L):
                 continue
             images = [u1, u2, u3]
             for x in rest:
@@ -641,13 +629,6 @@ def _floor_table(points: PointSet, shape: PolygonShape):
     return tables
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, left: int):
-        self.left = left
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -677,12 +658,13 @@ def back_and_forth_isomorphism(
     floors = _floor_table(points, shape)
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-    meter = _Budget(budget)
+    left = budget
     adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
 
-    def consistent(u: int, w: int) -> bool:
-        for u2, w2 in fwd.items():
-            if adj_g[u][u2] != adj_h[w][w2]:
+    def consistent(u: int, w: int, mapped: dict, adj_u, adj_w) -> bool:
+        # may u map to w, with mapped holding the pairs (u2, w2) of u's side?
+        for u2, w2 in mapped.items():
+            if adj_u[u][u2] != adj_w[w][w2]:
                 return False
             for tab in floors:
                 if tab[u][u2] != tab[w][w2]:
@@ -690,39 +672,24 @@ def back_and_forth_isomorphism(
         return True
 
     def extend() -> bool:
+        nonlocal left
         if len(fwd) == n:
             return True
-        step = len(fwd)
-        if step % 2 == 0:
-            u = min(v for v in range(n) if v not in fwd)
-            for w in range(n):
-                if w in bwd:
-                    continue
-                if meter.left <= 0:
-                    raise _BudgetExhausted
-                meter.left -= 1
-                if consistent(u, w):
-                    fwd[u] = w
-                    bwd[w] = u
-                    if extend():
-                        return True
-                    del fwd[u]
-                    del bwd[w]
-        else:
-            w = min(v for v in range(n) if v not in bwd)
-            for u in range(n):
-                if u in fwd:
-                    continue
-                if meter.left <= 0:
-                    raise _BudgetExhausted
-                meter.left -= 1
-                if consistent(u, w):
-                    fwd[u] = w
-                    bwd[w] = u
-                    if extend():
-                        return True
-                    del fwd[u]
-                    del bwd[w]
+        mapped, other, adj_m, adj_o = (fwd, bwd, adj_g, adj_h) if len(fwd) % 2 == 0 else (bwd, fwd, adj_h, adj_g)
+        v = min(x for x in range(n) if x not in mapped)
+        for c in range(n):
+            if c in other:
+                continue
+            if left <= 0:
+                raise _BudgetExhausted
+            left -= 1
+            if consistent(v, c, mapped, adj_m, adj_o):
+                mapped[v] = c
+                other[c] = v
+                if extend():
+                    return True
+                del mapped[v]
+                del other[c]
         return False
 
     try:

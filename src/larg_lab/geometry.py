@@ -103,6 +103,13 @@ def _is_zero(v: Vec2) -> bool:
     return v.x == 0 and v.y == 0
 
 
+def _meet(a: Vec2, r, b: Vec2, s) -> tuple:
+    """The (x, y) with a.(x, y) = r and b.(x, y) = s, by Cramer's rule; a and
+    b must not be parallel."""
+    den = a.cross(b)
+    return exact_div(r * b.y - s * a.y, den), exact_div(a.x * s - b.x * r, den)
+
+
 @dataclass(frozen=True)
 class Line:
     """Oriented line a.x = r given by normal a and offset r."""
@@ -168,7 +175,6 @@ class PolygonShape:
                         f"generators {i} and {j} are parallel; store one per direction"
                     )
         self.generators = gens
-        self._vertices: tuple[Vec2, ...] | None = None
 
     def __repr__(self):
         return f"PolygonShape({list(self.generators)!r})"
@@ -193,7 +199,7 @@ class PolygonShape:
         return tuple(sorted(out, key=cmp_to_key(_angle_cmp)))
 
     def vertices(self) -> tuple[Vec2, ...]:
-        """Polygon vertices in counterclockwise order (computed once).
+        """Polygon vertices in counterclockwise order, computed on each call.
 
         Valid only for properly scaled generator sets (every face line
         a.x = 1 touches the shape); redundant constraints are rejected: a
@@ -201,33 +207,25 @@ class PolygonShape:
         that only touches a corner makes two consecutive vertices coincide
         (``exact.close`` in both coordinates).
         """
-        if self._vertices is None:
-            signed = self.signed_generators()
-            k = len(signed)
-            verts = []
-            for i in range(k):
-                a, b = signed[i], signed[(i + 1) % k]
-                den = a.cross(b)
-                # adjacent constraint lines a.x = 1, b.x = 1
-                x = exact_div(b.y - a.y, den)
-                y = exact_div(a.x - b.x, den)
-                verts.append(Vec2(x, y))
-            for i, v in enumerate(verts):
-                u = verts[i - 1]
-                if close(v.x, u.x) and close(v.y, u.y):
+        signed = self.signed_generators()
+        k = len(signed)
+        # adjacent constraint lines a.x = 1, b.x = 1
+        verts = [Vec2(*_meet(signed[i], 1, signed[(i + 1) % k], 1)) for i in range(k)]
+        for i, v in enumerate(verts):
+            u = verts[i - 1]
+            if close(v.x, u.x) and close(v.y, u.y):
+                raise GeometryError(
+                    f"redundant generator: the faces of {signed[i - 1]}, {signed[i]} "
+                    f"and {signed[(i + 1) % k]} meet at the vertex {v}"
+                )
+        for v in verts:
+            for a in signed:
+                if a.dot(v) > 1 and not close(a.dot(v), 1):
                     raise GeometryError(
-                        f"redundant generator: the faces of {signed[i - 1]}, {signed[i]} "
-                        f"and {signed[(i + 1) % k]} meet at the vertex {v}"
+                        "generator set is not scaled to the shape: vertex "
+                        f"{v} violates |{a}.x| <= 1"
                     )
-            for v in verts:
-                for a in signed:
-                    if a.dot(v) > 1 and not close(a.dot(v), 1):
-                        raise GeometryError(
-                            "generator set is not scaled to the shape: vertex "
-                            f"{v} violates |{a}.x| <= 1"
-                        )
-            self._vertices = tuple(verts)
-        return self._vertices
+        return tuple(verts)
 
 
 class LpShape:

@@ -327,6 +327,8 @@ class TestExperiment:
             ({"n_values": [3.7, 4]}, "n_values entry must be an integer, got 3.7"),
             ({"window": ["0", "0", "1", "1"]}, "window must be four numbers"),
             ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+            ({"shape": 5}, "shape spec must be a string, got 5"),
+            ({"intensity": True}, "intensity must be a number, got True"),
         ],
     )
     def test_decay_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
@@ -343,6 +345,8 @@ class TestExperiment:
             ({"budget": True}, "budget must be an integer, got True"),
             ({"window": ["0", "0", "1"]}, "window must be four numbers (x0, y0, x1, y1), got ['0', '0', '1']"),
             ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]"),
+            ({"shape": ["square"]}, "shape spec must be a string, got ['square']"),
+            ({"intensity": True}, "intensity must be a number, got True"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):

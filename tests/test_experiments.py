@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from larg_lab import experiments, larg
 from larg_lab.anchoring import AnchoringError, good_enumeration
-from larg_lab.exact import BoundaryAmbiguityError, guarded_floor, is_exact
+from larg_lab.exact import BoundaryAmbiguityError, close, exact_div, guarded_floor, is_exact
 from larg_lab.experiments import (
     BoxDemoReport,
     DecayRow,
@@ -26,9 +26,6 @@ from larg_lab.experiments import (
     _coin_rows,
     _extension_candidates,
     _floor_table,
-    _inverse_transpose,
-    _is_shape_symmetry,
-    _linear_part,
     _point_lookup,
     _surviving_trials,
     _trial_seed,
@@ -46,6 +43,7 @@ from larg_lab.experiments import (
 )
 from larg_lab.geometry import (
     LpShape,
+    PolygonShape,
     Vec2,
     box_shape,
     diamond_l1,
@@ -154,9 +152,53 @@ class TestDecayBound:
             paper_decay_bound(5, 1, 0.5)
 
 
-def reference_extension_candidates(enum, n):
+def ref_linear_part(m, w):
+    # L with L(m1-m0) = w1-w0 and L(m2-m0) = w2-w0, its four quotients
+    # written out; None for collinear images
+    d1, d2 = m[1] - m[0], m[2] - m[0]
+    e1, e2 = w[1] - w[0], w[2] - w[0]
+    det = d1.cross(d2)
+    if e1.cross(e2) == 0:
+        return None
+    return (
+        exact_div(e1.x * d2.y - e2.x * d1.y, det),
+        exact_div(e2.x * d1.x - e1.x * d2.x, det),
+        exact_div(e1.y * d2.y - e2.y * d1.y, det),
+        exact_div(e2.y * d1.x - e1.y * d2.x, det),
+    )
+
+
+def ref_inverse_transpose(L):
+    a, b, c, d = L
+    det = a * d - b * c
+    if det == 0:
+        return None
+    return (exact_div(d, det), exact_div(-c, det), exact_div(-b, det), exact_div(a, det))
+
+
+def ref_is_shape_symmetry(shape, Lit):
+    # y -> L y keeps the norm, tested through the dual action Lit = L^-T
+    if isinstance(shape, LpShape):
+        a, b, c, d = Lit
+        if shape.p == 2:
+            checks = (a * a + c * c - 1, b * b + d * d - 1, a * b + c * d)
+        else:
+            checks = ((abs(a) - 1) * (abs(b) - 1), (abs(c) - 1) * (abs(d) - 1), a * b, c * d, a * c, b * d)
+        return all(close(v, 0) for v in checks)
+    signed = shape.signed_generators()
+    for g in shape.generators:
+        img = _apply(Lit, g)
+        if not any(close(img.x, h.x) and close(img.y, h.y) for h in signed):
+            return False
+    return True
+
+
+def reference_extension_candidates(enum, n, seen=None):
     """The scalar candidate loop: every pair distance of V_n computed by the
-    scalar distance, then u1, u2, u3 tried in V_n order."""
+    scalar distance, then u1, u2, u3 tried in V_n order.  The linear part
+    and the symmetry test (through L^-T) are the test's own.  `seen`, when
+    given, counts the triples the symmetry test rejects and the candidates
+    cut short by a later point mapped off the sample or onto a used image."""
     vn = enum.order[:n]
     if n == 3:
         return tuple(permutations(vn, 3))
@@ -185,16 +227,20 @@ def reference_extension_candidates(enum, n):
                 if pair_d[(u1, u3)] != d02 or pair_d[(u2, u3)] != d12:
                     continue
                 w = (pts[u1], pts[u2], pts[u3])
-                L = _linear_part(m, w)
+                L = ref_linear_part(m, w)
                 if L is None:
                     continue
-                Lit = _inverse_transpose(L)
-                if Lit is None or not _is_shape_symmetry(shape, Lit):
+                Lit = ref_inverse_transpose(L)
+                if Lit is None or not ref_is_shape_symmetry(shape, Lit):
+                    if seen is not None:
+                        seen["rejected"] += 1
                     continue
                 images = [u1, u2, u3]
                 for x in rest:
                     idx = lookup(w[0] + _apply(L, x))
                     if idx is None or idx in images:
+                        if seen is not None:
+                            seen["broken"] += 1
                         break
                     images.append(idx)
                 else:
@@ -228,6 +274,11 @@ def symmetric_point_set(spec, sample):
                 seen.add(img)
                 pts.append(img)
     return PointSet(tuple(pts), w, sample.seed, mode=sample.mode)
+
+
+_LATTICE_OCTAGON = PolygonShape(
+    [Vec2(1, 0), Vec2(0, 1), Vec2(Fraction(2, 3), Fraction(2, 3)), Vec2(Fraction(2, 3), Fraction(-2, 3))]
+)
 
 
 class TestCandidateReference:
@@ -274,6 +325,23 @@ class TestCandidateReference:
                 assert _extension_candidates(enum, n) == want
                 several += len(want) > 1
         assert several > 0
+
+    def test_lattice_patches_reject_and_cut_short(self):
+        # 7x7 patches of (1/3)Z^2 and (2/5)Z^2: many anchor images keep the
+        # anchor distances, so the symmetry test rejects some and later
+        # points fall off the patch or onto a used image for others
+        seen = {"rejected": 0, "broken": 0}
+        most = 0
+        for step in (Fraction(1, 3), Fraction(2, 5)):
+            pts = tuple(Vec2(i * step, j * step) for i in range(7) for j in range(7))
+            ps = PointSet(pts, Window(Fraction(0), Fraction(0), 7 * step, 7 * step), 0, mode="rational")
+            for shape in (LpShape(2), _LATTICE_OCTAGON):
+                enum = good_enumeration(ps, shape)
+                for n in (4, 5, 8, 12, 20):
+                    want = reference_extension_candidates(enum, n, seen)
+                    assert _extension_candidates(enum, n) == want
+                    most = max(most, len(want))
+        assert seen["rejected"] > 0 and seen["broken"] > 0 and most > 1
 
     def test_scalar_distance_calls_on_benchmark_rows(self):
         # the benchmark's decay config at seed 1: the scalar loop made 1046

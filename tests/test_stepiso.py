@@ -765,53 +765,75 @@ _MUTANT_CASES = (
 @st.composite
 def certificate_problems(draw):
     """A map, a shape to check it under and a block size.  Points are float
-    or Fraction, on both sides of 0, some placed an integer step (plus at
-    most 1e-10) from another point or within 1e-10 of an integer.  Maps are
-    box-product maps under a box of BOXES, possibly with one image nudged
-    across a floor, or translations by an integer or a non-integer vector.
-    Some sets are collinear: every point shares its x or its y.
+    or Fraction, on both sides of 0, their fractional parts on a grid of
+    2^-20.  Then points other than the first move, so that fractional parts
+    cluster near 0 and 1 and near each other: onto a lattice point or within
+    1e-10 of one, two points just above and just below lattice points, or
+    one point an integer step from another plus 0, 1e-10 or 1/256 along an
+    axis (some sets take many such moves).  Maps are box-product maps under
+    a box of BOXES or translations by an integer or a non-integer vector;
+    one image may be nudged by 1 or 1/64 along an axis, that of the point
+    moved by a step if there is one.  Some sets are collinear: every point
+    shares its x or its y, and the nudge moves an image off the line.  The
+    first point may lie 40 apart across the nudge, so that the first row,
+    scanned before the certificate is built, keeps its floors under the
+    square.  Half of the maps are checked under their own box.
     """
     exact = draw(st.booleans())
     line = draw(st.sampled_from([None, None, 0, 1]))  # the shared coordinate, if any
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tiny = F(1, 10**10) if exact else 1e-10
 
-    def coord():
-        k = int(rng.integers(-6, 6))
-        how = rng.choice(["plain", "integer", "near"])
-        frac = F(int(rng.integers(0, 1 << 10)), 1 << 10) if how == "plain" else 0
-        near = int(rng.integers(-2, 3)) * tiny / 2 if how == "near" else 0
-        return (k + frac + near) if exact else float(k + frac) + near
+    def num(c):
+        return c if exact else float(c)
 
-    n = draw(st.integers(2, 30))
-    shared = coord()
-    pts = {}
-    while len(pts) < n:
-        p = (coord(), coord())
-        if pts and rng.random() < 0.3:  # an integer step from a point, plus a sliver
-            x, y = list(pts.values())[int(rng.integers(len(pts)))]
-            p = (x + int(rng.integers(-3, 4)) + int(rng.integers(-1, 2)) * tiny, y + int(rng.integers(-3, 4)))
-        if line is not None:
-            p = (shared, p[1]) if line == 0 else (p[0], shared)
-        pts[(float(p[0]), float(p[1]))] = p
-    ps = PointSet(tuple(Vec2(*p) for p in pts.values()), Window(-10, -10, 10, 10), 0, "rational" if exact else "float")
+    def integer():
+        return num(int(rng.integers(-6, 6)))
+
+    n = int(rng.integers(2, 31))
+    pts = [[integer() + num(F(int(rng.integers(0, 1 << 20)), 1 << 20)) for _ in "xy"] for _ in range(n)]
+    moves = [draw(st.sampled_from(["lattice", "near", "wrap", "step"]))]
+    if draw(st.booleans()):
+        moves += ["lattice", "near", "step"] * draw(st.sampled_from([0, n // 3]))
+    k, axis = int(rng.integers(1, n)), int(rng.integers(2))  # the nudge
+    for move in moves:
+        i, j, a = (int(v) for v in rng.integers((1, 1, 0), (n, n, 2)))
+        lattice = [integer(), integer()]
+        if move == "lattice":
+            pts[j] = lattice
+        elif move == "near":
+            pts[j] = [c + int(rng.choice([-2, -1, 1, 2])) * tiny / 2 for c in lattice]
+        elif move == "wrap":
+            pts[i] = [lattice[0] + tiny / 2, lattice[1] + tiny / 4]
+            pts[j] = [integer() - tiny / 2, integer() - tiny / 4]
+        else:
+            sliver = (0, tiny, -tiny, F(1, 256), F(-1, 256))[int(rng.integers(5))]
+            pts[j] = [num(c + int(rng.integers(-3, 4)) + (sliver if b == a else 0)) for b, c in enumerate(pts[i])]
+            k, axis = j, a
+    if line is not None:
+        axis = line
+        for p in pts:
+            p[line] = pts[0][line]
+    if draw(st.booleans()):
+        pts[0][1 - axis] += num(40)
+    assume(len({(float(x), float(y)) for x, y in pts}) == n)
+    ps = PointSet(tuple(Vec2(*p) for p in pts), Window(-50, -50, 50, 50), 0, "rational" if exact else "float")
     box = draw(st.sampled_from(BOXES))
-    how = draw(st.sampled_from(["box", "nudge", "integer", "shift"]))
-    if how in ("box", "nudge"):
+    how = draw(st.sampled_from(["box", "box", "integer", "shift"]))
+    if how == "box":
         try:
             pm = box_product_point_map(ps, box, draw(interleavings()), draw(interleavings()))
         except StepIsoError:  # a fractional part rounded up to 1.0
             assume(False)
         ims = list(pm.images)
-        if how == "nudge":
-            k = int(rng.integers(n))
-            ims[k] = ims[k] + Vec2(1 if rng.random() < 0.5 else F(1, 64), 0) * (1 if exact else 1.0)
     else:
         t = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4))) if how == "integer" else (F(3, 7), F(-5, 4))
-        ims = [p + Vec2(*(c if exact else float(c) for c in t)) for p in ps.points]
+        ims = [p + Vec2(*(num(c) for c in t)) for p in ps.points]
+    nudge = draw(st.sampled_from([0, 1, 0, 1, F(1, 64)]))
+    if nudge:
+        ims[k] = ims[k] + Vec2(*(num(nudge if b == axis else 0) for b in (0, 1)))
     assume(len(set((w.x, w.y) for w in ims)) == n)
-    shapes = dict(_CHECK_SHAPES, own=box)
-    shape = shapes[draw(st.sampled_from(sorted(shapes)))]
+    shape = box if draw(st.booleans()) else draw(st.sampled_from(list(_CHECK_SHAPES.values())))
     return PointMap(ps, tuple(ims)), shape, draw(st.sampled_from([1, 7, 64, larg._BLOCK_CELLS]))
 
 
