@@ -468,9 +468,9 @@ def _validator_rules(enum: GoodEnumeration):
         )
 
     encs = _projection_ints(enum.point_set, shape.generators)
-    D = math.lcm(*(e[0] for e in encs))
+    D = encs[0][0]
     d = max(fields, default=0)
-    rows = [[(A * (D // De), B * (D // De)) for A, B in proj] for De, proj, _ in encs]
+    rows = [proj for _, proj, _ in encs]
     signed = [(a, -a) for a in shape.generators]
 
     def diffs(i, j):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact, surd_float
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact
 from .geometry import (
     GeometryError,
     LpShape,
@@ -579,7 +579,12 @@ def rows_from_csv(path) -> list[DecayRow]:
         header = next(reader, None)
         if tuple(header or ()) != _CSV_COLUMNS:
             raise ExperimentError(f"unexpected CSV header {header!r}")
-        return [DecayRow(*(f.type(cell) for f, cell in zip(_CSV_FIELDS, row))) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(_CSV_COLUMNS):
+                raise ExperimentError(f"CSV line {reader.line_num} has {len(row)} cells, not {len(_CSV_COLUMNS)}")
+            rows.append(DecayRow(*(f.type(cell) for f, cell in zip(_CSV_FIELDS, row))))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -601,29 +606,27 @@ def box_to_linf_transform(shape: NormShape):
 def _floor_table(points: PointSet, shape: PolygonShape):
     """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats.
 
-    A float filter floors the difference matrix; cells within a guard of an
-    integer are decided in row-major order: exact data by the floor of the
-    integer projections (`pointsets._projection_ints`) the float column was
-    read from, floats by guarded_floor.  The diagonal is exactly 0.
+    A float filter floors the difference matrix of each column of
+    larg._columns; cells within larg's guard of an integer are decided in
+    row-major order: exact sets by the floor of the integer projections
+    (`pointsets._projection_ints`), float sets by guarded_floor of a.p_u -
+    a.p_v, exact for exact points.  The diagonal is exactly 0.
     """
+    arr = points.as_array()
+    cols, reach, _ = larg._columns(arr, shape)
+    guard = larg._guard(1.0, reach, arr)
     tables = []
-    for a, enc in zip(shape.generators, _projection_ints(points, shape.generators)):
-        if enc is None:
-            proj = [a.dot(v) for v in points.points]
-            col = np.array([float(t) for t in proj])
-        else:
-            D, proj, d = enc
-            col = np.array([surd_float(A, B, D, d) for A, B in proj])
+    for a, col, enc in zip(shape.generators, cols, _projection_ints(points, shape.generators)):
         diff = col[:, None] - col[None, :]
         tab = np.floor(diff)
-        guard = larg._guard(1.0, 1.0, col)
         near = np.abs(diff - np.rint(diff)) < guard
         np.fill_diagonal(near, False)
         np.fill_diagonal(tab, 0.0)
         for u, v in zip(*np.nonzero(near)):
             if enc is None:
-                tab[u, v] = guarded_floor(proj[u] - proj[v], what=f"projection difference ({u}, {v})")
+                tab[u, v] = guarded_floor(a.dot(points[u]) - a.dot(points[v]), what=f"projection difference ({u}, {v})")
             else:
+                D, proj, d = enc
                 tab[u, v] = _floor_surd(proj[u][0] - proj[v][0], proj[u][1] - proj[v][1], d, D)
         tables.append(tab.astype(np.int64).tolist())
     return tables

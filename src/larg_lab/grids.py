@@ -21,8 +21,8 @@ reduces them mod 1 on the numerators.
 
 from dataclasses import dataclass
 
-from .exact import FLOAT, _floor_surd, exact_div, field_of, surd_ints, surd_value
-from .geometry import Line, Vec2
+from .exact import FLOAT, _floor_surd, field_of, surd_ints, surd_value
+from .geometry import Line, Vec2, _meet
 
 __all__ = [
     "GridError",
@@ -92,7 +92,7 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
         raise GridError("window must be positive")
 
     nclasses = len(gens)
-    # combination coefficients: gens[k3] = alpha * gens[k1] + beta * gens[k2]
+    # combination coefficients: gens[k3] = alpha * gens[k1] + beta * gens[k2], in x and in y
     combo = {}
     for k1 in range(nclasses):
         for k2 in range(nclasses):
@@ -102,8 +102,8 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
             for k3 in range(nclasses):
                 if k3 == k1 or k3 == k2:
                     continue
-                alpha = exact_div(gens[k3].cross(gens[k2]), den)
-                beta = exact_div(gens[k1].cross(gens[k3]), den)
+                rx, ry = Vec2(gens[k1].x, gens[k2].x), Vec2(gens[k1].y, gens[k2].y)
+                alpha, beta = _meet(rx, gens[k3].x, ry, gens[k3].y)
                 combo.setdefault((k1, k2), []).append((k3, alpha, beta))
     # coef: (A, B) of alpha, then of beta, over one denominator L
     L, co = surd_ints([c for cs in combo.values() for _, alpha, beta in cs for c in (alpha, beta)])

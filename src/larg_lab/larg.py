@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT_INTEGER_GUARD, format_scalar, join_fields, parse_scalar
+from .exact import FLOAT_INTEGER_GUARD, _malformed_json, format_scalar, join_fields, parse_scalar
 from .geometry import GeometryError, LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
@@ -128,7 +128,7 @@ def pair_uniform_array(edge_seed, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     del us, vs
     if np.any(a == b):
         raise LargError("pair needs two distinct vertices")
-    h = _absorb(_vertex_words(a), _seed_stage(edge_seed))
+    h = _vertex_table(edge_seed, a).reshape(a.shape)  # a 0-d pair stays 0-d
     return _absorb(h, _vertex_words(b)) / 2.0**64
 
 
@@ -509,20 +509,22 @@ def graph_lines(G: GeoGraph):
 
 
 def load_graph(path) -> GeoGraph:
-    with open(path) as fh:
+    """Read a graph file; a malformed header or edge line raises LargError."""
+    with open(path) as fh, _malformed_json("graph", LargError):
         header = json.loads(fh.readline())
         edges = []
         for line in fh:
-            line = line.strip()
-            if not line:
+            words = line.split()
+            if not words:
                 continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    return GeoGraph(
-        point_set_ref=header["point_set_ref"],
-        n=int(header["n"]),
-        p=float(header["p"]),
-        delta=parse_scalar(header["delta"]),
-        edge_seed=int(header["edge_seed"]),
-        edges=edges,
-    )
+            if len(words) != 2:
+                raise LargError(f"graph edge line {line.strip()!r} is not two vertices")
+            edges.append((int(words[0]), int(words[1])))
+        return GeoGraph(
+            point_set_ref=header["point_set_ref"],
+            n=int(header["n"]),
+            p=float(header["p"]),
+            delta=parse_scalar(header["delta"]),
+            edge_seed=int(header["edge_seed"]),
+            edges=edges,
+        )

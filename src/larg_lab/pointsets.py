@@ -168,14 +168,14 @@ class PointSet:
                 yield surd_value(*x, D, self.field), surd_value(*y, D, self.field)
 
     def _exact_part(self):
-        """The indices of the points with two exact coordinates (all of an
-        exact set, none of a sampled float set) and their numerators (D, xs, ys)."""
+        """The indices of the points with two exact coordinates (all of an exact
+        set, none of a sampled float set) and those points as a PointSet."""
         if self._ints is not None:
-            return range(len(self)), self._ints
+            return range(len(self)), self
         pts = self.__dict__.get("points", ())
         rows = [j for j, v in enumerate(pts) if v.is_exact()]
         D, ints = surd_ints(c for j in rows for c in (pts[j].x, pts[j].y))
-        return rows, (D, ints[::2], ints[1::2])
+        return rows, PointSet._from_columns((D, ints[::2], ints[1::2]), 0, self.window, self.seed, self.mode)
 
     def __len__(self):
         return len(self._xy) if self._ints is None else len(self._ints[1])
@@ -379,20 +379,21 @@ def _projection_ints(points: PointSet, generators: Sequence[Vec2]) -> list:
     """Per generator a, the projections a.v of the points as (D, [(A, B)], d)
     with a.v = (A + B*sqrt(d))/D, or None when a or the points are float.
 
-    The projections are taken from the stored numerators; a generator with
-    no common field with the points raises PointSetError.
+    The projections are taken from the stored numerators, all over one D; a
+    generator with no common field with the points raises PointSetError.
     """
     fields = [join_fields(field_of((a.x, a.y), PointSetError), points.field, PointSetError) for a in generators]
     if points.field == FLOAT:
         return [None] * len(fields)
     D, xs, ys = points._ints
+    G, gens = surd_ints(c for a, d in zip(generators, fields) if d != FLOAT for c in (a.x, a.y))
     out = []
-    for a, d in zip(generators, fields):
+    for d in fields:
         if d == FLOAT:
             out.append(None)
             continue
         # (g + h*sqrt(d))(x + y*sqrt(d)) = (g*x + h*y*d) + (g*y + h*x)*sqrt(d)
-        G, ((gx, hx), (gy, hy)) = surd_ints((a.x, a.y))
+        (gx, hx), (gy, hy), *gens = gens
         proj = [
             (gx * xa + gy * ya + (hx * xb + hy * yb) * d, gx * xb + hx * xa + gy * yb + hy * ya)
             for (xa, xb), (ya, yb) in zip(xs, ys)

@@ -68,12 +68,13 @@ from .geometry import (
     NormShape,
     PolygonShape,
     Vec2,
+    _meet,
     distance,
     truncated_distance,
 )
 from . import larg
 from .larg import _columns, _distances, _guard
-from .pointsets import PointSet, PointSetError, _first_repeat, pointset_from_json, pointset_to_json
+from .pointsets import PointSet, PointSetError, _first_repeat, _projection_ints, pointset_from_json, pointset_to_json
 
 __all__ = [
     "StepIsoError",
@@ -138,13 +139,9 @@ class Interleaving1D:
     def __call__(self, s):
         if not (0 <= s < 1):
             raise StepIsoError(f"fractional part {s!r} outside [0, 1)")
-        # walk to the segment containing s; knot lists are short
-        i = 0
-        while i + 1 < len(self.knots) and self.knots[i + 1][0] <= s:
-            i += 1
-        t0, u0 = self.knots[i]
-        t1, u1 = self.knots[i + 1] if i + 1 < len(self.knots) else (1, 1)
-        return u0 + (s - t0) * exact_div(u1 - u0, t1 - t0)
+        # the last piece starting at or before s; knot lists are short
+        t0, u0, m = next(seg for seg in reversed(_segments(self)) if seg[0] <= s)
+        return u0 + (s - t0) * m
 
 
 def canonical_interleaving() -> Interleaving1D:
@@ -176,40 +173,34 @@ def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
     return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
 
 
-def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, ints) -> tuple:
-    """The integer lane: the images of points exact over Q(sqrt(d)) (Q for
-    d = 0) with coordinates ints = (P, xs, ys), as numerator columns
-    (Dn, xs, ys) in the same format.
+def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, part: PointSet) -> tuple:
+    """The integer lane: the images of the points of part, exact over
+    Q(sqrt(d)) (Q for d = 0), as numerator columns (Dn, xs, ys).
 
-    The generators are (p_x + q_x*sqrt(d), ...)/G, each interleaving piece is
-    s -> m*s + c with m, c over one denominator E, the knots are over T and
-    the image coefficients over K.  A dual coordinate u = a.v is an int pair
-    over Du = G*P; its floor, the piece it falls in (an integer sign test
-    against each knot) and the image numerators are all int arithmetic.
+    The dual coordinates u = a.v are int pairs over one denominator Du
+    (`pointsets._projection_ints`), each interleaving piece is s -> m*s + c
+    with m, c over one denominator E, the knots are over T and the image
+    coefficients (`geometry._meet`) over K.  The floor of u, the piece it
+    falls in (an integer sign test against each knot, over the map's field
+    d, which knots may bring) and the image numerators are int arithmetic.
     """
-    G, gen = surd_ints((a1.x, a1.y, a2.x, a2.y))
-    den = a1.cross(a2)
-    K, coef = surd_ints(
-        (exact_div(a2.y, den), exact_div(-a1.y, den), exact_div(-a2.x, den), exact_div(a1.x, den))
-    )
+    (Du, U1, _), (_, U2, _) = _projection_ints(part, (a1, a2))
+    e1, e2 = _meet(a1, 1, a2, 0), _meet(a1, 0, a2, 1)
+    K, coef = surd_ints((e1[0], e2[0], e1[1], e2[1]))
     segs = [_segments(g) for g in (g1, g2)]
     T, starts = surd_ints([t0 for sg in segs for t0, _, _ in sg])
     E, lines = surd_ints([c for sg in segs for t0, u0, m in sg for c in (m, u0 - t0 * m)])
     duals = []
     next_start, next_line = iter(starts).__next__, iter(lines).__next__
-    for i, sg in enumerate(segs):
+    for sg in segs:
         knots = [next_start() for _ in sg][1:]  # every piece but the first starts at a knot
         pieces = [next_line() + next_line() for _ in sg]  # (mA, mB, cA, cB)
-        duals.append((gen[2 * i], gen[2 * i + 1], knots, pieces))
+        duals.append((knots, pieces))
     (k11a, k11b), (k12a, k12b), (k21a, k21b), (k22a, k22b) = coef
-    P, xs, ys = ints
-    Du = G * P
     out_x, out_y = [], []
-    for (Xa, Xb), (Ya, Yb) in zip(xs, ys):
+    for u in zip(U1, U2):
         W = []
-        for (px, qx), (py, qy), knots, pieces in duals:
-            UA = px * Xa + py * Ya + (qx * Xb + qy * Yb) * d
-            UB = px * Xb + qx * Xa + py * Yb + qy * Ya
+        for (UA, UB), (knots, pieces) in zip(u, duals):
             fl = _floor_surd(UA, UB, d, Du)
             SA = UA - fl * Du
             k = 0
@@ -285,17 +276,17 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> PointSet:
     # float setups send every point to the float lane; rational setups send
     # the exact points of a float domain built from Vec2s to the integer lane
     n = len(domain)
-    rows, ints = ((), None) if setup == FLOAT else domain._exact_part()
+    rows, part = ((), None) if setup == FLOAT else domain._exact_part()
     d = 0 if common == FLOAT else common
     if n and len(rows) == n:
-        cols = _exact_images(a1, a2, g1, g2, d, ints)
+        cols = _exact_images(a1, a2, g1, g2, d, part)
         field = d if any(B for col in cols[1:] for _, B in col) else 0
     elif n and not rows:
         cols, field = _float_images(a1, a2, g1, g2, domain.as_array()), FLOAT
     else:  # both lanes, or no point: Vec2s through the checking constructor
         images = [None] * n
         if rows:
-            D, xs, ys = _exact_images(a1, a2, g1, g2, d, ints)
+            D, xs, ys = _exact_images(a1, a2, g1, g2, d, part)
             for j, X, Y in zip(rows, xs, ys):
                 images[j] = Vec2(surd_value(*X, D, d), surd_value(*Y, D, d))
         todo = np.delete(np.arange(n), list(rows))  # a mask: np.setdiff1d imports numpy.ma

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from larg_lab.exact import FLOAT_INTEGER_GUARD, BoundaryAmbiguityError, SqrtExt, guarded_floor, is_exact
 from larg_lab.experiments import _floor_table
-from larg_lab.geometry import PolygonShape, Vec2, box_shape, rational_hexagon, square_linf
+from larg_lab.geometry import PolygonShape, Vec2, box_shape, rational_hexagon, regular_hexagon, square_linf
 from larg_lab.pointsets import (
     PointSet,
     PointSetError,
@@ -416,8 +416,30 @@ def test_rescale_refuses_generators_over_another_radicand():
 # floor tables
 
 
-@settings(max_examples=200, deadline=None)
-@given(problems())
+# a float set holding exact points: (0, 1) differ by exactly 1 in x, which
+# the float columns put within the guard of -1
+MIXED_FLOAT_SET = PointSet(
+    (Vec2(F(1, 3), F(0)), Vec2(F(4, 3), F(1, 7)), Vec2(0.5, 0.25), Vec2(F(7, 3), F(2))), Window(-9.0, -9.0, 9.0, 9.0), 0
+)
+
+
+@st.composite
+def floor_problems(draw):
+    """The problems, float generators (the regular hexagon) over Q sets, and
+    float sets of Vec2s holding exact points beside floats."""
+    kind = draw(st.sampled_from(["problem", "problem", "float-generators", "mixed"]))
+    if kind == "problem":
+        return draw(problems())
+    if kind == "float-generators":
+        return regular_hexagon(), draw(exact_sets(0))
+    shape = SHAPES[draw(st.sampled_from(["square", "box", "fraction-box", "hexagon"]))][0]
+    # a float equal to an exact point is the same Vec2: keep the first
+    pts = tuple(dict.fromkeys(draw(exact_sets(0)).points + draw(float_sets).points))
+    return shape, PointSet(pts, Window(-9.0, -9.0, 9.0, 9.0), 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(floor_problems())
 @example(
     (
         square_linf(),
@@ -427,6 +449,16 @@ def test_rescale_refuses_generators_over_another_radicand():
         ),
     )
 )
+@example(
+    (
+        regular_hexagon(),
+        PointSet(
+            (Vec2(F(1, 3), F(0)), Vec2(F(4, 3), F(1, 7)), Vec2(F(1, 2), F(1, 4))),
+            Window(F(-9), F(-9), F(9), F(9)), 0, "rational",
+        ),
+    )
+)
+@example((square_linf(), MIXED_FLOAT_SET))
 def test_floor_table_matches_fraction_reference(problem):
     shape, points = problem
     got = outcome(_floor_table, points, shape)

@@ -734,6 +734,17 @@ class TestCsv:
         with pytest.raises(ExperimentError):
             rows_from_csv(path)
 
+    @pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: ",".join(row.split(",")[:2])], ids=["8-cells", "2-cells"])
+    def test_row_of_wrong_length_rejected(self, tmp_path, edit):
+        # a row of 8 cells loaded with its last cell dropped; one of 2 ended in a TypeError
+        path = tmp_path / "rows.csv"
+        rows_to_csv(self.ROWS, path)
+        lines = path.read_text().splitlines()
+        cells = len(edit(lines[2]).split(","))
+        path.write_text("\n".join(lines[:2] + [edit(lines[2])]) + "\n")
+        with pytest.raises(ExperimentError, match=f"CSV line 3 has {cells} cells, not 7"):
+            rows_from_csv(path)
+
 
 class TestBoxTransform:
     def test_axis_box_gives_identity(self):

@@ -78,6 +78,9 @@ def test_pair_uniform_array_matches_scalar():
     arr = pair_uniform_array(123456789, us, vs)
     for k in range(0, 200, 17):
         assert arr[k] == pair_uniform(123456789, int(us[k]), int(vs[k]))
+    # a 0-d pair gives a 0-d coin
+    one = pair_uniform_array(123456789, us[3], vs[3])
+    assert np.shape(one) == () and one == arr[3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,6 +563,24 @@ def test_graph_file_round_trip(tmp_path):
     lines[0] = lines[0].replace('"1/3"', "0.25")
     path.write_text("\n".join(lines) + "\n")
     assert load_graph(path).delta == 0.25
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda lines: [lines[0].replace('"edge_seed"', '"seed"')] + lines[1:], "no key 'edge_seed'"),
+        (lambda lines: ["[1, 2]"] + lines[1:], "malformed graph JSON"),
+        (lambda lines: lines + ["0 1 2"], "'0 1 2' is not two vertices"),
+    ],
+    ids=["no-edge-seed", "list-header", "three-vertex-edge"],
+)
+def test_malformed_graph_file_refused(tmp_path, edit, match):
+    # each case ended in a KeyError, TypeError or bare ValueError
+    path = tmp_path / "graph.txt"
+    write_graph(path, sample_larg(tiny_cluster(12, seed=2), square_linf(), 1, 0.5, edge_seed=3))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(LargError, match=match):
+        load_graph(path)
 
 
 def test_geograph_validation():

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import larg, stepiso
-from larg_lab.exact import FLOAT, BoundaryAmbiguityError, SqrtExt, exact_div
+from larg_lab.exact import FLOAT, BoundaryAmbiguityError, SqrtExt, exact_div, field_of
 from larg_lab.geometry import (
     Line,
     LpShape,
@@ -279,19 +279,25 @@ def assert_same_images(got, want):
                 assert c.d == e.d
 
 
+# integer boxes, then generators over the denominators 15 and 2, and a
+# generator over Q(sqrt 2)
 BOXES = (
     box_shape(Vec2(1, 0), Vec2(0, 1)),
     box_shape(Vec2(1, 1), Vec2(1, -1)),
     box_shape(Vec2(1, 0), Vec2(1, 2)),
+    box_shape(Vec2(F(1, 3), F(2, 5)), Vec2(F(-1, 2), 1)),
+    box_shape(Vec2(1, 0), Vec2(SqrtExt(0, 1, 2), 1)),
 )
 KNOT_POOL = (F(1, 10), F(2, 7), F(1, 3), F(1, 2), F(5, 8))
+# knots over Q(sqrt 2) cut the rational dual coordinates of a rational map too
+SQRT2_KNOT_POOL = KNOT_POOL + (SqrtExt(-1, 1, 2),)
 
 
 @st.composite
-def interleavings(draw):
-    """Maps with 1-3 knots taken from KNOT_POOL, which has 1/3 and 2/7."""
+def interleavings(draw, pool=KNOT_POOL):
+    """Maps with 1-3 knots taken from pool; KNOT_POOL has 1/3 and 2/7."""
     k = draw(st.integers(1, 3))
-    pick = st.lists(st.sampled_from(KNOT_POOL), min_size=k - 1, max_size=k - 1, unique=True)
+    pick = st.lists(st.sampled_from(pool), min_size=k - 1, max_size=k - 1, unique=True)
     return Interleaving1D(((0, 0),) + tuple(zip(sorted(draw(pick)), sorted(draw(pick)))))
 
 
@@ -337,7 +343,7 @@ def box_domains(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(BOXES), interleavings(), interleavings(), box_domains())
+@given(st.sampled_from(BOXES), interleavings(SQRT2_KNOT_POOL), interleavings(SQRT2_KNOT_POOL), box_domains())
 # float(1/3) < 1/3 and float(2/7) < 2/7 lie on the first piece, where the
 # image differs in the last bit from the second piece's
 @example(BOXES[0], Interleaving1D(((0, 0), (F(1, 3), F(1, 10)))), Interleaving1D(((0, 0), (F(2, 7), F(1, 10)))),
@@ -346,9 +352,25 @@ def box_domains(draw):
          [Vec2(2.5, 0.25), Vec2(-1e-20, 0.5), Vec2(3.0, 1.0)])
 @example(BOXES[1], Interleaving1D(((0, 0), (F(2, 7), F(1, 10)), (F(1, 3), F(1, 2)))), canonical_interleaving(),
          [Vec2(F(-7, 3), F(2, 7)), Vec2(F(5, 4), F(1, 12)), Vec2(0, 3)])
+# the dual coordinates of both generators over one denominator
+@example(BOXES[3], canonical_interleaving(), Interleaving1D(((0, 0), (F(2, 7), F(1, 10)))),
+         [Vec2(F(-7, 3), F(2, 7)), Vec2(F(5, 4), F(1, 12)), Vec2(0, 3), Vec2(F(1, 2), F(-1, 3))])
+# a rational map cut at sqrt(2) - 1, and a generator over Q(sqrt 2)
+@example(BOXES[2], Interleaving1D(((0, 0), (SqrtExt(-1, 1, 2), F(1, 3)))), canonical_interleaving(),
+         [Vec2(F(2, 5), F(0)), Vec2(F(-3, 7), F(1, 2)), Vec2(F(5, 12), F(1, 3))])
+@example(BOXES[4], canonical_interleaving(), Interleaving1D(((0, 0), (F(1, 3), SqrtExt(-1, 1, 2)))),
+         [Vec2(F(2, 5), F(0)), Vec2(F(-3, 7), F(1, 2)), Vec2(SqrtExt(F(1, 3), 1, 2), F(1, 3))])
 def test_box_product_point_map_matches_scalar_reference(shape, g1, g2, pts):
     exact = all(v.is_exact() for v in pts)
     ps = PointSet(tuple(pts), Window(-100, -100, 100, 100), 0, "rational" if exact else "float")
+    gens = [c for a in shape.generators for c in (a.x, a.y)]
+    knots = [c for g in (g1, g2) for knot in g.knots for c in knot]
+    try:
+        field_of(gens + knots + [c for v in pts for c in (v.x, v.y)], ValueError)
+    except ValueError:  # a float or another radicand beside sqrt(2): refused up front
+        with pytest.raises(StepIsoError, match="no common field"):
+            box_product_point_map(ps, shape, g1, g2)
+        return
     want = outcome(
         lambda: PointMap.from_function(ps, lambda v: reference_box_product_map(shape, g1, g2, v)).images
     )
@@ -771,7 +793,7 @@ def certificate_problems(draw):
     1e-10 of one, two points just above and just below lattice points, or
     one point an integer step from another plus 0, 1e-10 or 1/256 along an
     axis (some sets take many such moves).  Maps are box-product maps under
-    a box of BOXES or translations by an integer or a non-integer vector;
+    an integer box of BOXES or translations by an integer or non-integer vector;
     one image may be nudged by 1 or 1/64 along an axis, that of the point
     moved by a step if there is one.  Some sets are collinear: every point
     shares its x or its y, and the nudge moves an image off the line.  The
@@ -818,7 +840,7 @@ def certificate_problems(draw):
         pts[0][1 - axis] += num(40)
     assume(len({(float(x), float(y)) for x, y in pts}) == n)
     ps = PointSet(tuple(Vec2(*p) for p in pts), Window(-50, -50, 50, 50), 0, "rational" if exact else "float")
-    box = draw(st.sampled_from(BOXES))
+    box = draw(st.sampled_from(BOXES[:3]))  # the integer boxes, whose draws catch the certificate's mutants
     how = draw(st.sampled_from(["box", "box", "integer", "shift"]))
     if how == "box":
         try:
