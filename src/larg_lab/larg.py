@@ -511,15 +511,20 @@ def graph_lines(G: GeoGraph):
 def load_graph(path) -> GeoGraph:
     """Read a graph file; a malformed header or edge line raises LargError."""
     with open(path) as fh, _malformed_json("graph", LargError):
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise LargError(f"graph header is not JSON: {exc}") from None
         edges = []
         for line in fh:
             words = line.split()
             if not words:
                 continue
-            if len(words) != 2:
-                raise LargError(f"graph edge line {line.strip()!r} is not two vertices")
-            edges.append((int(words[0]), int(words[1])))
+            try:
+                u, v = map(int, words)
+            except ValueError:
+                raise LargError(f"graph edge line {line.strip()!r} is not two vertices") from None
+            edges.append((u, v))
         return GeoGraph(
             point_set_ref=header["point_set_ref"],
             n=int(header["n"]),

@@ -18,22 +18,25 @@ the guard (1% of 20,137 rational points in [0, 100]^2 under a box map).
 
 A PointMap's images are a PointSet, stored as columns like any domain:
 a float array, or integer numerators (A + B*sqrt(d))/D over one
-denominator.  Box product maps are computed for a whole domain at once, in
-two lanes that both give exactly the images of the formula in
-`box_product_point_map`, and write those columns directly.  Exact points
-under exact generators and knots take an integer lane on the domain's
-stored numerators, so floors and knot comparisons are integer sign tests
-and the images stay numerators (read back as the same Fraction or
-SqrtExt).  Float points take one numpy pass over the domain's float array
-that performs the scalar formula's float operations in its order, so the
-images are bit-identical.  Each map is checked injective on its columns.
+denominator.  The explicit 1-D map lifts x by canonical_interleaving()
+and leaves y alone; on exact points it is the square's box product map
+with (canonical_interleaving(), identity).  Box product maps are computed
+for a whole domain at once, in two lanes that both give exactly the images
+of the formula in `box_product_point_map`, and write those columns directly.
+Exact points under exact generators and knots take an integer lane on the
+domain's stored numerators, so floors and knot comparisons are integer
+sign tests and the images stay numerators.  Float points take one numpy
+pass over the domain's `larg._columns` that performs the scalar formula's
+float operations in its order, so the images are bit-identical.  Each map
+is checked injective on its columns.
 
-Field refusals come up front, for the whole input, before any image or
-distance: the field tags (`exact.field_of`) of the generators, the knots
-and the domain must have a common field for a box map (StepIsoError),
-images with no common field are refused when the map is made, and the pair
-scan joins the shape's tag with the domain's and with the images'
-(GeometryError).
+Field refusals come up front, before any image or distance.  An
+Interleaving1D's `field` tags its knots (`exact.field_of`), refusing knots,
+or a knot and an argument, with no common field (StepIsoError); a box map
+joins the maps' fields with the generators' and the domain's
+(StepIsoError), images with no common field are refused when the map is
+made, and the pair scan joins the shape's tag with the domain's and with
+the images' (GeometryError).
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ __all__ = [
     "StepIsoError",
     "Interleaving1D",
     "canonical_interleaving",
-    "explicit_step_isometry_1d",
     "apply_fractional_map",
     "PointMap",
     "explicit_1d_point_map",
@@ -117,15 +119,14 @@ class Interleaving1D:
     def __post_init__(self):
         ks = tuple((t, u) for t, u in self.knots)
         object.__setattr__(self, "knots", ks)
+        self.field  # knots with no common field: StepIsoError
         if not ks or ks[0] != (0, 0):
             raise StepIsoError("first knot must be (0, 0)")
-        prev_t, prev_u = None, None
-        for t, u in ks:
+        for (t0, u0), (t, u) in zip(ks, ks[1:]):
             if not (0 <= t < 1 and 0 <= u < 1):
                 raise StepIsoError(f"knot ({t}, {u}) outside [0, 1)")
-            if prev_t is not None and not (t > prev_t and u > prev_u):
+            if not (t > t0 and u > u0):
                 raise StepIsoError("knots must strictly increase in both coordinates")
-            prev_t, prev_u = t, u
 
     @classmethod
     def identity(cls) -> "Interleaving1D":
@@ -136,7 +137,14 @@ class Interleaving1D:
         """Map [0, t] linearly onto [0, u] and [t, 1) onto [u, 1)."""
         return cls(((0, 0), (t, u)))
 
+    @property
+    def field(self) -> int:
+        """The knots' field tag (`exact.field_of`); knots with no common
+        field raise StepIsoError."""
+        return field_of((c for knot in self.knots for c in knot), StepIsoError)
+
     def __call__(self, s):
+        join_fields(self.field, field_of((s,), StepIsoError), StepIsoError)
         if not (0 <= s < 1):
             raise StepIsoError(f"fractional part {s!r} outside [0, 1)")
         # the last piece starting at or before s; knot lists are short
@@ -151,16 +159,6 @@ def canonical_interleaving() -> Interleaving1D:
     return Interleaving1D.two_piece(Fraction(1, 2), Fraction(1, 3))
 
 
-def explicit_step_isometry_1d(x):
-    """floor(x) + (2/3) frac(x) on the lower half cell, else
-    floor(x) + (4/3) frac(x) - 1/3.  Exact input gives exact output."""
-    fl = math.floor(x)
-    fr = x - fl
-    if fr <= Fraction(1, 2):
-        return fl + Fraction(2, 3) * fr
-    return fl + Fraction(4, 3) * fr - Fraction(1, 3)
-
-
 def apply_fractional_map(g: Interleaving1D, x):
     """floor(x) + g(frac(x)): keeps the integer part, remaps the rest."""
     fl = math.floor(x)
@@ -173,7 +171,7 @@ def _segments(g: Interleaving1D) -> list[tuple[object, object, object]]:
     return [(t0, u0, exact_div(u1 - u0, t1 - t0)) for (t0, u0), (t1, u1) in zip(g.knots, ends)]
 
 
-def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, part: PointSet) -> tuple:
+def _exact_images(shape: PolygonShape, g1, g2, d: int, part: PointSet) -> tuple:
     """The integer lane: the images of the points of part, exact over
     Q(sqrt(d)) (Q for d = 0), as numerator columns (Dn, xs, ys).
 
@@ -184,6 +182,7 @@ def _exact_images(a1: Vec2, a2: Vec2, g1, g2, d: int, part: PointSet) -> tuple:
     falls in (an integer sign test against each knot, over the map's field
     d, which knots may bring) and the image numerators are int arithmetic.
     """
+    a1, a2 = shape.generators
     (Du, U1, _), (_, U2, _) = _projection_ints(part, (a1, a2))
     e1, e2 = _meet(a1, 1, a2, 0), _meet(a1, 0, a2, 1)
     K, coef = surd_ints((e1[0], e2[0], e1[1], e2[1]))
@@ -224,24 +223,24 @@ def _first_double_at_least(t) -> float:
     return math.nextafter(f, math.inf) if f < t else f
 
 
-def _float_images(a1: Vec2, a2: Vec2, g1, g2, xy: np.ndarray) -> np.ndarray:
+def _float_images(shape: PolygonShape, g1, g2, xy: np.ndarray) -> np.ndarray:
     """The float lane: the images of the rows of xy, as an array of rows.
 
     Every step is the float operation the scalar formula performs on float
     data, in the same order (an exact constant c enters as float(c), as
-    Python's mixed arithmetic does), so the images are bit-identical.  Only
-    the knot comparison t <= s is exact in the scalar formula; it becomes
-    s >= the smallest double >= t.  The first point whose floor or
-    fractional part the scalar formula refuses (s rounded up to 1.0, a
-    non-finite dual coordinate), or whose image is not finite, raises that
-    refusal.
+    Python's mixed arithmetic does), so the images are bit-identical; the
+    dual coordinates are `larg._columns`.  Only the knot comparison t <= s
+    is exact in the scalar formula; it becomes s >= the smallest double >=
+    t.  The first point whose floor or fractional part the scalar formula
+    refuses (s rounded up to 1.0, a non-finite dual coordinate), or whose
+    image is not finite, raises that refusal.
     """
-    X, Y = xy[:, 0], xy[:, 1]
+    a1, a2 = shape.generators
     bad = np.zeros(len(xy), dtype=bool)
     ws = []
     with np.errstate(all="ignore"):
-        for a, g in ((a1, g1), (a2, g2)):
-            u = float(a.x) * X + float(a.y) * Y
+        cols = _columns(xy, shape)[0]
+        for u, g in zip(cols, (g1, g2)):
             fl = np.floor(u) + 0.0  # float(math.floor(u)): no -0.0
             s = u - fl
             bad |= ~((s >= 0.0) & (s < 1.0))
@@ -255,22 +254,18 @@ def _float_images(a1: Vec2, a2: Vec2, g1, g2, xy: np.ndarray) -> np.ndarray:
         y = (float(a1.x) * w2 - float(a2.x) * w1) / den
     images = np.column_stack((x, y))
     for j in np.flatnonzero(bad | ~np.isfinite(images).all(axis=1))[:1].tolist():
-        for a, g in ((a1, g1), (a2, g2)):
-            u = float(a.x) * float(xy[j, 0]) + float(a.y) * float(xy[j, 1])
-            apply_fractional_map(g, u)  # raises as the scalar formula does
+        for u, g in zip(cols, (g1, g2)):
+            apply_fractional_map(g, float(u[j]))  # raises as the scalar formula does
         Vec2(*images[j].tolist())  # a non-finite image: raises as the formula's Vec2 does
     return images
 
 
 def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> PointSet:
     """The domain's images under the box product map, checked injective;
-    generators, knots and points with no common field are refused first
-    (StepIsoError)."""
+    refusals as in `box_product_point_map`."""
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise StepIsoError("box product maps need a box (two-generator) shape")
-    a1, a2 = shape.generators
-    knots = field_of([c for g in (g1, g2) for knot in g.knots for c in knot], StepIsoError)
-    setup = join_fields(shape.field, knots, StepIsoError)
+    setup = join_fields(shape.field, join_fields(g1.field, g2.field, StepIsoError), StepIsoError)
     common = join_fields(setup, domain.field, StepIsoError)
 
     # float setups send every point to the float lane; rational setups send
@@ -279,18 +274,18 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> PointSet:
     rows, part = ((), None) if setup == FLOAT else domain._exact_part()
     d = 0 if common == FLOAT else common
     if n and len(rows) == n:
-        cols = _exact_images(a1, a2, g1, g2, d, part)
+        cols = _exact_images(shape, g1, g2, d, part)
         field = d if any(B for col in cols[1:] for _, B in col) else 0
     elif n and not rows:
-        cols, field = _float_images(a1, a2, g1, g2, domain.as_array()), FLOAT
+        cols, field = _float_images(shape, g1, g2, domain.as_array()), FLOAT
     else:  # both lanes, or no point: Vec2s through the checking constructor
         images = [None] * n
         if rows:
-            D, xs, ys = _exact_images(a1, a2, g1, g2, d, part)
+            D, xs, ys = _exact_images(shape, g1, g2, d, part)
             for j, X, Y in zip(rows, xs, ys):
                 images[j] = Vec2(surd_value(*X, D, d), surd_value(*Y, D, d))
         todo = np.delete(np.arange(n), list(rows))  # a mask: np.setdiff1d imports numpy.ma
-        for j, w in zip(todo.tolist(), _float_images(a1, a2, g1, g2, domain.as_array()[todo]).tolist()):
+        for j, w in zip(todo.tolist(), _float_images(shape, g1, g2, domain.as_array()[todo]).tolist()):
             images[j] = Vec2(*w)
         return _image_set(tuple(images), domain)
     images = PointSet._from_columns(cols, field, domain.window, domain.seed, "float" if field == FLOAT else "rational")
@@ -351,11 +346,11 @@ class PointMap:
 
 
 def explicit_1d_point_map(domain: PointSet) -> PointMap:
-    """The canonical 1D counterexample applied to x, leaving y alone.
-
-    Meant for sets on a horizontal line, where the metric restricts to |dx|.
-    """
-    return PointMap.from_function(domain, lambda p: Vec2(explicit_step_isometry_1d(p.x), p.y), "explicit-1d")
+    """The canonical 1D counterexample (`apply_fractional_map`) on x,
+    leaving y alone; meant for sets on a horizontal line, where the metric
+    restricts to |dx|."""
+    g = canonical_interleaving()
+    return PointMap.from_function(domain, lambda p: Vec2(apply_fractional_map(g, p.x), p.y), "explicit-1d")
 
 
 def box_product_point_map(
@@ -368,13 +363,11 @@ def box_product_point_map(
     that is w = ((w1*a2.y - w2*a1.y) / den, (a1.x*w2 - a2.x*w1) / den) with
     den = a1.cross(a2).
 
-    The images come in one pass per lane (see the module docstring): exact
-    points under exact generators and knots take the integer lane, on the
-    domain's numerators; every other point takes the float lane, on
-    ``domain.as_array()``, and the scalar formula's refusals (a fractional
-    part rounded up to 1.0) are raised for the same first point.
-    Generators, knots and domain with no common field (a float beside a
-    SqrtExt, or two radicands) are refused up front with StepIsoError.
+    Exact points under exact generators and knots take the integer lane
+    (see the module docstring), every other point the float lane, which
+    raises the scalar formula's refusals (a fractional part rounded up to
+    1.0) for the same first point.  Generators, knots and domain with no
+    common field are refused up front with StepIsoError.
 
     Exact points under float generators or knots, and points with one
     exact and one float coordinate, take the float lane on their

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from larg_lab import anchoring, larg
-from larg_lab.exact import SqrtExt
+from larg_lab.exact import FLOAT, SqrtExt
 
 from larg_lab.anchoring import (
     AnchoringError,
@@ -307,6 +307,87 @@ def test_validator_catches_corruption():
 
     with pytest.raises(AnchoringError, match="partition"):
         validate_good_enumeration(dataclasses.replace(enum, unplaced=(0,)))
+
+
+def _short_order(enum):
+    # the first two points only; the rest unplaced
+    unplaced = tuple(sorted(enum.order[2:] + enum.unplaced))
+    return dataclasses.replace(enum, order=enum.order[:2], certificates=(None, None), unplaced=unplaced)
+
+
+def _repeated_point(enum):
+    # the first ordered point again, as one more point: the checking
+    # constructor refuses a repeat, so the set is built from its columns
+    ps = enum.point_set
+    xy = np.vstack((ps.as_array(), ps.as_array()[enum.order[:1]]))
+    twice = PointSet._from_columns(xy, FLOAT, ps.window, ps.seed, ps.mode)
+    return dataclasses.replace(
+        enum, point_set=twice, order=enum.order + (len(ps),), certificates=enum.certificates + (None,)
+    )
+
+
+def _collinear_anchor(enum):
+    # three points on a horizontal line, pairwise within distance 1
+    pts = (Vec2(F(0), F(0)), Vec2(F(1, 4), F(0)), Vec2(F(1, 2), F(0)))
+    ps = PointSet(pts, Window(F(-1), F(-1), F(1), F(1)), 0, "rational")
+    return GoodEnumeration(ps, HEX, (0, 1, 2), (None, None, None), ())
+
+
+def _certified_anchor(enum):
+    return corrupt_certificate(enum, 0, enum.certificates[3].refs, enum.certificates[3].generators)
+
+
+def _missing_certificate(enum):
+    certs = list(enum.certificates)
+    certs[4] = None
+    return dataclasses.replace(enum, certificates=tuple(certs))
+
+
+def _late_reference(enum):
+    return corrupt_certificate(enum, 3, (0, 1, 3), enum.certificates[3].generators)
+
+
+def _parallel_generators(enum):
+    # three earlier references whose faces are determined, two of them
+    # parallel: every generator passes the face test
+    pts, order = enum.point_set.points, enum.order
+
+    def face(pos, ref):
+        try:
+            return determining_generator(HEX, pts[order[pos]] - pts[order[ref]])
+        except AnchoringError:
+            return None
+
+    pos, refs = next(
+        (pos, refs)
+        for pos in range(3, len(order))
+        for refs in itertools.combinations(range(pos), 3)
+        if None not in (gens := [face(pos, r) for r in refs]) and gens[0].cross(gens[1]) == 0
+    )
+    return corrupt_certificate(enum, pos, refs, [face(pos, r) for r in refs])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_short_order, re.escape("enumeration shorter than an anchor")),
+        (_repeated_point, re.escape("repeated point in enumeration")),
+        (_collinear_anchor, re.escape("anchor is not a triangular set")),
+        (_certified_anchor, re.escape("anchor points carry no certificate")),
+        (_missing_certificate, re.escape("point at position 4 lacks a certificate")),
+        (_late_reference, re.escape("certificate positions (0, 1, 3) not all before 3")),
+        (_parallel_generators, r"certificate generators at position \d+ not pairwise non-parallel"),
+    ],
+    ids=["short-order", "repeated-point", "collinear-anchor", "certified-anchor", "missing-certificate",
+         "late-reference", "parallel-generators"],
+)
+def test_validator_refuses_each_corruption(corrupt, message):
+    # one corrupted enumeration per refusal; the float sample's enumeration
+    # is valid, and each corruption changes one defining condition
+    enum = good_enumeration(sample_poisson_window(Window(0.0, 0.0, 1.5, 1.5), 40.0, seed=6), HEX)
+    validate_good_enumeration(enum)
+    with pytest.raises(AnchoringError, match=f"^{message}$"):
+        validate_good_enumeration(corrupt(enum))
 
 
 def test_certificate_position_validation():

@@ -291,6 +291,17 @@ class TestExperiment:
         assert out.read_text().splitlines()[0] == "n,trials,successes,fraction,ci_lo,ci_hi,paper_bound"
         assert "n=3" in err
 
+    def test_decay_without_out_prints_the_csv(self, workdir, capsysbinary):
+        # stdout carries the same bytes as the --out file
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"n_values": [3, 4], "trials": 5, "intensity": 60.0, "base_seed": 9}))
+        out = workdir / "rows.csv"
+        assert main(["experiment", "decay", "--config", str(cfg), "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(["experiment", "decay", "--config", str(cfg)]) == 0
+        printed = capsysbinary.readouterr().out
+        assert printed == out.read_bytes() and printed.count(b"\r\n") == 3
+
     def test_box_demo_emits_report(self, workdir, capsys):
         cfg = workdir / "box.json"
         cfg.write_text(

@@ -571,11 +571,13 @@ def test_graph_file_round_trip(tmp_path):
         (lambda lines: [lines[0].replace('"edge_seed"', '"seed"')] + lines[1:], "no key 'edge_seed'"),
         (lambda lines: ["[1, 2]"] + lines[1:], "malformed graph JSON"),
         (lambda lines: lines + ["0 1 2"], "'0 1 2' is not two vertices"),
+        (lambda lines: lines + ["0 x"], "'0 x' is not two vertices"),
+        (lambda lines: ["{n: 12}"] + lines[1:], "graph header is not JSON"),
     ],
-    ids=["no-edge-seed", "list-header", "three-vertex-edge"],
+    ids=["no-edge-seed", "list-header", "three-vertex-edge", "non-integer-vertex", "header-not-json"],
 )
 def test_malformed_graph_file_refused(tmp_path, edit, match):
-    # each case ended in a KeyError, TypeError or bare ValueError
+    # each case ended in a KeyError, TypeError, bare ValueError or JSONDecodeError
     path = tmp_path / "graph.txt"
     write_graph(path, sample_larg(tiny_cluster(12, seed=2), square_linf(), 1, 0.5, edge_seed=3))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

@@ -45,7 +45,6 @@ from larg_lab.stepiso import (
     box_product_point_map,
     canonical_interleaving,
     explicit_1d_point_map,
-    explicit_step_isometry_1d,
     is_isometry,
     is_step_isometry,
     pointmap_to_json,
@@ -151,6 +150,24 @@ def test_interleaving_validation():
         g(F(3, 2))
 
 
+def test_interleaving_field_refusals():
+    # knots, and a knot and an argument, must share a field; each case
+    # ended in a bare TypeError from a comparison
+    r2, r3 = SqrtExt(-1, 1, 2), SqrtExt(-1, 1, 3)
+    for knots in (((0, 0), (r2 / 2, F(1, 4)), (r3, F(1, 2))), ((0, 0), (0.25, F(1, 4)), (r2, F(1, 2)))):
+        with pytest.raises(StepIsoError, match="no common field"):
+            Interleaving1D(knots)
+    g = Interleaving1D(((0, 0), (r2, F(1, 4))))
+    assert g.field == 2 and canonical_interleaving().field == 0
+    assert Interleaving1D.two_piece(0.5, 0.25).field == FLOAT
+    assert g(F(1, 2)) == F(1, 4) + (F(1, 2) - r2) * exact_div(F(3, 4), 1 - r2)
+    for call in (lambda: g(0.3), lambda: apply_fractional_map(g, 2.3)):
+        with pytest.raises(StepIsoError, match="^a float and a SqrtExt have no common field$"):
+            call()
+    with pytest.raises(StepIsoError, match="^radicands \\[2, 3\\] have no common field$"):
+        g(SqrtExt(0, F(1, 9), 3))
+
+
 def test_interleaving_identity_and_pieces():
     ident = Interleaving1D.identity()
     assert ident(F(3, 7)) == F(3, 7)
@@ -164,16 +181,34 @@ def test_interleaving_identity_and_pieces():
 
 
 def test_explicit_map_values():
-    assert explicit_step_isometry_1d(F(1, 4)) == F(1, 6)
-    assert explicit_step_isometry_1d(F(3, 4)) == F(2, 3)
-    assert explicit_step_isometry_1d(F(3)) == 3
-    assert explicit_step_isometry_1d(0.25) == pytest.approx(1 / 6)
-    # agreement with the knot form on a sweep, integer parts preserved
     g = canonical_interleaving()
-    for k in range(-12, 12):
-        x = F(k, 5)
-        assert explicit_step_isometry_1d(x) == apply_fractional_map(g, x)
-        assert math.floor(apply_fractional_map(g, x)) == math.floor(x)
+    assert [apply_fractional_map(g, x) for x in (F(1, 4), F(3, 4), F(3))] == [F(1, 6), F(2, 3), 3]
+    assert apply_fractional_map(g, 0.25) == pytest.approx(1 / 6)
+    # the explicit map is the lift on a sweep, integer parts preserved
+    xs = [F(k, 5) for k in range(-12, 12)]
+    for x, w in zip(xs, explicit_1d_point_map(line_set(xs)).images):
+        assert w == Vec2(apply_fractional_map(g, x), 0)
+        assert math.floor(w.x) == math.floor(x)
+
+
+@pytest.mark.parametrize("scale", [1, 10, 10**3, 10**6])
+def test_explicit_map_float_images_are_the_lift(scale):
+    # float lines and a float set: x goes to the scalar lift of the
+    # canonical interleaving bit for bit, and y keeps its bits, signed
+    # zeros and tiny negatives included
+    rng = np.random.default_rng(scale)
+    g = canonical_interleaving()
+    special = [0.0, 0.5, 1.5, -0.5, float(F(1, 3)), -2.75, math.nextafter(0.5, 1), scale]
+    xs = np.unique(np.concatenate((special, rng.integers(-10**9, 10**9, 2000) / 10**9 * scale)))
+    ys = rng.integers(-10**9, 10**9, len(xs)) / 10**9 * scale
+    ys[: len(xs) // 2] = 0.0
+    ys[:3] = -0.0, -1e-20, -0.3
+    w = Window(-float(scale), -float(scale), float(scale), float(scale))
+    for ps in (line_set(xs.tolist(), mode="float"), PointSet(tuple(map(Vec2, xs.tolist(), ys.tolist())), w, 0)):
+        got = explicit_1d_point_map(ps).images.as_array()
+        want = np.array([(apply_fractional_map(g, p.x), p.y) for p in ps.points])
+        assert got.tobytes() == want.tobytes()
+        assert got[:, 1].tobytes() == ps.as_array()[:, 1].tobytes()
 
 
 def test_fractional_order_preserved():
@@ -206,8 +241,8 @@ def test_box_product_componentwise():
     w = box_image(sh, g, g, v)
     assert (w.x, w.y) == (F(1, 6), F(2, 3))
     # oracle: the axes are the dual coordinates of the L-inf square
-    assert w.x == explicit_step_isometry_1d(v.x)
-    assert w.y == explicit_step_isometry_1d(v.y)
+    assert w.x == apply_fractional_map(g, v.x)
+    assert w.y == apply_fractional_map(g, v.y)
 
 
 def test_box_product_identity_and_lattice():
