@@ -17,6 +17,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     _require_int,
+    _require_number,
     box_isomorphism_demo,
     rows_to_csv,
     run_decay_experiment,
@@ -105,17 +106,6 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _fmt_value(v):
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return v
-    try:
-        return format_scalar(v)
-    except (TypeError, ValueError):
-        return str(v)
-
-
 def _cmd_stepiso(args) -> int:
     if args.map == "explicit1d":
         if not args.points:
@@ -147,8 +137,8 @@ def _cmd_stepiso(args) -> int:
             "check": args.check,
             "ok": v.ok,
             "witness": list(v.witness) if v.witness else None,
-            "left": _fmt_value(v.left),
-            "right": _fmt_value(v.right),
+            "left": None if v.left is None else format_scalar(v.left),
+            "right": None if v.right is None else format_scalar(v.right),
             "pairs_checked": v.checked,
             "pairs_scanned": v.scanned,
         }
@@ -215,12 +205,12 @@ def _cmd_experiment(args) -> int:
         window = Window(*(parse_scalar(c) for c in bounds))
     except TypeError as exc:
         raise ExperimentError(f"bad window {bounds!r}: {exc}") from None
-    intensity = cfg.get("intensity", 4.0)
-    if isinstance(intensity, bool):
-        raise ExperimentError(f"intensity must be a number, got {intensity!r}")
-    points = sample_poisson_window(window, float(intensity), seed=seed, mode=cfg.get("mode", "rational"))
+    intensity, p = (
+        float(_require_number(cfg.get(key, default), key)) for key, default in (("intensity", 4.0), ("p", 0.5))
+    )
+    points = sample_poisson_window(window, intensity, seed=seed, mode=cfg.get("mode", "rational"))
     alpha, points = rescale_to_idf(points, shape.generators, seed=alpha_seed)
-    report = box_isomorphism_demo(points, shape, float(cfg.get("p", 0.5)), seeds=range(trials), budget=budget)
+    report = box_isomorphism_demo(points, shape, p, seeds=range(trials), budget=budget)
     payload = {
         "alpha": format_scalar(alpha),
         "n": len(points),

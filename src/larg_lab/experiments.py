@@ -90,6 +90,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_number(value, what: str):
+    """value if it is an int or a float (a bool is neither); else ExperimentError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExperimentError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -140,7 +147,6 @@ class ExperimentConfig:
     p: float = 0.5
     trials: int = 200
     base_seed: int = 1
-    anchor_policy: str = "exhaustive"
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
@@ -148,6 +154,8 @@ class ExperimentConfig:
         ints = [("trials", self.trials), ("base_seed", self.base_seed)]
         for what, v in ints + [("n_values entry", n) for n in self.n_values]:
             _require_int(v, what)
+        _require_number(self.intensity, "intensity")
+        _require_number(self.p, "p")
         numbers = all(not isinstance(c, bool) and (isinstance(c, float) or is_exact(c)) for c in self.window)
         if len(self.window) != 4 or not numbers:
             raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {list(self.window)!r}")
@@ -159,14 +167,10 @@ class ExperimentConfig:
             raise ExperimentError("prefix sizes start at the anchor, n >= 3")
         if not 0.0 < self.p < 1.0:
             raise ExperimentError(f"p must be in (0, 1), got {self.p}")
-        if isinstance(self.intensity, bool):
-            raise ExperimentError(f"intensity must be a number, got {self.intensity!r}")
         if self.intensity <= 0:
             raise ExperimentError("intensity must be positive")
         if self.mode not in ("float", "rational"):
             raise ExperimentError(f"unknown sampling mode {self.mode!r}")
-        if self.anchor_policy not in ("exhaustive", "identity"):
-            raise ExperimentError(f"unknown anchor policy {self.anchor_policy!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -176,6 +180,10 @@ class ExperimentConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ExperimentError("config JSON must be an object")
+        # older configs name the one candidate search; nothing reads the key
+        policy = data.pop("anchor_policy", "exhaustive")
+        if policy != "exhaustive":
+            raise ExperimentError(f"unknown anchor policy {policy!r}; every row searches all candidates")
         try:
             return cls(**data)
         except TypeError as exc:
@@ -485,7 +493,8 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
 
     One point set and one good enumeration serve every row; each trial draws
     two independent edge sets and asks whether some extension candidate of
-    the first n points (only the identity under the "identity" policy)
+    the first n points (_extension_candidates: every ordered triple at
+    n = 3, the isometries that map the anchor into V_n from n = 4 on)
     matches adjacency on every pair, as partial_isomorphism_exists does. Only
     the coins of those pairs are drawn. Box shapes are rejected: their
     samples are isomorphic almost surely, which is the box demo's story, not
@@ -525,13 +534,9 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
     rows = []
     for n in cfg.n_values:
         prefix = enum.order[:n]
-        if cfg.anchor_policy == "identity":
-            cands = (prefix,)
-        else:
-            cands = _extension_candidates(enum, n, lookup)
         a, b = np.triu_indices(n, 1)
         gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
-        images = np.asarray(cands, dtype=np.int64).reshape(len(cands), n)
+        images = np.asarray(_extension_candidates(enum, n, lookup), dtype=np.int64).reshape(-1, n)
         hu, hv = images[:, a], images[:, b]
         successes = _surviving_trials(
             *(_trial_seeds(cfg.base_seed, n, cfg.trials, side) for side in (0, 1)),

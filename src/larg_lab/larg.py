@@ -433,12 +433,15 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     Returns two int64 arrays in lexicographic order.  Distances are filtered
     in float; a pair whose float distance lies within a guard of delta is
     decided by the scalar ``distance(...) < delta``, which is exact for
-    exact point sets.  The sweep sorts the points by a coordinate that never
-    exceeds the distance (the first generator's projection for polygons, x
-    for L^p), so each point is compared only with the points that follow it
-    by less than delta along that coordinate.  Points with no common field
-    with the shape (SqrtExt points under float generators, or two
-    radicands) are refused up front (GeometryError).
+    exact points under exact polygon generators.  Under L^p it is not:
+    ``LpShape.norm`` is a float, so (0, 0) and (8/17, 15/17), at L^2
+    distance exactly 1, come back in range (ROADMAP item 13).  The sweep
+    sorts the points by a coordinate that never exceeds the distance (the
+    first generator's projection for polygons, x for L^p), so each point is
+    compared only with the points that follow it by less than delta along
+    that coordinate.  Points with no common field with the shape (SqrtExt
+    points under float generators, or two radicands) are refused up front
+    (GeometryError).
     """
     keys = [_kept_keys(points, shape, delta, *block) for block in _in_range_blocks(points, shape, delta)]
     return _decode_keys(keys, len(points))

@@ -340,6 +340,7 @@ class TestExperiment:
             ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
             ({"shape": 5}, "shape spec must be a string, got 5"),
             ({"intensity": True}, "intensity must be a number, got True"),
+            ({"p": [0.5]}, "p must be a number, got [0.5]"),
         ],
     )
     def test_decay_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
@@ -358,6 +359,9 @@ class TestExperiment:
             ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]"),
             ({"shape": ["square"]}, "shape spec must be a string, got ['square']"),
             ({"intensity": True}, "intensity must be a number, got True"),
+            ({"intensity": [1]}, "intensity must be a number, got [1]"),
+            ({"intensity": "4"}, "intensity must be a number, got '4'"),
+            ({"p": [0.5]}, "p must be a number, got [0.5]"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):

@@ -6,7 +6,7 @@ import json
 import math
 import os
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -89,15 +89,23 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             ExperimentConfig(mode="integer")
         with pytest.raises(ExperimentError):
-            ExperimentConfig(anchor_policy="greedy")
-        with pytest.raises(ExperimentError):
             ExperimentConfig(window=(0.0, 0.0, 1.0))
+        for policy in ("identity", "greedy"):
+            with pytest.raises(ExperimentError, match=f"unknown anchor policy '{policy}'"):
+                ExperimentConfig.from_json(json.dumps({"anchor_policy": policy}))
 
     def test_from_json_requires_mapping(self):
         with pytest.raises(ExperimentError):
             ExperimentConfig.from_json("[1, 2, 3]")
         with pytest.raises(ExperimentError):
             ExperimentConfig.from_json('{"p": 0.5, "rounds": 3}')
+
+    def test_legacy_anchor_policy_key_gives_the_same_rows(self):
+        # older configs carry "anchor_policy": "exhaustive", the one search
+        plain = {"n_values": [3, 4, 5], "trials": 40, "intensity": 60.0, "base_seed": 9}
+        legacy = ExperimentConfig.from_json(json.dumps({**plain, "anchor_policy": "exhaustive"}))
+        assert legacy == ExperimentConfig.from_json(json.dumps(plain))
+        assert run_decay_experiment(legacy) == run_decay_experiment(ExperimentConfig(**plain))
 
 
 class TestShapeSpec:
@@ -246,6 +254,113 @@ def reference_extension_candidates(enum, n, seen=None):
                 else:
                     out.append(tuple(images))
     return tuple(out)
+
+
+def predicted_agreement(enum, in_range, n, p):
+    """The exact probability that two independent samples agree on V_n under
+    some reference candidate; in_range(u, v), u < v, is the range test.
+
+    A candidate pits each G coin against a different H coin, so one candidate
+    agrees with probability the product over the pairs of V_n of p* = p^2 +
+    (1-p)^2 (both sides in range), 1-p (one side) or 1 (neither).  Several
+    candidates are summed over the coin states of the union of their
+    in-range coins."""
+    prefix = enum.order[:n]
+    cands = reference_extension_candidates(enum, n)
+    pairs = list(combinations(range(n), 2))
+
+    def key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    if len(cands) == 1:
+        (f,) = cands
+        prob = 1.0
+        for a, b in pairs:
+            g, h = in_range(*key(prefix[a], prefix[b])), in_range(*key(f[a], f[b]))
+            prob *= p * p + (1 - p) ** 2 if g and h else (1 - p if g or h else 1.0)
+        return prob
+    sides = [(0, prefix)] + [(1, f) for f in cands]
+    coins = sorted({(side, key(f[a], f[b])) for side, f in sides for a, b in pairs if in_range(*key(f[a], f[b]))})
+    assert len(coins) <= 16
+    total = 0.0
+    for state in product((False, True), repeat=len(coins)):
+        edge = dict(zip(coins, state))
+        g = [edge.get((0, key(prefix[a], prefix[b])), False) for a, b in pairs]
+        if any(g == [edge.get((1, key(f[a], f[b])), False) for a, b in pairs] for f in cands):
+            total += p ** sum(state) * (1 - p) ** (len(coins) - sum(state))
+    return total
+
+
+def binomial_p_value(k, trials, q):
+    """Exact two-sided binomial p-value of k successes in `trials` at rate q:
+    the probability of every count no likelier than k, each term taken in
+    log space through math.lgamma."""
+
+    def log_pmf(j):
+        log_choose = math.lgamma(trials + 1) - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+        return log_choose + j * math.log(q) + (trials - j) * math.log1p(-q)
+
+    cut = log_pmf(k) + 1e-7
+    return min(1.0, sum(math.exp(v) for v in map(log_pmf, range(trials + 1)) if v <= cut))
+
+
+def holm_rejections(p_values, alpha):
+    """Indices of the p-values Holm's step-down procedure rejects at
+    family-wise error alpha."""
+    out = []
+    for rank, i in enumerate(sorted(range(len(p_values)), key=p_values.__getitem__)):
+        if p_values[i] > alpha / (len(p_values) - rank):
+            break
+        out.append(i)
+    return out
+
+
+# CI's dense and sparse decay configs, as decay_inputs arguments, with p and
+# the rows at which a wrong program can show: the unit window's pairs are all
+# in range, so only [0, 3]^2 exercises the range mask
+DECAY_CHECK_CONFIGS = [
+    (("hexagon", (0, 0, 1, 1), 120.0, "rational", 1), 0.5, (3, 4, 5)),
+    (("hexagon", (0, 0, 3, 3), 8.0, "rational", 9), 0.9, (3, 4, 5, 6, 7, 8, 10)),
+]
+
+
+class TestDecayPrediction:
+    """Every checked row against its exact prediction, which reads neither the
+    row engine nor its candidate search: one exact binomial p-value per row,
+    Holm's correction over the rows at family-wise error 1e-3."""
+
+    TRIALS = 20_000
+
+    def test_predictions(self):
+        got = [
+            predicted_agreement(*decay_inputs(*inputs), n, p)
+            for inputs, p, n_values in DECAY_CHECK_CONFIGS
+            for n in n_values
+        ]
+        assert got[:3] == [0.3125, 2**-6, 2**-10]
+        assert got[3:] == pytest.approx([0.5912, 0.3707, 0.2044, 0.07578, 0.02304, 0.005743, 1.968e-4], rel=1e-3)
+
+    def test_rows_match_prediction(self):
+        report = []
+        for (spec, window, intensity, mode, seed), p, n_values in DECAY_CHECK_CONFIGS:
+            cfg = ExperimentConfig(
+                shape=spec, window=window, intensity=intensity, mode=mode, n_values=n_values,
+                p=p, trials=self.TRIALS, base_seed=seed,
+            )
+            enum, in_range = decay_inputs(spec, window, intensity, mode, seed)
+            for row in run_decay_experiment(cfg):
+                q = predicted_agreement(enum, in_range, row.n, p)
+                report.append((spec, window, row.n, row.successes, q, binomial_p_value(row.successes, row.trials, q)))
+        assert holm_rejections([r[-1] for r in report], 1e-3) == [], report
+
+    def test_decision_rule(self):
+        for trials, q in ((30, 0.5), (40, 0.07)):
+            pmf = [math.comb(trials, j) * q**j * (1 - q) ** (trials - j) for j in range(trials + 1)]
+            for k in range(trials + 1):
+                want = sum(v for v in pmf if v <= pmf[k] * (1 + 1e-7))
+                assert binomial_p_value(k, trials, q) == pytest.approx(min(1.0, want), rel=1e-9)
+        assert holm_rejections([0.01, 0.04, 0.03, 0.005], 0.05) == [3, 0]
+        assert holm_rejections([0.02, 0.2], 0.01) == []
 
 
 # linear maps (a, b, c, d), x -> (a x + b y, c x + d y), that keep each norm
@@ -466,27 +581,17 @@ class TestDecayExperiment:
         assert rows[0].fraction > rows[-1].fraction
         assert rows[-1].successes == 0
 
-    def test_identity_policy_is_stricter(self):
-        loose = ExperimentConfig(n_values=(3,), trials=40, intensity=60.0, base_seed=9)
-        strict = dataclasses.replace(loose, anchor_policy="identity")
-        assert run_decay_experiment(strict)[0].successes <= run_decay_experiment(loose)[0].successes
-
     def test_exact_points_under_float_metric(self):
         # the regular hexagon measures rational points in float; the rows
-        # must not depend on the sampling mode, and the identity's successes
-        # are a subset of the exhaustive policy's
+        # must not depend on the sampling mode
         rows = {}
         for mode, window in (("rational", (0, 0, 1, 1)), ("float", (0.0, 0.0, 1.0, 1.0))):
-            for policy in ("identity", "exhaustive"):
-                cfg = ExperimentConfig(
-                    shape="regular-hexagon", window=window, mode=mode, n_values=(3, 4, 5, 8),
-                    intensity=60.0, p=0.7, trials=100, base_seed=9, anchor_policy=policy,
-                )
-                rows[mode, policy] = [r.successes for r in run_decay_experiment(cfg)]
-        for ident, exh in zip(rows["rational", "identity"], rows["rational", "exhaustive"]):
-            assert exh >= ident
-        assert rows["rational", "exhaustive"] == rows["float", "exhaustive"]
-        assert rows["rational", "identity"] == rows["float", "identity"]
+            cfg = ExperimentConfig(
+                shape="regular-hexagon", window=window, mode=mode, n_values=(3, 4, 5, 8),
+                intensity=60.0, p=0.7, trials=100, base_seed=9,
+            )
+            rows[mode] = [r.successes for r in run_decay_experiment(cfg)]
+        assert rows["rational"] == rows["float"]
 
     def test_box_shape_is_rejected(self):
         cfg = ExperimentConfig(shape="square", n_values=(3,), trials=1)
@@ -508,8 +613,8 @@ class TestDecayExperiment:
             ExperimentConfig.from_json(json.dumps({"out_csv": str(tmp_path / "rows.csv")}))
 
 
-def reference_successes(cfg: ExperimentConfig) -> dict:
-    """Per-policy success counts from whole sampled graphs, trial by trial."""
+def reference_successes(cfg: ExperimentConfig) -> list:
+    """Per-row success counts from whole sampled graphs, trial by trial."""
     shape = shape_from_spec(cfg.shape)
     points = sample_poisson_window(
         Window(*cfg.window), cfg.intensity, seed=cfg.base_seed, mode=cfg.mode
@@ -534,20 +639,13 @@ def reference_successes(cfg: ExperimentConfig) -> dict:
     for seed in (_trial_seed(cfg.base_seed, 3, 0, 0), _trial_seed(cfg.base_seed, 3, 0, 1)):
         assert graph(seed) == sample_larg(points, shape, 1, cfg.p, edge_seed=seed)
 
-    out = {"identity": [], "exhaustive": []}
+    out = []
     for n in cfg.n_values:
-        prefix = enum.order[:n]
-        same = iso = 0
+        iso = 0
         for t in range(cfg.trials):
             G, H = (graph(_trial_seed(cfg.base_seed, n, t, side)) for side in (0, 1))
-            same += all(
-                G.has_edge(u, v) == H.has_edge(u, v)
-                for i, u in enumerate(prefix)
-                for v in prefix[i + 1 :]
-            )
             iso += partial_isomorphism_exists(G, H, enum, n)
-        out["identity"].append(same)
-        out["exhaustive"].append(iso)
+        out.append(iso)
     return out
 
 
@@ -557,15 +655,9 @@ class TestDecayEquivalence:
     CFG = ExperimentConfig(n_values=(3, 4, 5, 8), trials=40, intensity=60.0, base_seed=9)
 
     def check_against_reference(self, cfg):
-        want = reference_successes(cfg)
-        for policy in ("identity", "exhaustive"):
-            got = [
-                r.successes
-                for r in run_decay_experiment(dataclasses.replace(cfg, anchor_policy=policy))
-            ]
-            assert got == want[policy], policy
+        assert [r.successes for r in run_decay_experiment(cfg)] == reference_successes(cfg)
 
-    def test_both_policies_match_graph_reference(self):
+    def test_rows_match_graph_reference(self):
         self.check_against_reference(self.CFG)
 
     def test_out_of_range_pairs_match_graph_reference(self):
@@ -588,10 +680,7 @@ class TestDecayEquivalence:
             trials=200,
             base_seed=1127523868,
         )
-        recorded = {"identity": [32, 5, 0, 0, 0], "exhaustive": [70, 5, 0, 0, 0]}
-        for policy, successes in recorded.items():
-            rows = run_decay_experiment(dataclasses.replace(cfg, anchor_policy=policy))
-            assert [r.successes for r in rows] == successes, policy
+        assert [r.successes for r in run_decay_experiment(cfg)] == [70, 5, 0, 0, 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -617,7 +706,7 @@ def full_matrix_successes(cfg: ExperimentConfig) -> list:
     out = []
     for n in cfg.n_values:
         prefix = enum.order[:n]
-        cands = (prefix,) if cfg.anchor_policy == "identity" else _extension_candidates(enum, n)
+        cands = _extension_candidates(enum, n)
         a, b = np.triu_indices(n, 1)
         gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
         images = np.asarray(cands).reshape(len(cands), n)
@@ -647,8 +736,8 @@ ROW_WINDOWS = [((0, 0, 1, 1), 60.0), ((0, 0, 3, 3), 8.0)]
 class TestRowEngine:
     """Rows walked in chunks of pairs count what the full coin matrices count."""
 
-    @example(("hexagon", "rational"), ROW_WINDOWS[1], 0.98, 300, (3, 4, 20, 40), "exhaustive", 9)
-    @example(("regular-hexagon", "float"), ROW_WINDOWS[1], 0.98, 7, (5, 40), "identity", 12)
+    @example(("hexagon", "rational"), ROW_WINDOWS[1], 0.98, 300, (3, 4, 20, 40), 9)
+    @example(("regular-hexagon", "float"), ROW_WINDOWS[1], 0.98, 7, (5, 40), 12)
     @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from(ROW_SHAPES),
@@ -656,14 +745,13 @@ class TestRowEngine:
         st.sampled_from([0.02, 0.5, 0.98]),
         st.sampled_from([1, 7, 300]),
         st.sets(st.integers(3, 40), min_size=1, max_size=4).map(lambda ns: tuple(sorted(ns))),
-        st.sampled_from(["identity", "exhaustive"]),
         st.sampled_from([9, 12]),
     )
-    def test_rows_match_full_matrix_count(self, shape, window, p, trials, n_values, policy, seed):
+    def test_rows_match_full_matrix_count(self, shape, window, p, trials, n_values, seed):
         (spec, mode), (box, intensity) = shape, window
         cfg = ExperimentConfig(
             shape=spec, window=box, intensity=intensity, mode=mode, n_values=n_values,
-            p=p, trials=trials, base_seed=seed, anchor_policy=policy,
+            p=p, trials=trials, base_seed=seed,
         )
         got = [r.successes for r in run_decay_experiment(cfg)]
         assert got == full_matrix_successes(cfg)
@@ -705,10 +793,8 @@ class TestGoldenRows:
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_rows_match_recording(self, name):
         entry = self.RECORDED[name]
-        for policy, rows in entry["rows"].items():
-            cfg = ExperimentConfig(**entry["config"], anchor_policy=policy)
-            got = [dataclasses.asdict(r) for r in run_decay_experiment(cfg)]
-            assert got == rows, policy
+        got = run_decay_experiment(ExperimentConfig(**entry["config"]))
+        assert [dataclasses.asdict(r) for r in got] == entry["rows"]["exhaustive"]
 
 
 class TestCsv:
