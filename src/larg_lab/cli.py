@@ -176,6 +176,9 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+_BOX_DEMO_KEYS = ("shape", "window", "intensity", "seed", "mode", "alpha_seed", "p", "trials", "budget")
+
+
 def _cmd_experiment(args) -> int:
     cfg_text = _read(args.config)
     if args.kind == "decay":
@@ -191,6 +194,9 @@ def _cmd_experiment(args) -> int:
     cfg = json.loads(cfg_text)
     if not isinstance(cfg, dict):
         raise ExperimentError("box-demo config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_BOX_DEMO_KEYS))
+    if unknown:
+        raise ExperimentError(f"unknown box-demo config keys {unknown}; known keys are {list(_BOX_DEMO_KEYS)}")
     shape = shape_from_spec(cfg.get("shape", "square"))
     if not shape.is_box():
         raise ExperimentError("box-demo needs a box shape")

@@ -51,12 +51,7 @@ from .geometry import (
     regular_hexagon,
     square_linf,
 )
-from .larg import (
-    GeoGraph,
-    compatibility_probability,
-    in_range_pairs,
-    sample_larg,
-)
+from .larg import GeoGraph, compatibility_probability, in_range_pairs
 from .pointsets import PointSet, Window, _idf_tests, _projection_ints, sample_poisson_window
 
 __all__ = [
@@ -608,8 +603,9 @@ def box_to_linf_transform(shape: NormShape):
     return ((a1.x, a1.y), (a2.x, a2.y))
 
 
-def _floor_table(points: PointSet, shape: PolygonShape):
-    """floors[a][u][v] = floor of a.(p_u - p_v); refuses ambiguous floats.
+def _floor_table(points: PointSet, shape: PolygonShape) -> np.ndarray:
+    """floors[a, u, v] = floor of a.(p_u - p_v), a (k, n, n) int64 array;
+    refuses ambiguous floats.
 
     A float filter floors the difference matrix of each column of
     larg._columns; cells within larg's guard of an integer are decided in
@@ -633,12 +629,84 @@ def _floor_table(points: PointSet, shape: PolygonShape):
             else:
                 D, proj, d = enc
                 tab[u, v] = _floor_surd(proj[u][0] - proj[v][0], proj[u][1] - proj[v][1], d, D)
-        tables.append(tab.astype(np.int64).tolist())
-    return tables
+        tables.append(tab.astype(np.int64))
+    return np.stack(tables)
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _floor_codes(points: PointSet, shape: PolygonShape) -> np.ndarray:
+    """n x n int64 codes, equal for two pairs iff every generator floors
+    them alike: the dense rank of each pair's tuple of `_floor_table` floors.
+
+    The rank is built one generator at a time, each step packing the rank so
+    far with the generator's own dense rank; both are below n^2, so the
+    packed value stays below n^4 and the codes below n^2, whatever the
+    floors' range.
+    """
+    floors = _floor_table(points, shape)
+    n = len(points)
+    codes = np.zeros(n * n, dtype=np.int64)
+    for tab in floors:
+        _, rank = np.unique(tab, return_inverse=True)
+        _, codes = np.unique(codes * (rank.max(initial=0) + 1) + rank.reshape(-1), return_inverse=True)
+    return codes.reshape(n, n)
+
+
+def _search(codes, budget: int):
+    """Back-and-forth search for a map of G onto H that keeps every code.
+
+    codes = (c_G, c_H) holds each side's n x n int pair codes; u -> w is
+    consistent when c[u, x] equals the other side's c[w, y] for every mapped
+    pair x -> y. Step i maps the smallest unmapped vertex of G (i even) or
+    of H (i odd) to the first consistent candidate of the other side, in
+    increasing order, and backtracks on a dead end. Each candidate not yet
+    mapped costs one unit of the budget, consistent or not. A step finds
+    the candidates matching its first mapped pair by one list search each
+    and charges the unmapped ones it passes in one count. The steps live on
+    a list, so any n fits. Returns ("isomorphic", images of G's vertices),
+    ("none", None) or ("undetermined", None).
+    """
+    n = len(codes[0])
+    cols = [c.T.tolist() for c in codes]  # cols[s][x][u] = c_s[u, x]
+    image = ([-1] * n, [-1] * n)  # image[s][u]: where side s sends u, or -1
+    mapped = ([], [])  # the mapped pairs, G's vertices and H's, in step order
+    left = budget
+    stack = []  # per step: [its vertex, its codes to match, its next candidate]
+    while len(stack) < n:
+        s = len(stack) & 1
+        v = image[s].index(-1)
+        stack.append([v, [cols[s][x][v] for x in mapped[s]], 0])
+        while True:  # the top step's next consistent candidate, backtracking past dead ends
+            s = (len(stack) - 1) & 1
+            v, want, c0 = stack[-1]
+            free, ys, other = image[1 - s], mapped[1 - s], cols[1 - s]
+            # with no pair mapped yet, every unmapped candidate is consistent
+            col, first = (other[ys[0]], want[0]) if ys else (free, -1)
+            c = c0
+            while True:
+                try:
+                    c = col.index(first, c)
+                except ValueError:
+                    c = n
+                    break
+                if free[c] == -1 and all(other[y][c] == w for y, w in zip(ys, want)):
+                    break
+                c += 1
+            cost = free[c0 : c + 1].count(-1)
+            if left < cost:
+                return ("undetermined", None)
+            left -= cost
+            if c < n:
+                stack[-1][2] = c + 1
+                image[s][v], image[1 - s][c] = c, v
+                mapped[s].append(v)
+                mapped[1 - s].append(c)
+                break
+            stack.pop()
+            if not stack:
+                return ("none", None)
+            x, y = mapped[0].pop(), mapped[1].pop()
+            image[0][x] = image[1][y] = -1
+    return ("isomorphic", tuple(image[0]))
 
 
 def back_and_forth_isomorphism(
@@ -648,7 +716,10 @@ def back_and_forth_isomorphism(
 
     Alternates sides: even steps map the smallest unmapped vertex of G, odd
     steps find a preimage for the smallest unmapped vertex of H. A candidate
-    must match every mapped vertex's projection floors and adjacency. Returns
+    must match every mapped vertex's projection floors and adjacency, which
+    `_search` compares as one packed code per pair (twice the pair's
+    `_floor_codes` plus its adjacency), on an explicit stack. Every
+    candidate considered costs one unit of the budget. Returns
     ("isomorphic", mapping), ("none", None) when the search space is
     exhausted, or ("undetermined", None) when the budget runs out first.
     """
@@ -661,52 +732,8 @@ def back_and_forth_isomorphism(
         raise ExperimentError("graphs disagree on size or delta")
     if budget < 1:
         raise ExperimentError("budget must be positive")
-
-    n = len(points)
-    floors = _floor_table(points, shape)
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    left = budget
-    adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
-
-    def consistent(u: int, w: int, mapped: dict, adj_u, adj_w) -> bool:
-        # may u map to w, with mapped holding the pairs (u2, w2) of u's side?
-        for u2, w2 in mapped.items():
-            if adj_u[u][u2] != adj_w[w][w2]:
-                return False
-            for tab in floors:
-                if tab[u][u2] != tab[w][w2]:
-                    return False
-        return True
-
-    def extend() -> bool:
-        nonlocal left
-        if len(fwd) == n:
-            return True
-        mapped, other, adj_m, adj_o = (fwd, bwd, adj_g, adj_h) if len(fwd) % 2 == 0 else (bwd, fwd, adj_h, adj_g)
-        v = min(x for x in range(n) if x not in mapped)
-        for c in range(n):
-            if c in other:
-                continue
-            if left <= 0:
-                raise _BudgetExhausted
-            left -= 1
-            if consistent(v, c, mapped, adj_m, adj_o):
-                mapped[v] = c
-                other[c] = v
-                if extend():
-                    return True
-                del mapped[v]
-                del other[c]
-        return False
-
-    try:
-        found = extend()
-    except _BudgetExhausted:
-        return ("undetermined", None)
-    if not found:
-        return ("none", None)
-    return ("isomorphic", tuple(fwd[u] for u in range(n)))
+    base = 2 * _floor_codes(points, shape)
+    return _search([base + G.adjacency_matrix(), base + H.adjacency_matrix()], budget)
 
 
 @dataclass(frozen=True)
@@ -725,12 +752,19 @@ def box_isomorphism_demo(
 ) -> BoxDemoReport:
     """Rate of explicit isomorphisms between independent box samples.
 
-    Requires idf projections on both generators, the regime in which the
-    infinite model makes any two samples isomorphic; at desk scale the rate
-    is recorded as observed, including honest "undetermined" exhaustions.
+    Requires at least two points and idf projections on both generators,
+    the regime in which the infinite model makes any two samples
+    isomorphic; at desk scale the rate is recorded as observed, including
+    honest "undetermined" exhaustions. Trial s compares the samples of edge
+    seeds _trial_seed(s, 0, 0, 0) and _trial_seed(s, 0, 0, 1), the graphs
+    sample_larg draws for them: the in-range pairs and the floor codes are
+    built once, and each trial draws only its two rows of coins over those
+    pairs (_coin_rows) before it runs `_search`.
     """
     if not (isinstance(shape, PolygonShape) and shape.is_box()):
         raise ExperimentError("box_isomorphism_demo needs a box shape")
+    if len(points) < 2:
+        raise ExperimentError(f"the sample has {len(points)} points; the demo needs at least 2")
     for a, idf in zip(shape.generators, _idf_tests(points, shape.generators)):
         if not idf(1):
             raise ExperimentError(
@@ -740,12 +774,22 @@ def box_isomorphism_demo(
     seeds = tuple(seeds)
     if not seeds:
         raise ExperimentError("need at least one seed")
+    if not 0.0 < p < 1.0:
+        raise ExperimentError(f"p must be in (0, 1), got {p}")
+    if budget < 1:
+        raise ExperimentError("budget must be positive")
 
+    base = 2 * _floor_codes(points, shape)
+    us, vs = in_range_pairs(points, shape, 1)
     outcomes = []
     for s in seeds:
-        G = sample_larg(points, shape, 1, p, edge_seed=_trial_seed(s, 0, 0, 0))
-        H = sample_larg(points, shape, 1, p, edge_seed=_trial_seed(s, 0, 0, 1))
-        status, _ = back_and_forth_isomorphism(G, H, points, shape, budget)
+        codes = []
+        for edges in _coin_rows(np.array([_trial_seed(s, 0, 0, side) for side in (0, 1)], dtype=np.uint64), us, vs, True, p):
+            code = base.copy()
+            code[us[edges], vs[edges]] += 1
+            code[vs[edges], us[edges]] += 1
+            codes.append(code)
+        status, _ = _search(codes, budget)
         outcomes.append(status)
     found = outcomes.count("isomorphic")
     return BoxDemoReport(

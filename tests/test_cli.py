@@ -362,6 +362,7 @@ class TestExperiment:
             ({"intensity": [1]}, "intensity must be a number, got [1]"),
             ({"intensity": "4"}, "intensity must be a number, got '4'"),
             ({"p": [0.5]}, "p must be a number, got [0.5]"),
+            ({"trails": 3}, "unknown box-demo config keys ['trails']"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
@@ -371,6 +372,12 @@ class TestExperiment:
             result = run(capsys, "experiment", "box-demo", "--config", str(cfg))
         assert_one_error_line(*result, words)
         sampler.assert_not_called()
+
+    def test_box_demo_refuses_an_empty_sample(self, workdir, capsys):
+        cfg = workdir / "box-empty.json"
+        cfg.write_text(json.dumps({"shape": "square", "intensity": 0.001}))
+        result = run(capsys, "experiment", "box-demo", "--config", str(cfg))
+        assert_one_error_line(*result, "the sample has 0 points")
 
     def test_box_demo_refuses_smooth_shape(self, workdir, capsys):
         cfg = workdir / "box-lp.json"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from larg_lab import experiments, larg
+from larg_lab import cli, experiments, larg
 from larg_lab.anchoring import AnchoringError, good_enumeration
 from larg_lab.exact import BoundaryAmbiguityError, close, exact_div, guarded_floor, is_exact
 from larg_lab.experiments import (
@@ -25,6 +25,7 @@ from larg_lab.experiments import (
     _apply,
     _coin_rows,
     _extension_candidates,
+    _floor_codes,
     _floor_table,
     _point_lookup,
     _surviving_trials,
@@ -926,13 +927,13 @@ class TestBackAndForth:
         )
         for shape in (square_linf(), box_shape(Vec2(1, 0), Vec2(1, 2)), rational_hexagon()):
             for pts in (self.idf_points(shape, intensity=20.0), lattice):
-                assert _floor_table(pts, shape) == self.scalar_floor_table(pts, shape)
+                assert _floor_table(pts, shape).tolist() == self.scalar_floor_table(pts, shape)
         # float points far from integer differences pass the filter alone
         floats = PointSet(
             tuple(Vec2(0.1 + 0.3819 * k, 0.05 + (0.6180339887 * k * k) % 1.9) for k in range(12)),
             Window(0.0, 0.0, 5.0, 2.0), 0,
         )
-        assert _floor_table(floats, square_linf()) == self.scalar_floor_table(floats, square_linf())
+        assert _floor_table(floats, square_linf()).tolist() == self.scalar_floor_table(floats, square_linf())
         # a float pair at integer difference is refused, naming the first one
         near = PointSet(
             (Vec2(0.25, 0.5), Vec2(0.75, 0.1), Vec2(1.25, 0.9), Vec2(1.75, 0.3)),
@@ -961,6 +962,149 @@ class TestBackAndForth:
             back_and_forth_isomorphism(G, H, pts, LpShape(2.0))
 
 
+def reference_back_and_forth(G, H, points, shape, budget):
+    """The recursive search, one floor table at a time: (status, mapping,
+    budget units used). Each level is one Python frame."""
+    n = len(points)
+    floors = _floor_table(points, shape).tolist()
+    fwd, bwd = {}, {}
+    used = 0
+    adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
+
+    class Exhausted(Exception):
+        pass
+
+    def consistent(u, w, mapped, adj_u, adj_w):
+        for u2, w2 in mapped.items():
+            if adj_u[u][u2] != adj_w[w][w2]:
+                return False
+            for tab in floors:
+                if tab[u][u2] != tab[w][w2]:
+                    return False
+        return True
+
+    def extend():
+        nonlocal used
+        if len(fwd) == n:
+            return True
+        mapped, other, adj_m, adj_o = (fwd, bwd, adj_g, adj_h) if len(fwd) % 2 == 0 else (bwd, fwd, adj_h, adj_g)
+        v = min(x for x in range(n) if x not in mapped)
+        for c in range(n):
+            if c in other:
+                continue
+            if used == budget:
+                raise Exhausted
+            used += 1
+            if consistent(v, c, mapped, adj_m, adj_o):
+                mapped[v], other[c] = c, v
+                if extend():
+                    return True
+                del mapped[v], other[c]
+        return False
+
+    try:
+        found = extend()
+    except Exhausted:
+        return ("undetermined", None, used)
+    if not found:
+        return ("none", None, used)
+    return ("isomorphic", tuple(fwd[u] for u in range(n)), used)
+
+
+@st.composite
+def search_problems(draw):
+    """Two graphs over one idf-rescaled sample, often sharing their coins."""
+    spec = draw(st.sampled_from(["square", "box:2,0;0,2", "box:1,0;1,2", "hexagon"]))
+    side = Fraction(draw(st.integers(1, 6)), 2)
+    intensity = draw(st.sampled_from([3.0, 5.0, 8.0, 12.0, 20.0, 30.0]))
+    mode = draw(st.sampled_from(["rational", "float"]))
+    p = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    seed = draw(st.integers(0, 10**6))
+    shape = shape_from_spec(spec)
+    raw = sample_poisson_window(Window(Fraction(0), Fraction(0), side, side), intensity, seed=seed, mode=mode)
+    assume(len(raw) <= 40)
+    _, pts = rescale_to_idf(raw, shape.generators, seed=1)
+    G = sample_larg(pts, shape, 1, p, edge_seed=2 * seed)
+    H = G if draw(st.booleans()) else sample_larg(pts, shape, 1, p, edge_seed=2 * seed + 1)
+    return G, H, pts, shape
+
+
+class TestSearchReference:
+    """The stack search against the recursive one, result and budget alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_problems(), st.sampled_from([1, 2, 5, 20, 100, 500, 2000, 20000]))
+    def test_matches_recursive_search(self, problem, budget):
+        G, H, pts, shape = problem
+        status, mapping, _ = reference_back_and_forth(G, H, pts, shape, budget)
+        assert back_and_forth_isomorphism(G, H, pts, shape, budget) == (status, mapping)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_problems())
+    def test_exact_budget_boundary(self, problem):
+        # with exactly the units the reference used the result is the same;
+        # one unit less stops the search on its last candidate
+        G, H, pts, shape = problem
+        status, mapping, used = reference_back_and_forth(G, H, pts, shape, 20000)
+        assume(status != "undetermined" and used > 0)
+        assert back_and_forth_isomorphism(G, H, pts, shape, used) == (status, mapping)
+        if used > 1:
+            assert back_and_forth_isomorphism(G, H, pts, shape, used - 1) == ("undetermined", None)
+
+    def test_boundary_turns_none_into_undetermined(self):
+        shape = square_linf()
+        raw = sample_poisson_window(
+            Window(Fraction(0), Fraction(0), Fraction(3, 2), Fraction(3, 2)), 6.0, seed=4, mode="rational"
+        )
+        _, pts = rescale_to_idf(raw, shape.generators, seed=3)
+        G, H = box_pair(7, 8, pts, shape)
+        status, _, used = reference_back_and_forth(G, H, pts, shape, 20000)
+        assert status == "none" and used > 1
+        assert back_and_forth_isomorphism(G, H, pts, shape, used) == ("none", None)
+        assert back_and_forth_isomorphism(G, H, pts, shape, used - 1) == ("undetermined", None)
+
+    def test_deep_search_runs_without_recursion(self):
+        # 1113 points: the recursive search overflows Python's stack here
+        shape = shape_from_spec("box:2,0;0,2")
+        raw = sample_poisson_window(Window(Fraction(0), Fraction(0), Fraction(30), Fraction(30)), 1.3, seed=3, mode="rational")
+        _, pts = rescale_to_idf(raw, shape.generators, seed=0)
+        assert len(pts) == 1113
+        G = sample_larg(pts, shape, 1, 0.5, edge_seed=11)
+        assert back_and_forth_isomorphism(G, G, pts, shape, 10**7) == ("isomorphic", tuple(range(len(pts))))
+
+
+class TestFloorCodes:
+    @staticmethod
+    def assert_codes_rank_floor_tuples(points, shape):
+        codes = _floor_codes(points, shape)
+        floors = _floor_table(points, shape)
+        n = len(points)
+        assert codes.shape == (n, n) and codes.dtype == np.int64
+        tuples = [tuple(floors[:, u, v].tolist()) for u in range(n) for v in range(n)]
+        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+        # dense lexicographic ranks: below n^2, so 2 * code + 1 fits any int64
+        assert codes.ravel().tolist() == [rank[t] for t in tuples]
+
+    @pytest.mark.parametrize("spec", ["square", "box:1,0;1,2", "hexagon"])
+    def test_codes_are_dense_ranks_of_floor_tuples(self, spec):
+        shape = shape_from_spec(spec)
+        raw = sample_poisson_window(
+            Window(Fraction(0), Fraction(0), Fraction(3), Fraction(3)), 4.0, seed=2, mode="rational"
+        )
+        _, pts = rescale_to_idf(raw, shape.generators, seed=1)
+        self.assert_codes_rank_floor_tuples(pts, shape)
+
+    def test_huge_window(self):
+        # floors near 10^12 under three generators: a mixed-radix pack of the
+        # floors would need about 10^36 codes
+        side = Fraction(10**12)
+        pts = sample_poisson_window(Window(Fraction(0), Fraction(0), side, side), 30 / side**2, seed=5, mode="rational")
+        assert len(pts) >= 20
+        floors = _floor_table(pts, rational_hexagon())
+        assert np.abs(floors).max() > 10**11
+        self.assert_codes_rank_floor_tuples(pts, rational_hexagon())
+
+
 class TestBoxDemo:
     def test_rejects_integer_spaced_sample(self):
         from larg_lab.pointsets import PointSet
@@ -987,6 +1131,58 @@ class TestBoxDemo:
         assert report.found + report.none + report.undetermined == 12
         assert report.success_rate == pytest.approx(report.found / 12)
         assert len(report.outcomes) == 12
+
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_refuses_fewer_than_two_points(self, count):
+        pts = PointSet(
+            (Vec2(Fraction(1, 3), Fraction(1, 2)),)[:count],
+            Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2)),
+            seed=0,
+            mode="rational",
+        )
+        with pytest.raises(ExperimentError, match=f"the sample has {count} points"):
+            box_isomorphism_demo(pts, square_linf(), 0.5, seeds=(1, 2))
+
+    @pytest.mark.parametrize("spec", ["square", "box:1,0;1,2"])
+    def test_trials_search_the_graphs_sample_larg_draws(self, spec):
+        # each trial's codes are twice the floor codes plus the adjacency of
+        # sample_larg at the trial's two edge seeds
+        shape = shape_from_spec(spec)
+        raw = sample_poisson_window(
+            Window(Fraction(0), Fraction(0), Fraction(2), Fraction(2)), 5.0, seed=8, mode="rational"
+        )
+        _, pts = rescale_to_idf(raw, shape.generators, seed=3)
+        floors = _floor_codes(pts, shape)
+        seeds = (0, 5, 2**40)
+        with mock.patch.object(experiments, "_search", wraps=experiments._search) as search:
+            report = box_isomorphism_demo(pts, shape, 0.4, seeds=seeds, budget=300)
+        assert search.call_count == len(seeds)
+        for s, call, status in zip(seeds, search.call_args_list, report.outcomes):
+            codes, budget = call.args
+            graphs = [sample_larg(pts, shape, 1, 0.4, edge_seed=_trial_seed(s, 0, 0, side)) for side in (0, 1)]
+            assert budget == 300
+            for code, G in zip(codes, graphs):
+                assert np.array_equal(code, 2 * floors + G.adjacency_matrix())
+            assert back_and_forth_isomorphism(*graphs, pts, shape, 300)[0] == status
+
+
+GOLDEN_BOX_DEMO = os.path.join(os.path.dirname(__file__), "data", "golden_box_demo.json")
+
+
+class TestGoldenBoxDemo:
+    """Box-demo reports recorded from the recursive search over per-trial graphs."""
+
+    with open(GOLDEN_BOX_DEMO, encoding="utf-8") as fh:
+        RECORDED = json.load(fh)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_report_matches_recording(self, name, tmp_path):
+        entry = self.RECORDED[name]
+        cfg, out = tmp_path / "box.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(entry["config"]))
+        assert cli.main(["experiment", "box-demo", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == entry["report"]
 
 
 class TestBoxBeatsHexagon:
