@@ -6,6 +6,19 @@ construction and verification, grid/anchoring machinery, and Monte Carlo
 experiments.  Everything public in each layer is re-exported here.
 """
 
+import os as _os
+
+# No layer makes a BLAS call, so numpy's OpenBLAS is loaded with one thread:
+# a worker thread would only spin.  OpenBLAS reads the variable once, at load,
+# so the environment is left as it was; a value the caller set, or a numpy
+# imported before this package, is kept.
+if "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .exact import *  # noqa: F401,F403
 from .geometry import *  # noqa: F401,F403
 from .pointsets import *  # noqa: F401,F403

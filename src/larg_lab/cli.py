@@ -204,6 +204,8 @@ def _cmd_experiment(args) -> int:
         _require_int(cfg.get(key, default), key)
         for key, default in (("seed", 1), ("alpha_seed", 0), ("trials", 20), ("budget", 5000))
     )
+    if trials < 1:
+        raise ExperimentError("trials must be at least 1")
     bounds = cfg.get("window", ["0", "0", "3/2", "3/2"])
     if not (isinstance(bounds, list) and len(bounds) == 4):
         raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {bounds!r}")

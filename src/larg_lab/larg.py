@@ -298,8 +298,10 @@ def _columns(arr: np.ndarray, shape: NormShape):
     """Float columns whose pairwise gaps make up the distance, their reach
     (the largest |column| per unit of coordinate) and the L^p exponent.
 
-    Polygons take the generator projections x*gx + y*gy (no matmul: BLAS
-    pages cost resident memory) and the exponent None; L^p takes x and y.
+    Polygons take the generator projections x*gx + y*gy and the exponent
+    None; L^p takes x and y.  No matmul: BLAS pages cost resident memory,
+    and the package loads OpenBLAS with one thread because no layer calls
+    BLAS (tests/test_fields.py keeps it so).
     """
     if isinstance(shape, PolygonShape):
         gens = [g.to_floats() for g in shape.generators]

@@ -204,9 +204,14 @@ class PointSet:
     def _xy(self) -> np.ndarray:
         # exact sets only; a float set stores its array when it is made
         D, xs, ys = self._ints
-        xy = np.array([[surd_float(*c, D, self.field) for c in row] for row in zip(xs, ys)], dtype=float)
+        cols = []
+        for col in (xs, ys):
+            # over Q each value is A / D, surd_float's own B == 0 branch
+            vals = (A / D for A, _ in col) if self.field == 0 else (surd_float(*c, D, self.field) for c in col)
+            cols.append(np.fromiter(vals, float, len(col)))
+        xy = np.column_stack(cols)
         xy.flags.writeable = False
-        return xy.reshape(len(xs), 2)
+        return xy
 
     def fingerprint(self) -> str:
         """Content hash used as the point_set_ref of graphs sampled over this set.

@@ -363,6 +363,8 @@ class TestExperiment:
             ({"intensity": "4"}, "intensity must be a number, got '4'"),
             ({"p": [0.5]}, "p must be a number, got [0.5]"),
             ({"trails": 3}, "unknown box-demo config keys ['trails']"),
+            ({"trials": 0}, "trials must be at least 1"),
+            ({"trials": -2}, "trials must be at least 1"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):

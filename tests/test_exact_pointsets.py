@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from larg_lab.exact import FLOAT_INTEGER_GUARD, BoundaryAmbiguityError, SqrtExt, guarded_floor, is_exact
+from larg_lab.exact import FLOAT_INTEGER_GUARD, BoundaryAmbiguityError, SqrtExt, guarded_floor, is_exact, surd_float
 from larg_lab.experiments import _floor_table
 from larg_lab.geometry import PolygonShape, Vec2, box_shape, rational_hexagon, regular_hexagon, square_linf
 from larg_lab.pointsets import (
@@ -333,6 +333,28 @@ def test_column_sets_match_vec2_sets(case):
         assert want.mode == "float" and extra is extras[1] or refusal[0] is PointSetError
     rational = (want.window, want.seed, "rational")
     assert outcome(PointSet, got.points, *rational) == outcome(PointSet, want.points, *rational)
+
+
+numerators = st.integers(-(2**80), 2**80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3]),
+    st.integers(1, 2**70),
+    st.lists(st.tuples(numerators, numerators, numerators, numerators), max_size=12),
+)
+@example(0, 3, [(2**53 + 1, 0, -(2**60) - 1, 0), (-1, 0, 1, 0)])
+@example(2, 2**53 + 3, [(-(2**54) - 1, 2**55 + 1, 7, -5)])
+def test_float_decode_matches_surd_float(d, D, rows):
+    # the columns of an exact set decode to surd_float's values, bit for bit;
+    # over Q a numerator has no sqrt(d) part
+    rows = [(A, B if d else 0, A2, B2 if d else 0) for A, B, A2, B2 in rows]
+    xs, ys = [r[:2] for r in rows], [r[2:] for r in rows]
+    ps = PointSet._from_columns((D, xs, ys), d, Window(F(0), F(0), F(1), F(1)), 0, "rational")
+    want = [[surd_float(*c, D, d).hex() for c in row] for row in zip(xs, ys)]
+    assert ps.as_array().shape == (len(rows), 2)
+    assert [[v.hex() for v in row] for row in ps.as_array().tolist()] == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ beside sqrt(3), and asserts the error class and the message.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,3 +233,62 @@ def test_every_public_name_has_a_caller():
     assert sorted(public - read - set(UNCALLED_BY_DESIGN)) == []
     # the allowlist shrinks as soon as one of its names gains a reader
     assert sorted(n for n in UNCALLED_BY_DESIGN if n in read or n not in public) == []
+
+
+# numpy functions and modules that call BLAS
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def test_no_module_calls_blas():
+    # the package loads OpenBLAS with one thread (larg_lab/__init__.py), which
+    # is free only while no layer multiplies matrices: no @, and no numpy
+    # function or module of BLAS_NAMES.  Vec2.dot is a method of the package's
+    # own vectors; an attribute dot is flagged only on the numpy module
+    src = Path(__file__).resolve().parents[1] / "src" / "larg_lab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        numpy_names = {"numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                numpy_names.update(a.asname or a.name for a in node.names if a.name == "numpy")
+                paths = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            parts = [p.split(".") for p in paths]
+            found += [f"{path.name}:{node.lineno} imports {'.'.join(p)}" for p in parts if p[0] == "numpy" and BLAS_NAMES & set(p)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} multiplies with @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                on_numpy = isinstance(node.value, ast.Name) and node.value.id in numpy_names
+                if node.attr != "dot" or on_numpy:
+                    found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not found, f"BLAS calls in src/: {found}"
+
+
+_TASKS = """
+import os, larg_lab
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux /proc")
+def test_import_loads_openblas_with_one_thread():
+    # a fresh interpreter: importing the package leaves one thread and the
+    # environment as it was
+    src = os.path.dirname(os.path.dirname(larg_lab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def tasks_and_variable(**extra):
+        done = subprocess.run(
+            [sys.executable, "-c", _TASKS], env={**env, "PYTHONPATH": src, **extra}, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert tasks_and_variable() == ["1", "None"]
+    # a value the caller set is kept (its thread count depends on the host)
+    assert tasks_and_variable(OPENBLAS_NUM_THREADS="2")[1] == "2"
