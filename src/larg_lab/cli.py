@@ -16,6 +16,7 @@ from .exact import format_scalar, parse_scalar
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
+    _read_window,
     _require_int,
     _require_number,
     box_isomorphism_demo,
@@ -206,13 +207,7 @@ def _cmd_experiment(args) -> int:
     )
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
-    bounds = cfg.get("window", ["0", "0", "3/2", "3/2"])
-    if not (isinstance(bounds, list) and len(bounds) == 4):
-        raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {bounds!r}")
-    try:
-        window = Window(*(parse_scalar(c) for c in bounds))
-    except TypeError as exc:
-        raise ExperimentError(f"bad window {bounds!r}: {exc}") from None
+    window = Window(*_read_window(cfg.get("window", ["0", "0", "3/2", "3/2"])))
     intensity, p = (
         float(_require_number(cfg.get(key, default), key)) for key, default in (("intensity", 4.0), ("p", 0.5))
     )

@@ -27,7 +27,7 @@ tables, one hash stage per coin; the rows are reproducible bit for bit.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import permutations
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact
+from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact, parse_scalar
 from .geometry import (
     GeometryError,
     LpShape,
@@ -46,7 +46,6 @@ from .geometry import (
     box_shape,
     diamond_l1,
     distance,
-    is_triangular_set,
     rational_hexagon,
     regular_hexagon,
     square_linf,
@@ -63,7 +62,6 @@ __all__ = [
     "box_isomorphism_demo",
     "box_to_linf_transform",
     "paper_decay_bound",
-    "partial_isomorphism_exists",
     "rows_from_csv",
     "rows_to_csv",
     "run_decay_experiment",
@@ -94,6 +92,25 @@ def _require_number(value, what: str):
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _read_window(window) -> tuple:
+    """The bounds (x0, y0, x1, y1) of a config window, a list or tuple of
+    four: an exact string such as "3/2" is read by parse_scalar, an int
+    stays an int, a float a float and any other exact scalar as it is.
+    Anything else is an ExperimentError."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 4):
+        raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {window!r}")
+    bounds = []
+    for c in window:
+        try:
+            b = parse_scalar(c) if isinstance(c, str) else c
+        except ValueError:
+            b = None
+        if isinstance(b, bool) or not (isinstance(b, float) or is_exact(b)):
+            raise ExperimentError(f"bad window {list(window)!r}: {c!r} is no number or exact string")
+        bounds.append(b)
+    return tuple(bounds)
 
 
 def shape_from_spec(spec: str) -> NormShape:
@@ -132,7 +149,7 @@ def shape_from_spec(spec: str) -> NormShape:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a decay run needs, JSON round-trippable."""
+    """Everything a decay run needs, read from JSON by `from_json`."""
 
     shape: str = "hexagon"
     window: tuple = (0, 0, 1, 1)
@@ -144,16 +161,13 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(self.window))
         object.__setattr__(self, "n_values", tuple(self.n_values))
         ints = [("trials", self.trials), ("base_seed", self.base_seed)]
         for what, v in ints + [("n_values entry", n) for n in self.n_values]:
             _require_int(v, what)
         _require_number(self.intensity, "intensity")
         _require_number(self.p, "p")
-        numbers = all(not isinstance(c, bool) and (isinstance(c, float) or is_exact(c)) for c in self.window)
-        if len(self.window) != 4 or not numbers:
-            raise ExperimentError(f"window must be four numbers (x0, y0, x1, y1), got {list(self.window)!r}")
+        object.__setattr__(self, "window", _read_window(self.window))
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
         if not self.n_values or any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
@@ -166,9 +180,6 @@ class ExperimentConfig:
             raise ExperimentError("intensity must be positive")
         if self.mode not in ("float", "rational"):
             raise ExperimentError(f"unknown sampling mode {self.mode!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -297,7 +308,7 @@ def _point_lookup(points: PointSet):
     return lookup
 
 
-def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
+def _extension_candidates(enum: GoodEnumeration, n: int, lookup) -> tuple:
     """Images of V_n under the plane isometries that map the anchor into V_n.
 
     At n = 3 every ordered triple of distinct vertices counts. From n = 4 on,
@@ -308,8 +319,7 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
     float distances over V_n mark the pairs within larg's guard of an
     anchor distance, and only those pairs are confirmed by the scalar
     distance, each pair once. The result is the scalar definition's own, in
-    its order. `lookup` is the _point_lookup of the enumeration's point set,
-    built here when not given.
+    its order. `lookup` is the _point_lookup of the enumeration's point set.
     """
     vn = enum.order[:n]
     if n == 3:
@@ -317,7 +327,6 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
 
     pts = enum.point_set.points
     shape = enum.shape
-    lookup = lookup or _point_lookup(enum.point_set)
     arr = enum.point_set.as_array()[list(vn)]
     cols, reach, q = larg._columns(arr, shape)
     fd = larg._distances(cols, q, slice(None), slice(None))
@@ -362,50 +371,6 @@ def _extension_candidates(enum: GoodEnumeration, n: int, lookup=None) -> tuple:
             else:
                 out.append(tuple(images))
     return tuple(out)
-
-
-def partial_isomorphism_exists(
-    G: GeoGraph, H: GeoGraph, order: GoodEnumeration, n: int
-) -> bool:
-    """Does some plane isometry carry G's V_n onto H with adjacency intact?
-
-    V_n is the first n points of the enumeration. The search runs over the
-    plane isometries that map the anchor (the first three points) into V_n;
-    such a map fixes the image of every later vertex, and the resulting map
-    must match adjacency exactly. At n = 3 every ordered triple of distinct
-    vertices of V_n is tried. The anchor must be a triangular set, which the
-    construction needs; the rest of the enumeration is not read.
-    """
-    if n < 3:
-        raise ExperimentError("n must be at least 3")
-    if n > len(order.order):
-        raise ExperimentError(
-            f"enumeration places {len(order.order)} points; cannot compare n = {n}"
-        )
-    fp = order.point_set.fingerprint()
-    if G.point_set_ref != fp or H.point_set_ref != fp:
-        raise ExperimentError("graphs were not sampled over the enumeration's point set")
-    if G.n != H.n or G.delta != H.delta:
-        raise ExperimentError("graphs disagree on size or delta")
-    m = tuple(order.point_set.points[i] for i in order.order[:3])
-    if len(set(m)) < 3 or not is_triangular_set(order.shape, *m):
-        raise ExperimentError("the enumeration's first three points are not a triangular set")
-
-    prefix = order.order[:n]
-    adj_g, adj_h = G.adjacency_matrix().tolist(), H.adjacency_matrix().tolist()
-    for images in _extension_candidates(order, n):
-        ok = True
-        for a in range(n):
-            row_g, row_h = adj_g[prefix[a]], adj_h[images[a]]
-            for b in range(a + 1, n):
-                if row_g[prefix[b]] != row_h[images[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +455,10 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
     two independent edge sets and asks whether some extension candidate of
     the first n points (_extension_candidates: every ordered triple at
     n = 3, the isometries that map the anchor into V_n from n = 4 on)
-    matches adjacency on every pair, as partial_isomorphism_exists does. Only
-    the coins of those pairs are drawn. Box shapes are rejected: their
-    samples are isomorphic almost surely, which is the box demo's story, not
-    a decay.
+    matches adjacency on every pair, as the whole-graph reference of
+    tests/test_experiments.py does trial by trial. Only the coins of those
+    pairs are drawn. Box shapes are rejected: their samples are isomorphic
+    almost surely, which is the box demo's story, not a decay.
     """
     shape = shape_from_spec(cfg.shape)
     if not isinstance(shape, PolygonShape):

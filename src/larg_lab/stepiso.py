@@ -129,10 +129,6 @@ class Interleaving1D:
                 raise StepIsoError("knots must strictly increase in both coordinates")
 
     @classmethod
-    def identity(cls) -> "Interleaving1D":
-        return cls(((0, 0),))
-
-    @classmethod
     def two_piece(cls, t, u) -> "Interleaving1D":
         """Map [0, t] linearly onto [0, u] and [t, 1) onto [u, 1)."""
         return cls(((0, 0), (t, u)))

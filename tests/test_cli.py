@@ -302,6 +302,25 @@ class TestExperiment:
         printed = capsysbinary.readouterr().out
         assert printed == out.read_bytes() and printed.count(b"\r\n") == 3
 
+    @pytest.mark.parametrize(
+        "kind, config, exact, numbers",
+        [
+            ("decay", {"n_values": [3, 4, 5], "trials": 20, "intensity": 8.0, "p": 0.9, "base_seed": 9},
+             ["0", "0", "3", "3"], [0, 0, 3, 3]),
+            ("box-demo", {"shape": "square", "intensity": 3.0, "seed": 3, "trials": 3, "budget": 500},
+             ["0", "0", "2", "2"], [0, 0, 2, 2]),
+        ],
+    )
+    def test_window_of_exact_strings_or_ints_gives_the_same_output(self, workdir, capsys, kind, config, exact, numbers):
+        outs = []
+        for window in (exact, numbers):
+            cfg = workdir / "cfg.json"
+            cfg.write_text(json.dumps({**config, "window": window}))
+            code, out, err = run(capsys, "experiment", kind, "--config", str(cfg))
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_box_demo_emits_report(self, workdir, capsys):
         cfg = workdir / "box.json"
         cfg.write_text(
@@ -336,11 +355,12 @@ class TestExperiment:
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"trials": True}, "trials must be an integer, got True"),
             ({"n_values": [3.7, 4]}, "n_values entry must be an integer, got 3.7"),
-            ({"window": ["0", "0", "1", "1"]}, "window must be four numbers"),
+            ({"window": "0011"}, "window must be four numbers (x0, y0, x1, y1), got '0011'"),
             ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
             ({"shape": 5}, "shape spec must be a string, got 5"),
             ({"intensity": True}, "intensity must be a number, got True"),
             ({"p": [0.5]}, "p must be a number, got [0.5]"),
+            ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]: None is no number or exact string"),
         ],
     )
     def test_decay_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):
@@ -356,7 +376,7 @@ class TestExperiment:
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"budget": True}, "budget must be an integer, got True"),
             ({"window": ["0", "0", "1"]}, "window must be four numbers (x0, y0, x1, y1), got ['0', '0', '1']"),
-            ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]"),
+            ({"window": ["0", "0", "1", None]}, "bad window ['0', '0', '1', None]: None is no number or exact string"),
             ({"shape": ["square"]}, "shape spec must be a string, got ['square']"),
             ({"intensity": True}, "intensity must be a number, got True"),
             ({"intensity": [1]}, "intensity must be a number, got [1]"),
@@ -365,6 +385,7 @@ class TestExperiment:
             ({"trails": 3}, "unknown box-demo config keys ['trails']"),
             ({"trials": 0}, "trials must be at least 1"),
             ({"trials": -2}, "trials must be at least 1"),
+            ({"window": "0011"}, "window must be four numbers (x0, y0, x1, y1), got '0011'"),
         ],
     )
     def test_box_demo_config_of_wrong_type_is_an_error_line(self, workdir, capsys, entry, words):

@@ -35,7 +35,6 @@ from larg_lab.experiments import (
     box_isomorphism_demo,
     box_to_linf_transform,
     paper_decay_bound,
-    partial_isomorphism_exists,
     rows_from_csv,
     rows_to_csv,
     run_decay_experiment,
@@ -74,7 +73,19 @@ def hex_enumeration(intensity=10.0, seed=5, size=Fraction(3, 2), shape=None):
 class TestConfig:
     def test_defaults_round_trip_through_json(self):
         cfg = ExperimentConfig()
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
+
+    def test_window_reads_exact_strings_and_keeps_numbers(self):
+        got = ExperimentConfig(window=["0", "1/2", 2, 2.5]).window
+        assert got == (0, Fraction(1, 2), 2, 2.5)
+        assert [type(c) for c in got] == [Fraction, Fraction, int, float]
+        assert ExperimentConfig(window=(Fraction(1, 3), 0, 1, 1)).window[0] == Fraction(1, 3)
+        for bad in ("0011", ["0", "0", "1"], ("0", "0", "1", "1", "1"), None):
+            with pytest.raises(ExperimentError, match=r"window must be four numbers \(x0, y0, x1, y1\)"):
+                ExperimentConfig(window=bad)
+        for bad in (["0", "0", "1", None], [0, 0, 1, True], [0, 0, "one", 1], [0, 0, "1/0", 1], [0, 0, [1], 1]):
+            with pytest.raises(ExperimentError, match=r"bad window .* is no number or exact string"):
+                ExperimentConfig(window=bad)
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ExperimentError):
@@ -421,9 +432,7 @@ class TestCandidateReference:
             assume(False)
         lookup = _point_lookup(pts)
         for n in range(3, min(12, len(enum.order)) + 1):
-            want = reference_extension_candidates(enum, n)
-            assert _extension_candidates(enum, n) == want
-            assert _extension_candidates(enum, n, lookup) == want
+            assert _extension_candidates(enum, n, lookup) == reference_extension_candidates(enum, n)
 
     @pytest.mark.parametrize("spec", ["hexagon", "regular-hexagon", "lp:2"])
     def test_symmetric_sets_have_several_candidates(self, spec):
@@ -436,9 +445,10 @@ class TestCandidateReference:
                 enum = good_enumeration(symmetric_point_set(spec, sample), shape_from_spec(spec))
             except AnchoringError:
                 continue
+            lookup = _point_lookup(enum.point_set)
             for n in range(4, min(12, len(enum.order)) + 1):
                 want = reference_extension_candidates(enum, n)
-                assert _extension_candidates(enum, n) == want
+                assert _extension_candidates(enum, n, lookup) == want
                 several += len(want) > 1
         assert several > 0
 
@@ -453,9 +463,10 @@ class TestCandidateReference:
             ps = PointSet(pts, Window(Fraction(0), Fraction(0), 7 * step, 7 * step), 0, mode="rational")
             for shape in (LpShape(2), _LATTICE_OCTAGON):
                 enum = good_enumeration(ps, shape)
+                lookup = _point_lookup(ps)
                 for n in (4, 5, 8, 12, 20):
                     want = reference_extension_candidates(enum, n, seen)
-                    assert _extension_candidates(enum, n) == want
+                    assert _extension_candidates(enum, n, lookup) == want
                     most = max(most, len(want))
         assert seen["rejected"] > 0 and seen["broken"] > 0 and most > 1
 
@@ -472,6 +483,14 @@ class TestCandidateReference:
         assert counted.call_count <= 100
 
 
+def graph_agrees(G, H, prefix, candidates) -> bool:
+    """The whole-graph reference of a decay trial: does some candidate f
+    carry G's V_n (`prefix`) onto H with adjacency intact, every pair of
+    V_n an edge of G exactly when its image under f is an edge of H?"""
+    pairs = list(combinations(range(len(prefix)), 2))
+    return any(all(G.has_edge(prefix[a], prefix[b]) == H.has_edge(f[a], f[b]) for a, b in pairs) for f in candidates)
+
+
 class TestPartialIsomorphism:
     def test_graph_agrees_with_itself(self):
         # exact points under a float-valued metric included: the identity
@@ -480,11 +499,11 @@ class TestPartialIsomorphism:
             enum = hex_enumeration(shape=shape)
             G = sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=11)
             for n in (3, 4, 6):
-                assert partial_isomorphism_exists(G, G, enum, n), shape
+                assert graph_agrees(G, G, enum.order[:n], reference_extension_candidates(enum, n)), shape
 
     def test_candidates_reduce_to_identity_prefix(self):
         enum = hex_enumeration()
-        assert _extension_candidates(enum, 6) == (tuple(enum.order[:6]),)
+        assert _extension_candidates(enum, 6, _point_lookup(enum.point_set)) == (tuple(enum.order[:6]),)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -500,9 +519,10 @@ class TestPartialIsomorphism:
         except AnchoringError:
             assume(False)
         shape, p = enum.shape, pts.points
+        lookup = _point_lookup(pts)
         for n in range(3, min(10, len(enum.order)) + 1):
             prefix = enum.order[:n]
-            cands = _extension_candidates(enum, n)
+            cands = _extension_candidates(enum, n, lookup)
             assert tuple(prefix) in cands
             for images in cands if n >= 4 else ():
                 assert len(set(images)) == n
@@ -515,51 +535,27 @@ class TestPartialIsomorphism:
                         else:
                             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    def test_collinear_anchor_rejected(self):
-        sample = hex_enumeration().point_set
-        line = tuple(Vec2(Fraction(i, 7), Fraction(1, 11)) for i in (1, 2, 3))
-        pts = dataclasses.replace(sample, points=sample.points + line)
-        enum = good_enumeration(pts, rational_hexagon())
-        first = tuple(range(len(sample), len(pts)))
-        rest = [i for i in enum.order if i not in first]
-        enum = dataclasses.replace(enum, order=first + tuple(rest[: len(enum.order) - 3]))
-        G = sample_larg(pts, enum.shape, 1, 0.5, edge_seed=11)
-        for n in (3, 4):
-            with pytest.raises(ExperimentError, match="triangular"):
-                partial_isomorphism_exists(G, G, enum, n)
-
     def test_flipped_edge_breaks_agreement(self):
         enum = hex_enumeration()
         G = sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=11)
         vn = set(enum.order[:6])
         flip = min(e for e in G.edges if e[0] in vn and e[1] in vn)
         H = dataclasses.replace(G, edges=frozenset(G.edges ^ {flip}))
-        assert not partial_isomorphism_exists(G, H, enum, 6)
+        assert not graph_agrees(G, H, enum.order[:6], reference_extension_candidates(enum, 6))
 
     def test_three_point_prefix_often_agrees(self):
         enum = hex_enumeration()
+        cands = reference_extension_candidates(enum, 3)
         hits = sum(
-            partial_isomorphism_exists(
+            graph_agrees(
                 sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=100 + t),
                 sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=500 + t),
-                enum,
-                3,
+                enum.order[:3],
+                cands,
             )
             for t in range(30)
         )
         assert hits == 13
-
-    def test_rejects_mismatched_inputs(self):
-        enum = hex_enumeration()
-        G = sample_larg(enum.point_set, enum.shape, 1, 0.5, edge_seed=11)
-        other = sample_poisson_window(Window(0.0, 0.0, 1.0, 1.0), 20.0, seed=1)
-        F = sample_larg(other, square_linf(), 1, 0.5, edge_seed=11)
-        with pytest.raises(ExperimentError):
-            partial_isomorphism_exists(G, F, enum, 3)
-        with pytest.raises(ExperimentError):
-            partial_isomorphism_exists(G, G, enum, 2)
-        with pytest.raises(ExperimentError):
-            partial_isomorphism_exists(G, G, enum, len(enum.order) + 1)
 
 
 class TestDecayExperiment:
@@ -594,6 +590,11 @@ class TestDecayExperiment:
             rows[mode] = [r.successes for r in run_decay_experiment(cfg)]
         assert rows["rational"] == rows["float"]
 
+    def test_prefix_beyond_the_enumeration_is_refused(self):
+        cfg = dataclasses.replace(self.CFG, n_values=(3, 10_000), trials=1)
+        with pytest.raises(ExperimentError, match="enumeration places .* points; largest requested n is 10000"):
+            run_decay_experiment(cfg)
+
     def test_box_shape_is_rejected(self):
         cfg = ExperimentConfig(shape="square", n_values=(3,), trials=1)
         with pytest.raises(ExperimentError):
@@ -615,7 +616,9 @@ class TestDecayExperiment:
 
 
 def reference_successes(cfg: ExperimentConfig) -> list:
-    """Per-row success counts from whole sampled graphs, trial by trial."""
+    """Per-row success counts from whole sampled graphs, trial by trial:
+    graph_agrees over the candidates of reference_extension_candidates,
+    which share neither the row engine's candidate search nor its coins."""
     shape = shape_from_spec(cfg.shape)
     points = sample_poisson_window(
         Window(*cfg.window), cfg.intensity, seed=cfg.base_seed, mode=cfg.mode
@@ -642,11 +645,9 @@ def reference_successes(cfg: ExperimentConfig) -> list:
 
     out = []
     for n in cfg.n_values:
-        iso = 0
-        for t in range(cfg.trials):
-            G, H = (graph(_trial_seed(cfg.base_seed, n, t, side)) for side in (0, 1))
-            iso += partial_isomorphism_exists(G, H, enum, n)
-        out.append(iso)
+        prefix, cands = enum.order[:n], reference_extension_candidates(enum, n)
+        trials = ((graph(_trial_seed(cfg.base_seed, n, t, side)) for side in (0, 1)) for t in range(cfg.trials))
+        out.append(sum(graph_agrees(G, H, prefix, cands) for G, H in trials))
     return out
 
 
@@ -707,7 +708,7 @@ def full_matrix_successes(cfg: ExperimentConfig) -> list:
     out = []
     for n in cfg.n_values:
         prefix = enum.order[:n]
-        cands = _extension_candidates(enum, n)
+        cands = _extension_candidates(enum, n, _point_lookup(enum.point_set))
         a, b = np.triu_indices(n, 1)
         gu, gv = np.asarray(prefix)[a], np.asarray(prefix)[b]
         images = np.asarray(cands).reshape(len(cands), n)
@@ -1292,4 +1293,3 @@ def test_graph_searches_accept_a_reloaded_point_set():
     H = sample_larg(ps, shape, 1, 0.5, edge_seed=2)
     outcome, _ = back_and_forth_isomorphism(G, H, back, shape, budget=50)
     assert outcome in ("isomorphic", "none", "undetermined")
-    assert partial_isomorphism_exists(G, H, good_enumeration(back, shape), 3) in (True, False)

@@ -7,6 +7,7 @@ beside sqrt(3), and asserts the error class and the message.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -212,14 +213,12 @@ UNCALLED_BY_DESIGN = {
     "rows_from_csv": "reads back the decay CSV that rows_to_csv writes",
     "pointmap_to_json": "writes the map files that pointmap_from_json reads",
     "shape_to_json": "writes the shape files that shape_from_json reads",
-    "partial_isomorphism_exists": "the per-trial definition the decay rows are tested against",
 }
 
 
-def test_every_public_name_has_a_caller():
-    # a name in larg_lab.__all__ is read (as a name or an attribute) by the
-    # package, a demo, the benchmark or the acceptance tests; a name that only
-    # unit tests read is surface that does not pay for itself
+def names_read_outside_unit_tests() -> set:
+    """Every name and attribute the package, a demo, the benchmark or the
+    acceptance tests read."""
     root = Path(__file__).resolve().parents[1]
     files = [*root.glob("src/larg_lab/*.py"), *root.glob("demos/*.py"), *root.glob("perfbench/*.py")]
     read = set()
@@ -229,10 +228,34 @@ def test_every_public_name_has_a_caller():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_caller():
+    # a name in larg_lab.__all__ is read (as a name or an attribute) by the
+    # package, a demo, the benchmark or the acceptance tests; a name that only
+    # unit tests read is surface that does not pay for itself
+    read = names_read_outside_unit_tests()
     public = set(larg_lab.__all__)
     assert sorted(public - read - set(UNCALLED_BY_DESIGN)) == []
     # the allowlist shrinks as soon as one of its names gains a reader
     assert sorted(n for n in UNCALLED_BY_DESIGN if n in read or n not in public) == []
+
+
+def test_every_public_method_has_a_caller():
+    # the same rule one level down: each public method, classmethod,
+    # staticmethod and property a class of larg_lab.__all__ defines is read
+    # as an attribute outside the unit tests
+    read = names_read_outside_unit_tests()
+    methods = (classmethod, staticmethod, property)
+    unread = [
+        f"{name}.{attr}"
+        for name in larg_lab.__all__
+        if isinstance(cls := getattr(larg_lab, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (isinstance(value, methods) or inspect.isfunction(value)) and attr not in read
+    ]
+    assert unread == []
 
 
 # numpy functions and modules that call BLAS

@@ -169,7 +169,7 @@ def test_interleaving_field_refusals():
 
 
 def test_interleaving_identity_and_pieces():
-    ident = Interleaving1D.identity()
+    ident = Interleaving1D(((0, 0),))
     assert ident(F(3, 7)) == F(3, 7)
     g = canonical_interleaving()
     assert g(F(0)) == 0
@@ -247,7 +247,7 @@ def test_box_product_componentwise():
 
 def test_box_product_identity_and_lattice():
     sh = diamond_l1()
-    ident = Interleaving1D.identity()
+    ident = Interleaving1D(((0, 0),))
     for v in (Vec2(F(1, 3), F(2, 7)), Vec2(F(-5, 2), F(9, 4))):
         assert box_image(sh, ident, ident, v) == v
     g = canonical_interleaving()
@@ -568,7 +568,7 @@ def test_box_product_step_iso_on_idf_samples():
 def test_box_product_identity_components_is_isometry():
     sh = square_linf()
     ps = idf_box_sample(sh, 40, seed=9)
-    ident = Interleaving1D.identity()
+    ident = Interleaving1D(((0, 0),))
     pm = box_product_point_map(ps, sh, ident, ident)
     assert is_isometry(pm, sh).ok
 
@@ -593,7 +593,7 @@ def test_float_lane_matches_exact_lane():
     hexa = rational_hexagon()
     box = box_shape(*hexa.generators[:2])
     ps = idf_box_sample(box, 150, seed=21)
-    pm = box_product_point_map(ps, box, canonical_interleaving(), Interleaving1D.identity())
+    pm = box_product_point_map(ps, box, canonical_interleaving(), Interleaving1D(((0, 0),)))
     exact_verdict = is_step_isometry(pm, hexa)
     ps_f = PointSet(
         tuple(Vec2(*p.to_floats()) for p in ps.points),
