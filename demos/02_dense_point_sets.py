@@ -3,9 +3,9 @@ Sampling dense point sets, exactly
 ==================================
 
 Finite windows stand in for countable dense sets.  Rational mode keeps all
-coordinates exact; the idf (integer-difference-free) flags record whether
-any two projections onto a generator differ by an integer, the degenerate
-case every construction downstream wants ruled out.
+coordinates exact, so `is_idf` decides exactly whether any two projections
+onto a generator differ by an integer (idf: integer-difference-free), the
+degenerate case every construction downstream wants ruled out.
 """
 
 import time
@@ -38,7 +38,9 @@ print("\n{1/3, 4/3, 1/2} idf?", is_idf(bad))
 # rescale_to_idf multiplies all coordinates by one alpha until every
 # generator projection list is idf; alpha = 1 when already fine
 alpha, fixed = rescale_to_idf(pts, gens, seed=1)
-print(f"rescaled by alpha = {alpha}; flags now {all(fixed.idf_per_generator.values())}")
+print(f"rescaled by alpha = {alpha}")
+for a in gens:
+    print(f"  rescaled projections on ({a.x}, {a.y}) idf: {is_idf(projections(fixed.points, a))}")
 
 # fingerprints tie graphs to the exact point set they were drawn over
 print("fingerprint:", fixed.fingerprint())

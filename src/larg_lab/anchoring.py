@@ -20,7 +20,9 @@ sqrt(d) are integer tests (``exact._surd_nonneg``). Float and L^p data are
 checked by the scalar definitions.
 
 Box shapes are excluded throughout: with only two face directions no
-triple of pairwise non-parallel normals exists.
+triple of pairwise non-parallel normals exists.  L^p balls have no faces:
+good enumerations certify L^p samples with the norm's gradients
+(``determining_generator``), and reconstruct_from_anchor refuses L^p shapes.
 """
 
 import itertools
@@ -32,7 +34,6 @@ import numpy as np
 
 from .exact import FLOAT, FLOAT_INTEGER_GUARD, _surd_nonneg, close
 from .geometry import (
-    LpShape,
     NormShape,
     PolygonShape,
     Vec2,
@@ -52,9 +53,6 @@ __all__ = [
     "reconstruct_from_anchor",
     "validate_good_enumeration",
 ]
-
-_LP_AGREEMENT = 1e-7  # gap allowed between the L^p reconstructions, per unit of scale
-
 
 class AnchoringError(ValueError):
     pass
@@ -99,34 +97,22 @@ def reconstruct_from_anchor(shape: NormShape, anchor_points, anchor_images, x: V
     single face whose normal is read off the domain side; the face normals
     must be pairwise non-parallel. The image solves the first two face
     constraints; the third acts as a consistency check, and all three
-    distances are re-verified against the result.
+    distances are re-verified against the result.  Reconstruction reads
+    polygon faces: an L^p shape, whose ball has none, is refused.
     """
     m = tuple(anchor_points)
     w = tuple(anchor_images)
     s = tuple(dists)
     if len(m) != 3 or len(w) != 3 or len(s) != 3:
         raise AnchoringError("anchor needs exactly three points, images, and distances")
+    if not isinstance(shape, PolygonShape):
+        raise AnchoringError("reconstruction reads polygon faces; an L^p ball has none")
     _require_non_box(shape)
     if not is_triangular_set(shape, *m):
         raise AnchoringError("anchor points do not form a triangular set")
     for i in range(3):
         if x == m[i]:
             return w[i]
-
-    if isinstance(shape, LpShape):
-        # smooth ball: the distance sphere touches its supporting line at
-        # one point, in the direction read off the domain side
-        cands = []
-        for i in range(3):
-            v = x - m[i]
-            n = shape.norm(v)
-            scale = float(s[i]) / n
-            cands.append(Vec2(float(w[i].x) + scale * float(v.x), float(w[i].y) + scale * float(v.y)))
-        for i in range(1, 3):
-            gap = max(abs(cands[i].x - cands[0].x), abs(cands[i].y - cands[0].y))
-            if gap > max(1.0, abs(cands[0].x), abs(cands[0].y)) * _LP_AGREEMENT:
-                raise AnchoringError("smooth reconstruction constraints disagree")
-        return cands[0]
 
     gens = tuple(determining_generator(shape, x - m[i]) for i in range(3))
     for i in range(3):

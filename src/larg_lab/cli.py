@@ -12,13 +12,11 @@ import io
 import json
 import sys
 
-from .exact import format_scalar, parse_scalar
+from .exact import _require_int, _require_number, format_scalar, parse_scalar
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
     _read_window,
-    _require_int,
-    _require_number,
     box_isomorphism_demo,
     rows_to_csv,
     run_decay_experiment,
@@ -202,14 +200,15 @@ def _cmd_experiment(args) -> int:
     if not shape.is_box():
         raise ExperimentError("box-demo needs a box shape")
     seed, alpha_seed, trials, budget = (
-        _require_int(cfg.get(key, default), key)
+        _require_int(cfg.get(key, default), key, ExperimentError)
         for key, default in (("seed", 1), ("alpha_seed", 0), ("trials", 20), ("budget", 5000))
     )
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
     window = Window(*_read_window(cfg.get("window", ["0", "0", "3/2", "3/2"])))
     intensity, p = (
-        float(_require_number(cfg.get(key, default), key)) for key, default in (("intensity", 4.0), ("p", 0.5))
+        float(_require_number(cfg.get(key, default), key, ExperimentError))
+        for key, default in (("intensity", 4.0), ("p", 0.5))
     )
     points = sample_poisson_window(window, intensity, seed=seed, mode=cfg.get("mode", "rational"))
     alpha, points = rescale_to_idf(points, shape.generators, seed=alpha_seed)

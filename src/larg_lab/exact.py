@@ -373,6 +373,20 @@ def parse_scalar(v):
     raise TypeError(f"cannot parse scalar {v!r}")
 
 
+def _require_int(value, what: str, error: type[Exception]) -> int:
+    """value if it is an int (a bool is not one); else raise error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _require_number(value, what: str, error: type[Exception]):
+    """value if it is an int or a float (a bool is neither); else raise error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, got {value!r}")
+    return value
+
+
 @contextmanager
 def _malformed_json(what: str, error: type[Exception]):
     """Raise error for a missing key or a wrongly shaped value in a what JSON."""

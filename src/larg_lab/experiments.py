@@ -35,7 +35,17 @@ import numpy as np
 
 from . import larg
 from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _floor_surd, close, guarded_floor, is_exact, parse_scalar
+from .exact import (
+    FLOAT,
+    FLOAT_INTEGER_GUARD,
+    _floor_surd,
+    _require_int,
+    _require_number,
+    close,
+    guarded_floor,
+    is_exact,
+    parse_scalar,
+)
 from .geometry import (
     GeometryError,
     LpShape,
@@ -74,20 +84,6 @@ _MASK64 = (1 << 64) - 1
 
 class ExperimentError(ValueError):
     pass
-
-
-def _require_int(value, what: str) -> int:
-    """value if it is an int (a bool is not one); else ExperimentError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ExperimentError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _require_number(value, what: str):
-    """value if it is an int or a float (a bool is neither); else ExperimentError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExperimentError(f"{what} must be a number, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +160,9 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(self.n_values))
         ints = [("trials", self.trials), ("base_seed", self.base_seed)]
         for what, v in ints + [("n_values entry", n) for n in self.n_values]:
-            _require_int(v, what)
-        _require_number(self.intensity, "intensity")
-        _require_number(self.p, "p")
+            _require_int(v, what, ExperimentError)
+        _require_number(self.intensity, "intensity", ExperimentError)
+        _require_number(self.p, "p", ExperimentError)
         object.__setattr__(self, "window", _read_window(self.window))
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
@@ -174,8 +170,7 @@ class ExperimentConfig:
             raise ExperimentError("n_values must be non-empty and strictly ascending")
         if self.n_values[0] < 3:
             raise ExperimentError("prefix sizes start at the anchor, n >= 3")
-        if not 0.0 < self.p < 1.0:
-            raise ExperimentError(f"p must be in (0, 1), got {self.p}")
+        larg._require_p_delta(self.p, ExperimentError)
         if self.intensity <= 0:
             raise ExperimentError("intensity must be positive")
         if self.mode not in ("float", "rational"):
@@ -739,8 +734,7 @@ def box_isomorphism_demo(
     seeds = tuple(seeds)
     if not seeds:
         raise ExperimentError("need at least one seed")
-    if not 0.0 < p < 1.0:
-        raise ExperimentError(f"p must be in (0, 1), got {p}")
+    larg._require_p_delta(p, ExperimentError)
     if budget < 1:
         raise ExperimentError("budget must be positive")
 

@@ -34,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT_INTEGER_GUARD, _malformed_json, format_scalar, join_fields, parse_scalar
+from .exact import (
+    FLOAT_INTEGER_GUARD,
+    _malformed_json,
+    _require_int,
+    _require_number,
+    format_scalar,
+    join_fields,
+    parse_scalar,
+)
 from .geometry import GeometryError, LpShape, NormShape, PolygonShape, distance
 from .pointsets import PointSet
 
@@ -449,6 +457,15 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     return _decode_keys(keys, len(points))
 
 
+def _require_p_delta(p, error: type[Exception], delta=1):
+    """sample_larg's rule for a graph's parameters, p in (0, 1) and delta > 0;
+    else raise error.  The default delta leaves only p to check."""
+    if not (0.0 < p < 1.0):
+        raise error(f"p must be in (0, 1), got {p}")
+    if not (delta > 0):
+        raise error(f"delta must be positive, got {delta}")
+
+
 def sample_larg(
     points: PointSet, shape: NormShape, delta, p: float, edge_seed: int
 ) -> GeoGraph:
@@ -461,10 +478,7 @@ def sample_larg(
     only pairs whose coin is below p reach the scalar distance, and only
     edges are kept past the block.
     """
-    if not (0.0 < p < 1.0):
-        raise LargError(f"p must be in (0, 1), got {p}")
-    if not (delta > 0):
-        raise LargError("delta must be positive")
+    _require_p_delta(p, LargError, delta)
     n = len(points)
     table = _vertex_table(edge_seed, np.arange(n))
     threshold = _coin_threshold(p)
@@ -488,8 +502,7 @@ def compatibility_probability(p: float, within_range: bool) -> float:
     In-range pairs agree iff both coins land the same side: p^2 + (1-p)^2.
     Out-of-range pairs are never adjacent on either side, so they always agree.
     """
-    if not (0.0 < p < 1.0):
-        raise LargError(f"p must be in (0, 1), got {p}")
+    _require_p_delta(p, LargError)
     if not within_range:
         return 1.0
     return p * p + (1.0 - p) * (1.0 - p)
@@ -514,7 +527,8 @@ def graph_lines(G: GeoGraph):
 
 
 def load_graph(path) -> GeoGraph:
-    """Read a graph file; a malformed header or edge line raises LargError."""
+    """Read a graph file; a malformed edge line, or a header graph_lines could
+    not have written for sample_larg's output, raises LargError naming it."""
     with open(path) as fh, _malformed_json("graph", LargError):
         try:
             header = json.loads(fh.readline())
@@ -530,11 +544,15 @@ def load_graph(path) -> GeoGraph:
             except ValueError:
                 raise LargError(f"graph edge line {line.strip()!r} is not two vertices") from None
             edges.append((u, v))
-        return GeoGraph(
-            point_set_ref=header["point_set_ref"],
-            n=int(header["n"]),
-            p=float(header["p"]),
-            delta=parse_scalar(header["delta"]),
-            edge_seed=int(header["edge_seed"]),
-            edges=edges,
-        )
+        if not isinstance(ref := header["point_set_ref"], str):
+            raise LargError(f"point_set_ref must be a string, got {ref!r}")
+        if (n := _require_int(header["n"], "n", LargError)) < 0:
+            raise LargError(f"n must not be negative, got {n}")
+        p = float(_require_number(header["p"], "p", LargError))
+        try:
+            delta = parse_scalar(header["delta"])
+        except ValueError as exc:
+            raise LargError(f"delta: {exc}") from None
+        _require_p_delta(p, LargError, delta)
+        edge_seed = _require_int(header["edge_seed"], "edge_seed", LargError)
+        return GeoGraph(point_set_ref=ref, n=n, p=p, delta=delta, edge_seed=edge_seed, edges=edges)

@@ -2,9 +2,8 @@
 
 Infinite models (Poisson processes) are approximated by their restriction to
 an axis-aligned window.  A PointSet remembers how it was produced (seed,
-scaling alpha, numeric mode), which generator projections `rescale_to_idf`
-made integer-difference-free, and the field tag of its coordinates
-(`exact.field_of`).
+scaling alpha, numeric mode) and the field tag of its coordinates
+(`exact.field_of`); it holds no idf claim, as `is_idf` tests the points.
 
 This module owns the point format.  A PointSet stores its coordinates once,
 as columns: a float set a read-only n x 2 float64 array (`as_array`), an
@@ -33,6 +32,7 @@ from .exact import (
     FLOAT,
     FLOAT_INTEGER_GUARD,
     _malformed_json,
+    _require_int,
     field_of,
     format_scalar,
     is_exact,
@@ -109,9 +109,8 @@ class PointSet:
     seed: int
     mode: str
     alpha: object
-    idf_per_generator: dict
 
-    def __init__(self, points, window: Window, seed: int, mode: str = "float", alpha=1, idf_per_generator=None):
+    def __init__(self, points, window: Window, seed: int, mode: str = "float", alpha=1):
         if mode not in ("float", "rational"):
             raise PointSetError(f"unknown mode {mode!r}")
         self.points = pts = tuple(points)
@@ -121,7 +120,7 @@ class PointSet:
         else:
             D, ints = surd_ints(c for v in pts for c in (v.x, v.y))
             cols = (D, ints[::2], ints[1::2])
-        self._store(cols, field, window, seed, mode, alpha, idf_per_generator)
+        self._store(cols, field, window, seed, mode, alpha)
         dup = _first_repeat(cols, field, pts)
         if mode == "rational" and field == FLOAT:
             # the first bad point is reported, a repeat before a float
@@ -132,17 +131,16 @@ class PointSet:
             raise PointSetError(f"duplicate point {pts[dup]}")
 
     @classmethod
-    def _from_columns(cls, cols, field: int, window: Window, seed: int, mode: str, alpha=1, idf_per_generator=None):
+    def _from_columns(cls, cols, field: int, window: Window, seed: int, mode: str, alpha=1):
         ps = cls.__new__(cls)
-        ps._store(cols, field, window, seed, mode, alpha, idf_per_generator)
+        ps._store(cols, field, window, seed, mode, alpha)
         return ps
 
-    def _store(self, cols, field, window, seed, mode, alpha, idf_per_generator):
+    def _store(self, cols, field, window, seed, mode, alpha):
         self.window = window
         self.seed = seed
         self.mode = mode
         self.alpha = alpha
-        self.idf_per_generator = {} if idf_per_generator is None else idf_per_generator
         self.field = field
         self._ints = None if field == FLOAT else cols
         if field == FLOAT:
@@ -192,7 +190,7 @@ class PointSet:
         return Vec2(*(surd_value(*c[i], D, self.field) for c in (xs, ys)))
 
     def __eq__(self, other):
-        meta = lambda ps: (len(ps), ps.window, ps.seed, ps.mode, ps.alpha, ps.idf_per_generator)
+        meta = lambda ps: (len(ps), ps.window, ps.seed, ps.mode, ps.alpha)
         same = isinstance(other, PointSet) and meta(self) == meta(other)
         return same and all(map(eq, self._coords(), other._coords()))
 
@@ -425,11 +423,12 @@ def _idf_tests(points: PointSet, generators: Sequence[Vec2]) -> list:
 def rescale_to_idf(points: PointSet, generators: Sequence[Vec2], seed: int = 0) -> tuple[object, PointSet]:
     """Scale the whole set by one alpha so every generator projection is idf.
 
-    Returns (alpha, new PointSet) with alpha recorded on the set and
-    per-generator idf flags set; raises after 1 + _IDF_TRIALS failed
-    candidates, naming an obstruction.  Coordinates come back as alpha times
-    the old ones, so ints become Fractions even when alpha is 1; an exact
-    set is scaled on its numerators.
+    Returns (alpha, new PointSet) with alpha multiplied into the set's
+    alpha; raises after 1 + _IDF_TRIALS failed candidates, naming an
+    obstruction.  The set records no idf claim: a later rescale for other
+    generators may break this one's, so callers test the projections.
+    Coordinates come back as alpha times the old ones, so ints become
+    Fractions even when alpha is 1; an exact set is scaled on its numerators.
     """
     if not generators:
         raise PointSetError("need at least one generator")
@@ -440,8 +439,7 @@ def rescale_to_idf(points: PointSet, generators: Sequence[Vec2], seed: int = 0) 
         if failed is not None:
             obstruction = (alpha, failed)
             continue
-        flags = {**points.idf_per_generator, **{(a.x, a.y): True for a in generators}}
-        meta = (points.window.scaled(alpha), points.seed, points.mode, points.alpha * alpha, flags)
+        meta = (points.window.scaled(alpha), points.seed, points.mode, points.alpha * alpha)
         if points.field == FLOAT:
             return alpha, PointSet(tuple(Vec2(x * alpha, y * alpha) for x, y in points._coords()), *meta)
         # alpha = r/s scales (A + B*sqrt(d))/D to (A*r + B*r*sqrt(d))/(D*s)
@@ -470,14 +468,6 @@ def pointset_to_json(ps: PointSet) -> str:
         ],
         "mode": ps.mode,
         "points": [[format_scalar(x), format_scalar(y)] for x, y in ps._coords()],
-        "flags": {
-            "idf_per_generator": [
-                [format_scalar(gx), format_scalar(gy), bool(v)]
-                for (gx, gy), v in sorted(
-                    ps.idf_per_generator.items(), key=lambda kv: repr(kv[0])
-                )
-            ],
-        },
     }
     return json.dumps(obj)
 
@@ -487,14 +477,7 @@ def pointset_from_json(text: str) -> PointSet:
     with _malformed_json("point-set", PointSetError):
         window = Window(*(parse_scalar(c) for c in obj["window"]))
         pts = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["points"])
-        # files from older versions also carry flags["pairwise_noninteger"]
-        flags = obj.get("flags", {})
-        idf_flags = {
-            (parse_scalar(gx), parse_scalar(gy)): bool(v)
-            for gx, gy, v in flags.get("idf_per_generator", [])
-        }
+        # files from older versions carry "flags", which nothing reads
         alpha = parse_scalar(obj.get("alpha", 1.0))
-        seed = obj["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise PointSetError(f"seed must be an integer, got {seed!r}")
-        return PointSet(pts, window, seed, mode=obj["mode"], alpha=alpha, idf_per_generator=idf_flags)
+        seed = _require_int(obj["seed"], "seed", PointSetError)
+        return PointSet(pts, window, seed, mode=obj["mode"], alpha=alpha)

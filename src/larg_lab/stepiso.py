@@ -416,6 +416,10 @@ class Verdict:
 # level, FLOAT_INTEGER_GUARD, is far above this much of it
 _ISO_GUARD = 1e-12
 
+# _certified's float error per unit of 1 + the largest |column|: a column is
+# a float projection, a few roundings of 2^-53 off, and 2^-48 is well above it
+_CERT_SLACK = 2.0**-48
+
 
 def _fields(pmap: PointMap, shape: NormShape) -> tuple[int, int]:
     """The field tags of the domain and of the images, each joined with the
@@ -438,15 +442,16 @@ def _certified(dom_cols: np.ndarray, img_cols: np.ndarray, q, guard) -> np.ndarr
     least margin from every integer, f_i - f_j or 1 + f_i - f_j spanning a
     neighbour gap of i or j.  B agrees, so floor|A_i - A_j| = floor|B_i - B_j|
     in every column, the distances (the maxima) share a floor, and neither is
-    within margin of an integer.  The margin, the filter's guard plus 2^-48 (1
-    + the largest |column|), covers the float error.  L^p certifies nothing.
+    within margin of an integer.  The margin, the filter's guard plus
+    _CERT_SLACK (1 + the largest |column|), covers the float error.  L^p
+    certifies nothing.
 
     A column constant on both sides is left out (collinear points tie in
     it): its differences, 0 up to float error, lie below margin, so below
     every tested column's, and never reach the maximum.  With no column
     left, nothing is certified.
     """
-    margin = guard + 2.0**-48 * (1.0 + max(np.abs(c).max() for c in (dom_cols, img_cols)))
+    margin = guard + _CERT_SLACK * (1.0 + max(np.abs(c).max() for c in (dom_cols, img_cols)))
     cols = [(a, b) for a, b in zip(dom_cols, img_cols) if a.min() < a.max() or b.min() < b.max()]
     ok = np.full(dom_cols.shape[1], q is None and bool(cols))
     for a, b in cols:

@@ -11,7 +11,7 @@ from larg_lab.cli import main
 from larg_lab.exact import SqrtExt, parse_scalar
 from larg_lab.geometry import Vec2, rational_hexagon, shape_to_json, square_linf
 from larg_lab.larg import load_graph
-from larg_lab.pointsets import PointSet, Window, pointset_from_json, pointset_to_json
+from larg_lab.pointsets import PointSet, Window, is_idf, pointset_from_json, pointset_to_json, projections
 from larg_lab.stepiso import PointMap, pointmap_to_json
 
 
@@ -88,7 +88,8 @@ class TestSample:
         assert code == 0
         assert "alpha" in err
         ps = pointset_from_json(out)
-        assert all(ps.idf_per_generator.values())
+        for a in (Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)):
+            assert is_idf(projections(ps.points, a))
 
     def test_bad_window_is_reported(self, workdir, capsys):
         code, _, err = run(capsys, "sample", "--window", "0,0,1", "--intensity", "5", "--seed", "1")

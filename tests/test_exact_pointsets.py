@@ -103,13 +103,11 @@ def ref_rescale(points: PointSet, generators, seed: int = 0):
                 obstruction = (alpha, a)
                 break
         if ok:
-            flags = {(a.x, a.y): True for a in generators}
             return alpha, replace(
                 points,
                 points=tuple(Vec2(v.x * alpha, v.y * alpha) for v in points.points),
                 window=points.window.scaled(alpha),
                 alpha=points.alpha * alpha,
-                idf_per_generator={**points.idf_per_generator, **flags},
             )
     raise PointSetError(
         "no idf rescaling found in 64 candidates; "
@@ -322,7 +320,7 @@ def test_column_sets_match_vec2_sets(case):
     assert typed(got.points) == typed(want.points)
 
     # both tuples are refused alike once a bad point joins them
-    meta = (want.window, want.seed, want.mode, want.alpha, want.idf_per_generator)
+    meta = (want.window, want.seed, want.mode, want.alpha)
     extras = [(Vec2(R2, 0), Vec2(R3, 1)), (Vec2(F(1, 7), 0.25),)]
     if len(want):
         extras.append((want.points[len(want) // 2],))
@@ -409,7 +407,7 @@ def test_rescale_matches_fraction_reference(problem, seed):
     (alpha, out), (ref_alpha, ref) = got, want
     assert (type(alpha), alpha) == (type(ref_alpha), ref_alpha)
     assert typed(out.points) == typed(ref.points)
-    assert (out.window, out.alpha, out.idf_per_generator) == (ref.window, ref.alpha, ref.idf_per_generator)
+    assert (out.window, out.alpha) == (ref.window, ref.alpha)
 
 
 def test_rescale_matches_reference_when_alpha_is_not_one():

@@ -133,13 +133,25 @@ def test_only_exact_names_sqrtext():
         assert "SqrtExt" not in names, f"{path.name} names SqrtExt"
 
 
+def _folded_numbers(tree):
+    """(node, value) for each expression in tree built only of int and float
+    literals and arithmetic operators, folded to its value: each literal, and
+    each such expression around it, so 1 + 2.0**-40 yields 2.0**-40 too."""
+    parts = (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    number = lambda n: isinstance(n, parts) or (isinstance(n, ast.Constant) and type(n.value) in (int, float))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.expr) and all(map(number, ast.walk(node))):
+            yield node, eval(compile(ast.Expression(node), "<folded>", "eval"))
+
+
 def test_numeric_policy_stays_in_one_place():
     # exact owns the one float tolerance and close; larg owns the filter
     # guard and the float distance tables.  No module restates a tolerance:
-    # a float literal below 1e-6 outside exact is one of two named margins,
+    # a float below 1e-6 outside exact, a literal or a pure-number expression
+    # such as 2.0**-48 folded to its value, lies in one of two named margins,
     # and the tolerance is read only where the policy is applied
     src = Path(__file__).resolve().parents[1] / "src" / "larg_lab"
-    margins = {("stepiso.py", "_ISO_GUARD"), ("anchoring.py", "_LP_AGREEMENT")}
+    margins = {("stepiso.py", "_ISO_GUARD"), ("stepiso.py", "_CERT_SLACK")}
     readers = {
         ("larg.py", "_guard"),
         ("pointsets.py", "is_idf"),
@@ -169,14 +181,15 @@ def test_numeric_policy_stays_in_one_place():
         if path.name == "exact.py":
             continue
         named = {
-            id(node.value)
+            id(part)
             for node in tree.body
             if isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and (path.name, t.id) in margins for t in node.targets)
+            for part in ast.walk(node.value)
         }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-6:
-                assert id(node) in named, f"{path.name}:{node.lineno} binds the float literal {node.value!r}"
+        for node, value in _folded_numbers(tree):
+            if isinstance(value, float) and 0 < abs(value) < 1e-6:
+                assert id(node) in named, f"{path.name}:{node.lineno} binds the float {value!r}"
     for name, owner in owners.items():
         assert defined.get(name) == [owner], f"{name} is defined in {defined.get(name)}"
 

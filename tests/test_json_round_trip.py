@@ -84,14 +84,12 @@ def point_sets(draw):
     x1, y1 = (c + draw(st.fractions(min_value=1, max_value=100)) for c in (x0, y0))
     assume(x1 > x0 and y1 > y0)  # a float corner may absorb the extent
     window = Window(x0, y0, x1, y1)
-    flags = draw(st.dictionaries(st.tuples(scalars, scalars), st.booleans(), max_size=4))
     return PointSet(
         tuple(Vec2(x, y) for x, y in pts),
         window,
         draw(st.integers(-(2**63), 2**64)),
         mode=mode,
         alpha=draw(scalars),
-        idf_per_generator=flags,
     )
 
 
@@ -103,7 +101,6 @@ def assert_same_point_set(back, ps):
         assert_same_scalar(getattr(back.window, c), getattr(ps.window, c))
     assert_same_scalar(back.alpha, ps.alpha)
     assert back.seed == ps.seed and back.mode == ps.mode
-    assert back.idf_per_generator == ps.idf_per_generator
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import pickle
 import tracemalloc
@@ -565,6 +566,11 @@ def test_graph_file_round_trip(tmp_path):
     assert load_graph(path).delta == 0.25
 
 
+def _set_header(**keys):
+    """A graph-file edit that sets keys of the JSON header line."""
+    return lambda lines: [json.dumps({**json.loads(lines[0]), **keys})] + lines[1:]
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -573,11 +579,26 @@ def test_graph_file_round_trip(tmp_path):
         (lambda lines: lines + ["0 1 2"], "'0 1 2' is not two vertices"),
         (lambda lines: lines + ["0 x"], "'0 x' is not two vertices"),
         (lambda lines: ["{n: 12}"] + lines[1:], "graph header is not JSON"),
+        (_set_header(n=2.7), "^n must be an integer, got 2.7"),
+        (_set_header(edge_seed=3.9), "^edge_seed must be an integer, got 3.9"),
+        (_set_header(n=-1), "^n must not be negative, got -1"),
+        (_set_header(n=True), "^n must be an integer, got True"),
+        (_set_header(p=7), r"^p must be in \(0, 1\), got 7"),
+        (_set_header(delta="-2/1"), "^delta must be positive, got -2"),
+        (_set_header(point_set_ref=5), "^point_set_ref must be a string, got 5"),
+        (_set_header(delta="abc"), "^delta: Invalid literal for Fraction: 'abc'"),
     ],
-    ids=["no-edge-seed", "list-header", "three-vertex-edge", "non-integer-vertex", "header-not-json"],
+    ids=[
+        "no-edge-seed", "list-header", "three-vertex-edge", "non-integer-vertex", "header-not-json",
+        "float-n", "float-edge-seed", "negative-n", "bool-n", "p-above-1", "negative-delta", "int-point-set-ref",
+        "bad-delta-string",
+    ],
 )
 def test_malformed_graph_file_refused(tmp_path, edit, match):
-    # each case ended in a KeyError, TypeError, bare ValueError or JSONDecodeError
+    # the first five ended in a KeyError, TypeError, bare ValueError or
+    # JSONDecodeError; of the header cases, a bad delta string ended in a bare
+    # ValueError, and the rest loaded or met only the check that every edge
+    # lies below n
     path = tmp_path / "graph.txt"
     write_graph(path, sample_larg(tiny_cluster(12, seed=2), square_linf(), 1, 0.5, edge_seed=3))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

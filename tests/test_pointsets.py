@@ -131,7 +131,8 @@ def test_poisson_rejects_bad_inputs():
 
 
 # the sampler's output at the commit before point sets stored columns:
-# name -> (set, fingerprint(), sha256 of pointset_to_json)
+# name -> (set, fingerprint(), sha256 of pointset_to_json); the files have
+# since dropped their "flags" section and nothing else
 def _pinned_sets():
     R2 = SqrtExt(0, 1, 2)
     F = Fraction
@@ -143,27 +144,27 @@ def _pinned_sets():
         "float": (
             sample_poisson_window(Window(0.0, 0.0, 3.0, 2.0), 20.0, seed=7),
             "eff724181324d4c7",
-            "3b0e4fe13e807262e8c20a79ae87a201d8d7fe30f663c0cf6550d08fc0a584b6",
+            "a2e14a18b78edeaa613be93c081211a33ca1725ea10823497663a5a36ffc1a88",
         ),
         "rational": (
             rational,
             "09810ba14364e066",
-            "3f318f7e8d1db7f2f12afc3390547fbf15e8fc30bc76962e463d0567b7d51edf",
+            "6556e29ec9fd34d749d880f451b33f105f811963c6c2e36d531e041cddaa650c",
         ),
         "sqrt2": (
             sample_poisson_window(Window(F(0), F(-1), R2 + 1, F(2)), 6.0, seed=3, mode="rational"),
             "00dbe146ab324afc",
-            "5b092b6267d3888854cc780430a2c8ac97fa4e5df569b2ba164cd7ae980f7b0f",
+            "32cc58b379bc09eb3aecd64cc9d9fe7d4ca90de06b5079cc97cc26f6d7c3ee92",
         ),
         "rescaled": (
             rescaled,
             "09810ba14364e066",
-            "4d27265d0607cd93d3fbd48981546c4e80412fb411af43770fb50be64e8358eb",
+            "6556e29ec9fd34d749d880f451b33f105f811963c6c2e36d531e041cddaa650c",
         ),
         "rescaled-alpha": (
             scaled,
             "775bce2a71c03f0c",
-            "50c54fe3c2c5ed6e0438bed41832761bf47da9c12af27c152da19cb53d118dec",
+            "1a3017eb7a2f9d0df357a95e57afc71dd6d7cc5b4b12ef2e56902121d97d5ec1",
         ),
     }
 
@@ -278,7 +279,6 @@ def test_rescale_clears_integer_differences():
     assert not is_idf(projections(ps.points, gens[0]))  # 1/2 and 3/2 differ by 1
     alpha, out = rescale_to_idf(ps, gens, seed=1)
     assert is_idf(projections(out.points, gens[0]))
-    assert out.idf_per_generator[(1, 0)] is True
     assert out.alpha == alpha != 0
     # scaling is a single multiplier applied to everything, window included
     assert out.points[1].x / ps.points[1].x == out.alpha
@@ -290,6 +290,21 @@ def test_rescale_keeps_already_idf_scale():
     alpha, out = rescale_to_idf(ps, [Vec2(1, 0)], seed=0)
     assert alpha == 1 and out.alpha == 1
     assert out.points == ps.points
+
+
+def test_rescale_for_other_generators_may_break_earlier_idf():
+    # why a set records no idf claim: the second rescale takes alpha a, the
+    # candidate after 1 at seed 0, and 1/a on the x axis becomes 1
+    a = Fraction(14416123, 1346269)
+    F = Fraction
+    pts = (Vec2(F(0), F(0)), Vec2(1 / a, F(1, 3)), Vec2(F(1, 7), F(1)))
+    ps = PointSet(pts, Window(F(-1), F(-1), F(2), F(2)), 0, "rational")
+    alpha, once = rescale_to_idf(ps, [Vec2(1, 0)], seed=0)
+    assert alpha == 1 and is_idf(projections(once.points, Vec2(1, 0)))
+    alpha, twice = rescale_to_idf(once, [Vec2(0, 1)], seed=0)
+    assert alpha == a and twice.alpha == a
+    assert is_idf(projections(twice.points, Vec2(0, 1)))
+    assert not is_idf(projections(twice.points, Vec2(1, 0)))
 
 
 def test_rescale_multi_generator():
@@ -308,7 +323,6 @@ def test_rescale_multi_generator():
     _, out = rescale_to_idf(ps, gens, seed=2)
     for a in gens:
         assert is_idf(projections(out.points, a))
-        assert out.idf_per_generator[(a.x, a.y)] is True
 
 
 def test_rescale_impossible_names_obstruction():
@@ -422,7 +436,6 @@ def test_pointset_json_round_trip_rational():
     assert back.points == ps.points
     assert back.mode == "rational" and back.alpha == ps.alpha
     assert back.window == ps.window
-    assert back.idf_per_generator == ps.idf_per_generator
     assert back.fingerprint() == ps.fingerprint()
 
 
@@ -482,16 +495,16 @@ def test_fingerprint_matches_per_point_reference():
 
 
 def test_pointset_json_reads_older_files():
-    # older files carry a pairwise_noninteger flag that no longer exists
+    # older files carry idf and pairwise_noninteger flags, which are not read
     text = (
         '{"seed": 4, "alpha": "1/1", "window": ["0/1", "0/1", "1/1", "1/1"], '
-        '"mode": "rational", "points": [["1/2", "1/3"], ["1/4", "2/3"]], '
-        '"flags": {"idf_per_generator": [["1/1", "0/1", true]], "pairwise_noninteger": true}}'
+        '"mode": "rational", "points": [["1/2", "1/3"], ["1/4", "2/3"]]%s}'
     )
-    ps = pointset_from_json(text)
+    flags = ', "flags": {"idf_per_generator": [["1/1", "0/1", true]], "pairwise_noninteger": true}'
+    ps = pointset_from_json(text % flags)
     assert ps.points == (Vec2(Fraction(1, 2), Fraction(1, 3)), Vec2(Fraction(1, 4), Fraction(2, 3)))
-    assert ps.idf_per_generator == {(Fraction(1), Fraction(0)): True}
-    assert pointset_from_json(pointset_to_json(ps)) == ps
+    assert ps == pointset_from_json(text % "")
+    assert pointset_to_json(ps) == text % "" and pointset_from_json(pointset_to_json(ps)) == ps
 
 
 @pytest.mark.parametrize("seed", ["1.5", "true", '"1"'])
