@@ -16,6 +16,7 @@ from .exact import _require_int, _require_number, format_scalar, parse_scalar
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
+    _parse_generators,
     _read_window,
     box_isomorphism_demo,
     rows_to_csv,
@@ -48,14 +49,6 @@ def _parse_scalars(text: str, expect: int, what: str):
     if len(parts) != expect:
         raise ExperimentError(f"{what} needs {expect} comma-separated values, got {text!r}")
     return [parse_scalar(tok) for tok in parts]
-
-
-def _parse_generators(text: str):
-    gens = []
-    for tok in text.split(";"):
-        x, y = _parse_scalars(tok, 2, "generator")
-        gens.append(Vec2(x, y))
-    return tuple(gens)
 
 
 def _read(path: str) -> str:

@@ -389,10 +389,13 @@ def _require_number(value, what: str, error: type[Exception]):
 
 @contextmanager
 def _malformed_json(what: str, error: type[Exception]):
-    """Raise error for a missing key or a wrongly shaped value in a what JSON."""
+    """Raise error for a missing key, a wrongly shaped value or a malformed
+    scalar string (a plain ValueError) in a what JSON."""
     try:
         yield
     except KeyError as exc:
         raise error(f"{what} JSON has no key {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
+        if isinstance(exc, ValueError) and type(exc) is not ValueError:
+            raise  # the package's own errors and JSONDecodeError subclass it
         raise error(f"malformed {what} JSON: {exc}") from None

@@ -39,11 +39,10 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class LineFamily:
-    """Levels of lines; levels[i] holds the lines first appearing at level i."""
+    """Levels of lines; levels[i] holds the lines first appearing at level i.
+    generators holds the first input generator of each direction class."""
 
-    base_points: tuple[Vec2, ...]
     generators: tuple[Vec2, ...]
-    window: object
     levels: tuple[tuple[Line, ...], ...]
 
     def __len__(self):
@@ -172,7 +171,7 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
             hits = [{(A // L, B // L) for A, B in h} for h in hits]
         frontier = commit([windowed_parallels(k, hits[k]) for k in range(nclasses)])
 
-    return LineFamily(base, gens, window, tuple(levels))
+    return LineFamily(gens, tuple(levels))
 
 
 def grid_offsets(family: LineFamily, a: Vec2) -> list:

@@ -292,20 +292,19 @@ def _box_images(shape: NormShape, g1, g2, domain: PointSet) -> PointSet:
 
 
 def _image_set(images: tuple, domain: PointSet) -> PointSet:
-    """Vec2 images as a PointSet with the domain's window and seed, through
-    the checking constructor.  Images with no common field are refused
-    with GeometryError, as the checks refuse them; a repeat with StepIsoError."""
+    """Vec2 images as a PointSet with the domain's window and seed, in the
+    mode of their field, through the checking constructor.  Images with no
+    common field are refused with GeometryError, as the checks refuse them;
+    a repeat with StepIsoError."""
     if not all(isinstance(w, Vec2) for w in images):
         raise StepIsoError("images must be Vec2")
+    field = field_of((c for w in images for c in (w.x, w.y)), GeometryError)
     try:
-        ps = PointSet(images, domain.window, domain.seed)
+        return PointSet(images, domain.window, domain.seed, "float" if field == FLOAT else "rational")
     except PointSetError:
-        field_of((c for w in images for c in (w.x, w.y)), GeometryError)
         seen = set()
         w = next(w for w in images if w in seen or seen.add(w))
         raise StepIsoError(f"map is not injective: image {w} repeats") from None
-    ps.mode = "float" if ps.field == FLOAT else "rational"
-    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +318,10 @@ class PointMap:
     images is a PointSet with the domain's window and seed, its mode set by
     its field; Vec2 images (a tuple, as `dataclasses.replace` passes them)
     go through the checking constructor, which refuses a repeated image.
-    kind is a provenance tag ("arbitrary", "box-product", "explicit-1d").
     """
 
     domain: PointSet
     images: PointSet
-    kind: str = "arbitrary"
 
     def __post_init__(self):
         images = self.images if isinstance(self.images, PointSet) else tuple(self.images)
@@ -337,8 +334,8 @@ class PointMap:
         return len(self.images)
 
     @classmethod
-    def from_function(cls, domain: PointSet, fn: Callable[[Vec2], Vec2], kind: str = "arbitrary") -> "PointMap":
-        return cls(domain, tuple(fn(p) for p in domain.points), kind)
+    def from_function(cls, domain: PointSet, fn: Callable[[Vec2], Vec2]) -> "PointMap":
+        return cls(domain, tuple(fn(p) for p in domain.points))
 
 
 def explicit_1d_point_map(domain: PointSet) -> PointMap:
@@ -346,7 +343,7 @@ def explicit_1d_point_map(domain: PointSet) -> PointMap:
     leaving y alone; meant for sets on a horizontal line, where the metric
     restricts to |dx|."""
     g = canonical_interleaving()
-    return PointMap.from_function(domain, lambda p: Vec2(apply_fractional_map(g, p.x), p.y), "explicit-1d")
+    return PointMap.from_function(domain, lambda p: Vec2(apply_fractional_map(g, p.x), p.y))
 
 
 def box_product_point_map(
@@ -370,12 +367,11 @@ def box_product_point_map(
     coordinates rounded to floats; where the scalar formula rounds an exact
     product or fractional part instead, an image may differ in the last bit.
     """
-    return PointMap(domain, _box_images(shape, g1, g2, domain), "box-product")
+    return PointMap(domain, _box_images(shape, g1, g2, domain))
 
 
 def pointmap_to_json(pmap: PointMap) -> str:
     obj = {
-        "kind": pmap.kind,
         "domain": json.loads(pointset_to_json(pmap.domain)),
         "images": [[format_scalar(x), format_scalar(y)] for x, y in pmap.images._coords()],
     }
@@ -387,7 +383,8 @@ def pointmap_from_json(text: str) -> PointMap:
     with _malformed_json("map", StepIsoError):
         domain = pointset_from_json(json.dumps(obj["domain"]))
         images = tuple(Vec2(parse_scalar(x), parse_scalar(y)) for x, y in obj["images"])
-        return PointMap(domain, images, obj.get("kind", "arbitrary"))
+        # files from older versions carry a "kind" tag, which nothing reads
+        return PointMap(domain, images)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from larg_lab.geometry import (
     distance,
     rational_hexagon,
     regular_hexagon,
+    shape_from_json,
     square_linf,
 )
 from larg_lab.larg import GeoGraph, pair_uniform, pair_uniform_array, sample_larg
@@ -132,8 +133,14 @@ class TestShapeSpec:
         assert shape.is_box()
         assert shape.generators == (Vec2(Fraction(1), Fraction(1)), Vec2(Fraction(1), Fraction(-1)))
 
+    def test_box_spec_reads_cli_scalars(self):
+        # the sqrt(2) box of a shape file, written as a spec
+        want = shape_from_json('{"kind": "polygonal", "generators": [["1/1", "0/1"], ["0/1+1/1*sqrt(2)", "1/1"]]}')
+        assert shape_from_spec("box:1,0;0/1+1/1*sqrt(2),1").generators == want.generators
+
     def test_malformed_specs_raise(self):
-        for bad in ("heptagon", "lp:zero", "box:1,1", "box:1,1;2,2"):
+        bad_boxes = ("box:", "box:1,0,0;0,1", "box:1/0,0;0,1", "box:1,0;0,1;1,1", "box:1,0;0/1+1/1*sqrt(4),1")
+        for bad in ("heptagon", "lp:zero", "box:1,1", "box:1,1;2,2") + bad_boxes:
             with pytest.raises(ExperimentError):
                 shape_from_spec(bad)
 

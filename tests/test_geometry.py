@@ -486,6 +486,19 @@ def test_shape_json_reads_older_lp_files():
     assert isinstance(lp, LpShape) and lp.p == 3.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "polygonal", "generators": [["1/0", "0/1"], ["0/1", "1/1"]]}',
+        '{"kind": "polygonal", "generators": [["abc", "0/1"], ["0/1", "1/1"]]}',
+        '{"kind": "lp", "p": "abc"}',
+    ],
+)
+def test_shape_json_refuses_a_malformed_scalar(text):
+    with pytest.raises(GeometryError, match="^malformed shape JSON: "):
+        shape_from_json(text)
+
+
 def test_shape_json_rejects_unknown_kind():
     with pytest.raises(GeometryError):
         shape_from_json('{"kind": "weird"}')

@@ -78,9 +78,10 @@ def test_depth_zero_is_level_zero_only():
 
 
 def test_window_rule_holds_everywhere():
-    fam = generate_grid(two_point_base(SQRT2_M1), HEX_GENS, 3, 2)
+    base = two_point_base(SQRT2_M1)
+    fam = generate_grid(base, HEX_GENS, 3, 2)
     for ell in fam.all_lines():
-        shifts = [abs(ell.offset - ell.normal.dot(b)) for b in fam.base_points]
+        shifts = [abs(ell.offset - ell.normal.dot(b)) for b in base]
         assert min(shifts) <= 2
 
 

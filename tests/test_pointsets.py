@@ -1,6 +1,7 @@
 """Windowed samplers, idf structure, rescaling, and PointSet round trips."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -505,6 +506,16 @@ def test_pointset_json_reads_older_files():
     assert ps.points == (Vec2(Fraction(1, 2), Fraction(1, 3)), Vec2(Fraction(1, 4), Fraction(2, 3)))
     assert ps == pointset_from_json(text % "")
     assert pointset_to_json(ps) == text % "" and pointset_from_json(pointset_to_json(ps)) == ps
+
+
+@pytest.mark.parametrize(
+    "key, value", [("window", ["1/0", "0/1", "1/1", "1/1"]), ("points", [["1/0", "1/3"]]), ("alpha", "x")]
+)
+def test_pointset_json_refuses_a_malformed_scalar(key, value):
+    obj = {"seed": 4, "alpha": "1/1", "window": ["0/1", "0/1", "1/1", "1/1"], "mode": "rational", "points": [["1/2", "1/3"]]}
+    obj[key] = value
+    with pytest.raises(PointSetError, match="^malformed point-set JSON: "):
+        pointset_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("seed", ["1.5", "true", '"1"'])

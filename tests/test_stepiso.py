@@ -1,6 +1,7 @@
 """Fractional-part maps, step-isometry verdicts, line respect, graph pairs."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -47,6 +48,7 @@ from larg_lab.stepiso import (
     explicit_1d_point_map,
     is_isometry,
     is_step_isometry,
+    pointmap_from_json,
     pointmap_to_json,
     respects_line,
 )
@@ -443,12 +445,12 @@ _LANE_MAPS = {
 
 
 # sha256 prefixes of each lane's map file as the Vec2-per-image maps wrote it,
-# less the domain's "flags" section
+# less the domain's "flags" section and the map's "kind" tag
 _LANE_JSON = {
-    "float": "aa72503bb7dfa764",
-    "rational": "cc207516e6a2d74b",
-    "sqrt2": "041b9375ff74817f",
-    "mixed": "ca02bffb2f83ff16",
+    "float": "2b845db39aaf635e",
+    "rational": "9fa4fb95dbf0b280",
+    "sqrt2": "ea49c318840daab4",
+    "mixed": "96255b73373168dd",
 }
 
 
@@ -505,7 +507,23 @@ def test_point_map_validation():
     with pytest.raises(StepIsoError):
         PointMap(ps, (Vec2(F(0), F(0)), Vec2(F(0), F(0))))
     pm = identity_map(ps)
-    assert len(pm) == 2 and pm.kind == "arbitrary"
+    assert len(pm) == 2
+
+
+def test_pointmap_json_reads_older_files():
+    # older files carry a "kind" tag, which is not read
+    pm = identity_map(line_set([F(0), F(1, 2)]))
+    text = pointmap_to_json(pm)
+    assert "kind" not in json.loads(text)
+    tagged = json.dumps({"kind": "box-product", **json.loads(text)})
+    assert pointmap_from_json(tagged) == pointmap_from_json(text) == pm
+
+
+def test_pointmap_json_refuses_a_malformed_scalar():
+    obj = json.loads(pointmap_to_json(identity_map(line_set([F(0), F(1, 2)]))))
+    obj["images"][0][0] = "1/0"
+    with pytest.raises(StepIsoError, match="^malformed map JSON: scalar '1/0' has a zero denominator$"):
+        pointmap_from_json(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
