@@ -8,16 +8,13 @@ derives such certificates, reconstructs points from anchor data, and
 builds enumerations of finite samples in which every point past the
 anchor carries a certificate.
 
-good_enumeration follows the numeric policy of ``exact``: a float filter
-decides what it can, and the scalar rule (``distance``,
-``determining_generator``) decides the cases within larg's guard of a
-boundary, so its output equals what the scalar definitions alone give.
-validate_good_enumeration is the independent check of an enumeration and
-reads no float filter. On exact polygon data (Q or one Q(sqrt d)) it
-decides on integers: the generator projections are encoded once over a
-common denominator (``pointsets._projection_ints``), and signs over
-sqrt(d) are integer tests (``exact._surd_nonneg``). Float and L^p data are
-checked by the scalar definitions.
+good_enumeration and validate_good_enumeration follow the numeric policy
+of ``exact``: a float filter decides what it can, and the scalar rule
+(``distance``, ``determining_generator``) decides the cases within larg's
+guard of a boundary.  The two share one face rule (``_face_table``) and
+one range test (``larg.in_range_pairs``): the validator re-checks the
+bookkeeping on its own, and tests hold the shared rules to the scalar
+definitions on every pair.
 
 Box shapes are excluded throughout: with only two face directions no
 triple of pairwise non-parallel normals exists.  L^p balls have no faces:
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import FLOAT, FLOAT_INTEGER_GUARD, _surd_nonneg, close
+from .exact import FLOAT_INTEGER_GUARD, close
 from .geometry import (
     NormShape,
     PolygonShape,
@@ -41,8 +38,8 @@ from .geometry import (
     distance,
     is_triangular_set,
 )
-from .larg import _columns, _distances, _guard, in_range_pairs
-from .pointsets import PointSet, _projection_ints
+from .larg import _columns, _distances, _guard, _in_range_test, in_range_pairs
+from .pointsets import PointSet
 
 __all__ = [
     "AnchoringError",
@@ -171,19 +168,43 @@ class GoodEnumeration:
         return tuple(self.order[:3])
 
 
+def _face_table(shape, pts, cols, guard, targets, refs):
+    """The face rule for the differences pts[targets[k]] - pts[refs[k]]
+    (one target serves every row): (face, sure, generator).  On the float
+    projection table `cols`, row k is sure when its largest |projection|,
+    of class face[k], beats the runner-up by more than
+    determining_generator's tie rule (``close``) plus `guard`.
+    generator(k) signs a sure row's generator by its projection;
+    determining_generator, which refuses a tie, decides the other rows, and
+    every row when cols is None (L^p)."""
+    if cols is None:
+        face, sure = None, np.zeros(len(refs), dtype=bool)
+    else:
+        vals = cols[:, targets] - cols[:, refs]
+        mag = np.abs(vals)
+        face = mag.argmax(axis=0)
+        second, best = np.sort(mag, axis=0)[-2:]
+        sure = best - second > FLOAT_INTEGER_GUARD * best + guard
+
+    def generator(k):
+        if not sure[k]:
+            return determining_generator(shape, pts[targets[k % len(targets)]] - pts[refs[k]])
+        a = shape.generators[face[k]]
+        return a if vals[face[k], k] > 0 else -a
+
+    return face, sure, generator
+
+
 def _try_certificate(shape, pts, cols, guard, order, target):
     """Three placed references with pairwise non-parallel face normals.
 
     These are the first three positions of `order` whose distances to the
     target lie on three distinct face classes, skipping the references
-    determining_generator refuses.  For polygons the class of every placed
-    point comes from one pass over the float projection table `cols`: the
-    largest |projection| of the difference, when it beats the runner-up by
-    more than determining_generator's tie rule (``close``) plus `guard`.
-    determining_generator decides the other rows, and only those that can
-    still change the answer.  L^p (cols None) scans with
-    determining_generator, which finds three non-parallel gradients within
-    a few references.
+    determining_generator refuses.  For polygons one ``_face_table`` over
+    the placed points gives every class; determining_generator decides the
+    unsure rows, and only those that can still change the answer.  L^p
+    (cols None) scans with determining_generator, which finds three
+    non-parallel gradients within a few references.
     """
     if cols is None:
         refs, gens = [], []
@@ -200,23 +221,18 @@ def _try_certificate(shape, pts, cols, guard, order, target):
                 return Certificate(tuple(refs), tuple(gens))
         return None
 
-    vals = cols[:, target, None] - cols[:, order]
-    mag = np.abs(vals)
-    face = mag.argmax(axis=0)
-    second, best = np.sort(mag, axis=0)[-2:]
-    sure = best - second > FLOAT_INTEGER_GUARD * best + guard
+    face, sure, generator = _face_table(shape, pts, cols, guard, [target], order)
     # first sure position of each face class; the third of them bounds the
     # positions an unsure row can still claim
     classes, firsts = np.unique(np.where(sure, face, len(cols)), return_index=True)
     firsts = firsts[classes < len(cols)]
     limit = int(np.sort(firsts)[2]) if len(firsts) >= 3 else len(order)
 
-    # (position, class, signed generator); sure rows take the sign of their
-    # float projection
+    # (position, class, signed generator); sure rows are signed by the table
     rows = [(int(pos), int(face[pos]), None) for pos in firsts]
     for pos in np.flatnonzero(~sure[:limit]).tolist():
         try:
-            g = determining_generator(shape, pts[target] - pts[order[pos]])
+            g = generator(pos)
         except AnchoringError:
             continue
         rows.append((pos, next(c for c, a in enumerate(shape.generators) if a.cross(g) == 0), g))
@@ -224,8 +240,7 @@ def _try_certificate(shape, pts, cols, guard, order, target):
     for pos, c, g in sorted(rows):
         if c in gens:
             continue
-        a = shape.generators[c]
-        gens[c] = g if g is not None else a if vals[c, pos] > 0 else -a
+        gens[c] = generator(pos) if g is None else g
         refs.append(pos)
         if len(refs) == 3:
             return Certificate(tuple(refs), tuple(gens.values()))
@@ -247,9 +262,8 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     is the eligible point nearest its end by ``(float(distance), index)``;
     float distances pick the candidates within a guard of the minimum, and
     the scalar key decides among them.  Certificates read face classes off
-    a float table of generator projections (see ``_try_certificate``).
-    ``validate_good_enumeration`` re-checks everything with the scalar
-    definitions alone.
+    a float table of generator projections (``_face_table``), which
+    ``validate_good_enumeration`` reads too.
 
     Up to six anchors are walked, and the first walk leaving the fewest
     points pending wins.  A point pending after the first walk that has no
@@ -432,100 +446,50 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     )
 
 
-def _validator_rules(enum: GoodEnumeration):
-    """The validator's two rules over point indices: in_range(i, j), is
-    distance < 1, and face(t, r), the determining generator of the
-    difference of points t and r.
-
-    Exact polygon data decide both on integers: with every projection
-    a.v = (P + Q*sqrt(d))/D over one denominator D, a distance is below 1
-    when max_a |a.(v - w)| < D, and the determining generator is the unique
-    argmax of |a.(t - r)|.  A tie goes to determining_generator, which
-    refuses it.  Float and L^p data, and data with no common field (which
-    distance refuses), use the scalar definitions.
-    """
-    pts, shape = enum.point_set.points, enum.shape
-    # the radicands of shape and points; Q joins any field
-    fields = {shape.field if isinstance(shape, PolygonShape) else FLOAT, enum.point_set.field} - {0}
-    if FLOAT in fields or len(fields) > 1:
-        return (
-            lambda i, j: distance(shape, pts[i], pts[j]) < 1,
-            lambda t, r: determining_generator(shape, pts[t] - pts[r]),
-        )
-
-    encs = _projection_ints(enum.point_set, shape.generators)
-    D = encs[0][0]
-    d = max(fields, default=0)
-    rows = [proj for _, proj, _ in encs]
-    signed = [(a, -a) for a in shape.generators]
-
-    def diffs(i, j):
-        # |a.(v_i - v_j)| as integer pairs, and whether a.(v_i - v_j) >= 0
-        for row in rows:
-            P, Q = row[i][0] - row[j][0], row[i][1] - row[j][1]
-            pos = _surd_nonneg(P, Q, d)
-            yield ((P, Q) if pos else (-P, -Q)), pos
-
-    def in_range(i, j):
-        return all((P, Q) != (D, 0) and _surd_nonneg(D - P, -Q, d) for (P, Q), _ in diffs(i, j))
-
-    def face(t, r):
-        mags = list(diffs(t, r))
-        best = 0
-        for c in range(1, len(mags)):
-            (P, Q), (R, S) = mags[c][0], mags[best][0]
-            if not _surd_nonneg(R - P, S - Q, d):
-                best = c
-        if sum(m == mags[best][0] for m, _ in mags) > 1:
-            return determining_generator(shape, pts[t] - pts[r])
-        return signed[best][0 if mags[best][1] else 1]
-
-    return in_range, face
-
-
 def validate_good_enumeration(enum: GoodEnumeration) -> None:
     """Re-check every defining condition from scratch; raise on violation."""
     pts = enum.point_set.points
     shape = enum.shape
     _require_non_box(shape)
     order = enum.order
-    n = len(pts)
 
-    if sorted(list(order) + list(enum.unplaced)) != list(range(n)):
+    if sorted(list(order) + list(enum.unplaced)) != list(range(len(pts))):
         raise AnchoringError("order and unplaced do not partition the point set")
     if len(order) < 3:
         raise AnchoringError("enumeration shorter than an anchor")
-    seen = set()
-    for i in order:
-        key = (pts[i].x, pts[i].y)
-        if key in seen:
-            raise AnchoringError("repeated point in enumeration")
-        seen.add(key)
+    if len({(pts[i].x, pts[i].y) for i in order}) < len(order):
+        raise AnchoringError("repeated point in enumeration")
 
-    in_range, face = _validator_rules(enum)
-    for a, b in zip(order, order[1:]):
-        if not in_range(a, b):
-            raise AnchoringError(f"consecutive points {a}, {b} at distance >= 1")
+    within = _in_range_test(enum.point_set, shape, 1)
+    far = np.flatnonzero(~within(order[:-1], order[1:]))
+    if len(far):
+        raise AnchoringError(f"consecutive points {order[far[0]]}, {order[far[0] + 1]} at distance >= 1")
 
     i0, i1, i2 = order[:3]
-    for a, b in ((i0, i1), (i0, i2), (i1, i2)):
-        if not in_range(a, b):
-            raise AnchoringError("anchor pair at distance >= 1")
+    if not within((i0, i0, i1), (i1, i2, i2)).all():
+        raise AnchoringError("anchor pair at distance >= 1")
     if not is_triangular_set(shape, pts[i0], pts[i1], pts[i2]):
         raise AnchoringError("anchor is not a triangular set")
 
-    for pos in range(3):
-        if enum.certificates[pos] is not None:
-            raise AnchoringError("anchor points carry no certificate")
+    certs = enum.certificates
+    if any(c is not None for c in certs[:3]):
+        raise AnchoringError("anchor points carry no certificate")
     for pos in range(3, len(order)):
-        cert = enum.certificates[pos]
-        if cert is None:
+        if certs[pos] is None:
             raise AnchoringError(f"point at position {pos} lacks a certificate")
-        j, k, l = cert.refs
+        j, k, l = certs[pos].refs
         if not 0 <= j < k < l < pos:
-            raise AnchoringError(f"certificate positions {cert.refs} not all before {pos}")
-        for ref_pos, g in zip(cert.refs, cert.generators):
-            if g != face(order[pos], order[ref_pos]):
+            raise AnchoringError(f"certificate positions {certs[pos].refs} not all before {pos}")
+
+    # one face table over the rows (point, reference), three per position
+    arr = enum.point_set.as_array()
+    cols, reach, q = _columns(arr, shape)
+    targets = [order[pos] for pos in range(3, len(order)) for _ in range(3)]
+    refs = [order[r] for cert in certs[3:] for r in cert.refs]
+    generator = _face_table(shape, pts, cols if q is None else None, _guard(1.0, reach, arr), targets, refs)[2]
+    for pos, cert in enumerate(certs[3:], 3):
+        for row, g in zip(range(3 * pos - 9, 3 * pos - 6), cert.generators):
+            if g != generator(row):
                 raise AnchoringError(
                     f"certificate generator {g} does not determine the distance at position {pos}"
                 )

@@ -132,8 +132,10 @@ def shape_from_spec(spec: str) -> NormShape:
             raise ExperimentError(f"bad lp spec {spec!r}: {exc}") from exc
     if s.startswith("box:"):
         try:
-            a1, a2 = _parse_generators(s[4:])
-            return box_shape(a1, a2)
+            gens = _parse_generators(s[4:])
+            if len(gens) != 2:
+                raise ExperimentError(f"box spec needs 2 generators, got {len(gens)}")
+            return box_shape(*gens)
         except ValueError as exc:  # GeometryError and ExperimentError among them
             raise ExperimentError(f"bad box spec {spec!r}: {exc}") from exc
     raise ExperimentError(f"unknown shape spec {spec!r}")
@@ -484,13 +486,7 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
         )
     validate_good_enumeration(enum)
 
-    npts = len(points)
-    eu, ev = in_range_pairs(points, shape, 1)
-    in_range_keys = eu * npts + ev
-
-    def within(us, vs):
-        return np.isin(np.minimum(us, vs) * npts + np.maximum(us, vs), in_range_keys)
-
+    within = larg._in_range_test(points, shape, 1)
     p_star = compatibility_probability(cfg.p, True)
     k = len(shape.generators)
     lookup = _point_lookup(points)

@@ -449,21 +449,38 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     sorts the points by a coordinate that never exceeds the distance (the
     first generator's projection for polygons, x for L^p), so each point is
     compared only with the points that follow it by less than delta along
-    that coordinate.  Points with no common field with the shape (SqrtExt
-    points under float generators, or two radicands) are refused up front
-    (GeometryError).
+    that coordinate.  A delta sample_larg refuses (LargError), and points
+    with no common field with the shape (SqrtExt points under float
+    generators, or two radicands; GeometryError), are refused up front.
     """
+    _require_p_delta(None, LargError, delta)
     keys = [_kept_keys(points, shape, delta, *block) for block in _in_range_blocks(points, shape, delta)]
     return _decode_keys(keys, len(points))
 
 
+def _in_range_test(points: PointSet, shape: NormShape, delta):
+    """within(us, vs): for index arrays us, vs, whether each pair is one of
+    in_range_pairs (u = v is not), by np.isin on the pairs' keys u * n + v."""
+    n = len(points)
+    u, v = in_range_pairs(points, shape, delta)
+    keys = u * n + v
+
+    def within(us, vs):
+        return np.isin(np.minimum(us, vs) * n + np.maximum(us, vs), keys)
+
+    return within
+
+
 def _require_p_delta(p, error: type[Exception], delta=1):
-    """sample_larg's rule for a graph's parameters, p in (0, 1) and delta > 0;
-    else raise error.  The default delta leaves only p to check."""
-    if not (0.0 < p < 1.0):
+    """sample_larg's rule for a graph's parameters: p in (0, 1) (None skips
+    p), delta > 0 and, if a float, finite (a SqrtExt has no order against
+    floats); else raise error.  The default delta leaves only p to check."""
+    if p is not None and not (0.0 < p < 1.0):
         raise error(f"p must be in (0, 1), got {p}")
     if not (delta > 0):
         raise error(f"delta must be positive, got {delta}")
+    if isinstance(delta, float) and not math.isfinite(delta):
+        raise error(f"delta must be finite, got {delta}")
 
 
 def sample_larg(

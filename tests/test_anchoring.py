@@ -393,7 +393,7 @@ def test_certificate_position_validation():
 
 
 # ---------------------------------------------------------------------------
-# the validator's integer lane against the scalar definitions
+# the validator's face rule and range test against the scalar definitions
 
 R2, R3 = SqrtExt(0, 1, 2), SqrtExt(0, 1, 3)
 SQRT3_HEX = PolygonShape([Vec2(F(1), F(0)), Vec2(F(1, 2), R3 / 2), Vec2(F(-1, 2), R3 / 2)])
@@ -406,6 +406,13 @@ def tied_sample():
     moves = ((F(1, 8), F(0)), (F(0), F(1, 8)), (F(1, 8), F(-1, 8)))
     copies = tuple(v + Vec2(dx, dy) for v in base[:6] for dx, dy in moves)
     return PointSet(base + copies, Window(F(-1), F(-1), F(3), F(3)), 0, "rational")
+
+
+def float_tied_sample(offset=0.0):
+    # tied_sample's points as floats, moved by (offset, offset): the 1/8
+    # moves are exact in binary, so its ties stay ties
+    pts = tuple(Vec2(float(v.x) + offset, float(v.y) + offset) for v in tied_sample().points)
+    return PointSet(pts, Window(offset - 1, offset - 1, offset + 3, offset + 3), 0, "float")
 
 
 def sqrt2_lattice():
@@ -427,32 +434,53 @@ LANE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LANE_CASES))
-def test_integer_lane_matches_scalar_rules(name):
-    # every (target, reference) pair: the same in-range answer as distance,
-    # the same generator as determining_generator, the same refusal of a tie
-    shape, ps = LANE_CASES[name]()
-    enum = good_enumeration(ps, shape)
-    in_range, face = anchoring._validator_rules(enum)
+def assert_rules_match_scalar(shape, ps):
+    # every ordered (target, reference) pair: the range test gives
+    # distance's answer, and the face rule determining_generator's
+    # generator or the same refusal of a tie; returns the face rule's
+    # sure rows and the tied rows
     pts = ps.points
-    ties = 0
-    for t, r in itertools.permutations(range(len(pts)), 2):
-        assert in_range(t, r) == (distance(shape, pts[t], pts[r]) < 1)
-        try:
-            want = determining_generator(shape, pts[t] - pts[r])
-        except AnchoringError as exc:
-            ties += 1
-            with pytest.raises(AnchoringError, match=f"^{re.escape(str(exc))}$"):
-                face(t, r)
-        else:
-            assert face(t, r) == want
-    assert ties
-    # a valid exact enumeration is checked without the scalar rules
+    targets, refs = map(list, zip(*itertools.permutations(range(len(pts)), 2)))
+    within = larg._in_range_test(ps, shape, 1)(targets, refs)
+    arr = ps.as_array()
+    cols, reach, _ = larg._columns(arr, shape)
+    face = anchoring._face_table(shape, pts, cols, larg._guard(1.0, reach, arr), targets, refs)[2]
+    sure, ties = 0, 0
+    with mock.patch.object(anchoring, "determining_generator", wraps=determining_generator) as scalar:
+        for k, (t, r) in enumerate(zip(targets, refs)):
+            assert within[k] == (distance(shape, pts[t], pts[r]) < 1)
+            try:
+                want = determining_generator(shape, pts[t] - pts[r])
+            except AnchoringError as exc:
+                ties += 1
+                with pytest.raises(AnchoringError, match=f"^{re.escape(str(exc))}$"):
+                    face(k)
+            else:
+                calls = scalar.call_count
+                assert face(k) == want
+                sure += scalar.call_count == calls
+    return sure, ties
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_face_rule_and_range_test_match_scalar_rules(name):
+    shape, ps = LANE_CASES[name]()
+    sure, ties = assert_rules_match_scalar(shape, ps)
+    assert sure and ties
+    # a valid exact enumeration is checked by the float table alone: no
+    # certified row is left to determining_generator
+    enum = good_enumeration(ps, shape)
     no_scalar = AssertionError("scalar rule called")
-    with mock.patch.object(anchoring, "distance", side_effect=no_scalar), mock.patch.object(
-        anchoring, "determining_generator", side_effect=no_scalar
-    ):
+    with mock.patch.object(anchoring, "determining_generator", side_effect=no_scalar):
         validate_good_enumeration(enum)
+
+
+def test_face_rule_guards_rounding_far_from_the_origin():
+    # near (2**23, 2**23) a projection rounds by up to 2**-29 while a tie's
+    # two faces measure 1/8: close's tolerance alone would read rounding
+    # noise as a face, and the guard leaves those rows to determining_generator
+    sure, ties = assert_rules_match_scalar(HEX, float_tied_sample(2.0**23))
+    assert sure and ties
 
 
 def corrupt_certificate(enum, pos, refs, generators):
@@ -461,7 +489,7 @@ def corrupt_certificate(enum, pos, refs, generators):
     return dataclasses.replace(enum, certificates=tuple(certs))
 
 
-@pytest.mark.parametrize("make", [tied_sample, sqrt2_lattice])
+@pytest.mark.parametrize("make", [tied_sample, sqrt2_lattice, float_tied_sample])
 def test_validator_refuses_corrupted_certificates(make):
     ps = make()
     enum = good_enumeration(ps, HEX)
@@ -496,13 +524,14 @@ def test_validator_refuses_corrupted_certificates(make):
         validate_good_enumeration(corrupt_certificate(enum, pos, (0, 1, tie), generators))
 
 
-@pytest.mark.parametrize("shift", [F(0), R2 / 4])
+@pytest.mark.parametrize("shift", [F(0), R2 / 4, pytest.param(0.0, id="float")])
 def test_validator_distance_one_is_out_of_range(shift):
-    # hexagon distance exactly 1, with rational or sqrt(2) coordinates: the
-    # validator's test is strict
+    # hexagon distance exactly 1, with rational, sqrt(2) or float
+    # coordinates: the validator's test is strict
     def points(*coords):
-        pts = tuple(Vec2(x + shift, y) for x, y in coords)
-        return PointSet(pts, Window(F(-1), F(-1), F(3), F(3)), 0, "rational")
+        pts = tuple(Vec2(x + shift, y + 0 * shift) for x, y in coords)  # y takes a float shift's type
+        mode = "float" if isinstance(shift, float) else "rational"
+        return PointSet(pts, Window(F(-1), F(-1), F(3), F(3)), 0, mode)
 
     cert = Certificate((0, 1, 2), (Vec2(F(1), F(0)), Vec2(F(0), F(1)), Vec2(F(1), F(1))))
     certificates = (None, None, None, cert)

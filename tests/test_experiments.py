@@ -143,6 +143,9 @@ class TestShapeSpec:
         for bad in ("heptagon", "lp:zero", "box:1,1", "box:1,1;2,2") + bad_boxes:
             with pytest.raises(ExperimentError):
                 shape_from_spec(bad)
+        for bad, count in (("box:1,1", 1), ("box:1,0;0,1;1,1", 3)):
+            with pytest.raises(ExperimentError, match=f"^bad box spec '{bad}': box spec needs 2 generators, got {count}$"):
+                shape_from_spec(bad)
 
 
 class TestWilson:

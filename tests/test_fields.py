@@ -155,12 +155,18 @@ def test_numeric_policy_stays_in_one_place():
     readers = {
         ("larg.py", "_guard"),
         ("pointsets.py", "is_idf"),
-        ("anchoring.py", "_try_certificate"),
+        ("anchoring.py", "_face_table"),
         ("experiments.py", "_point_lookup"),
         ("stepiso.py", "_pair_scan"),
         ("stepiso.py", "is_isometry"),
     }
-    owners = {"close": "exact.py", "_guard": "larg.py", "_block_gaps": "larg.py", "_distances": "larg.py"}
+    owners = {
+        "close": "exact.py",
+        "_guard": "larg.py",
+        "_block_gaps": "larg.py",
+        "_distances": "larg.py",
+        "_face_table": "anchoring.py",
+    }
     defined = {}
 
     def visit(node, path, func):

@@ -465,6 +465,23 @@ def test_sample_larg_validation():
         sample_larg(ps, square_linf(), 0, 0.5, edge_seed=0)
 
 
+@pytest.mark.parametrize(
+    "delta, message",
+    [(-1, "delta must be positive, got -1"), (0, "delta must be positive, got 0"),
+     (math.nan, "delta must be positive, got nan"), (math.inf, "delta must be finite, got inf")],
+    ids=["negative", "zero", "nan", "inf"],
+)
+@pytest.mark.parametrize("kernel", ["in_range_pairs", "sample_larg"])
+def test_delta_is_positive_and_finite(kernel, delta, message):
+    # both kernels refuse a delta sample_larg cannot draw a graph for, before
+    # the sweep reads it
+    ps = tiny_cluster(5)
+    call = {"in_range_pairs": lambda: in_range_pairs(ps, square_linf(), delta),
+            "sample_larg": lambda: sample_larg(ps, square_linf(), delta, 0.5, edge_seed=1)}[kernel]
+    with pytest.raises(LargError, match=f"^{message}$"):
+        call()
+
+
 def test_lp_shape_sampling():
     ps = tiny_cluster(70, spread=2.0, seed=6)
     sh = LpShape(2)
