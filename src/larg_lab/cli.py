@@ -149,6 +149,9 @@ def _cmd_grid(args) -> int:
     if args.emit_offsets:
         x, y = _parse_scalars(args.emit_offsets, 2, "--emit-offsets")
         keep = Vec2(x, y)
+        if keep not in family.generators:
+            gens = "; ".join(f"{format_scalar(g.x)},{format_scalar(g.y)}" for g in family.generators)
+            raise ExperimentError(f"--emit-offsets {args.emit_offsets} is not one of the generators {gens}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["level", "ax", "ay", "offset"])

@@ -13,15 +13,21 @@ floats and inputs with no common field are refused. Internally every
 offset is a pair of ints (A, B) over one common denominator D, read as
 c = (A + B*sqrt(d))/D, so growth is integer arithmetic and deduplication is
 on int tuples. floor(c) is computed from the ints alone
-(`exact._floor_surd`). Levels store only the lines first seen at that
-level, decoded to Fraction or SqrtExt (`exact.surd_value`); `all_lines`
-flattens. `grid_offsets` encodes one normal's offsets the same way and
-reduces them mod 1 on the numerators.
+(`exact._floor_surd`). Growth runs on translation classes: shifting a
+line by L whole units, L the common denominator of the combination
+coefficients, shifts every line it makes by whole units, and all in-window
+whole-unit shifts are added anyway, so one line per class is intersected.
+An irrational coefficient, as for the normals (1, 0), (0, 1), (1, sqrt 2),
+makes such shifts irrational; then there is no period and every line is
+intersected. Levels store only the lines first seen at that level, decoded
+to Fraction or SqrtExt (`exact.surd_value`); `all_lines` flattens.
+`grid_offsets` encodes one normal's offsets the same way and reduces them
+mod 1 on the numerators.
 """
 
 from dataclasses import dataclass
 
-from .exact import FLOAT, _floor_surd, field_of, surd_ints, surd_value
+from .exact import FLOAT, _floor_surd, _require_int, field_of, surd_ints, surd_value
 from .geometry import Line, Vec2, _meet
 
 __all__ = [
@@ -85,7 +91,7 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
     gens = _dedup_direction_classes(generators)
     if len(gens) < 2:
         raise GridError("generators span fewer than two direction classes")
-    if depth < 0:
+    if _require_int(depth, "depth", GridError) < 0:
         raise GridError("depth must be nonnegative")
     if not window > 0:
         raise GridError("window must be positive")
@@ -112,6 +118,12 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
     # a level-k value has denominator dividing D0 * L^k, so one D serves all
     D0, ints = surd_ints([window] + [g.dot(b) for g in gens for b in base])
     D = D0 * L**depth
+    # a shift by L units moves every combination by whole units, and
+    # windowed_parallels adds every in-window whole-unit shift: lines equal
+    # mod `period` give the same lines, so one of each class intersects. An
+    # irrational coefficient makes the moves irrational: no period (0).
+    rational = all(q1 == q2 == 0 for cs in coef.values() for _, (_, q1, _, q2) in cs)
+    period = L * D if rational else 0
     (Aw, Bw), *proj = [(A * (D // D0), B * (D // D0)) for A, B in ints]
     base_int = [proj[k * len(base) : (k + 1) * len(base)] for k in range(nclasses)]
 
@@ -138,10 +150,10 @@ def generate_grid(base_points, generators, depth: int, window) -> LineFamily:
         # exact value breaks float ties, so the order never depends on hashing
         fresh.sort(key=lambda e: (e[0], float(e[1]), e[1]))
         levels.append(tuple(Line(gens[k], c) for k, c, _, _ in fresh))
-        frontier = [[] for _ in range(nclasses)]
+        frontier = [{} for _ in range(nclasses)]
         for k, _, A, B in fresh:
-            frontier[k].append((A, B))
-        return frontier
+            frontier[k].setdefault((A % period if period else A, B), (A, B))
+        return [list(f.values()) for f in frontier]
 
     frontier = commit([windowed_parallels(k, base_int[k]) for k in range(nclasses)])
     for _ in range(depth):

@@ -241,6 +241,16 @@ class TestGrid:
         rows = [row.split(",") for row in out.strip().splitlines()[1:]]
         assert rows and all(r[1:3] == ["1/1", "1/1"] for r in rows)
 
+    @pytest.mark.parametrize("normal", ["2,0", "0.5,0", "1,-1"])
+    def test_offset_filter_refuses_a_normal_that_is_no_generator(self, workdir, capsys, normal):
+        # (2, 0) and (1/2, 0) are parallel to the generator (1, 0) but not it
+        code, out, err = run(
+            capsys,
+            "grid", "--base", str(workdir / "base.json"), "--shape", str(workdir / "hex.json"),
+            "--depth", "1", "--window", "2", "--emit-offsets", normal,
+        )
+        assert_one_error_line(code, out, err, normal, "1/1,0/1; 0/1,1/1; 1/1,1/1")
+
     def test_sqrt2_base_prints_irrational_offsets(self, workdir, capsys):
         # the base (0, 0), (sqrt 2 - 1, 0) spaces its lines irrationally
         base = PointSet(

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from larg_lab.exact import SqrtExt, exact_div, fractional_part
-from larg_lab.geometry import Vec2, rational_hexagon, square_linf
+from larg_lab.exact import SqrtExt, _floor_surd, exact_div, field_of, fractional_part, surd_ints, surd_value
+from larg_lab.geometry import Line, Vec2, _meet, rational_hexagon, square_linf
 from larg_lab.grids import GridError, LineFamily, generate_grid, grid_offsets, offset_gaps
 
 F = Fraction
@@ -117,6 +117,9 @@ def test_validation_errors():
         generate_grid(origin, (Vec2(F(0), F(0)), Vec2(F(1), F(0))), 1, 2)
     with pytest.raises(GridError):
         generate_grid(origin, HEX_GENS, -1, 2)
+    for depth in (2.0, "2", True):
+        with pytest.raises(GridError, match="depth must be an integer"):
+            generate_grid(origin, HEX_GENS, depth, 2)
     with pytest.raises(GridError):
         generate_grid(origin, HEX_GENS, 1, 0)
     fam = generate_grid(origin, HEX_GENS, 1, 2)
@@ -311,3 +314,101 @@ def test_grid_offsets_match_reference_on_benchmark_bases():
 @given(grid_problems())
 def test_grid_offsets_match_reference(problem):
     assert_same_offsets(generate_grid(*problem))
+
+
+# ---------------------------------------------------------------------------
+# translation classes against line-by-line growth
+
+
+def reference_generate_grid(base, generators, depth, window) -> LineFamily:
+    """generate_grid as it grew before translation classes: every new line
+    is intersected with every older line, each integer translate on its own.
+    Valid input only; offsets are ints (A, B) over one denominator D."""
+    d = field_of([window] + [c for v in base + generators for c in (v.x, v.y)], GridError)
+    gens = []
+    for g in generators:
+        if not any(g.cross(r) == 0 for r in gens):
+            gens.append(g)
+    nclasses = len(gens)
+    combo = {}
+    for k1 in range(nclasses):
+        for k2 in range(nclasses):
+            if gens[k1].cross(gens[k2]) == 0:
+                continue
+            for k3 in range(nclasses):
+                if k3 not in (k1, k2):
+                    rx, ry = Vec2(gens[k1].x, gens[k2].x), Vec2(gens[k1].y, gens[k2].y)
+                    combo.setdefault((k1, k2), []).append((k3, *_meet(rx, gens[k3].x, ry, gens[k3].y)))
+    L, co = surd_ints([c for cs in combo.values() for _, alpha, beta in cs for c in (alpha, beta)])
+    co = iter(co)
+    coef = {key: [(k3, next(co) + next(co)) for k3, _, _ in cs] for key, cs in combo.items()}
+    D0, ints = surd_ints([window] + [g.dot(b) for g in gens for b in base])
+    D = D0 * L**depth
+    (Aw, Bw), *proj = [(A * (D // D0), B * (D // D0)) for A, B in ints]
+    base_int = [proj[k * len(base) : (k + 1) * len(base)] for k in range(nclasses)]
+
+    def windowed_parallels(k, values):
+        out = set()
+        for A, B in values:
+            for Ap, Bp in base_int[k]:
+                lo = -_floor_surd(A + Aw - Ap, B + Bw - Bp, d, D)
+                hi = _floor_surd(Ap + Aw - A, Bp + Bw - B, d, D)
+                out.update((A + z * D, B) for z in range(lo, hi + 1))
+        return out
+
+    seen = [set() for _ in range(nclasses)]
+    older = [[] for _ in range(nclasses)]
+    levels = []
+
+    def commit(new_by_class):
+        fresh = []
+        for k in range(nclasses):
+            new = new_by_class[k] - seen[k]
+            seen[k] |= new
+            fresh.extend((k, surd_value(A, B, D, d), A, B) for A, B in new)
+        fresh.sort(key=lambda e: (e[0], float(e[1]), e[1]))
+        levels.append(tuple(Line(gens[k], c) for k, c, _, _ in fresh))
+        frontier = [[] for _ in range(nclasses)]
+        for k, _, A, B in fresh:
+            frontier[k].append((A, B))
+        return frontier
+
+    frontier = commit([windowed_parallels(k, base_int[k]) for k in range(nclasses)])
+    for _ in range(depth):
+        hits = [set() for _ in range(nclasses)]
+        for (k1, k2), cs in coef.items():
+            pool = older[k2] + frontier[k2] if k1 < k2 else older[k2]
+            for k3, (p1, q1, p2, q2) in cs:
+                hits[k3].update(
+                    (
+                        p1 * A1 + p2 * A2 + (q1 * B1 + q2 * B2) * d,
+                        p1 * B1 + p2 * B2 + q1 * A1 + q2 * A2,
+                    )
+                    for A1, B1 in frontier[k1]
+                    for A2, B2 in pool
+                )
+        for k in range(nclasses):
+            older[k].extend(frontier[k])
+        hits = [{(A // L, B // L) for A, B in h} for h in hits]
+        frontier = commit([windowed_parallels(k, hits[k]) for k in range(nclasses)])
+    return LineFamily(tuple(gens), tuple(levels))
+
+
+@st.composite
+def two_point_grids(draw):
+    """A base (0, 0), (r, 0) with r in Q or Q(sqrt 2), a generator family,
+    depth 0-3 and window 1-3."""
+    small = st.fractions(min_value=-1, max_value=2, max_denominator=7)
+    r = draw(small)
+    if draw(st.booleans()):
+        r = SqrtExt.make(r, draw(st.sampled_from([F(-1), F(-1, 2), F(1, 2), F(1)])), 2)
+    # integer coefficients with L = 1 (hexagon, diagonal) and with L = 2
+    # (non-unit), and an irrational coefficient (sqrt2-normal)
+    gens = GEN_FAMILIES[draw(st.sampled_from(sorted(GEN_FAMILIES)))]
+    return two_point_base(r), gens, draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_point_grids())
+def test_generate_grid_matches_line_by_line_growth(problem):
+    assert generate_grid(*problem).levels == reference_generate_grid(*problem).levels
