@@ -12,9 +12,20 @@ good_enumeration and validate_good_enumeration follow the numeric policy
 of ``exact``: a float filter decides what it can, and the scalar rule
 (``distance``, ``determining_generator``) decides the cases within larg's
 guard of a boundary.  The two share one face rule (``_face_table``) and
-one range test (``larg.in_range_pairs``): the validator re-checks the
-bookkeeping on its own, and tests hold the shared rules to the scalar
-definitions on every pair.
+the range test of ``larg.in_range_pairs``; the validator sweeps its own
+pairs and re-checks the bookkeeping on its own, and tests hold the shared
+rules to the scalar definitions on every pair.
+
+The walk sweeps each point once, when it is placed: one ``_face_table``
+pass of the point against the points still pending keeps a running table
+that holds, per target and face class, the first sure position and its
+sign, and per target the rare positions whose face the scalar rule
+decides.
+Certifying a target reads its row of that table (``_certificate``), and
+the walk's next target is read off the same pass, whose largest
+|projection| is the new end's float distance row.  One-shot certificates
+against a whole order (``_try_certificate``) serve the rest: the
+hopeless check, the splice after the walk and L^p.
 
 Box shapes are excluded throughout: with only two face directions no
 triple of pairwise non-parallel normals exists.  L^p balls have no faces:
@@ -170,40 +181,76 @@ class GoodEnumeration:
 
 def _face_table(shape, pts, cols, guard, targets, refs):
     """The face rule for the differences pts[targets[k]] - pts[refs[k]]
-    (one target serves every row): (face, sure, generator).  On the float
-    projection table `cols`, row k is sure when its largest |projection|,
-    of class face[k], beats the runner-up by more than
-    determining_generator's tie rule (``close``) plus `guard`.
-    generator(k) signs a sure row's generator by its projection;
-    determining_generator, which refuses a tie, decides the other rows, and
-    every row when cols is None (L^p)."""
+    (a lone target or reference serves every row): (face, sure, up, best,
+    generator).  On the float projection table `cols`, row k is sure when
+    its largest |projection| best[k], of class face[k], beats the runner-up
+    by more than determining_generator's tie rule (``close``) plus `guard`;
+    up[k] says that projection is positive.  best is the float polygon
+    distance that ``larg._distances`` gives, bit for bit.  generator(k)
+    signs a sure row's generator by up[k]; determining_generator, which
+    refuses a tie, decides the other rows, and every row when cols is None
+    (L^p)."""
     if cols is None:
-        face, sure = None, np.zeros(len(refs), dtype=bool)
+        face = up = best = None
+        sure = np.zeros(max(len(targets), len(refs)), dtype=bool)
     else:
-        vals = cols[:, targets] - cols[:, refs]
+        vals = cols.take(targets, axis=1) - cols.take(refs, axis=1)
         mag = np.abs(vals)
         face = mag.argmax(axis=0)
         second, best = np.sort(mag, axis=0)[-2:]
         sure = best - second > FLOAT_INTEGER_GUARD * best + guard
+        # on a sure row no other projection reaches best in magnitude
+        up = vals.max(axis=0) == best
 
     def generator(k):
         if not sure[k]:
-            return determining_generator(shape, pts[targets[k % len(targets)]] - pts[refs[k]])
+            return determining_generator(shape, pts[targets[k % len(targets)]] - pts[refs[k % len(refs)]])
         a = shape.generators[face[k]]
-        return a if vals[face[k], k] > 0 else -a
+        return a if up[k] else -a
 
-    return face, sure, generator
+    return face, sure, up, best, generator
 
 
-def _try_certificate(shape, pts, cols, guard, order, target):
+def _certificate(signed, first, unsure, decide):
+    """One target's certificate from its face-class row, or None.
+
+    signed[c] is (-a, a) for generator a of class c.  first[c] is
+    2 * pos + up for the first position pos whose face the float table
+    calls sure and of class c (up = 1 when the projection is positive), or
+    -1; unsure lists the other positions in ascending order, and
+    decide(pos) gives such a position's signed generator or refuses a tie
+    (AnchoringError).  The three earliest classes win; only the unsure
+    positions before the third sure one can change that, so only those
+    are decided.
+    """
+    rows = sorted((code >> 1, c, signed[c][code & 1]) for c, code in enumerate(first) if code >= 0)
+    limit = rows[2][0] if len(rows) >= 3 else math.inf
+    for pos in unsure:
+        if pos >= limit:
+            break
+        try:
+            g = decide(pos)
+        except AnchoringError:
+            continue
+        rows.append((pos, next(c for c, (_, a) in enumerate(signed) if a.cross(g) == 0), g))
+    refs, gens = [], {}
+    for pos, c, g in sorted(rows):
+        if c not in gens:
+            gens[c] = g
+            refs.append(pos)
+            if len(refs) == 3:
+                return Certificate(tuple(refs), tuple(gens.values()))
+    return None
+
+
+def _try_certificate(shape, signed, pts, cols, guard, order, target):
     """Three placed references with pairwise non-parallel face normals.
 
     These are the first three positions of `order` whose distances to the
     target lie on three distinct face classes, skipping the references
     determining_generator refuses.  For polygons one ``_face_table`` over
-    the placed points gives every class; determining_generator decides the
-    unsure rows, and only those that can still change the answer.  L^p
-    (cols None) scans with determining_generator, which finds three
+    the placed points gives every class, and ``_certificate`` reads them.
+    L^p (cols None) scans with determining_generator, which finds three
     non-parallel gradients within a few references.
     """
     if cols is None:
@@ -221,30 +268,36 @@ def _try_certificate(shape, pts, cols, guard, order, target):
                 return Certificate(tuple(refs), tuple(gens))
         return None
 
-    face, sure, generator = _face_table(shape, pts, cols, guard, [target], order)
-    # first sure position of each face class; the third of them bounds the
-    # positions an unsure row can still claim
+    face, sure, up, _, generator = _face_table(shape, pts, cols, guard, [target], order)
     classes, firsts = np.unique(np.where(sure, face, len(cols)), return_index=True)
-    firsts = firsts[classes < len(cols)]
-    limit = int(np.sort(firsts)[2]) if len(firsts) >= 3 else len(order)
+    first = [-1] * len(cols)
+    for c, pos in zip(classes.tolist(), firsts.tolist()):
+        if c < len(cols):
+            first[c] = 2 * pos + int(up[pos])
+    return _certificate(signed, first, np.flatnonzero(~sure).tolist(), generator)
 
-    # (position, class, signed generator); sure rows are signed by the table
-    rows = [(int(pos), int(face[pos]), None) for pos in firsts]
-    for pos in np.flatnonzero(~sure[:limit]).tolist():
-        try:
-            g = generator(pos)
-        except AnchoringError:
-            continue
-        rows.append((pos, next(c for c, a in enumerate(shape.generators) if a.cross(g) == 0), g))
-    refs, gens = [], {}
-    for pos, c, g in sorted(rows):
-        if c in gens:
-            continue
-        gens[c] = generator(pos) if g is None else g
-        refs.append(pos)
-        if len(refs) == 3:
-            return Certificate(tuple(refs), tuple(gens.values()))
-    return None
+
+def _sweep(shape, pts, cols, q, guard, order, targets, first, unsure):
+    """Sweep a walk's newest point x = order[-1] against the points
+    `targets` and return its float distances to them, the row
+    ``larg._distances`` gives.
+
+    For polygons (q None) one ``_face_table`` pass over (targets, x) gives
+    the row and keeps the walk's running table: for each target u and face
+    class c, first[u, c] is 2 * pos + up for the first position pos of
+    class c that the float table calls sure (``_certificate``'s encoding),
+    and unsure[u] lists the positions left to the scalar rule.  L^p keeps
+    no table.
+    """
+    if q is not None:
+        return _distances(cols, q, order[-1], targets)[0]
+    pos = len(order) - 1
+    face, sure, up, best, _ = _face_table(shape, pts, cols, guard, targets, order[-1:])
+    fresh = sure & (first[targets, face] < 0)
+    first[targets[fresh], face[fresh]] = 2 * pos + up[fresh]
+    for u in targets[~sure].tolist():
+        unsure[u].append(pos)
+    return best
 
 
 def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
@@ -258,12 +311,17 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
 
     Numeric policy: float filters with the scalar rule deciding the cases
     near a boundary, so the result is the one the scalar definitions give.
-    The in-range graph is ``larg.in_range_pairs``.  The walk's next target
-    is the eligible point nearest its end by ``(float(distance), index)``;
-    float distances pick the candidates within a guard of the minimum, and
-    the scalar key decides among them.  Certificates read face classes off
-    a float table of generator projections (``_face_table``), which
-    ``validate_good_enumeration`` reads too.
+    The in-range graph is ``larg.in_range_pairs``.  Each placed point is
+    swept once against the points still pending (``_sweep``): for polygons
+    one float table of generator projections (``_face_table``, which
+    ``validate_good_enumeration`` reads too) keeps, per target and face
+    class, the first sure position and its sign, plus the rare positions
+    whose face the scalar rule decides.  Certifying a target reads its row
+    of that running table (``_certificate``); L^p certifies with
+    determining_generator against the whole order.  The walk's next target
+    is the eligible point nearest its end by ``(float(distance), index)``:
+    the float distance row of the end's sweep picks the candidates within
+    a guard of the minimum, and the scalar key decides among them.
 
     Up to six anchors are walked, and the first walk leaving the fewest
     points pending wins.  A point pending after the first walk that has no
@@ -281,40 +339,38 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
     _require_non_box(shape)
     if isinstance(shape, PolygonShape):
         shape.vertices()  # refuses redundant generators, whose faces only tie
+    return _enumerate(points, shape, in_range_pairs(points, shape, 1))
+
+
+def _enumerate(points: PointSet, shape: NormShape, pairs) -> GoodEnumeration:
+    """good_enumeration past its shape checks, over the in-range pairs
+    (``in_range_pairs(points, shape, 1)``) that its caller reads too."""
     pts = points.points
     n = len(pts)
     if n < 3:
         raise AnchoringError("need at least three points")
 
-    near = [[] for _ in range(n)]
-    # lexicographic pairs u < v keep every list ascending
-    for u, v in zip(*(a.tolist() for a in in_range_pairs(points, shape, 1))):
-        near[u].append(v)
-        near[v].append(u)
+    # adjacency lists, each ascending: the pairs u < v come in lexicographic
+    # order, so a point's list is its lower neighbours (the pairs sorted
+    # stably by v) and then its upper ones
+    us, vs = pairs
+    lower, upper = us[np.argsort(vs, kind="stable")].tolist(), vs.tolist()
+    lo, hi = ([0] + np.cumsum(np.bincount(a, minlength=n)).tolist() for a in (vs, us))
+    near = [lower[lo[i] : lo[i + 1]] + upper[hi[i] : hi[i + 1]] for i in range(n)]
     near_sets = [set(adj) for adj in near]
 
     arr = points.as_array()
     cols, reach, q = _columns(arr, shape)
     guard = _guard(1.0, reach, arr)
     face_cols = None if q is not None else cols
-
-    def nearest(end, eligible):
-        # this float distance and float(distance(...)) both lie within
-        # guard / 2 of the true one, so the scalar minimum is among the ties
-        fd = _distances(cols, q, end, eligible)[0]
-        ties = eligible[fd <= fd.min() + guard].tolist()
-        if len(ties) == 1:
-            return ties[0]
-        return min(ties, key=lambda i: (float(distance(shape, pts[end], pts[i])), i))
+    signed = None if q is not None else [(-a, a) for a in shape.generators]
 
     # anchor centrally: growth radiates outward, so later points keep placed
-    # references on several sides, which certificates need
-    xs = sorted(float(p.x) for p in pts)
-    ys = sorted(float(p.y) for p in pts)
-    cx, cy = xs[n // 2], ys[n // 2]
-    central = sorted(
-        range(n), key=lambda i: max(abs(float(pts[i].x) - cx), abs(float(pts[i].y) - cy))
-    )
+    # references on several sides, which certificates need (the array's
+    # floats are the coordinates' own float(); the sort is stable)
+    xs, ys = arr.T
+    off = np.maximum(np.abs(xs - np.sort(xs)[n // 2]), np.abs(ys - np.sort(ys)[n // 2]))
+    central = np.argsort(off, kind="stable").tolist()
 
     def anchor_candidates():
         used = set()
@@ -334,12 +390,28 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
                 break
 
     def certify(order, idx):
-        return _try_certificate(shape, pts, face_cols, guard, order, idx)
+        return _try_certificate(shape, signed, pts, face_cols, guard, order, idx)
 
     def run(anchor):
-        order = list(anchor)
+        order = []
         certificates: list = [None, None, None]
-        placed = set(anchor)
+        placed = set()
+        first = None if q is not None else np.full((n, len(cols)), -1)
+        unsure = [[] for _ in range(n)]
+        pending = np.ones(n, dtype=bool)
+        targets = row = None
+
+        def sweep(x):
+            # only points still pending are certified or reached later
+            nonlocal targets, row
+            order.append(x)
+            placed.add(x)
+            pending[x] = False
+            targets = np.flatnonzero(pending)
+            row = _sweep(shape, pts, cols, q, guard, order, targets, first, unsure)
+
+        for x in anchor:
+            sweep(x)
 
         def hop_path(start, goal):
             # shortest path start -> goal through unplaced points only
@@ -363,36 +435,48 @@ def good_enumeration(points: PointSet, shape: NormShape) -> GoodEnumeration:
                     queue.append(v)
             return None
 
+        def nearest(ties):
+            # the row and float(distance(...)) both lie within guard / 2 of
+            # the true distance, so the scalar minimum is among the ties
+            if len(ties) == 1:
+                return ties[0]
+            end = pts[order[-1]]
+            return min(ties, key=lambda i: (float(distance(shape, end, pts[i])), i))
+
         def place(idx) -> bool:
-            cert = certify(order, idx)
+            if q is not None:
+                cert = certify(order, idx)
+            else:
+                def decide(pos):
+                    return determining_generator(shape, pts[idx] - pts[order[pos]])
+
+                cert = _certificate(signed, first[idx].tolist(), unsure[idx], decide)
             if cert is None:
                 return False
-            order.append(idx)
             certificates.append(cert)
-            placed.add(idx)
+            sweep(idx)
             return True
 
         # serve targets nearest the walk's current end so it clears each
         # region before moving on; a failed point stays pending and becomes
         # eligible again after any placement, since placements only ever add
         # reference directions
-        pending = np.ones(n, dtype=bool)
-        pending[list(anchor)] = False
         last_try = np.full(n, -1)
-        while pending.any():
+        while True:
             end = order[-1]
             epoch = len(order)
-            eligible = np.flatnonzero(pending & (last_try < epoch))
-            if not len(eligible):
+            # the end's float distances to the eligible points
+            fd = np.where(last_try[targets] < epoch, row, math.inf)
+            least = fd.min(initial=math.inf)
+            if least == math.inf:
                 break
-            u = nearest(end, eligible)
+            u = nearest(targets[fd <= least + guard].tolist())
             path = hop_path(end, u)
             advanced = False
             for step in path or ():
                 if not place(step):
                     last_try[step] = len(order)
                     break
-                pending[step] = False
                 advanced = True
             if not advanced:
                 last_try[u] = epoch
@@ -460,7 +544,7 @@ def validate_good_enumeration(enum: GoodEnumeration) -> None:
     if len({(pts[i].x, pts[i].y) for i in order}) < len(order):
         raise AnchoringError("repeated point in enumeration")
 
-    within = _in_range_test(enum.point_set, shape, 1)
+    within = _in_range_test(len(pts), in_range_pairs(enum.point_set, shape, 1))
     far = np.flatnonzero(~within(order[:-1], order[1:]))
     if len(far):
         raise AnchoringError(f"consecutive points {order[far[0]]}, {order[far[0] + 1]} at distance >= 1")
@@ -486,7 +570,7 @@ def validate_good_enumeration(enum: GoodEnumeration) -> None:
     cols, reach, q = _columns(arr, shape)
     targets = [order[pos] for pos in range(3, len(order)) for _ in range(3)]
     refs = [order[r] for cert in certs[3:] for r in cert.refs]
-    generator = _face_table(shape, pts, cols if q is None else None, _guard(1.0, reach, arr), targets, refs)[2]
+    generator = _face_table(shape, pts, cols if q is None else None, _guard(1.0, reach, arr), targets, refs)[-1]
     for pos, cert in enumerate(certs[3:], 3):
         for row, g in zip(range(3 * pos - 9, 3 * pos - 6), cert.generators):
             if g != generator(row):

@@ -33,8 +33,8 @@ from itertools import permutations
 
 import numpy as np
 
-from . import larg
-from .anchoring import GoodEnumeration, good_enumeration, validate_good_enumeration
+from . import anchoring, larg
+from .anchoring import GoodEnumeration, validate_good_enumeration
 from .exact import (
     FLOAT,
     FLOAT_INTEGER_GUARD,
@@ -478,7 +478,10 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
     points = sample_poisson_window(
         window, cfg.intensity, seed=cfg.base_seed, mode=cfg.mode
     )
-    enum = good_enumeration(points, shape)
+    # one sweep of the in-range pairs serves the walk and the range test;
+    # the validator makes its own
+    pairs = in_range_pairs(points, shape, 1)
+    enum = anchoring._enumerate(points, shape, pairs)
     if len(enum.order) < cfg.n_values[-1]:
         raise ExperimentError(
             f"enumeration places {len(enum.order)} points; "
@@ -486,7 +489,7 @@ def run_decay_experiment(cfg: ExperimentConfig) -> list[DecayRow]:
         )
     validate_good_enumeration(enum)
 
-    within = larg._in_range_test(points, shape, 1)
+    within = larg._in_range_test(len(points), pairs)
     p_star = compatibility_probability(cfg.p, True)
     k = len(shape.generators)
     lookup = _point_lookup(points)

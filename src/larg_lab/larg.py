@@ -458,11 +458,11 @@ def in_range_pairs(points: PointSet, shape: NormShape, delta) -> tuple[np.ndarra
     return _decode_keys(keys, len(points))
 
 
-def _in_range_test(points: PointSet, shape: NormShape, delta):
+def _in_range_test(n: int, pairs):
     """within(us, vs): for index arrays us, vs, whether each pair is one of
-    in_range_pairs (u = v is not), by np.isin on the pairs' keys u * n + v."""
-    n = len(points)
-    u, v = in_range_pairs(points, shape, delta)
+    `pairs`, the in_range_pairs of n points (u = v is not), by np.isin on
+    the pairs' keys u * n + v."""
+    u, v = pairs
     keys = u * n + v
 
     def within(us, vs):

@@ -1,10 +1,13 @@
 """Determining generators, anchored reconstruction, good enumerations."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import re
 from collections import Counter, deque
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -441,10 +444,10 @@ def assert_rules_match_scalar(shape, ps):
     # sure rows and the tied rows
     pts = ps.points
     targets, refs = map(list, zip(*itertools.permutations(range(len(pts)), 2)))
-    within = larg._in_range_test(ps, shape, 1)(targets, refs)
+    within = larg._in_range_test(len(pts), larg.in_range_pairs(ps, shape, 1))(targets, refs)
     arr = ps.as_array()
     cols, reach, _ = larg._columns(arr, shape)
-    face = anchoring._face_table(shape, pts, cols, larg._guard(1.0, reach, arr), targets, refs)[2]
+    face = anchoring._face_table(shape, pts, cols, larg._guard(1.0, reach, arr), targets, refs)[-1]
     sure, ties = 0, 0
     with mock.patch.object(anchoring, "determining_generator", wraps=determining_generator) as scalar:
         for k, (t, r) in enumerate(zip(targets, refs)):
@@ -830,21 +833,74 @@ HOPELESS_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(HOPELESS_CONFIGS))
 def test_walks_that_cannot_win_are_skipped(name):
     # skipping the walks that cannot win leaves the output unchanged; once
-    # a walk leaves only hopeless points pending, the certificate searches
-    # stay within twice those of the busiest walk (each walk's searches have
-    # its anchor as their order's first three points)
+    # a walk leaves only hopeless points pending, the face sweeps stay
+    # within twice those of the busiest walk (each walk sweeps every point
+    # it places, and its order starts with its anchor)
     make, skips = HOPELESS_CONFIGS[name]
     ps = make()
-    calls = []
-    try_certificate = anchoring._try_certificate
+    sweeps = []
+    sweep = anchoring._sweep
 
-    def counted(shape, pts, cols, guard, order, target):
-        calls.append(tuple(order[:3]))
-        return try_certificate(shape, pts, cols, guard, order, target)
+    def counted(shape, pts, cols, q, guard, order, *table):
+        sweeps.append(tuple(order[:3]))
+        return sweep(shape, pts, cols, q, guard, order, *table)
 
-    with mock.patch.object(anchoring, "_try_certificate", counted):
+    with mock.patch.object(anchoring, "_sweep", counted):
         enum = good_enumeration(ps, HEX)
     assert enum.unplaced
     assert (enum.order, enum.certificates, enum.unplaced) == reference_good_enumeration(ps, HEX)
     if skips:
-        assert len(calls) <= 2 * max(Counter(calls).values())
+        assert len(sweeps) <= 2 * max(Counter(sweeps).values())
+
+
+def test_walk_sweeps_each_placed_point_once():
+    # CI's dense decay config: the polygon walk reads its nearest target off
+    # the face sweeps' distance rows, with no separate distance row, and
+    # each walk sweeps each point it places once (this sample's third walk
+    # places all 120 points)
+    ps = sample_poisson_window(Window(0, 0, 1, 1), 120.0, seed=1, mode="rational")
+    sweeps = []
+    sweep = anchoring._sweep
+
+    def counted(*args):
+        order = args[5]
+        sweeps.append((order[0], order[-1]))  # anchors are disjoint
+        return sweep(*args)
+
+    with mock.patch.object(anchoring, "_sweep", counted), mock.patch.object(
+        anchoring, "_distances", wraps=larg._distances
+    ) as rows:
+        enum = good_enumeration(ps, HEX)
+    assert rows.call_count == 0
+    assert len(set(sweeps)) == len(sweeps)
+    assert not enum.unplaced
+    assert sorted(x for walk, x in sweeps if walk == enum.order[0]) == list(range(len(ps)))
+
+
+def enumeration_digest(enum):
+    return hashlib.sha256(repr((enum.order, enum.certificates, enum.unplaced)).encode()).hexdigest()
+
+
+# enumerations above the hypothesis test's 36 points: the benchmark's decay
+# config (seed 1), CI's decay configs, k = 4 faces and L^2 at 100 points,
+# and the hopeless configs; tests/data/golden_enumerations.json holds each
+# one's digest of (order, certificates, unplaced)
+GOLDEN_ENUMERATIONS = {
+    "decay-benchmark": lambda: (HEX, sample_poisson_window(Window(0, 0, 1, 1), 120.0, seed=1127523868, mode="rational")),
+    "decay-ci-dense": lambda: (HEX, sample_poisson_window(Window(0, 0, 1, 1), 120.0, seed=1, mode="rational")),
+    "decay-ci-sparse": lambda: (HEX, sample_poisson_window(Window(0, 0, 3, 3), 8.0, seed=9, mode="rational")),
+    "decay-ci-float": lambda: (regular_hexagon(), sample_poisson_window(Window(0, 0, 3, 3), 8.0, seed=9, mode="float")),
+    "octagon4-rational": lambda: (OCTAGON4, sample_poisson_window(Window(0, 0, 1, 1), 100.0, seed=1, mode="rational")),
+    "octagon4-float": lambda: (OCTAGON4, sample_poisson_window(Window(0, 0, 1, 1), 100.0, seed=1, mode="float")),
+    "lp2-float": lambda: (LpShape(2), sample_poisson_window(Window(0, 0, 1, 1), 100.0, seed=1, mode="float")),
+    "lp2-rational": lambda: (LpShape(2), sample_poisson_window(Window(0, 0, 1, 1), 100.0, seed=1, mode="rational")),
+    **{f"hopeless-{name}": (lambda make=make: (HEX, make())) for name, (make, _) in HOPELESS_CONFIGS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENUMERATIONS))
+def test_good_enumeration_matches_golden_digest(name):
+    golden = json.loads((Path(__file__).parent / "data" / "golden_enumerations.json").read_text(encoding="utf-8"))
+    assert golden.keys() == GOLDEN_ENUMERATIONS.keys()
+    shape, ps = GOLDEN_ENUMERATIONS[name]()
+    assert enumeration_digest(good_enumeration(ps, shape)) == golden[name]
